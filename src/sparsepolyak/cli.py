@@ -41,12 +41,13 @@ from .diagnostics import (
     check_rss,
     check_weak_rsc,
     default_ht_width,
+    grid_seed_cells,
     iters_to_plateau,
     make_instance,
     plateau_level,
+    run_instance_cells,
     summarize_comparison,
 )
-from .objectives import ParamVector
 from .optimizer import (
     CLASSIC_POLYAK,
     FIXED,
@@ -89,17 +90,8 @@ def _build_step_rule(cfg: ExperimentConfig, f_hat_target: float) -> StepRule:
 def cmd_run(cfg: ExperimentConfig, out_root: Path) -> int:
     model, theta_star, f_target = make_instance(cfg.design, cfg.truth, cfg.noise, cfg.seed)
     rule = _build_step_rule(cfg, f_target)
-    run_config = RunConfig(
-        model=model,
-        operator=ThresholdSpec(kind=cfg.operator_kind, s=cfg.operator_s),
-        step_rule=rule,
-        theta0=ParamVector(np.zeros(cfg.design.d)),
-        max_iters=cfg.max_iters,
-        stop_tol=cfg.stop_tol,
-        seed=cfg.seed,
-        theta_star=theta_star,
-    )
-    trace = run(run_config)
+    op = ThresholdSpec(kind=cfg.operator_kind, s=cfg.operator_s)
+    trace = run(RunConfig.zero_start(model, op, rule, cfg.max_iters, theta_star, cfg.stop_tol))
 
     out_dir = out_root / f"run_{config_hash(cfg.echo)}"
     write_trace_csv(trace, out_dir / "trace.csv")
@@ -120,39 +112,17 @@ def cmd_run(cfg: ExperimentConfig, out_root: Path) -> int:
     return EXIT_OK
 
 
-def _grid_seed_task(args):
-    """All grid cells for one seed; top level so worker pools can pickle it.
-
-    The instance is generated once per seed and shared across cells; outputs
-    are identical to per-cell generation because generators are pure in
-    (spec, seed).
-    """
-    design, truth, noise, s_grid, seed, max_iters, step_kind, ht_width = args
-    model, theta_star, f_hat = make_instance(design, truth, noise, seed)
-    rows = []
-    for kind in (HT, RT):
-        for s in s_grid:
-            config = RunConfig(
-                model=model,
-                operator=ThresholdSpec(kind=kind, s=s),
-                step_rule=StepRule(kind=step_kind, f_hat=f_hat, ht_width=ht_width),
-                theta0=ParamVector(np.zeros(design.d)),
-                max_iters=max_iters,
-                seed=seed,
-                theta_star=theta_star,
-            )
-            trace = run(config)
-            level = plateau_level(trace.error_sq)
-            rows.append((kind, s, seed, float(trace.error_sq[-1]),
-                         iters_to_plateau(trace.error_sq, level)))
-    return rows
-
-
 def _pmap(task, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [task(item) for item in items]
+    """``task(*item)`` for each item, in order.
+
+    Runs in a process pool of at most one worker per item and per CPU, or
+    in this process when that leaves one worker.
+    """
+    workers = min(workers, len(items), os.cpu_count() or 1)
+    if workers <= 1:
+        return [task(*item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, items))
+        return list(pool.map(task, *zip(*items)))
 
 
 def cmd_grid(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
@@ -165,7 +135,7 @@ def cmd_grid(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
          cfg.step_kind, ht_width)
         for seed in cfg.seeds
     ]
-    detail = [row for rows in _pmap(_grid_seed_task, items, workers) for row in rows]
+    detail = [row for rows in _pmap(grid_seed_cells, items, workers) for row in rows]
     rows = summarize_comparison(detail, cfg.s_grid)
 
     out_dir = out_root / f"grid_{config_hash(cfg.echo)}"
@@ -188,30 +158,17 @@ def cmd_grid(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     return EXIT_OK
 
 
-def _sweep_cell_task(args):
+def _sweep_cell_task(base_design, truth_s_star, noise, s, d, seed, max_iters, n_factor, ht_width):
     """Sparse and classic runs for one (d, seed); returns sweep.csv rows."""
-    base_design, truth_s_star, noise, s, d, seed, max_iters, n_factor, ht_width = args
     n = derived_n(n_factor, truth_s_star, d)
     design = DesignSpec(n=n, d=d, omega=base_design.omega,
                         column_normalize=base_design.column_normalize)
-    truth = TruthSpec(d=d, s_star=truth_s_star)
-    model, theta_star, f_hat = make_instance(design, truth, noise, seed)
-    rows = []
-    for method in (SPARSE_POLYAK, CLASSIC_POLYAK):
-        config = RunConfig(
-            model=model,
-            operator=ThresholdSpec(kind=HT, s=min(s, d)),
-            step_rule=StepRule(kind=method, f_hat=f_hat, ht_width=ht_width),
-            theta0=ParamVector(np.zeros(d)),
-            max_iters=max_iters,
-            seed=seed,
-            theta_star=theta_star,
-        )
-        trace = run(config)
-        level = plateau_level(trace.error_sq)
-        hit = iters_to_plateau(trace.error_sq, level)
-        rows.append((d, n, seed, method, level, hit, active_median_step(trace.step_size, hit)))
-    return rows
+    methods = (SPARSE_POLYAK, CLASSIC_POLYAK)
+    op = ThresholdSpec(kind=HT, s=min(s, d))
+    runs = run_instance_cells(design, TruthSpec(d=d, s_star=truth_s_star), noise, seed,
+                              [(op, method) for method in methods], max_iters, ht_width)
+    return [(d, n, seed, method, level, hit, active_median_step(trace.step_size, hit))
+            for method, (trace, level, hit) in zip(methods, runs)]
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
@@ -251,8 +208,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     return EXIT_OK
 
 
-def _concavity_cell_task(args):
-    kind, s, s_star, dim, trials, seed = args
+def _concavity_cell_task(kind, s, s_star, dim, trials, seed):
     est = empirical_relative_concavity(ThresholdSpec(kind=kind, s=s), s_star, dim, trials, seed)
     bound = est.theoretical_bound
     return {
@@ -341,6 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg = load_config(args.config) if args.config else resolve_config({})
         if args.seed is not None:
             cfg.seed = args.seed

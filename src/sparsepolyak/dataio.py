@@ -9,14 +9,16 @@ Datasets rides in two interchangeable containers:
 
 Run traces are CSV with the fixed header
 ``iter,f_value,step_size,grad_ht_norm_sq,error_sq,support_size`` and 12
-significant digits.  All writes are atomic (temp file + rename) so
-concurrent sweep cells never observe partial artifacts.
+significant digits.  All writes go through one atomic path (temp file,
+fsync, rename) so concurrent sweep cells never observe partial artifacts;
+files get the umask's default mode, as with a plain ``open``.
 """
 
 import hashlib
 import json
 import os
-import tempfile
+import secrets
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -28,19 +30,34 @@ SCHEMA_VERSION = 1
 TRACE_HEADER = "iter,f_value,step_size,grad_ht_norm_sq,error_sq,support_size"
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials."""
+@contextmanager
+def _atomic_file(path):
+    """Binary handle on a sibling temp file that replaces ``path`` on success.
+
+    The temp file is created like a plain ``open``, so the artifact gets
+    the umask's default mode; it is synced before the rename, and removed
+    if writing fails.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}_{secrets.token_hex(4)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path, payload: bytes) -> None:
+    """Write via a sibling temp file and rename, so readers never see partials."""
+    with _atomic_file(path) as fh:
+        fh.write(payload)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -119,18 +136,8 @@ def dataset_to_npz(data: Dataset, path, family: str, seed: int) -> None:
         "family": family,
         "seed": int(seed),
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
-    os.close(fd)
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, X=data.X, y=data.y, meta=json.dumps(meta, sort_keys=True))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _atomic_file(path) as fh:
+        np.savez(fh, X=data.X, y=data.y, meta=json.dumps(meta, sort_keys=True))
 
 
 def dataset_from_npz(path) -> tuple[Dataset, dict]:

@@ -9,6 +9,10 @@ counterexample.
 Plateau detection is measurement-based: the floor of a run is the median
 of the last 10% of recorded squared errors, and iterations-to-floor is the
 first time the error enters a small band above that level.
+
+`run_instance_cells` is the one cell loop behind the grid and sweep
+commands and `compare_operators`: it generates a seed's instance once and
+runs each (operator, step rule) cell from zero to its plateau.
 """
 
 from dataclasses import dataclass
@@ -267,22 +271,56 @@ def run_cell(
 ) -> RunTrace:
     """One (operator, s, seed) run on a freshly generated instance."""
     model, theta_star, f_hat = make_instance(design, truth, noise, seed)
-    rule = StepRule(
-        kind=step_kind,
-        f_hat=f_hat,
-        ht_width=ht_width or default_ht_width(noise.family),
-        fixed_gamma=fixed_gamma,
-    )
-    config = RunConfig(
-        model=model,
-        operator=op,
-        step_rule=rule,
-        theta0=ParamVector(np.zeros(design.d)),
-        max_iters=max_iters,
-        seed=seed,
-        theta_star=theta_star,
-    )
-    return run(config)
+    rule = StepRule(kind=step_kind, f_hat=f_hat, fixed_gamma=fixed_gamma,
+                    ht_width=ht_width or default_ht_width(noise.family))
+    return run(RunConfig.zero_start(model, op, rule, max_iters, theta_star))
+
+
+def run_instance_cells(
+    design: DesignSpec,
+    truth: TruthSpec,
+    noise: NoiseSpec,
+    seed: int,
+    cells: list[tuple[ThresholdSpec, str]],
+    max_iters: int,
+    ht_width: str | None = None,
+) -> list[tuple[RunTrace, float, int]]:
+    """Zero-start runs of (operator, step kind) cells on one seed's instance.
+
+    The instance is generated once and shared by the cells; results equal
+    per-cell generation because the generators are pure in (spec, seed).
+    Returns (trace, plateau level, iterations to plateau) per cell, in order.
+    """
+    model, theta_star, f_hat = make_instance(design, truth, noise, seed)
+    width = ht_width or default_ht_width(noise.family)
+    out = []
+    for op, step_kind in cells:
+        rule = StepRule(kind=step_kind, f_hat=f_hat, ht_width=width)
+        trace = run(RunConfig.zero_start(model, op, rule, max_iters, theta_star))
+        level = plateau_level(trace.error_sq)
+        out.append((trace, level, iters_to_plateau(trace.error_sq, level)))
+    return out
+
+
+def grid_seed_cells(
+    design: DesignSpec,
+    truth: TruthSpec,
+    noise: NoiseSpec,
+    s_grid: list[int],
+    seed: int,
+    max_iters: int,
+    step_kind: str = SPARSE_POLYAK,
+    ht_width: str | None = None,
+) -> list[tuple]:
+    """Every (operator, s) grid cell for one seed.
+
+    Rows are (kind, s, seed, final_error_sq, iters_to_floor), operators
+    outermost.
+    """
+    cells = [(ThresholdSpec(kind=kind, s=s), step_kind) for kind in (HT, RT) for s in s_grid]
+    runs = run_instance_cells(design, truth, noise, seed, cells, max_iters, ht_width)
+    return [(op.kind, op.s, seed, float(trace.error_sq[-1]), hit)
+            for (op, _), (trace, _, hit) in zip(cells, runs)]
 
 
 def summarize_comparison(detail, s_grid: list[int]) -> dict[str, ComparisonRow]:
@@ -320,22 +358,13 @@ def compare_operators(
     """Grid-search both operators over (s, seed) and pick each one's best s.
 
     Returns ({kind: ComparisonRow}, detail) where detail rows are
-    (kind, s, seed, final_error_sq, iters_to_floor) for every cell, suitable
-    for CSV export.
+    (kind, s, seed, final_error_sq, iters_to_floor) for every cell, seeds
+    outermost, suitable for CSV export.
     """
     if not s_grid:
         raise ValueError("s grid must be nonempty")
     if not seeds:
         raise ValueError("seed list must be nonempty")
-    detail = []
-    for kind in (HT, RT):
-        for s in s_grid:
-            for seed in seeds:
-                trace = run_cell(
-                    design, truth, noise, ThresholdSpec(kind=kind, s=s), seed, max_iters,
-                    step_kind=step_kind, ht_width=ht_width,
-                )
-                level = plateau_level(trace.error_sq)
-                detail.append((kind, s, seed, float(trace.error_sq[-1]),
-                               iters_to_plateau(trace.error_sq, level)))
+    detail = [row for seed in seeds for row in grid_seed_cells(
+        design, truth, noise, s_grid, seed, max_iters, step_kind=step_kind, ht_width=ht_width)]
     return summarize_comparison(detail, s_grid), detail

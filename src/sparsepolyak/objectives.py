@@ -141,33 +141,9 @@ def _check_dim(model: ObjectiveModel, theta: np.ndarray) -> None:
         raise ValueError(f"parameter has dimension {theta.shape[0]}, expected {model.dim}")
 
 
-def objective_value(model: ObjectiveModel, theta) -> float:
-    """Average loss at theta (squared-error form for the linear family)."""
-    v = as_values(theta)
-    _check_dim(model, v)
-    X, y = model.data.X, model.data.y
-    u = X @ v
-    if model.family == LINEAR:
-        r = u - y
-        return float(0.5 * np.dot(r, r) / model.data.n)
-    return float(np.mean(np.logaddexp(0.0, u) - y * u))
-
-
-def gradient(model: ObjectiveModel, theta) -> np.ndarray:
-    """Gradient (1/n) X' (psi'(X theta) - y)."""
-    v = as_values(theta)
-    _check_dim(model, v)
-    X, y = model.data.X, model.data.y
-    u = X @ v
-    resid = u - y if model.family == LINEAR else sigmoid(u) - y
-    return X.T @ resid / model.data.n
-
-
 def value_and_gradient(model: ObjectiveModel, theta) -> tuple[float, np.ndarray]:
-    """Loss and gradient sharing one pass over the data.
-
-    Bit-identical to calling `objective_value` and `gradient` separately;
-    used by iteration loops where the design-matrix products dominate.
+    """Average loss (squared-error form for the linear family) and its
+    gradient (1/n) X' (psi'(X theta) - y), sharing one pass over the data.
     """
     v = as_values(theta)
     _check_dim(model, v)
@@ -178,6 +154,16 @@ def value_and_gradient(model: ObjectiveModel, theta) -> tuple[float, np.ndarray]
         return float(0.5 * np.dot(r, r) / model.data.n), X.T @ r / model.data.n
     f = float(np.mean(np.logaddexp(0.0, u) - y * u))
     return f, X.T @ (sigmoid(u) - y) / model.data.n
+
+
+def objective_value(model: ObjectiveModel, theta) -> float:
+    """Average loss at theta; the value half of `value_and_gradient`."""
+    return value_and_gradient(model, theta)[0]
+
+
+def gradient(model: ObjectiveModel, theta) -> np.ndarray:
+    """Gradient at theta; the gradient half of `value_and_gradient`."""
+    return value_and_gradient(model, theta)[1]
 
 
 def target_value(model: ObjectiveModel, theta_star) -> float:

@@ -10,8 +10,9 @@ The sparse Polyak rule sets
 
 with the gradient norm restricted to its w largest entries (w = s or 2s);
 restricting the denominator keeps steps dimension-independent, where the
-classic rule gap/||grad||^2 shrinks as the ambient dimension grows.  A
-fixed-step baseline gamma = 1/L_hat with
+classic rule gap/||grad||^2 shrinks as the ambient dimension grows.
+||HT_w(grad)||^2 is computed once per iteration and serves both the step
+rule and the trace.  A fixed-step baseline gamma = 1/L_hat with
 L_hat = lambda_max(Sigma) (3/4 + (2s + s*)/(10 s)) is included for
 benchmarking.
 """
@@ -85,7 +86,6 @@ class RunConfig:
     theta0: ParamVector
     max_iters: int
     stop_tol: float | None = None
-    seed: int = 0
     theta_star: ParamVector | None = None
 
     def __post_init__(self):
@@ -99,6 +99,14 @@ class RunConfig:
             raise ValueError(f"initial point has {self.theta0.nnz} nonzeros, exceeding s = {self.operator.s}")
         if self.stop_tol is not None and self.stop_tol < 0:
             raise ValueError("stop_tol must be nonnegative")
+
+    @classmethod
+    def zero_start(cls, model: ObjectiveModel, operator: ThresholdSpec, step_rule: StepRule,
+                   max_iters: int, theta_star: ParamVector | None = None,
+                   stop_tol: float | None = None) -> "RunConfig":
+        """A run started from the zero vector, as every harness cell is."""
+        return cls(model=model, operator=operator, step_rule=step_rule, max_iters=max_iters,
+                   theta0=ParamVector(np.zeros(model.dim)), stop_tol=stop_tol, theta_star=theta_star)
 
     def resolved_stop_tol(self) -> float | None:
         """Default: 1e-12 relative to |f_hat| + 1; None when f_hat is unknown."""
@@ -128,36 +136,38 @@ class RunTrace:
         return self.iters.size
 
 
-def sparse_polyak_step(f_val: float, f_hat: float, grad: np.ndarray, ht_width: int) -> float:
-    """Objective gap over 5x the squared top-``ht_width`` gradient norm.
+def grad_ht_norm_sq(grad: np.ndarray, ht_width: int) -> float:
+    """Squared norm of the top-``ht_width`` gradient entries, ||HT_w(grad)||^2."""
+    grad = np.asarray(grad, dtype=float)
+    if grad.size < ht_width:
+        raise ValueError(f"gradient has {grad.size} entries, fewer than ht_width = {ht_width}")
+    g = hard_threshold(grad, ht_width)
+    return float(np.dot(g, g))
+
+
+def _polyak_step(gap: float, denom: float, stalled: str) -> float:
+    """gap / denom, 0 for a nonpositive gap; a zero denominator stalls."""
+    if gap <= 0.0:
+        return 0.0
+    if denom == 0.0:
+        raise StalledZeroGradientError(f"positive objective gap with {stalled}")
+    return gap / denom
+
+
+def sparse_polyak_step(f_val: float, f_hat: float, ht_norm_sq: float) -> float:
+    """Objective gap over 5x the squared top-w gradient norm (`grad_ht_norm_sq`).
 
     Returns 0 when the gap is nonpositive.  Raises
     StalledZeroGradientError when the gap is positive but the restricted
     gradient vanishes.
     """
-    grad = np.asarray(grad, dtype=float)
-    if grad.size < ht_width:
-        raise ValueError(f"gradient has {grad.size} entries, fewer than ht_width = {ht_width}")
-    gap = f_val - f_hat
-    if gap <= 0.0:
-        return 0.0
-    g = hard_threshold(grad, ht_width)
-    denom = 5.0 * float(np.dot(g, g))
-    if denom == 0.0:
-        raise StalledZeroGradientError("positive objective gap with zero thresholded gradient")
-    return gap / denom
+    return _polyak_step(f_val - f_hat, 5.0 * ht_norm_sq, "zero thresholded gradient")
 
 
 def classic_polyak_step(f_val: float, f_hat: float, grad: np.ndarray) -> float:
     """Standard Polyak rule gap / ||grad||^2 (no restriction, no factor 5)."""
     grad = np.asarray(grad, dtype=float)
-    gap = f_val - f_hat
-    if gap <= 0.0:
-        return 0.0
-    denom = float(np.dot(grad, grad))
-    if denom == 0.0:
-        raise StalledZeroGradientError("positive objective gap with zero gradient")
-    return gap / denom
+    return _polyak_step(f_val - f_hat, float(np.dot(grad, grad)), "zero gradient")
 
 
 def lhat_gamma(lambda_max: float, s: int, s_star: int) -> float:
@@ -222,13 +232,12 @@ def run(config: RunConfig, keep_iterates: bool = False) -> RunTrace:
         except Exception as exc:
             raise OptimizerError(f"evaluation failed at iteration {t}: {exc}") from exc
 
-        ht_g = hard_threshold(g_t, width)
-        ht_norm_sq = float(np.dot(ht_g, ht_g))
+        ht_norm_sq = grad_ht_norm_sq(g_t, width)
 
         stalled = False
         try:
             if rule.kind == SPARSE_POLYAK:
-                gamma = sparse_polyak_step(f_t, rule.f_hat, g_t, width)
+                gamma = sparse_polyak_step(f_t, rule.f_hat, ht_norm_sq)
             elif rule.kind == CLASSIC_POLYAK:
                 gamma = classic_polyak_step(f_t, rule.f_hat, g_t)
             else:

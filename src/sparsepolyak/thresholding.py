@@ -11,7 +11,12 @@ magnitudes therefore lie in ``[|v_i|/2, |v_i|]`` and shrink to exactly
 half at a tied boundary.
 
 Both operators break magnitude ties deterministically in favour of the
-lowest index, so identical inputs always produce identical outputs.
+lowest index, so identical inputs always produce identical outputs.  The
+support is selected in O(d) per vector: one ``np.partition`` gives the
+s-th and (s+1)-th largest magnitudes, entries above the s-th are kept,
+and the remaining slots go to the entries tied with it in index order.  The
+result equals the first s positions of a stable descending sort (see
+Blumensath & Davies 2009 for the operator).
 
 ``empirical_relative_concavity`` lower-bounds the worst-case ratio
 
@@ -52,13 +57,51 @@ class ThresholdSpec:
         return reciprocal_threshold(v, self.s)
 
 
-def _check_input(v: np.ndarray, s: int) -> np.ndarray:
+def _check_input(v: np.ndarray, s: int, ndim: int = 1) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("input must be a nonempty 1-d vector")
+    if v.ndim != ndim or v.shape[-1] == 0:
+        raise ValueError(f"input must be a {ndim}-d array with a nonempty last axis")
     if s < 1:
         raise ValueError(f"sparsity level must be >= 1, got {s}")
     return v
+
+
+def _top_s_mask(a: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the ``s`` largest magnitudes ``a`` along the last axis, and tau.
+
+    Needs ``1 <= s < a.shape[-1]``.  One partition puts the s largest last:
+    their minimum t is the s-th largest magnitude, the entry before them
+    the (s+1)-th, tau (kept with a trailing axis of length 1).  Entries at
+    or above t are kept, and when more tie at t than slots remain, only
+    the lowest-index tied entries.
+    """
+    n = a.shape[-1]
+    part = np.partition(a, n - s - 1, axis=-1)
+    t = part[..., n - s :].min(axis=-1, keepdims=True)
+    keep = a >= t
+    excess = np.count_nonzero(keep, axis=-1, keepdims=True) - s
+    if excess.any():
+        tied = a == t
+        slots = np.count_nonzero(tied, axis=-1, keepdims=True) - excess
+        keep &= ~tied | (np.cumsum(tied, axis=-1) <= slots)
+    return keep, part[..., n - s - 1 : n - s]
+
+
+def _threshold(V: np.ndarray, s: int, kind: str) -> np.ndarray:
+    """HT or RT of a vector, or of each row of a batch."""
+    if s >= V.shape[-1]:
+        return V.copy()
+    a = np.abs(V)
+    keep, tau = _top_s_mask(a, s)
+    if kind == HT:
+        return np.where(keep, V, 0.0)
+    kept = a[keep]
+    under = (a * a - tau * tau)[keep]
+    # tau is the (s+1)-th magnitude, so kept entries satisfy |v_i| >= tau
+    assert np.all(under >= 0.0), "reciprocal threshold: kept magnitude below boundary"
+    out = np.zeros_like(V)
+    out[keep] = np.sign(V[keep]) * 0.5 * (kept + np.sqrt(under))
+    return out
 
 
 def top_s_support(v: np.ndarray, s: int) -> np.ndarray:
@@ -67,20 +110,14 @@ def top_s_support(v: np.ndarray, s: int) -> np.ndarray:
     Ties are broken by lowest index; the result is sorted ascending.
     """
     v = _check_input(v, s)
-    s = min(s, v.size)
-    order = np.argsort(-np.abs(v), kind="stable")
-    return np.sort(order[:s])
+    if s >= v.size:
+        return np.arange(v.size)
+    return np.flatnonzero(_top_s_mask(np.abs(v), s)[0])
 
 
 def hard_threshold(v: np.ndarray, s: int) -> np.ndarray:
     """Keep the ``s`` largest-magnitude entries of ``v``, zero the rest."""
-    v = _check_input(v, s)
-    if s >= v.size:
-        return v.copy()
-    out = np.zeros_like(v)
-    keep = top_s_support(v, s)
-    out[keep] = v[keep]
-    return out
+    return _threshold(_check_input(v, s), s, HT)
 
 
 def reciprocal_threshold(v: np.ndarray, s: int) -> np.ndarray:
@@ -89,47 +126,15 @@ def reciprocal_threshold(v: np.ndarray, s: int) -> np.ndarray:
     When ``s >= len(v)`` the boundary magnitude is 0 and the operator is
     the identity.
     """
-    v = _check_input(v, s)
-    if s >= v.size:
-        return v.copy()
-    order = np.argsort(-np.abs(v), kind="stable")
-    keep = order[:s]
-    tau = abs(v[order[s]])
-    a = np.abs(v[keep])
-    under = a * a - tau * tau
-    # tau is the (s+1)-th magnitude, so kept entries satisfy |v_i| >= tau
-    assert np.all(under >= 0.0), "reciprocal threshold: kept magnitude below boundary"
-    out = np.zeros_like(v)
-    out[keep] = np.sign(v[keep]) * 0.5 * (a + np.sqrt(under))
-    return out
+    return _threshold(_check_input(v, s), s, RT)
 
 
 def threshold_batch(Z: np.ndarray, s: int, kind: str) -> np.ndarray:
     """Row-wise operator application; matches the 1-d functions exactly."""
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2 or Z.shape[1] == 0:
-        raise ValueError("input must be a nonempty 2-d batch of row vectors")
-    if s < 1:
-        raise ValueError(f"sparsity level must be >= 1, got {s}")
+    Z = _check_input(Z, s, ndim=2)
     if kind not in _KINDS:
         raise ValueError(f"unknown thresholding kind {kind!r}")
-    nrows, dim = Z.shape
-    if s >= dim:
-        return Z.copy()
-    order = np.argsort(-np.abs(Z), axis=1, kind="stable")
-    keep = order[:, :s]
-    rows = np.arange(nrows)[:, None]
-    kept = np.take_along_axis(Z, keep, axis=1)
-    out = np.zeros_like(Z)
-    if kind == HT:
-        out[rows, keep] = kept
-        return out
-    tau = np.abs(np.take_along_axis(Z, order[:, s : s + 1], axis=1))
-    a = np.abs(kept)
-    under = a * a - tau * tau
-    assert np.all(under >= 0.0), "reciprocal threshold: kept magnitude below boundary"
-    out[rows, keep] = np.sign(kept) * 0.5 * (a + np.sqrt(under))
-    return out
+    return _threshold(Z, s, kind)
 
 
 def relative_concavity_bound(kind: str, s_star: int, s: int) -> float | None:

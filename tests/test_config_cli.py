@@ -172,6 +172,43 @@ class TestCliRun:
         assert summary["final_support_size"] <= 8
 
 
+class TestWorkers:
+    def test_workers_below_one_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        for bad in ("0", "-3"):
+            argv = ["grid", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", bad]
+            assert main(argv) == EXIT_CONFIG
+            assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_pool_capped_at_items_and_cpus(self, monkeypatch):
+        # records the requested pool size instead of starting processes
+        from sparsepolyak import cli
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        items = [(2, 1), (2, 2), (2, 3)]
+        assert cli._pmap(pow, items, 5000) == [2, 4, 8]
+        assert cli._pmap(pow, items * 3, 5000) == [2, 4, 8] * 3
+        assert cli._pmap(pow, items, 1) == [2, 4, 8]
+        assert sizes == [3, 4]
+
+
 class TestCliGridSweepReports:
     def test_grid_artifacts(self, tmp_path):
         cfg = write_config(tmp_path)

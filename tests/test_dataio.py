@@ -1,6 +1,8 @@
 """Serialization tests: exact round-trips, trace format, atomic writes, hashing."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -107,3 +109,25 @@ class TestSummaryAndHash:
         atomic_write_text(path, "payload")
         assert path.read_text() == "payload"
         assert [p.name for p in path.parent.iterdir()] == ["x.txt"]
+
+    def test_artifacts_get_the_umask_default_mode(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            atomic_write_text(tmp_path / "a.txt", "payload")
+            dataset_to_npz(Dataset(X=np.ones((2, 2)), y=np.ones(2)), tmp_path / "d.npz",
+                           family=LINEAR, seed=0)
+            (tmp_path / "plain.txt").write_text("payload")
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == {"a.txt": 0o640, "d.npz": 0o640, "plain.txt": 0o640}
+
+    def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", fail)
+        with pytest.raises(OSError, match="disk full"):
+            dataset_to_npz(Dataset(X=np.ones((2, 2)), y=np.ones(2)), tmp_path / "d.npz",
+                           family=LINEAR, seed=0)
+        assert list(tmp_path.iterdir()) == []

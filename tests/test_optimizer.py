@@ -22,6 +22,7 @@ from sparsepolyak.optimizer import (
     StepRule,
     classic_polyak_step,
     fixed_step_lhat,
+    grad_ht_norm_sq,
     lhat_gamma,
     run,
     sparse_polyak_step,
@@ -61,18 +62,19 @@ def basic_config(model, theta_star, f_hat, s, kind=HT, step_kind=SPARSE_POLYAK,
 class TestStepRules:
     def test_sparse_polyak_value(self):
         # top-1 restricted gradient norm squared is 4
-        assert sparse_polyak_step(10.0, 0.0, np.array([2.0, 1.0, 0.5]), 1) == pytest.approx(0.5)
+        norm_sq = grad_ht_norm_sq(np.array([2.0, 1.0, 0.5]), 1)
+        assert sparse_polyak_step(10.0, 0.0, norm_sq) == pytest.approx(0.5)
 
     def test_sparse_polyak_clamps_negative_gap(self):
-        assert sparse_polyak_step(1.0, 3.0, np.array([1.0, 1.0]), 1) == 0.0
+        assert sparse_polyak_step(1.0, 3.0, grad_ht_norm_sq(np.array([1.0, 1.0]), 1)) == 0.0
 
     def test_sparse_polyak_stall(self):
         with pytest.raises(StalledZeroGradientError):
-            sparse_polyak_step(2.0, 0.0, np.zeros(4), 2)
+            sparse_polyak_step(2.0, 0.0, grad_ht_norm_sq(np.zeros(4), 2))
 
     def test_sparse_polyak_width_validation(self):
         with pytest.raises(ValueError):
-            sparse_polyak_step(1.0, 0.0, np.array([1.0]), 2)
+            grad_ht_norm_sq(np.array([1.0]), 2)
 
     def test_classic_polyak_value(self):
         assert classic_polyak_step(10.0, 0.0, np.array([2.0])) == pytest.approx(2.5)
@@ -199,7 +201,7 @@ class TestRunLoop:
             config2.theta0 = ParamVector(np.ones(20))
             RunConfig(**{f: getattr(config2, f) for f in (
                 "model", "operator", "step_rule", "theta0", "max_iters",
-                "stop_tol", "seed", "theta_star")})
+                "stop_tol", "theta_star")})
 
 
 class TestNoiselessRecovery:

@@ -17,12 +17,50 @@ from sparsepolyak.thresholding import (
 )
 
 
+def reference_support(v, s):
+    """Top-s support by a stable descending sort of the magnitudes."""
+    return np.sort(np.argsort(-np.abs(v), kind="stable")[: min(s, v.size)])
+
+
+def reference_threshold(v, s, kind):
+    """HT/RT written directly from the stable-sort support and tau."""
+    if s >= v.size:
+        return v.copy()
+    order = np.argsort(-np.abs(v), kind="stable")
+    keep, tau = order[:s], abs(v[order[s]])
+    out = np.zeros_like(v)
+    if kind == HT:
+        out[keep] = v[keep]
+    else:
+        a = np.abs(v[keep])
+        out[keep] = np.sign(v[keep]) * 0.5 * (a + np.sqrt(a * a - tau * tau))
+    return out
+
+
+# ties straddling the s-boundary at non-contiguous indices, a tied RT tau,
+# signed zeros, and an all-zero vector
+TIE_CASES = [
+    np.array([1.0, 3.0, -1.0, 0.5, 1.0, 3.0, -1.0, 0.2, 1.0]),
+    np.array([-2.0, 0.0, 2.0, 5.0, -2.0, 0.0, 2.0, -5.0]),
+    np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, -0.0]),
+    np.array([-0.0, 0.0, -0.0, 0.0]),
+    np.zeros(5),
+]
+
+
 class TestTopSSupport:
     def test_distinct_magnitudes(self):
         assert top_s_support(np.array([3.0, -5.0, 2.0, 0.5]), 2).tolist() == [0, 1]
 
     def test_tie_break_lowest_index(self):
         assert top_s_support(np.array([2.0, 2.0, 2.0]), 2).tolist() == [0, 1]
+        # five entries tie at magnitude 1 (0, 2, 4, 6, 8); two slots remain for them
+        assert top_s_support(TIE_CASES[0], 4).tolist() == [0, 1, 2, 5]
+        for v in TIE_CASES:
+            for s in range(1, v.size + 2):
+                assert top_s_support(v, s).tolist() == reference_support(v, s).tolist()
+                for kind, fn in ((HT, hard_threshold), (RT, reciprocal_threshold)):
+                    assert fn(v, s).tobytes() == reference_threshold(v, s, kind).tobytes()
 
     def test_s_exceeding_dimension_clamps(self):
         assert top_s_support(np.array([7.0]), 3).tolist() == [0]
@@ -110,11 +148,18 @@ class TestBatchAgreement:
         Z = rng.standard_normal((64, 12))
         # inject exact ties to exercise deterministic tie-breaking
         Z[:8, 3] = Z[:8, 7]
+        # rounded rows: ties across the boundary at varying indices, tied RT
+        # tau values, signed zeros and all-zero rows
+        T = np.round(rng.standard_normal((200, 12)))
+        T[rng.random(T.shape) < 0.2] = -0.0
+        T[:3] = 0.0
         for s in (1, 4, 11, 12):
             for kind, fn in ((HT, hard_threshold), (RT, reciprocal_threshold)):
                 batch = threshold_batch(Z, s, kind)
                 rows = np.stack([fn(z, s) for z in Z])
                 np.testing.assert_array_equal(batch, rows)
+                ref = np.stack([reference_threshold(t, s, kind) for t in T])
+                assert threshold_batch(T, s, kind).tobytes() == ref.tobytes()
 
 
 class TestThresholdSpec:
