@@ -132,7 +132,7 @@ def cmd_grid(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     ht_width = _resolve_ht_width(cfg)
     items = [
         (cfg.design, cfg.truth, cfg.noise, cfg.s_grid, seed, cfg.grid_max_iters,
-         cfg.step_kind, ht_width)
+         cfg.step_kind, ht_width, cfg.f_hat, cfg.stop_tol)
         for seed in cfg.seeds
     ]
     detail = [row for rows in _pmap(grid_seed_cells, items, workers) for row in rows]
@@ -158,7 +158,8 @@ def cmd_grid(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     return EXIT_OK
 
 
-def _sweep_cell_task(base_design, truth_s_star, noise, s, d, seed, max_iters, n_factor, ht_width):
+def _sweep_cell_task(base_design, truth_s_star, noise, s, d, seed, max_iters, n_factor, ht_width,
+                     f_hat, stop_tol):
     """Sparse and classic runs for one (d, seed); returns sweep.csv rows."""
     n = derived_n(n_factor, truth_s_star, d)
     design = DesignSpec(n=n, d=d, omega=base_design.omega,
@@ -166,7 +167,8 @@ def _sweep_cell_task(base_design, truth_s_star, noise, s, d, seed, max_iters, n_
     methods = (SPARSE_POLYAK, CLASSIC_POLYAK)
     op = ThresholdSpec(kind=HT, s=min(s, d))
     runs = run_instance_cells(design, TruthSpec(d=d, s_star=truth_s_star), noise, seed,
-                              [(op, method) for method in methods], max_iters, ht_width)
+                              [(op, method) for method in methods], max_iters, ht_width,
+                              f_hat, stop_tol)
     return [(d, n, seed, method, level, hit, active_median_step(trace.step_size, hit))
             for method, (trace, level, hit) in zip(methods, runs)]
 
@@ -175,7 +177,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     ht_width = _resolve_ht_width(cfg)
     items = [
         (cfg.design, cfg.truth.s_star, cfg.noise, cfg.operator_s, d, seed,
-         cfg.sweep_max_iters, cfg.n_factor, ht_width)
+         cfg.sweep_max_iters, cfg.n_factor, ht_width, cfg.f_hat, cfg.stop_tol)
         for d in cfg.sweep_d_values
         for seed in cfg.seeds
     ]

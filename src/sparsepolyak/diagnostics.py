@@ -284,19 +284,23 @@ def run_instance_cells(
     cells: list[tuple[ThresholdSpec, str]],
     max_iters: int,
     ht_width: str | None = None,
+    f_hat: float | None = None,
+    stop_tol: float | None = None,
 ) -> list[tuple[RunTrace, float, int]]:
     """Zero-start runs of (operator, step kind) cells on one seed's instance.
 
     The instance is generated once and shared by the cells; results equal
     per-cell generation because the generators are pure in (spec, seed).
-    Returns (trace, plateau level, iterations to plateau) per cell, in order.
+    f_hat None means the target value f(theta*); stop_tol None means the
+    run's default tolerance.  Returns (trace, plateau level, iterations to
+    plateau) per cell, in order.
     """
-    model, theta_star, f_hat = make_instance(design, truth, noise, seed)
+    model, theta_star, f_target = make_instance(design, truth, noise, seed)
     width = ht_width or default_ht_width(noise.family)
     out = []
     for op, step_kind in cells:
-        rule = StepRule(kind=step_kind, f_hat=f_hat, ht_width=width)
-        trace = run(RunConfig.zero_start(model, op, rule, max_iters, theta_star))
+        rule = StepRule(kind=step_kind, f_hat=f_target if f_hat is None else f_hat, ht_width=width)
+        trace = run(RunConfig.zero_start(model, op, rule, max_iters, theta_star, stop_tol))
         level = plateau_level(trace.error_sq)
         out.append((trace, level, iters_to_plateau(trace.error_sq, level)))
     return out
@@ -311,14 +315,16 @@ def grid_seed_cells(
     max_iters: int,
     step_kind: str = SPARSE_POLYAK,
     ht_width: str | None = None,
+    f_hat: float | None = None,
+    stop_tol: float | None = None,
 ) -> list[tuple]:
     """Every (operator, s) grid cell for one seed.
 
     Rows are (kind, s, seed, final_error_sq, iters_to_floor), operators
-    outermost.
+    outermost; f_hat and stop_tol are as in `run_instance_cells`.
     """
     cells = [(ThresholdSpec(kind=kind, s=s), step_kind) for kind in (HT, RT) for s in s_grid]
-    runs = run_instance_cells(design, truth, noise, seed, cells, max_iters, ht_width)
+    runs = run_instance_cells(design, truth, noise, seed, cells, max_iters, ht_width, f_hat, stop_tol)
     return [(op.kind, op.s, seed, float(trace.error_sq[-1]), hit)
             for (op, _), (trace, _, hit) in zip(cells, runs)]
 

@@ -141,24 +141,27 @@ def _check_dim(model: ObjectiveModel, theta: np.ndarray) -> None:
         raise ValueError(f"parameter has dimension {theta.shape[0]}, expected {model.dim}")
 
 
-def value_and_gradient(model: ObjectiveModel, theta) -> tuple[float, np.ndarray]:
-    """Average loss (squared-error form for the linear family) and its
-    gradient (1/n) X' (psi'(X theta) - y), sharing one pass over the data.
-    """
+def _loss_and_residual(model: ObjectiveModel, theta) -> tuple[float, np.ndarray]:
+    """Average loss (squared-error form if linear) and residual psi'(X theta) - y."""
     v = as_values(theta)
     _check_dim(model, v)
     X, y = model.data.X, model.data.y
     u = X @ v
     if model.family == LINEAR:
         r = u - y
-        return float(0.5 * np.dot(r, r) / model.data.n), X.T @ r / model.data.n
-    f = float(np.mean(np.logaddexp(0.0, u) - y * u))
-    return f, X.T @ (sigmoid(u) - y) / model.data.n
+        return float(0.5 * np.dot(r, r) / model.data.n), r
+    return float(np.mean(np.logaddexp(0.0, u) - y * u)), sigmoid(u) - y
+
+
+def value_and_gradient(model: ObjectiveModel, theta) -> tuple[float, np.ndarray]:
+    """Average loss and its gradient (1/n) X' (psi'(X theta) - y)."""
+    f, r = _loss_and_residual(model, theta)
+    return f, model.data.X.T @ r / model.data.n
 
 
 def objective_value(model: ObjectiveModel, theta) -> float:
-    """Average loss at theta; the value half of `value_and_gradient`."""
-    return value_and_gradient(model, theta)[0]
+    """Average loss at theta, without the gradient product."""
+    return _loss_and_residual(model, theta)[0]
 
 
 def gradient(model: ObjectiveModel, theta) -> np.ndarray:

@@ -5,23 +5,21 @@ features: the first feature is eps_1 / sqrt(1 - omega^2) and each later
 feature is omega * previous + eps_t with fresh standard normals, giving
 the exact covariance Sigma_ij = omega^|i-j| / (1 - omega^2).  Knowing
 Sigma in closed form lets the regularity constants (mu, L, tau) be
-computed rather than estimated.
+computed rather than estimated: Sigma^-1 is tridiagonal (Kac, Murdock &
+Szego 1953), so `design_spectrum` finds the extreme eigenvalues of Sigma
+exactly at every d from one scalar eigenvalue equation.
 
 All generators are pure functions of (spec, seed); see `rng` for the
 stream-splitting rule.
 """
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .objectives import LINEAR, LOGISTIC, ParamVector, sigmoid
 from .rng import STREAM_DESIGN, STREAM_NOISE, STREAM_TRUTH, substream
-
-# Largest dimension for which the AR(1) spectrum is eigendecomposed densely;
-# beyond it the Toeplitz symbol range [1/(1+w)^2, 1/(1-w)^2] is used instead.
-EIG_DENSE_MAX_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -119,20 +117,37 @@ def ar1_covariance(d: int, omega: float) -> np.ndarray:
     return omega ** np.abs(idx[:, None] - idx[None, :]) / (1.0 - omega**2)
 
 
-@lru_cache(maxsize=32)
-def design_spectrum(omega: float, d: int) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of the AR(1) covariance.
+def _kms_extreme(w: float, d: int, lo: float, hi: float) -> float:
+    """1 / ((1 - w)^2 + 4 w sin^2(t/2)) at the root t of h in (lo, hi)."""
+    def h(t):
+        return math.sin((d + 1) * t) - 2.0 * w * math.sin(d * t) + w * w * math.sin((d - 1) * t)
 
-    Dense eigensolve for d <= EIG_DENSE_MAX_DIM; otherwise the extremes
-    1/(1+omega)^2 and 1/(1-omega)^2 of the Toeplitz symbol, which bracket
-    every eigenvalue and are approached as d grows.
+    sign_hi = math.copysign(1.0, h(hi))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if sign_hi * h(mid) >= 0.0 else (mid, hi)
+    return 1.0 / ((1.0 - w) ** 2 + 4.0 * w * math.sin(0.5 * hi) ** 2)
+
+
+def design_spectrum(omega: float, d: int) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of the AR(1) covariance, exact at every d.
+
+    Sigma^-1 is tridiagonal: diagonal (1, 1 + omega^2, ..., 1 + omega^2, 1),
+    off-diagonal -omega.  Its eigenvalues are (1 - w)^2 + 4 w sin^2(t/2) at
+    the roots t in (0, pi) of h(t) = sin((d+1)t) - 2w sin(dt) + w^2 sin((d-1)t),
+    eigenvector v_k = sin(kt) - w sin((k-1)t).  Comparison with the Toeplitz
+    matrix (roots k pi/(d+1)) and the Neumann Laplacian (roots k pi/d) puts
+    exactly one root in each bracket, with h changing sign across it:
+    lambda_max has w = omega, t in (0, pi/(d+1)); lambda_min has w = -omega,
+    t in (pi/(d+1), pi/d).  The bisection keeps the sign of h at the upper
+    end, because h(0) = 0 is a trivial root for every w.  d = 1 is closed
+    form (there pi/d is itself a root); at omega = 0 every t gives 1.
     """
-    if omega == 0.0:
-        return 1.0, 1.0
-    if d <= EIG_DENSE_MAX_DIM:
-        vals = np.linalg.eigvalsh(ar1_covariance(d, omega))
-        return float(vals[0]), float(vals[-1])
-    return 1.0 / (1.0 + omega) ** 2, 1.0 / (1.0 - omega) ** 2
+    if d == 1:
+        var = 1.0 / (1.0 - omega**2)
+        return var, var
+    return (_kms_extreme(-omega, d, math.pi / (d + 1), math.pi / d),
+            _kms_extreme(omega, d, 0.0, math.pi / (d + 1)))
 
 
 def generate_design(spec: DesignSpec, seed: int) -> np.ndarray:

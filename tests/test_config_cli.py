@@ -245,6 +245,18 @@ class TestCliGridSweepReports:
         # 2 dimensions x 3 seeds x 2 methods
         assert len(lines) == 1 + 12
 
+    def test_grid_and_sweep_honour_f_hat_and_stop_tol(self, tmp_path):
+        # f - f_hat <= 100 holds at the zero start, so every cell stops at iteration 0
+        cfg = write_config(tmp_path, extra="step.f_hat = 5.0\nrun.stop_tol = 100.0\n")
+        out = tmp_path / "out"
+        assert main(["grid", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        grid_rows = next(out.glob("grid_*/comparison.csv")).read_text().splitlines()[1:]
+        sweep_rows = next(out.glob("sweep_*/sweep.csv")).read_text().splitlines()[1:]
+        assert len(grid_rows) == 12 and len(sweep_rows) == 12
+        assert all(row.split(",")[4] == "0" for row in grid_rows)
+        assert all(row.split(",")[5] == "0" for row in sweep_rows)
+
     def test_concavity_report(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

@@ -145,13 +145,31 @@ class TestRegularity:
         assert lmax == pytest.approx(vals[-1], abs=1e-10)
 
     def test_symbol_bounds_bracket_dense_spectrum(self):
-        # the large-d fallback must bracket the exact eigenvalues
+        # the Toeplitz symbol range brackets the exact eigenvalues and is approached as d grows
         omega = 0.5
         vals = np.linalg.eigvalsh(ar1_covariance(400, omega))
         lo, hi = 1.0 / (1.0 + omega) ** 2, 1.0 / (1.0 - omega) ** 2
         assert lo <= vals[0] and vals[-1] <= hi
         assert vals[0] == pytest.approx(lo, rel=0.02)
         assert vals[-1] == pytest.approx(hi, rel=0.02)
+
+    @pytest.mark.parametrize("omega", [0.0, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("d", [1, 2, 3, 100, 1000])
+    def test_spectrum_matches_eigvalsh(self, d, omega):
+        lmin, lmax = design_spectrum(omega, d)
+        vals = np.linalg.eigvalsh(ar1_covariance(d, omega))
+        assert lmin == pytest.approx(vals[0], rel=1e-12, abs=0.0)
+        assert lmax == pytest.approx(vals[-1], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("omega", [0.1, 0.5, 0.9])
+    def test_large_d_spectrum_inside_symbol_range_and_interlaced(self, omega):
+        lo, hi = 1.0 / (1.0 + omega) ** 2, 1.0 / (1.0 - omega) ** 2
+        small, large = design_spectrum(omega, 10**4), design_spectrum(omega, 10**6)
+        for lmin, lmax in (small, large):
+            assert lo < lmin < lmax < hi
+        # Cauchy interlacing: Sigma_d is a principal submatrix of Sigma_d' for d < d'
+        assert large[0] <= small[0]
+        assert large[1] >= small[1]
 
     def test_max_variance_closed_form(self):
         params = compute_regularity(DesignSpec(n=1000, d=50, omega=0.5), s=5)
