@@ -37,6 +37,7 @@ from .optimizer import (
     grad_ht_norm_sq,
     lhat_gamma,
     run,
+    run_batch,
     sparse_polyak_step,
     theoretical_floor,
 )
@@ -70,7 +71,7 @@ __all__ = [
     "CLASSIC_POLYAK", "FIXED", "SPARSE_POLYAK",
     "OptimizerError", "RunConfig", "RunStatus", "RunTrace",
     "StalledZeroGradientError", "StepRule",
-    "classic_polyak_step", "fixed_step_lhat", "grad_ht_norm_sq", "lhat_gamma", "run",
+    "classic_polyak_step", "fixed_step_lhat", "grad_ht_norm_sq", "lhat_gamma", "run", "run_batch",
     "sparse_polyak_step", "theoretical_floor",
     "DesignSpec", "NoiseSpec", "RegularityParams", "TruthSpec",
     "ar1_covariance", "compute_regularity", "generate_design",

@@ -82,7 +82,11 @@ def _resolve_ht_width(cfg: ExperimentConfig) -> str:
 def _build_step_rule(cfg: ExperimentConfig, f_hat_target: float) -> StepRule:
     f_hat = cfg.f_hat if cfg.f_hat is not None else f_hat_target
     if cfg.step_kind == FIXED:
-        gamma = cfg.fixed_gamma or fixed_step_lhat(cfg.design, cfg.operator_s, max(cfg.truth.s_star, 1))
+        s_star = max(cfg.truth.s_star, 1)
+        if not cfg.fixed_gamma and cfg.operator_s < s_star:
+            raise ConfigError(f"operator.s: the fixed step 1/L_hat needs operator.s >= truth.s_star "
+                              f"= {s_star}, got {cfg.operator_s}; or set step.fixed_gamma")
+        gamma = cfg.fixed_gamma or fixed_step_lhat(cfg.design, cfg.operator_s, s_star)
         return StepRule(kind=FIXED, f_hat=f_hat, fixed_gamma=gamma)
     return StepRule(kind=cfg.step_kind, f_hat=f_hat, ht_width=_resolve_ht_width(cfg))
 

@@ -12,7 +12,8 @@ first time the error enters a small band above that level.
 
 `run_instance_cells` is the one cell loop behind the grid and sweep
 commands and `compare_operators`: it generates a seed's instance once and
-runs each (operator, step rule) cell from zero to its plateau.
+advances all of its (operator, step rule) cells from zero in one lock-step
+batch (`optimizer.run_batch`), then measures each cell's plateau.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import Dataset, LOGISTIC, ObjectiveModel, ParamVector, bregman_batch, target_value
-from .optimizer import SPARSE_POLYAK, WIDTH_2S, WIDTH_S, RunConfig, RunTrace, StepRule, run
+from .optimizer import (
+    FIXED,
+    SPARSE_POLYAK,
+    WIDTH_2S,
+    WIDTH_S,
+    RunConfig,
+    RunTrace,
+    StepRule,
+    fixed_step_lhat,
+    run,
+    run_batch,
+)
 from .rng import STREAM_CHECK, substream
 from .synthdata import (
     DesignSpec,
@@ -289,18 +301,28 @@ def run_instance_cells(
 ) -> list[tuple[RunTrace, float, int]]:
     """Zero-start runs of (operator, step kind) cells on one seed's instance.
 
-    The instance is generated once and shared by the cells; results equal
-    per-cell generation because the generators are pure in (spec, seed).
-    f_hat None means the target value f(theta*); stop_tol None means the
-    run's default tolerance.  Returns (trace, plateau level, iterations to
-    plateau) per cell, in order.
+    The instance is generated once and its cells run as one lock-step
+    batch, so each cell's last bits can depend on the other cells and
+    their order (never on worker count).  f_hat None means the target value
+    f(theta*); stop_tol None means the run's default tolerance.  A fixed
+    cell steps by 1/L_hat of its own s.  Returns (trace, plateau level,
+    iterations to plateau) per cell, in order.
     """
     model, theta_star, f_target = make_instance(design, truth, noise, seed)
+    target = f_target if f_hat is None else f_hat
     width = ht_width or default_ht_width(noise.family)
+
+    def rule(op: ThresholdSpec, step_kind: str) -> StepRule:
+        if step_kind == FIXED:
+            return StepRule(kind=FIXED, f_hat=target,
+                            fixed_gamma=fixed_step_lhat(design, op.s, truth.s_star))
+        return StepRule(kind=step_kind, f_hat=target, ht_width=width)
+
+    traces = run_batch([RunConfig.zero_start(model, op, rule(op, step_kind), max_iters,
+                                             theta_star, stop_tol)
+                        for op, step_kind in cells])
     out = []
-    for op, step_kind in cells:
-        rule = StepRule(kind=step_kind, f_hat=f_target if f_hat is None else f_hat, ht_width=width)
-        trace = run(RunConfig.zero_start(model, op, rule, max_iters, theta_star, stop_tol))
+    for trace in traces:
         level = plateau_level(trace.error_sq)
         out.append((trace, level, iters_to_plateau(trace.error_sq, level)))
     return out

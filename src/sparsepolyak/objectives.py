@@ -126,41 +126,48 @@ class ParamVector:
         return f"ParamVector(dim={self.dim}, nnz={self.nnz})"
 
 
-def as_values(theta) -> np.ndarray:
-    """Accept a ParamVector or any 1-d array-like."""
-    if isinstance(theta, ParamVector):
-        return theta.values
-    v = np.asarray(theta, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("parameter must be a 1-d vector")
+def _as_params(model: ObjectiveModel, theta) -> np.ndarray:
+    """A ParamVector, a 1-d vector or a B x d batch of row vectors, checked against the model."""
+    v = theta.values if isinstance(theta, ParamVector) else np.asarray(theta, dtype=float)
+    if v.ndim not in (1, 2):
+        raise ValueError("parameter must be a 1-d vector or a B x d batch")
+    if v.shape[-1] != model.dim:
+        raise ValueError(f"parameter has dimension {v.shape[-1]}, expected {model.dim}")
     return v
 
 
-def _check_dim(model: ObjectiveModel, theta: np.ndarray) -> None:
-    if theta.shape[0] != model.dim:
-        raise ValueError(f"parameter has dimension {theta.shape[0]}, expected {model.dim}")
+def _loss_and_residual(model: ObjectiveModel, theta):
+    """Average loss (squared-error form if linear) and residual psi'(X theta) - y.
 
-
-def _loss_and_residual(model: ObjectiveModel, theta) -> tuple[float, np.ndarray]:
-    """Average loss (squared-error form if linear) and residual psi'(X theta) - y."""
-    v = as_values(theta)
-    _check_dim(model, v)
-    X, y = model.data.X, model.data.y
-    u = X @ v
+    theta is a vector, giving a float and an n-vector, or a B x d batch,
+    giving B losses and a B x n residual.  The batch is laid out by rows
+    and each loss is reduced over its own contiguous row, so a one-row
+    batch has the bits of the vector call.
+    """
+    v = _as_params(model, theta)
+    X, y, n = model.data.X, model.data.y, model.data.n
+    U = v @ X.T
     if model.family == LINEAR:
-        r = u - y
-        return float(0.5 * np.dot(r, r) / model.data.n), r
-    return float(np.mean(np.logaddexp(0.0, u) - y * u)), sigmoid(u) - y
+        R = U - y
+        f = 0.5 * np.dot(R, R) / n if R.ndim == 1 else np.array([0.5 * np.dot(r, r) / n for r in R])
+    else:
+        f = np.mean(np.logaddexp(0.0, U) - y * U, axis=-1)
+        R = sigmoid(U) - y
+    return (float(f) if v.ndim == 1 else f), R
 
 
-def value_and_gradient(model: ObjectiveModel, theta) -> tuple[float, np.ndarray]:
-    """Average loss and its gradient (1/n) X' (psi'(X theta) - y)."""
-    f, r = _loss_and_residual(model, theta)
-    return f, model.data.X.T @ r / model.data.n
+def value_and_gradient(model: ObjectiveModel, theta):
+    """Average loss and its gradient (1/n) X' (psi'(X theta) - y).
+
+    For a B x d batch: B losses and the B x d gradient rows, from one
+    forward and one gradient matrix product.
+    """
+    f, R = _loss_and_residual(model, theta)
+    return f, R @ model.data.X / model.data.n
 
 
-def objective_value(model: ObjectiveModel, theta) -> float:
-    """Average loss at theta, without the gradient product."""
+def objective_value(model: ObjectiveModel, theta):
+    """Average loss at theta (or at each batch row), without the gradient product."""
     return _loss_and_residual(model, theta)[0]
 
 
@@ -172,19 +179,6 @@ def gradient(model: ObjectiveModel, theta) -> np.ndarray:
 def target_value(model: ObjectiveModel, theta_star) -> float:
     """Loss at a reference parameter, in the same form as `objective_value`."""
     return objective_value(model, theta_star)
-
-
-def objective_value_batch(model: ObjectiveModel, Thetas: np.ndarray) -> np.ndarray:
-    """Loss at each row of a (B x d) parameter batch."""
-    Thetas = np.asarray(Thetas, dtype=float)
-    if Thetas.ndim != 2 or Thetas.shape[1] != model.dim:
-        raise ValueError(f"batch must be B x {model.dim}")
-    X, y = model.data.X, model.data.y
-    U = X @ Thetas.T  # n x B
-    if model.family == LINEAR:
-        R = U - y[:, None]
-        return 0.5 * np.einsum("ij,ij->j", R, R) / model.data.n
-    return np.mean(np.logaddexp(0.0, U) - y[:, None] * U, axis=0)
 
 
 def bregman_batch(model: ObjectiveModel, Theta1: np.ndarray, Theta2: np.ndarray) -> np.ndarray:

@@ -12,7 +12,14 @@ with the gradient norm restricted to its w largest entries (w = s or 2s);
 restricting the denominator keeps steps dimension-independent, where the
 classic rule gap/||grad||^2 shrinks as the ambient dimension grows.
 ||HT_w(grad)||^2 is computed once per iteration and serves both the step
-rule and the trace.  A fixed-step baseline gamma = 1/L_hat with
+rule and the trace.
+
+`run_batch` is the one iteration loop.  It advances configs that share a
+model in lock step, with one forward and one gradient matrix product per
+iteration for all cells still running, and per-cell selection, step rule,
+stop tests and trace rows; `run` is its one-cell case.
+
+A fixed-step baseline gamma = 1/L_hat with
 L_hat = lambda_max(Sigma) (3/4 + (2s + s*)/(10 s)) is included for
 benchmarking.
 """
@@ -202,37 +209,28 @@ def _step_width(rule: StepRule, operator: ThresholdSpec, dim: int) -> int:
     return min(w, dim)
 
 
-def run(config: RunConfig, keep_iterates: bool = False) -> RunTrace:
-    """Execute the thresholded descent loop and record every iteration.
+class _Cell:
+    """One config's state in the lock-step loop: its rule, stop tests and trace rows."""
 
-    The trace row at t describes theta_t before the t-th update; the loop
-    performs at most max_iters updates.  Runs stop early when the objective
-    gap falls to the stop tolerance (CONVERGED) or the step rule stalls
-    (STALLED_ZERO_GRADIENT); a stalled row records step size 0.
+    def __init__(self, config: RunConfig, keep_iterates: bool):
+        self.config = config
+        self.truth = None if config.theta_star is None else config.theta_star.values
+        self.stop_tol = config.resolved_stop_tol()
+        self.width = _step_width(config.step_rule, config.operator, config.model.dim)
+        self.rows = []  # (t, f, gamma, ||HT_w(grad)||^2, squared error, support size)
+        self.iterates = [config.theta0.values.copy()] if keep_iterates else None
+        self.pre_threshold = [] if keep_iterates else None
+        self.status = None
+        self.final_theta = None
 
-    With keep_iterates, every iterate and every pre-threshold gradient step
-    is retained for invariant checks.
-    """
-    model, op, rule = config.model, config.operator, config.step_rule
-    theta = config.theta0.values.copy()
-    truth = None if config.theta_star is None else config.theta_star.values
-    stop_tol = config.resolved_stop_tol()
-    width = _step_width(rule, op, model.dim)
+    def step(self, t: int, theta: np.ndarray, f_t: float, g_t: np.ndarray) -> np.ndarray | None:
+        """Record row t at theta; return the next iterate, or None when the cell stops at t."""
+        op, rule = self.config.operator, self.config.step_rule
+        if not (np.isfinite(f_t) and np.all(np.isfinite(g_t))):
+            raise OptimizerError(f"evaluation failed at iteration {t} (operator {op.kind}, "
+                                 f"s = {op.s}): non-finite objective or gradient")
 
-    rows_t, rows_f, rows_g, rows_ht, rows_err, rows_nnz = [], [], [], [], [], []
-    iterates = [theta.copy()] if keep_iterates else None
-    pre_threshold = [] if keep_iterates else None
-    status = RunStatus.MAX_ITERS
-
-    for t in range(config.max_iters + 1):
-        try:
-            f_t, g_t = value_and_gradient(model, theta)
-            if not (np.isfinite(f_t) and np.all(np.isfinite(g_t))):
-                raise FloatingPointError("non-finite objective or gradient")
-        except Exception as exc:
-            raise OptimizerError(f"evaluation failed at iteration {t}: {exc}") from exc
-
-        ht_norm_sq = grad_ht_norm_sq(g_t, width)
+        ht_norm_sq = grad_ht_norm_sq(g_t, self.width)
 
         stalled = False
         try:
@@ -246,40 +244,92 @@ def run(config: RunConfig, keep_iterates: bool = False) -> RunTrace:
             gamma = 0.0
             stalled = True
 
-        rows_t.append(t)
-        rows_f.append(f_t)
-        rows_g.append(gamma)
-        rows_ht.append(ht_norm_sq)
-        rows_nnz.append(int(np.count_nonzero(theta)))
-        if truth is not None:
-            diff = theta - truth
-            rows_err.append(float(np.dot(diff, diff)))
+        err_sq = None
+        if self.truth is not None:
+            diff = theta - self.truth
+            err_sq = float(np.dot(diff, diff))
+        self.rows.append((t, f_t, gamma, ht_norm_sq, err_sq, int(np.count_nonzero(theta))))
 
         if stalled:
-            status = RunStatus.STALLED_ZERO_GRADIENT
-            break
-        if rule.f_hat is not None and stop_tol is not None and f_t - rule.f_hat <= stop_tol:
-            status = RunStatus.CONVERGED
-            break
-        if t == config.max_iters:
-            status = RunStatus.MAX_ITERS
-            break
+            self.status = RunStatus.STALLED_ZERO_GRADIENT
+        elif rule.f_hat is not None and self.stop_tol is not None and f_t - rule.f_hat <= self.stop_tol:
+            self.status = RunStatus.CONVERGED
+        elif t == self.config.max_iters:
+            self.status = RunStatus.MAX_ITERS
+        else:
+            z = theta - gamma * g_t
+            nxt = op.apply(z)
+            if self.iterates is not None:
+                self.pre_threshold.append(z)
+                self.iterates.append(nxt)
+            return nxt
+        self.final_theta = ParamVector(theta)
+        return None
 
-        z = theta - gamma * g_t
-        theta = op.apply(z)
-        if keep_iterates:
-            pre_threshold.append(z)
-            iterates.append(theta.copy())
+    def trace(self) -> RunTrace:
+        t, f, gamma, ht_norm_sq, err_sq, nnz = zip(*self.rows)
+        return RunTrace(
+            iters=np.array(t, dtype=int),
+            f_value=np.array(f),
+            step_size=np.array(gamma),
+            grad_ht_norm_sq=np.array(ht_norm_sq),
+            error_sq=None if self.truth is None else np.array(err_sq),
+            support_size=np.array(nnz, dtype=int),
+            status=self.status,
+            final_theta=self.final_theta,
+            iterates=self.iterates,
+            pre_threshold=self.pre_threshold,
+        )
 
-    return RunTrace(
-        iters=np.array(rows_t, dtype=int),
-        f_value=np.array(rows_f),
-        step_size=np.array(rows_g),
-        grad_ht_norm_sq=np.array(rows_ht),
-        error_sq=None if truth is None else np.array(rows_err),
-        support_size=np.array(rows_nnz, dtype=int),
-        status=status,
-        final_theta=ParamVector(theta),
-        iterates=iterates,
-        pre_threshold=pre_threshold,
-    )
+
+def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[RunTrace]:
+    """Run configs that share one model in lock step; one trace per config, in order.
+
+    The iterates of the cells still running form a B x d array, so each
+    iteration makes one forward and one gradient matrix product for all of
+    them.  Selection, the step rule, the stop tests and the trace rows are
+    per cell, as in `run`; a cell leaves the batch when it stops.  Raises
+    OptimizerError, naming the iteration and the cell, on a non-finite
+    evaluation.
+    """
+    if not configs:
+        return []
+    model = configs[0].model
+    if any(c.model is not model for c in configs):
+        raise ValueError("run_batch needs configs that share one ObjectiveModel")
+    cells = [_Cell(c, keep_iterates) for c in configs]
+    active = cells
+    Theta = np.array([c.theta0.values for c in configs])
+    t = 0
+    while active:
+        try:
+            F, G = value_and_gradient(model, Theta)
+        except Exception as exc:
+            raise OptimizerError(f"evaluation failed at iteration {t}: {exc}") from exc
+        keep = []
+        for j, cell in enumerate(active):
+            nxt = cell.step(t, Theta[j], F[j], G[j])
+            if nxt is not None:
+                Theta[j] = nxt
+                keep.append(j)
+        if len(keep) < len(active):
+            active = [active[j] for j in keep]
+            Theta = Theta[keep]
+        t += 1
+    return [cell.trace() for cell in cells]
+
+
+def run(config: RunConfig, keep_iterates: bool = False) -> RunTrace:
+    """Execute the thresholded descent loop and record every iteration.
+
+    The trace row at t describes theta_t before the t-th update; the loop
+    performs at most max_iters updates.  Runs stop early when the objective
+    gap falls to the stop tolerance (CONVERGED) or the step rule stalls
+    (STALLED_ZERO_GRADIENT); a stalled row records step size 0.
+
+    With keep_iterates, every iterate and every pre-threshold gradient step
+    is retained for invariant checks.  This is the one-cell case of
+    `run_batch`, whose products on a one-row batch have the bits of the
+    vector products.
+    """
+    return run_batch([config], keep_iterates)[0]

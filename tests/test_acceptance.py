@@ -29,6 +29,7 @@ from sparsepolyak.diagnostics import (
     make_instance,
     plateau_level,
     run_cell,
+    run_instance_cells,
     summarize_comparison,
 )
 from sparsepolyak.objectives import (
@@ -46,7 +47,6 @@ from sparsepolyak.optimizer import (
     SPARSE_POLYAK,
     RunConfig,
     StepRule,
-    fixed_step_lhat,
     run,
 )
 from sparsepolyak.synthdata import (
@@ -229,10 +229,12 @@ def noisy_linear_sweep():
         design = DesignSpec(n=n, d=d, omega=omega)
         truth = TruthSpec(d=d, s_star=s_star)
         noise = NoiseSpec(family=LINEAR, sigma=sigma)
-        for rule in (SPARSE_POLYAK, CLASSIC_POLYAK):
-            for seed in SEEDS:
-                trace = run_cell(design, truth, noise, ThresholdSpec(kind=HT, s=s), seed,
-                                 max_iters=1500, step_kind=rule)
+        rules = (SPARSE_POLYAK, CLASSIC_POLYAK)
+        op = ThresholdSpec(kind=HT, s=s)
+        for seed in SEEDS:
+            runs = run_instance_cells(design, truth, noise, seed, [(op, rule) for rule in rules],
+                                      max_iters=1500)
+            for rule, (trace, _, _) in zip(rules, runs):
                 results[(d, rule, seed)] = trace
     return results, time.time() - t0
 
@@ -353,33 +355,15 @@ class TestC08QuarterScaleLogisticReplication:
 
         sparse_detail = []
         fixed_finals = {s: [] for s in grid}
+        cells = ([(ThresholdSpec(kind=kind, s=s), SPARSE_POLYAK) for s in grid for kind in (HT, RT)]
+                 + [(ThresholdSpec(kind=HT, s=s), FIXED) for s in grid])
         for seed in SEEDS:
-            model, theta_star, f_hat = make_instance(design, truth, noise, seed)
-            for s in grid:
-                for kind in (HT, RT):
-                    config = RunConfig(
-                        model=model,
-                        operator=ThresholdSpec(kind=kind, s=s),
-                        step_rule=StepRule(kind=SPARSE_POLYAK, f_hat=f_hat, ht_width="2s"),
-                        theta0=ParamVector(np.zeros(d)),
-                        max_iters=self.ITER_BUDGET,
-                        theta_star=theta_star,
-                    )
-                    trace = run(config)
-                    level = plateau_level(trace.error_sq)
-                    sparse_detail.append((kind, s, seed, float(trace.error_sq[-1]),
-                                          iters_to_plateau(trace.error_sq, level)))
-                gamma = fixed_step_lhat(design, s, s_star)
-                config = RunConfig(
-                    model=model,
-                    operator=ThresholdSpec(kind=HT, s=s),
-                    step_rule=StepRule(kind=FIXED, f_hat=f_hat, fixed_gamma=gamma),
-                    theta0=ParamVector(np.zeros(d)),
-                    max_iters=self.ITER_BUDGET,
-                    theta_star=theta_star,
-                )
-                trace = run(config)
-                fixed_finals[s].append(float(trace.error_sq[-1]))
+            runs = run_instance_cells(design, truth, noise, seed, cells, max_iters=self.ITER_BUDGET)
+            for (op, rule), (trace, _, hit) in zip(cells, runs):
+                if rule == FIXED:
+                    fixed_finals[op.s].append(float(trace.error_sq[-1]))
+                else:
+                    sparse_detail.append((op.kind, op.s, seed, float(trace.error_sq[-1]), hit))
 
         rows = summarize_comparison(sparse_detail, grid)
         fixed_medians = {s: float(np.median(v)) for s, v in fixed_finals.items()}

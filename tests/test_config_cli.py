@@ -148,6 +148,16 @@ class TestCliRun:
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "operator.s" in capsys.readouterr().err
 
+    def test_fixed_step_below_true_sparsity_names_operator_s(self, tmp_path, capsys):
+        # 1/L_hat is defined for s >= s* only; with no step.fixed_gamma this is a config error
+        cfg = write_config(tmp_path, text="design.d = 60\ntruth.s_star = 20\noperator.s = 10\n"
+                                          "step.kind = fixed\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "operator.s" in capsys.readouterr().err
+        cfg = write_config(tmp_path, text="design.d = 60\ntruth.s_star = 20\noperator.s = 10\n"
+                                          "step.kind = fixed\nstep.fixed_gamma = 0.1\nrun.max_iters = 5\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+
     def test_divergent_run_is_numerical_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra="step.kind = fixed\nstep.fixed_gamma = 1e30\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL

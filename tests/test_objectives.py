@@ -15,7 +15,6 @@ from sparsepolyak.objectives import (
     cumulant,
     gradient,
     objective_value,
-    objective_value_batch,
     target_value,
     value_and_gradient,
 )
@@ -186,9 +185,12 @@ class TestBatchEvaluation:
         rng = np.random.default_rng(31)
         model = random_model(rng, family)
         Thetas = rng.standard_normal((16, model.dim))
-        batch = objective_value_batch(model, Thetas)
+        batch_f, batch_g = value_and_gradient(model, Thetas)
         singles = [objective_value(model, row) for row in Thetas]
-        np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(batch_f, singles, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(objective_value(model, Thetas), singles, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(batch_g, [gradient(model, row) for row in Thetas],
+                                   rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("family", [LINEAR, LOGISTIC])
     def test_bregman_matches_definition(self, family):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sparsepolyak.dataio import trace_csv_text
 from sparsepolyak.diagnostics import decomposition_margins, make_instance
 from sparsepolyak.objectives import (
     LINEAR,
@@ -18,6 +19,7 @@ from sparsepolyak.optimizer import (
     OptimizerError,
     RunConfig,
     RunStatus,
+    RunTrace,
     StalledZeroGradientError,
     StepRule,
     classic_polyak_step,
@@ -25,6 +27,7 @@ from sparsepolyak.optimizer import (
     grad_ht_norm_sq,
     lhat_gamma,
     run,
+    run_batch,
     sparse_polyak_step,
     theoretical_floor,
 )
@@ -202,6 +205,124 @@ class TestRunLoop:
             RunConfig(**{f: getattr(config2, f) for f in (
                 "model", "operator", "step_rule", "theta0", "max_iters",
                 "stop_tol", "theta_star")})
+
+
+def vector_loop(config):
+    """The per-cell loop on GEMV products, for linear sparse Polyak cells; the reference for `run`."""
+    model, op, rule = config.model, config.operator, config.step_rule
+    X, y, n = model.data.X, model.data.y, model.data.n
+    theta, truth = config.theta0.values.copy(), config.theta_star.values
+    width = min(op.s if rule.ht_width == "s" else 2 * op.s, model.dim)
+    rows, status = [], RunStatus.MAX_ITERS
+    for t in range(config.max_iters + 1):
+        r = X @ theta - y
+        f = float(0.5 * np.dot(r, r) / n)
+        g = X.T @ r / n
+        ht = grad_ht_norm_sq(g, width)
+        gamma = sparse_polyak_step(f, rule.f_hat, ht)
+        diff = theta - truth
+        rows.append((t, f, gamma, ht, float(np.dot(diff, diff)), int(np.count_nonzero(theta))))
+        if f - rule.f_hat <= config.resolved_stop_tol():
+            status = RunStatus.CONVERGED
+            break
+        if t == config.max_iters:
+            break
+        theta = op.apply(theta - gamma * g)
+    t, f, gamma, ht, err, nnz = (np.array(col) for col in zip(*rows))
+    return RunTrace(iters=t, f_value=f, step_size=gamma, grad_ht_norm_sq=ht, error_sq=err,
+                    support_size=nnz, status=status, final_theta=ParamVector(theta))
+
+
+def zero_response_model(kind):
+    """A model whose zero parameter is exactly stationary: the 2 x 2 identity, or a 60 x 40 design."""
+    if kind == "identity":
+        return ObjectiveModel(family=LINEAR, data=Dataset(X=np.eye(2), y=np.zeros(2))), (1, 2)
+    X = np.random.default_rng(11).standard_normal((60, 40))
+    return ObjectiveModel(family=LINEAR, data=Dataset(X=X, y=np.zeros(60))), (3, 6)
+
+
+def mixed_configs(model, s_lo, s_hi):
+    """HT/RT cells at two sparsities under all three rules, plus an instant and a stalled cell."""
+    d = model.dim
+    start = np.random.default_rng(12).standard_normal(d)
+    zero = ParamVector(np.zeros(d))
+    gamma = model.data.n / np.linalg.norm(model.data.X, 2) ** 2
+
+    def cell(kind, s, step_kind, max_iters, f_hat=0.0, theta0=None, stop_tol=None, ht_width="s"):
+        if theta0 is None:
+            theta0 = ParamVector(hard_threshold(start, s))
+        rule = StepRule(kind=step_kind, f_hat=f_hat, ht_width=ht_width,
+                        fixed_gamma=gamma if step_kind == FIXED else None)
+        return RunConfig(model=model, operator=ThresholdSpec(kind=kind, s=s), step_rule=rule,
+                         theta0=theta0, max_iters=max_iters, stop_tol=stop_tol, theta_star=zero)
+
+    return [
+        cell(HT, s_hi, SPARSE_POLYAK, 400),
+        cell(RT, s_lo, SPARSE_POLYAK, 60, ht_width="2s"),
+        cell(HT, s_lo, CLASSIC_POLYAK, 400),
+        cell(RT, s_hi, CLASSIC_POLYAK, 7),
+        cell(HT, s_hi, FIXED, 90),
+        cell(RT, s_lo, FIXED, 300),
+        cell(RT, s_hi, SPARSE_POLYAK, 50, stop_tol=1e6),  # converges at iteration 0
+        cell(HT, s_lo, SPARSE_POLYAK, 50, f_hat=-1.0, theta0=zero),  # stalls at iteration 0
+    ]
+
+
+def assert_same_cell(a, b):
+    assert a.status is b.status
+    assert len(a) == len(b)
+    np.testing.assert_array_equal(a.support_size, b.support_size)
+    for name in ("f_value", "step_size", "error_sq"):
+        np.testing.assert_allclose(getattr(a, name), getattr(b, name), rtol=1e-12, atol=0.0)
+
+
+class TestRunBatch:
+    @pytest.mark.parametrize("kind", ["identity", "design"])
+    def test_mixed_batch_matches_one_cell_runs(self, kind):
+        model, (s_lo, s_hi) = zero_response_model(kind)
+        configs = mixed_configs(model, s_lo, s_hi)
+        batch = run_batch(configs, keep_iterates=True)
+        singles = [run(c) for c in configs]
+        for b, single in zip(batch, singles):
+            assert_same_cell(b, single)
+            assert len(b.iterates) == len(b) and len(b.pre_threshold) == len(b) - 1
+            np.testing.assert_array_equal(b.iterates[-1], b.final_theta.values)
+        statuses = [b.status for b in batch]
+        assert statuses[6:] == [RunStatus.CONVERGED, RunStatus.STALLED_ZERO_GRADIENT]
+        assert len(batch[6]) == len(batch[7]) == 1
+        assert {RunStatus.CONVERGED, RunStatus.MAX_ITERS} <= set(statuses[:6])
+
+    def test_cell_order_does_not_matter(self):
+        model, (s_lo, s_hi) = zero_response_model("design")
+        configs = mixed_configs(model, s_lo, s_hi)
+        forward = run_batch(configs)
+        order = [3, 7, 0, 5, 1, 6, 4, 2]
+        permuted = run_batch([configs[i] for i in order])
+        for i, trace in zip(order, permuted):
+            assert_same_cell(trace, forward[i])
+
+    def test_configs_on_different_models_rejected(self):
+        a, _ = zero_response_model("identity")
+        b, _ = zero_response_model("identity")
+        configs = mixed_configs(a, 1, 2)[:1] + mixed_configs(b, 1, 2)[:1]
+        with pytest.raises(ValueError, match="share one ObjectiveModel"):
+            run_batch(configs)
+        assert run_batch([]) == []
+
+    def test_non_finite_evaluation_names_iteration_and_cell(self):
+        model, theta_star, f_hat = linear_instance(50, 20, 3, 0.0, 0.5, seed=5)
+        configs = [basic_config(model, theta_star, f_hat, s=4, kind=RT, max_iters=50),
+                   basic_config(model, theta_star, f_hat, s=5, step_kind=FIXED,
+                                fixed_gamma=1e30, max_iters=50)]
+        with pytest.raises(OptimizerError, match=r"iteration \d+ \(operator ht, s = 5\)"):
+            run_batch(configs)
+
+    def test_one_cell_run_keeps_the_vector_loop_bytes(self):
+        # the C10 configuration: RT at s = 100, d = 1000, seed 0, 1500 iterations
+        n = int(np.ceil(5 * 20 * np.log(1000)))
+        model, theta_star, f_hat = linear_instance(n, 1000, 20, 0.5, 0.5, seed=0)
+        config = basic_config(model, theta_star, f_hat, s=100, kind=RT, max_iters=1500)
+        assert trace_csv_text(run(config)) == trace_csv_text(vector_loop(config))
 
 
 class TestNoiselessRecovery:
