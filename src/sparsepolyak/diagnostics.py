@@ -11,7 +11,7 @@ of the last 10% of recorded squared errors, and iterations-to-floor is the
 first time the error enters a small band above that level.
 
 `run_instance_cells` is the one cell loop behind the grid and sweep
-commands and `compare_operators`: it generates a seed's instance once and
+commands, `compare_operators` and `run_cell`: it generates a seed's instance once and
 advances all of its (operator, step rule) cells from zero in one lock-step
 batch (`optimizer.run_batch`), then measures each cell's plateau.
 """
@@ -30,7 +30,6 @@ from .optimizer import (
     RunTrace,
     StepRule,
     fixed_step_lhat,
-    run,
     run_batch,
 )
 from .rng import STREAM_CHECK, substream
@@ -278,14 +277,10 @@ def run_cell(
     seed: int,
     max_iters: int,
     step_kind: str = SPARSE_POLYAK,
-    fixed_gamma: float | None = None,
     ht_width: str | None = None,
 ) -> RunTrace:
-    """One (operator, s, seed) run on a freshly generated instance."""
-    model, theta_star, f_hat = make_instance(design, truth, noise, seed)
-    rule = StepRule(kind=step_kind, f_hat=f_hat, fixed_gamma=fixed_gamma,
-                    ht_width=ht_width or default_ht_width(noise.family))
-    return run(RunConfig.zero_start(model, op, rule, max_iters, theta_star))
+    """One (operator, s, seed) run on a freshly generated instance; a one-cell `run_instance_cells`."""
+    return run_instance_cells(design, truth, noise, seed, [(op, step_kind)], max_iters, ht_width)[0][0]
 
 
 def run_instance_cells(
