@@ -17,7 +17,10 @@ rule and the trace.
 `run_batch` is the one iteration loop.  It advances configs that share a
 model in lock step, with one forward and one gradient matrix product per
 iteration for all cells still running, and per-cell selection, step rule,
-stop tests and trace rows; `run` is its one-cell case.
+stop tests and trace rows; `run` is its one-cell case.  The forward
+product multiplies only the design columns in the union of the running
+cells' supports, falling back to the full product when that union is wide
+(`objectives.GATHER_MAX_FRAC`); the gradient product spans all columns.
 
 A fixed-step baseline gamma = 1/L_hat with
 L_hat = lambda_max(Sigma) (3/4 + (2s + s*)/(10 s)) is included for
@@ -286,9 +289,10 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
     """Run configs that share one model in lock step; one trace per config, in order.
 
     The iterates of the cells still running form a B x d array, so each
-    iteration makes one forward and one gradient matrix product for all of
-    them.  Selection, the step rule, the stop tests and the trace rows are
-    per cell, as in `run`; a cell leaves the batch when it stops.  Raises
+    iteration makes one forward product (on the union of their supports)
+    and one gradient matrix product for all of them.  Selection, the step
+    rule, the stop tests and the trace rows are per cell, as in `run`; a
+    cell leaves the batch when it stops.  Raises
     OptimizerError, naming the iteration and the cell, on a non-finite
     evaluation.
     """
@@ -303,7 +307,9 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
     t = 0
     while active:
         try:
-            F, G = value_and_gradient(model, Theta)
+            # overflow shows as a non-finite value, which `_Cell.step` reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                F, G = value_and_gradient(model, Theta)
         except Exception as exc:
             raise OptimizerError(f"evaluation failed at iteration {t}: {exc}") from exc
         keep = []
@@ -330,6 +336,6 @@ def run(config: RunConfig, keep_iterates: bool = False) -> RunTrace:
     With keep_iterates, every iterate and every pre-threshold gradient step
     is retained for invariant checks.  This is the one-cell case of
     `run_batch`, whose products on a one-row batch have the bits of the
-    vector products.
+    vector products: X[:, S] theta[S] on the iterate's support S, and X' r.
     """
     return run_batch([config], keep_iterates)[0]

@@ -153,12 +153,14 @@ def design_spectrum(omega: float, d: int) -> tuple[float, float]:
 def generate_design(spec: DesignSpec, seed: int) -> np.ndarray:
     """Draw the n x d design; one RNG substream per sample row.
 
-    With column_normalize, each column is rescaled so ||X_j|| / sqrt(n) = 1.
+    X is column-major, so the column recursion writes contiguous columns
+    and `Dataset` stores it without a copy.  With column_normalize, each
+    column is rescaled so ||X_j|| / sqrt(n) = 1.
     """
     eps = np.empty((spec.n, spec.d))
     for i in range(spec.n):
         eps[i] = substream(seed, STREAM_DESIGN, i).standard_normal(spec.d)
-    X = np.empty_like(eps)
+    X = np.empty((spec.n, spec.d), order="F")
     X[:, 0] = eps[:, 0] / np.sqrt(1.0 - spec.omega**2)
     for t in range(1, spec.d):
         X[:, t] = spec.omega * X[:, t - 1] + eps[:, t]

@@ -1,6 +1,7 @@
 """Config parsing/validation and end-to-end CLI contract tests."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,15 @@ class TestCliRun:
         cfg = write_config(tmp_path, extra="step.kind = fixed\nstep.fixed_gamma = 1e30\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
         assert "iteration" in capsys.readouterr().err
+
+    def test_divergent_run_reports_without_numpy_warnings(self, tmp_path, capsys):
+        # the finiteness check reports the failure; overflow on the way warns nothing
+        cfg = write_config(tmp_path, extra="step.kind = fixed\nstep.fixed_gamma = 1e30\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_output_root_from_environment(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from sparsepolyak.objectives import (
+    GATHER_MAX_FRAC,
     LINEAR,
     LOGISTIC,
     Dataset,
     ObjectiveModel,
     ParamVector,
+    _loss_and_residual,
     bregman_batch,
     cumulant,
     gradient,
@@ -18,6 +20,7 @@ from sparsepolyak.objectives import (
     target_value,
     value_and_gradient,
 )
+from sparsepolyak.synthdata import DesignSpec, generate_design
 
 
 def finite_difference_gradient(model, theta):
@@ -205,6 +208,72 @@ class TestBatchEvaluation:
         ]
         np.testing.assert_allclose(batch, direct, rtol=1e-9, atol=1e-11)
         assert np.all(batch >= -1e-12)
+
+
+class TestSupportForwardProduct:
+    """The forward product on the support union, against a dense X @ theta."""
+
+    n, d = 40, 60
+
+    def model(self, family):
+        rng = np.random.default_rng(43)
+        X = rng.standard_normal((self.n, self.d))  # row-major, as a caller may pass it
+        y = rng.standard_normal(self.n) if family == LINEAR else (rng.random(self.n) < 0.5).astype(float)
+        return ObjectiveModel(family=family, data=Dataset(X=X, y=y)), X
+
+    @staticmethod
+    def assert_matches_dense(model, X, Theta):
+        f, R = _loss_and_residual(model, Theta)
+        y, n = model.data.y, model.data.n
+        for j, theta in enumerate(np.atleast_2d(Theta)):
+            u = X @ theta
+            if model.family == LINEAR:
+                r = u - y
+                f_ref = 0.5 * np.dot(r, r) / n
+            else:
+                r = 1.0 / (1.0 + np.exp(-u)) - y
+                f_ref = np.mean(np.logaddexp(0.0, u) - y * u)
+            r_j = R if R.ndim == 1 else R[j]
+            scale = np.abs(r).max()
+            np.testing.assert_allclose(r_j, r, rtol=1e-13, atol=1e-13 * scale)
+            np.testing.assert_allclose(np.atleast_1d(f)[j], f_ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("family", [LINEAR, LOGISTIC])
+    def test_zero_dense_and_below_crossover(self, family):
+        model, X = self.model(family)
+        rng = np.random.default_rng(47)
+        zero = np.zeros(self.d)
+        _, R = _loss_and_residual(model, zero)
+        if family == LINEAR:
+            assert np.array_equal(R, -model.data.y)
+        else:
+            assert np.array_equal(R, 0.5 - model.data.y)
+        self.assert_matches_dense(model, X, zero)
+        k = int(GATHER_MAX_FRAC * self.d)  # the widest union still gathered
+        sparse = np.zeros(self.d)
+        sparse[rng.choice(self.d, k, replace=False)] = rng.standard_normal(k)
+        self.assert_matches_dense(model, X, sparse)
+        self.assert_matches_dense(model, X, rng.standard_normal(self.d))
+
+    @pytest.mark.parametrize("family", [LINEAR, LOGISTIC])
+    def test_batch_rows_with_disjoint_supports(self, family):
+        model, X = self.model(family)
+        rng = np.random.default_rng(53)
+        Theta = np.zeros((4, self.d))  # the last row stays zero
+        for j, cols in enumerate((slice(0, 5), slice(20, 23), slice(55, 60))):
+            Theta[j, cols] = rng.standard_normal(Theta[j, cols].size)
+        self.assert_matches_dense(model, X, Theta)
+        wide = Theta.copy()
+        wide[3, 5:20] = rng.standard_normal(15)  # the union now exceeds the crossover
+        self.assert_matches_dense(model, X, wide)
+
+    def test_design_is_stored_column_major_without_a_copy(self):
+        model, X = self.model(LINEAR)
+        assert X.flags.c_contiguous and model.data.X.flags.f_contiguous
+        assert np.array_equal(model.data.X, X)
+        design = generate_design(DesignSpec(n=30, d=12, omega=0.5), seed=0)
+        assert design.flags.f_contiguous
+        assert np.shares_memory(design, Dataset(X=design, y=np.zeros(30)).X)
 
 
 class TestDomainTypes:

@@ -207,15 +207,23 @@ class TestRunLoop:
                 "stop_tol", "theta_star")})
 
 
-def vector_loop(config):
-    """The per-cell loop on GEMV products, for linear sparse Polyak cells; the reference for `run`."""
+def vector_loop(config, full_product=False):
+    """The per-cell loop on GEMV products, for linear sparse Polyak cells; the reference for `run`.
+
+    The forward product is X[:, S] theta[S] on the iterate's support S, as
+    `run` computes it; with full_product, it is the full X theta on a
+    row-major copy of X, a kernel that gathers no columns (the drift
+    reference).
+    """
     model, op, rule = config.model, config.operator, config.step_rule
-    X, y, n = model.data.X, model.data.y, model.data.n
+    X = np.ascontiguousarray(model.data.X) if full_product else model.data.X
+    y, n = model.data.y, model.data.n
     theta, truth = config.theta0.values.copy(), config.theta_star.values
     width = min(op.s if rule.ht_width == "s" else 2 * op.s, model.dim)
     rows, status = [], RunStatus.MAX_ITERS
     for t in range(config.max_iters + 1):
-        r = X @ theta - y
+        S = slice(None) if full_product else np.flatnonzero(theta)
+        r = X[:, S] @ theta[S] - y
         f = float(0.5 * np.dot(r, r) / n)
         g = X.T @ r / n
         ht = grad_ht_norm_sq(g, width)
@@ -323,6 +331,20 @@ class TestRunBatch:
         model, theta_star, f_hat = linear_instance(n, 1000, 20, 0.5, 0.5, seed=0)
         config = basic_config(model, theta_star, f_hat, s=100, kind=RT, max_iters=1500)
         assert trace_csv_text(run(config)) == trace_csv_text(vector_loop(config))
+
+    @pytest.mark.parametrize("kind,s,seed", [(RT, 100, 0), (RT, 100, 3), (HT, 40, 5)])
+    def test_support_product_drifts_from_the_full_product_within_rounding(self, kind, s, seed):
+        # C10's shape over 1500 iterations: gathering the support columns
+        # reorders sums only, so the run keeps its path and its values
+        n = int(np.ceil(5 * 20 * np.log(1000)))
+        model, theta_star, f_hat = linear_instance(n, 1000, 20, 0.5, 0.5, seed=seed)
+        config = basic_config(model, theta_star, f_hat, s=s, kind=kind, max_iters=1500)
+        got, old = run(config), vector_loop(config, full_product=True)
+        assert got.status is old.status
+        assert len(got) == len(old)
+        np.testing.assert_array_equal(got.support_size, old.support_size)
+        for name in ("f_value", "error_sq"):
+            np.testing.assert_allclose(getattr(got, name), getattr(old, name), rtol=1e-12, atol=0.0)
 
 
 class TestNoiselessRecovery:
