@@ -169,6 +169,9 @@ def resolve_config(values: dict) -> ExperimentConfig:
     """Apply defaults, derive dependent values, validate cross-field constraints."""
     merged = {key: spec[1] for key, spec in SCHEMA.items()}
     merged.update(values)
+    for key, (tag, _, _) in SCHEMA.items():
+        if tag == "float" and not np.isfinite(merged[key]):
+            raise ConfigError(f"{key}: must be finite, got {merged[key]!r}")
 
     d = merged["design.d"]
     s_star = merged["truth.s_star"]
@@ -211,6 +214,11 @@ def resolve_config(values: dict) -> ExperimentConfig:
             f_hat = float(f_hat_raw)
         except ValueError as exc:
             raise ConfigError(f"step.f_hat: expected 'target' or a float, got {f_hat_raw!r}") from exc
+        if not np.isfinite(f_hat):
+            raise ConfigError(f"step.f_hat: must be finite, got {f_hat_raw!r}")
+    fixed_gamma = merged["step.fixed_gamma"]
+    if fixed_gamma < 0:
+        raise ConfigError(f"step.fixed_gamma: must be >= 0 (0 derives 1/L_hat), got {fixed_gamma}")
 
     s_grid = merged["grid.s_values"] or default_s_grid(s_star, d)
     if any(not 1 <= s <= d for s in s_grid):
@@ -224,6 +232,9 @@ def resolve_config(values: dict) -> ExperimentConfig:
     for key in ("concavity.trials", "check.pairs", "run.max_iters"):
         if merged[key] < 1:
             raise ConfigError(f"{key}: must be >= 1, got {merged[key]}")
+    for key in ("grid.max_iters", "sweep.max_iters"):
+        if merged[key] < 0:
+            raise ConfigError(f"{key}: must be >= 0 (0 uses run.max_iters), got {merged[key]}")
     if any(dim < 1 for dim in merged["concavity.dims"]):
         raise ConfigError("concavity.dims: dimensions must be >= 1")
     if any(s < 1 for s in merged["concavity.s_values"]):
@@ -248,7 +259,7 @@ def resolve_config(values: dict) -> ExperimentConfig:
         operator_s=operator_s,
         step_kind=merged["step.kind"],
         ht_width=merged["step.ht_width"],
-        fixed_gamma=merged["step.fixed_gamma"] or None,
+        fixed_gamma=fixed_gamma or None,
         f_hat=f_hat,
         max_iters=merged["run.max_iters"],
         stop_tol=None if stop_tol < 0 else stop_tol,

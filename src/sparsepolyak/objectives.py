@@ -14,9 +14,17 @@ The design is stored column-major, and `_loss_and_residual` is the one
 place the forward product X theta is formed.  Iterates are sparse, so it
 multiplies only the columns in the union of the supports of the parameter
 rows; when that union spans more than `GATHER_MAX_FRAC` of the columns,
-the same expression takes every column (the full product).  The gradient
-product X' r always spans all d columns, since selection and the step rule
-read every entry.
+the same expression takes every column (the full product).
+
+The gradient has all d entries, since selection and the step rule read
+every one.  By default it is the full product X' r / n.  For the linear
+family it is X'X theta / n - X'y / n, which needs only the Gram rows of the
+support columns: a `GramRows` cache, passed to `value_and_gradient`,
+computes a row when its column enters the support union, and forms the
+gradient from the cached rows.  A budget of one cache plus one full
+product's worth of rows per call bounds what it computes; a call it
+cannot pay for takes the full product.  The logistic gradient is not
+linear in theta and always takes the full product.
 """
 
 from dataclasses import dataclass
@@ -34,6 +42,8 @@ _FAMILIES = (LINEAR, LOGISTIC)
 # rows, 2675 x 1250) and 0.32 d (one row, 922 x 10000); below 0.25 d it was
 # never slower.  The gathered block is then at most a quarter of X's bytes
 # (1.4 MB at 691 x 1000, 6.7 MB at 2675 x 1250), a temporary per product.
+# The same share of n bounds the rows a `GramRows` cache holds, so the cache
+# too is at most a quarter of X's bytes.
 GATHER_MAX_FRAC = 0.25
 
 
@@ -157,19 +167,22 @@ def _as_params(model: ObjectiveModel, theta) -> np.ndarray:
     return v
 
 
-def _loss_and_residual(model: ObjectiveModel, theta):
+def _support_union(v: np.ndarray) -> np.ndarray:
+    """Columns where any row of a vector or B x d batch is nonzero, ascending."""
+    return np.flatnonzero(v.reshape(-1, v.shape[-1]).any(axis=0))
+
+
+def _loss_and_residual(model: ObjectiveModel, v: np.ndarray, cols: np.ndarray):
     """Average loss (squared-error form if linear) and residual psi'(X theta) - y.
 
-    theta is a vector, giving a float and an n-vector, or a B x d batch,
-    giving B losses and a B x n residual.  The batch is laid out by rows
-    and each loss is reduced over its own contiguous row, so a one-row
-    batch has the bits of the vector call.  X theta is computed on the
-    columns of the union of the rows' supports, or on all columns when the
-    union spans more than `GATHER_MAX_FRAC` of them.
+    v is a parameter checked by `_as_params` and cols its `_support_union`.
+    A vector gives a float and an n-vector, a B x d batch B losses and a
+    B x n residual.  The batch is laid out by rows and each loss is reduced
+    over its own contiguous row, so a one-row batch has the bits of the
+    vector call.  X theta is computed on the columns cols, or on all
+    columns when they span more than `GATHER_MAX_FRAC` of them.
     """
-    v = _as_params(model, theta)
     X, y, n = model.data.X, model.data.y, model.data.n
-    cols = np.flatnonzero(v.reshape(-1, model.dim).any(axis=0))
     if cols.size > GATHER_MAX_FRAC * model.dim:
         cols = slice(None)
     U = v[..., cols] @ X.T[cols]
@@ -182,19 +195,107 @@ def _loss_and_residual(model: ObjectiveModel, theta):
     return (float(f) if v.ndim == 1 else f), R
 
 
-def value_and_gradient(model: ObjectiveModel, theta):
+class GramRows:
+    """Gram rows x_j' X / n of the design columns a linear-family run uses.
+
+    For the squared-error loss the gradient is X'X theta / n - X'y / n, and
+    theta is sparse, so only the Gram rows of its support columns are
+    needed (the covariance update of glmnet's coordinate descent, Friedman,
+    Hastie & Tibshirani 2010).  A row is computed when its column enters
+    the support union, into the next free slot; the gradient is then one
+    product over the used slots, with zero weight on the columns that have
+    left the union, so no rows are copied per call.  X'y / n is computed
+    on the first call that uses the rows.
+
+    The rows pay off while the support union of a batch is narrow and
+    stable: one row takes the flops of one row of the full product
+    R X / n, and is then reused.  They are paid from a budget that starts
+    at the slot count and grows by the batch size B on each call (the
+    rows of one full product), up to the slot count; a call whose new
+    rows exceed the budget takes the full product instead.  So over any
+    stretch of calls the rows computed are at most those of the
+    stretch's full products plus one cache's worth, however the union
+    drifts.
+
+    The slots hold at most `GATHER_MAX_FRAC` n rows (a quarter of X's
+    bytes) and at most d.  When the new columns do not fit, the slots
+    restart from the current union; a union wider than the slots takes
+    the full product, as a logistic model does on every call.  `computed`
+    and `restarts` count the rows computed and the restarts.
+
+    The rows are valid for one model and are not freed until the object
+    is: create one per run (`optimizer.run_batch` does) rather than
+    keeping it on the model.
+    """
+
+    def __init__(self, model: ObjectiveModel):
+        self.model = model
+        self.cap = min(int(GATHER_MAX_FRAC * model.data.n), model.dim)
+        self.slot = np.full(model.dim, -1, dtype=np.intp)  # column -> slot, -1 if absent
+        self.used = 0
+        self.budget = self.cap  # rows the next call may compute
+        self.computed = 0
+        self.restarts = 0
+        self.rows = np.empty((self.cap, model.dim)) if model.family == LINEAR else None
+        self.xty = None
+
+    def gradient(self, v: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
+        """The linear gradient at a checked vector or B x d batch v whose support union is cols.
+
+        None when the full product R X / n is to be taken instead.
+        """
+        if self.model.family != LINEAR:
+            return None
+        self.budget = min(self.budget + (1 if v.ndim == 1 else v.shape[0]), self.cap)
+        if cols.size > self.cap:
+            return None
+        new = cols[self.slot[cols] < 0]
+        restart = self.used + new.size > self.cap
+        if restart:
+            new = cols
+        if new.size > self.budget:
+            return None
+        X, n = self.model.data.X, self.model.data.n
+        if self.xty is None:
+            self.xty = self.model.data.y @ X / n
+        if restart:
+            self.slot[:] = -1
+            self.used = 0
+            self.restarts += 1
+        if new.size:
+            end = self.used + new.size
+            block = self.rows[self.used:end]
+            np.matmul(X[:, new].T, X, out=block)
+            block /= n
+            self.slot[new] = np.arange(self.used, end)
+            self.used = end
+            self.budget -= new.size
+            self.computed += new.size
+        W = np.zeros(v.shape[:-1] + (self.used,))
+        W[..., self.slot[cols]] = v[..., cols]
+        return W @ self.rows[:self.used] - self.xty
+
+
+def value_and_gradient(model: ObjectiveModel, theta, gram: GramRows | None = None):
     """Average loss and its gradient (1/n) X' (psi'(X theta) - y).
 
     For a B x d batch: B losses and the B x d gradient rows, from one
-    forward and one gradient matrix product.
+    forward and one gradient matrix product.  With `gram`, the `GramRows`
+    of this model, a linear gradient comes from its cached rows instead
+    of the full product X' r / n, when they cover the support union or
+    its new rows fit the cache's budget.
     """
-    f, R = _loss_and_residual(model, theta)
-    return f, R @ model.data.X / model.data.n
+    v = _as_params(model, theta)
+    cols = _support_union(v)
+    f, R = _loss_and_residual(model, v, cols)
+    G = None if gram is None else gram.gradient(v, cols)
+    return f, (R @ model.data.X / model.data.n if G is None else G)
 
 
 def objective_value(model: ObjectiveModel, theta):
     """Average loss at theta (or at each batch row), without the gradient product."""
-    return _loss_and_residual(model, theta)[0]
+    v = _as_params(model, theta)
+    return _loss_and_residual(model, v, _support_union(v))[0]
 
 
 def gradient(model: ObjectiveModel, theta) -> np.ndarray:

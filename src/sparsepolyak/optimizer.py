@@ -20,7 +20,10 @@ iteration for all cells still running, and per-cell selection, step rule,
 stop tests and trace rows; `run` is its one-cell case.  The forward
 product multiplies only the design columns in the union of the running
 cells' supports, falling back to the full product when that union is wide
-(`objectives.GATHER_MAX_FRAC`); the gradient product spans all columns.
+(`objectives.GATHER_MAX_FRAC`).  A linear gradient comes from the Gram
+rows of the columns that union has used, cached for the one call
+(`objectives.GramRows`), once the cache's budget has paid for them; until
+then, and for a logistic gradient, it is the full product X' r / n.
 
 A fixed-step baseline gamma = 1/L_hat with
 L_hat = lambda_max(Sigma) (3/4 + (2s + s*)/(10 s)) is included for
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import ObjectiveModel, ParamVector, value_and_gradient
+from .objectives import GramRows, ObjectiveModel, ParamVector, value_and_gradient
 from .synthdata import DesignSpec, RegularityParams, design_spectrum
 from .thresholding import ThresholdSpec, hard_threshold
 
@@ -290,7 +293,11 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
 
     The iterates of the cells still running form a B x d array, so each
     iteration makes one forward product (on the union of their supports)
-    and one gradient matrix product for all of them.  Selection, the step
+    and one gradient matrix product for all of them; a linear gradient
+    multiplies the Gram rows this call has cached for that union.  Which
+    iterations use the rows, and so the last bits of a linear cell,
+    depend on the order in which columns entered the batch's union and
+    on the batch size.  Selection, the step
     rule, the stop tests and the trace rows are per cell, as in `run`; a
     cell leaves the batch when it stops.  Raises
     OptimizerError, naming the iteration and the cell, on a non-finite
@@ -304,12 +311,13 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
     cells = [_Cell(c, keep_iterates) for c in configs]
     active = cells
     Theta = np.array([c.theta0.values for c in configs])
+    gram = GramRows(model)
     t = 0
     while active:
         try:
             # overflow shows as a non-finite value, which `_Cell.step` reports
             with np.errstate(over="ignore", invalid="ignore"):
-                F, G = value_and_gradient(model, Theta)
+                F, G = value_and_gradient(model, Theta, gram)
         except Exception as exc:
             raise OptimizerError(f"evaluation failed at iteration {t}: {exc}") from exc
         keep = []
@@ -336,6 +344,9 @@ def run(config: RunConfig, keep_iterates: bool = False) -> RunTrace:
     With keep_iterates, every iterate and every pre-threshold gradient step
     is retained for invariant checks.  This is the one-cell case of
     `run_batch`, whose products on a one-row batch have the bits of the
-    vector products: X[:, S] theta[S] on the iterate's support S, and X' r.
+    vector products: X[:, S] theta[S] on the iterate's support S and, for
+    the linear family, the gradient from the run's Gram rows of the
+    columns its supports have used (X' r / n for the logistic family, and
+    for an iteration whose new rows the cache cannot yet pay for).
     """
     return run_batch([config], keep_iterates)[0]

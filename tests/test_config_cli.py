@@ -95,6 +95,12 @@ class TestResolution:
         assert cfg.f_hat == 0.25
         assert resolve_config({}).f_hat is None
 
+    @pytest.mark.parametrize("key", ["design.n_factor", "noise.sigma", "step.fixed_gamma",
+                                     "run.stop_tol", "check.mu_scale"])
+    def test_non_finite_float_names_the_key(self, key):
+        with pytest.raises(ConfigError, match=key):
+            resolve_config({key: float("nan")})
+
     def test_echo_contains_derived_values(self):
         cfg = resolve_config({"design.d": 100, "truth.s_star": 4})
         assert cfg.echo["design.n"] == cfg.design.n
@@ -158,6 +164,25 @@ class TestCliRun:
         cfg = write_config(tmp_path, text="design.d = 60\ntruth.s_star = 20\noperator.s = 10\n"
                                           "step.kind = fixed\nstep.fixed_gamma = 0.1\nrun.max_iters = 5\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+
+    def test_negative_fixed_gamma_names_the_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, extra="step.kind = fixed\nstep.fixed_gamma = -0.5\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "step.fixed_gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "grid", "sweep"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_f_hat_names_the_key(self, tmp_path, capsys, command, value):
+        cfg = write_config(tmp_path, extra=f"step.f_hat = {value}\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "step.f_hat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["grid", "sweep"])
+    def test_negative_cell_budget_names_the_key(self, tmp_path, capsys, command):
+        key = f"{command}.max_iters"
+        cfg = write_config(tmp_path, BASE_CONFIG.replace(f"{key} = 150", f"{key} = -3"))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
     def test_divergent_run_is_numerical_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra="step.kind = fixed\nstep.fixed_gamma = 1e30\n")

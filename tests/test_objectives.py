@@ -10,9 +10,12 @@ from sparsepolyak.objectives import (
     LINEAR,
     LOGISTIC,
     Dataset,
+    GramRows,
     ObjectiveModel,
     ParamVector,
+    _as_params,
     _loss_and_residual,
+    _support_union,
     bregman_batch,
     cumulant,
     gradient,
@@ -21,6 +24,11 @@ from sparsepolyak.objectives import (
     value_and_gradient,
 )
 from sparsepolyak.synthdata import DesignSpec, generate_design
+
+
+def loss_and_residual(model, theta):
+    v = _as_params(model, theta)
+    return _loss_and_residual(model, v, _support_union(v))
 
 
 def finite_difference_gradient(model, theta):
@@ -223,7 +231,7 @@ class TestSupportForwardProduct:
 
     @staticmethod
     def assert_matches_dense(model, X, Theta):
-        f, R = _loss_and_residual(model, Theta)
+        f, R = loss_and_residual(model, Theta)
         y, n = model.data.y, model.data.n
         for j, theta in enumerate(np.atleast_2d(Theta)):
             u = X @ theta
@@ -243,7 +251,7 @@ class TestSupportForwardProduct:
         model, X = self.model(family)
         rng = np.random.default_rng(47)
         zero = np.zeros(self.d)
-        _, R = _loss_and_residual(model, zero)
+        _, R = loss_and_residual(model, zero)
         if family == LINEAR:
             assert np.array_equal(R, -model.data.y)
         else:
@@ -274,6 +282,127 @@ class TestSupportForwardProduct:
         design = generate_design(DesignSpec(n=30, d=12, omega=0.5), seed=0)
         assert design.flags.f_contiguous
         assert np.shares_memory(design, Dataset(X=design, y=np.zeros(30)).X)
+
+
+class TestGramGradient:
+    """The linear gradient from cached Gram rows, against the full product R @ X / n."""
+
+    n, d = 48, 60  # the cache holds GATHER_MAX_FRAC * n = 12 rows
+
+    def model(self, family=LINEAR):
+        rng = np.random.default_rng(59)
+        X = rng.standard_normal((self.n, self.d))
+        y = rng.standard_normal(self.n) if family == LINEAR else (rng.random(self.n) < 0.5).astype(float)
+        return ObjectiveModel(family=family, data=Dataset(X=X, y=y))
+
+    @staticmethod
+    def full_gradient(model, Theta):
+        _, R = loss_and_residual(model, Theta)
+        return R @ model.data.X / model.data.n
+
+    def assert_matches_full(self, model, gram, Theta):
+        _, G = value_and_gradient(model, Theta, gram)
+        scale = np.abs(model.data.y @ model.data.X / model.data.n).max()
+        np.testing.assert_allclose(G, self.full_gradient(model, Theta), rtol=0.0, atol=1e-13 * scale)
+        assert gram.used <= gram.cap
+
+    def sparse(self, rng, cols):
+        theta = np.zeros(self.d)
+        theta[cols] = rng.standard_normal(len(cols))
+        return theta
+
+    def test_zero_theta_gives_minus_xty(self):
+        model = self.model()
+        xty = model.data.y @ model.data.X / model.data.n
+        gram = GramRows(model)
+        assert np.array_equal(value_and_gradient(model, np.zeros(self.d), gram)[1], -xty)
+        assert np.array_equal(value_and_gradient(model, np.zeros((3, self.d)), gram)[1], -np.tile(xty, (3, 1)))
+        assert gram.used == 0
+
+    def test_sparse_batches_match_the_full_product(self):
+        model = self.model()
+        rng = np.random.default_rng(61)
+        gram = GramRows(model)
+        assert gram.cap == int(GATHER_MAX_FRAC * self.n) == 12
+        Theta = np.zeros((4, self.d))  # the last row stays zero
+        for j, cols in enumerate(([0, 1, 2], [20, 21], [55, 59])):
+            Theta[j] = self.sparse(rng, cols)
+        self.assert_matches_full(model, gram, Theta)
+        assert gram.used == 7
+        at_cap = Theta.copy()
+        at_cap[3] = self.sparse(rng, [1, 30, 31, 32, 33, 40])  # 12 columns, one already cached
+        self.assert_matches_full(model, gram, at_cap)
+        assert gram.used == 12
+        self.assert_matches_full(model, gram, Theta[::-1])  # stale slots get zero weight
+        assert gram.used == 12 and gram.computed == 12 and gram.restarts == 0
+
+    def test_union_past_the_cap_takes_the_full_product(self):
+        model = self.model()
+        rng = np.random.default_rng(67)
+        gram = GramRows(model)
+        Theta = np.array([self.sparse(rng, range(0, 7)), self.sparse(rng, range(7, 13))])
+        assert np.array_equal(value_and_gradient(model, Theta, gram)[1], self.full_gradient(model, Theta))
+        assert gram.used == 0
+
+    def test_cap_is_at_most_the_dimension(self):
+        X = np.random.default_rng(83).standard_normal((self.n, 6))
+        gram = GramRows(ObjectiveModel(family=LINEAR, data=Dataset(X=X, y=np.ones(self.n))))
+        assert gram.cap == 6 and gram.rows.shape == (6, 6)
+
+    def test_rows_wait_for_the_budget(self):
+        # a one-row cache that has spent its budget on a full cache regains
+        # one row per call: 4 new columns take the full product for 3 calls
+        model = self.model()
+        rng = np.random.default_rng(89)
+        gram = GramRows(model)
+        self.assert_matches_full(model, gram, self.sparse(rng, range(12)))
+        assert gram.used == 12 and gram.budget == 0
+        theta = self.sparse(rng, [20, 21, 22, 23])
+        for _ in range(3):
+            assert np.array_equal(value_and_gradient(model, theta, gram)[1], self.full_gradient(model, theta))
+            assert gram.used == 12
+        self.assert_matches_full(model, gram, theta)
+        assert gram.used == 4 and gram.restarts == 1 and gram.budget == 0
+        self.assert_matches_full(model, gram, theta)
+        assert gram.computed == 16
+
+    def test_drifting_supports_restart_the_cache_within_the_cap(self):
+        model = self.model()
+        rng = np.random.default_rng(71)
+        gram = GramRows(model)
+        used = []
+        # a window of 5 columns moving 2 columns per call, then back to columns a restart evicted
+        for start in list(range(0, 40, 2)) + [0]:
+            self.assert_matches_full(model, gram, self.sparse(rng, range(start, start + 5)))
+            used.append(gram.used)
+        assert max(used) <= gram.cap
+        assert used[:5] == [5, 7, 9, 11, 5]  # the fifth window's 2 new columns restart it
+        assert gram.restarts > 1
+        assert gram.computed <= gram.cap + len(used)
+
+    def test_drift_near_the_cap_takes_the_full_product(self):
+        # an 11-column window moving one column per call: a cache that filled
+        # every call would restart each time and compute 11 rows, the cost
+        # of 11 one-row full products; the budget allows one cache's worth
+        # plus one row per call
+        model = self.model()
+        rng = np.random.default_rng(79)
+        gram = GramRows(model)
+        full = 0
+        for call, start in enumerate(range(45), 1):
+            theta = self.sparse(rng, range(start, start + 11))
+            G = gram.gradient(theta, np.flatnonzero(theta))
+            full += G is None
+            assert gram.computed <= gram.cap + call and gram.used <= gram.cap
+        assert gram.restarts >= 2 and full >= 35  # 37 of the 45 calls; 48 rows computed, not 495
+
+    def test_logistic_gradient_bytes_unchanged(self):
+        model = self.model(LOGISTIC)
+        rng = np.random.default_rng(73)
+        gram = GramRows(model)
+        Theta = np.array([self.sparse(rng, [3, 9]), np.zeros(self.d)])
+        assert np.array_equal(value_and_gradient(model, Theta, gram)[1], self.full_gradient(model, Theta))
+        assert gram.used == 0 and gram.rows is None
 
 
 class TestDomainTypes:

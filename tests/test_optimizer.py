@@ -8,6 +8,7 @@ from sparsepolyak.diagnostics import decomposition_margins, make_instance
 from sparsepolyak.objectives import (
     LINEAR,
     Dataset,
+    GramRows,
     ObjectiveModel,
     ParamVector,
     gradient,
@@ -210,22 +211,28 @@ class TestRunLoop:
 def vector_loop(config, full_product=False):
     """The per-cell loop on GEMV products, for linear sparse Polyak cells; the reference for `run`.
 
-    The forward product is X[:, S] theta[S] on the iterate's support S, as
-    `run` computes it; with full_product, it is the full X theta on a
-    row-major copy of X, a kernel that gathers no columns (the drift
-    reference).
+    The forward product is X[:, S] theta[S] on the iterate's support S,
+    and the gradient comes from the Gram rows of the columns the supports
+    have used when their budget pays for them, else from X' r / n, as `run`
+    computes them; with full_product, they are the full X theta and
+    X' r / n on a row-major copy of X, kernels that gather no columns (the
+    drift reference).
     """
     model, op, rule = config.model, config.operator, config.step_rule
     X = np.ascontiguousarray(model.data.X) if full_product else model.data.X
     y, n = model.data.y, model.data.n
+    gram = GramRows(model)
     theta, truth = config.theta0.values.copy(), config.theta_star.values
     width = min(op.s if rule.ht_width == "s" else 2 * op.s, model.dim)
     rows, status = [], RunStatus.MAX_ITERS
     for t in range(config.max_iters + 1):
-        S = slice(None) if full_product else np.flatnonzero(theta)
+        cols = np.flatnonzero(theta)
+        S = slice(None) if full_product else cols
         r = X[:, S] @ theta[S] - y
         f = float(0.5 * np.dot(r, r) / n)
-        g = X.T @ r / n
+        g = None if full_product else gram.gradient(theta, cols)
+        if g is None:
+            g = X.T @ r / n
         ht = grad_ht_norm_sq(g, width)
         gamma = sparse_polyak_step(f, rule.f_hat, ht)
         diff = theta - truth
@@ -334,8 +341,9 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("kind,s,seed", [(RT, 100, 0), (RT, 100, 3), (HT, 40, 5)])
     def test_support_product_drifts_from_the_full_product_within_rounding(self, kind, s, seed):
-        # C10's shape over 1500 iterations: gathering the support columns
-        # reorders sums only, so the run keeps its path and its values
+        # C10's shape over 1500 iterations: gathering the support columns and
+        # the Gram-row gradient reorder sums only, so the run keeps its path
+        # and its values
         n = int(np.ceil(5 * 20 * np.log(1000)))
         model, theta_star, f_hat = linear_instance(n, 1000, 20, 0.5, 0.5, seed=seed)
         config = basic_config(model, theta_star, f_hat, s=s, kind=kind, max_iters=1500)
