@@ -17,7 +17,6 @@ from .objectives import (
     Dataset,
     ObjectiveModel,
     ParamVector,
-    cumulant,
     gradient,
     objective_value,
     target_value,
@@ -61,13 +60,12 @@ from .thresholding import (
     hard_threshold,
     reciprocal_threshold,
     relative_concavity_bound,
-    top_s_support,
 )
 
 __all__ = [
     "__version__",
     "LINEAR", "LOGISTIC", "Dataset", "ObjectiveModel", "ParamVector",
-    "cumulant", "gradient", "objective_value", "target_value",
+    "gradient", "objective_value", "target_value",
     "CLASSIC_POLYAK", "FIXED", "SPARSE_POLYAK",
     "OptimizerError", "RunConfig", "RunStatus", "RunTrace",
     "StalledZeroGradientError", "StepRule",
@@ -78,5 +76,5 @@ __all__ = [
     "generate_responses", "generate_truth",
     "HT", "RT", "ConcavityEstimate", "ThresholdSpec",
     "empirical_relative_concavity", "hard_threshold", "reciprocal_threshold",
-    "relative_concavity_bound", "top_s_support",
+    "relative_concavity_bound",
 ]

@@ -229,6 +229,9 @@ def resolve_config(values: dict) -> ExperimentConfig:
 
     if any(dv < 2 for dv in merged["sweep.d_values"]):
         raise ConfigError(f"sweep.d_values: dimensions must be >= 2, got {merged['sweep.d_values']}")
+    if any(dv < s_star for dv in merged["sweep.d_values"]):
+        raise ConfigError(f"sweep.d_values: every dimension must be >= truth.s_star = {s_star}, "
+                          f"got {merged['sweep.d_values']}")
     for key in ("concavity.trials", "check.pairs", "run.max_iters"):
         if merged[key] < 1:
             raise ConfigError(f"{key}: must be >= 1, got {merged[key]}")
@@ -243,6 +246,8 @@ def resolve_config(values: dict) -> ExperimentConfig:
         raise ConfigError("check.mu_scale: must be positive")
 
     check_s = merged["check.s"] or min(d, 2 * max(s_star, 1))
+    if not 1 <= check_s <= d:
+        raise ConfigError(f"check.s: need 1 <= s <= d = {d} (0 derives 2 * s_star), got {check_s}")
     stop_tol = merged["run.stop_tol"]
 
     echo = dict(merged)

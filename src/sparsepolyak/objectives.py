@@ -5,26 +5,31 @@ The loss of a parameter vector theta on data (X, y) is the 1/n-averaged
     f(theta) = (1/n) sum_i [ psi(x_i' theta) - y_i x_i' theta ]
 
 up to a theta-independent constant, where psi is the family's cumulant
-function.  For the linear family we evaluate the equivalent squared-error
-form f(theta) = ||y - X theta||^2 / (2n) instead; the two differ by
-||y||^2 / (2n) only, so target values used in step-size gaps must come
-from `target_value` (same form) and never be mixed across forms.
+function (t^2 / 2 linear, log(1 + e^t) logistic).  For the linear family
+we evaluate the equivalent squared-error form f(theta) = ||y - X theta||^2
+/ (2n) instead; the two differ by ||y||^2 / (2n) only, so target values
+used in step-size gaps must come from `target_value` (same form) and
+never be mixed across forms.
 
-The design is stored column-major, and `_loss_and_residual` is the one
-place the forward product X theta is formed.  Iterates are sparse, so it
-multiplies only the columns in the union of the supports of the parameter
-rows; when that union spans more than `GATHER_MAX_FRAC` of the columns,
-the same expression takes every column (the full product).
+An evaluation forms U = X theta and reduces it to the loss and the
+residual psi'(U) - y (`_loss_and_residual`, shared by every path).  The
+design is stored column-major, and iterates are sparse, so
+`_forward_product` multiplies only the columns in the union of the
+supports of the parameter rows; when that union spans more than
+`GATHER_MAX_FRAC` of the columns, the same expression takes every column
+(the full product).
 
 The gradient has all d entries, since selection and the step rule read
 every one.  By default it is the full product X' r / n.  For the linear
-family it is X'X theta / n - X'y / n, which needs only the Gram rows of the
-support columns: a `GramRows` cache, passed to `value_and_gradient`,
-computes a row when its column enters the support union, and forms the
-gradient from the cached rows.  A budget of one cache plus one full
-product's worth of rows per call bounds what it computes; a call it
-cannot pay for takes the full product.  The logistic gradient is not
-linear in theta and always takes the full product.
+family it is X'X theta / n - X'y / n, which needs only the Gram rows of
+the support columns.  A `GramRows` cache, passed to `value_and_gradient`,
+stores each support column next to its Gram row when the column enters
+the support union; while its slots cover the union, one product over
+them gives both X theta and X'X theta / n, and no column is gathered.  A
+budget of one cache plus one full product's worth of rows per call bounds
+what it computes; a call it cannot pay for takes the gathered forward
+product and the full gradient product.  The logistic gradient is not
+linear in theta and always takes that path.
 """
 
 from dataclasses import dataclass
@@ -42,8 +47,8 @@ _FAMILIES = (LINEAR, LOGISTIC)
 # rows, 2675 x 1250) and 0.32 d (one row, 922 x 10000); below 0.25 d it was
 # never slower.  The gathered block is then at most a quarter of X's bytes
 # (1.4 MB at 691 x 1000, 6.7 MB at 2675 x 1250), a temporary per product.
-# The same share of n bounds the rows a `GramRows` cache holds, so the cache
-# too is at most a quarter of X's bytes.
+# The same share of n bounds the slots of a `GramRows` cache, so its
+# cap x (n + d) block is at most half of X's bytes when n <= d.
 GATHER_MAX_FRAC = 0.25
 
 
@@ -51,27 +56,6 @@ def sigmoid(t):
     """Overflow-safe logistic function 1 / (1 + exp(-t))."""
     t = np.asarray(t, dtype=float)
     return 0.5 * (1.0 + np.tanh(0.5 * t))
-
-
-def cumulant(family: str, t):
-    """Cumulant value and derivative ``(psi(t), psi'(t))``, vectorized.
-
-    linear:   psi(t) = t^2 / 2,        psi'(t) = t
-    logistic: psi(t) = log(1 + e^t),   psi'(t) = sigmoid(t)
-
-    The logistic value is computed as logaddexp(0, t), which is exact in
-    the saturated regime (e.g. psi(800) = 800 to machine precision).
-    """
-    t = np.asarray(t, dtype=float)
-    if family == LINEAR:
-        val, der = 0.5 * t * t, t.copy()
-    elif family == LOGISTIC:
-        val, der = np.logaddexp(0.0, t), sigmoid(t)
-    else:
-        raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
-    if t.ndim == 0:
-        return float(val), float(der)
-    return val, der
 
 
 @dataclass(frozen=True)
@@ -172,58 +156,67 @@ def _support_union(v: np.ndarray) -> np.ndarray:
     return np.flatnonzero(v.reshape(-1, v.shape[-1]).any(axis=0))
 
 
-def _loss_and_residual(model: ObjectiveModel, v: np.ndarray, cols: np.ndarray):
-    """Average loss (squared-error form if linear) and residual psi'(X theta) - y.
+def _forward_product(model: ObjectiveModel, v: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """X theta for a checked vector or B x d batch v whose support union is cols.
 
-    v is a parameter checked by `_as_params` and cols its `_support_union`.
-    A vector gives a float and an n-vector, a B x d batch B losses and a
-    B x n residual.  The batch is laid out by rows and each loss is reduced
-    over its own contiguous row, so a one-row batch has the bits of the
-    vector call.  X theta is computed on the columns cols, or on all
-    columns when they span more than `GATHER_MAX_FRAC` of them.
+    Multiplies the columns cols, or all columns when they span more than
+    `GATHER_MAX_FRAC` of them.
     """
-    X, y, n = model.data.X, model.data.y, model.data.n
     if cols.size > GATHER_MAX_FRAC * model.dim:
         cols = slice(None)
-    U = v[..., cols] @ X.T[cols]
+    return v[..., cols] @ model.data.X.T[cols]
+
+
+def _loss_and_residual(model: ObjectiveModel, U: np.ndarray):
+    """Average loss (squared-error form if linear) and residual psi'(U) - y at U = X theta.
+
+    An n-vector U gives a float and an n-vector, a B x n batch B losses
+    and a B x n residual.  Each loss is reduced over its own row, so a
+    one-row batch has the bits of the vector call.
+    """
+    y, n = model.data.y, model.data.n
     if model.family == LINEAR:
         R = U - y
         f = 0.5 * np.dot(R, R) / n if R.ndim == 1 else np.array([0.5 * np.dot(r, r) / n for r in R])
     else:
         f = np.mean(np.logaddexp(0.0, U) - y * U, axis=-1)
         R = sigmoid(U) - y
-    return (float(f) if v.ndim == 1 else f), R
+    return (float(f) if U.ndim == 1 else f), R
 
 
 class GramRows:
-    """Gram rows x_j' X / n of the design columns a linear-family run uses.
+    """Design columns x_j and Gram rows x_j' X / n of the columns a linear-family run uses.
 
     For the squared-error loss the gradient is X'X theta / n - X'y / n, and
     theta is sparse, so only the Gram rows of its support columns are
     needed (the covariance update of glmnet's coordinate descent, Friedman,
-    Hastie & Tibshirani 2010).  A row is computed when its column enters
-    the support union, into the next free slot; the gradient is then one
-    product over the used slots, with zero weight on the columns that have
-    left the union, so no rows are copied per call.  X'y / n is computed
-    on the first call that uses the rows.
+    Hastie & Tibshirani 2010).  A slot holds a column and its Gram row side
+    by side, [x_j' | x_j' X / n], in a cap x (n + d) block.  A column
+    that enters the support union fills the next free slot; then one
+    product W @ block over the used slots, with the parameters as weights
+    and zero weight on the columns that have left the union, gives
+    X theta in its first n entries and X'X theta / n in the rest, so no
+    column is gathered or row copied per call.  X'y / n is computed on
+    the first call that uses the slots.
 
-    The rows pay off while the support union of a batch is narrow and
-    stable: one row takes the flops of one row of the full product
+    The slots pay off while the support union of a batch is narrow and
+    stable: one Gram row takes the flops of one row of the full product
     R X / n, and is then reused.  They are paid from a budget that starts
     at the slot count and grows by the batch size B on each call (the
     rows of one full product), up to the slot count; a call whose new
-    rows exceed the budget takes the full product instead.  So over any
-    stretch of calls the rows computed are at most those of the
-    stretch's full products plus one cache's worth, however the union
-    drifts.
+    columns exceed the budget takes the gathered forward product and the
+    full gradient product instead.  So over any stretch of calls the rows
+    computed are at most those of the stretch's full products plus one
+    cache's worth, however the union drifts.
 
-    The slots hold at most `GATHER_MAX_FRAC` n rows (a quarter of X's
-    bytes) and at most d.  When the new columns do not fit, the slots
-    restart from the current union; a union wider than the slots takes
-    the full product, as a logistic model does on every call.  `computed`
-    and `restarts` count the rows computed and the restarts.
+    There are at most `GATHER_MAX_FRAC` n slots and at most d, so the
+    block is at most half of X's bytes when n <= d.  When the new columns
+    do not fit, the slots restart from the current union; a union wider
+    than the slots takes the other path, as a logistic model does on
+    every call.  `computed` and `restarts` count the slots filled and the
+    restarts.
 
-    The rows are valid for one model and are not freed until the object
+    The block is valid for one model and is not freed until the object
     is: create one per run (`optimizer.run_batch` does) rather than
     keeping it on the model.
     """
@@ -233,18 +226,19 @@ class GramRows:
         self.cap = min(int(GATHER_MAX_FRAC * model.data.n), model.dim)
         self.slot = np.full(model.dim, -1, dtype=np.intp)  # column -> slot, -1 if absent
         self.used = 0
-        self.budget = self.cap  # rows the next call may compute
+        self.budget = self.cap  # slots the next call may fill
         self.computed = 0
         self.restarts = 0
-        self.rows = np.empty((self.cap, model.dim)) if model.family == LINEAR else None
+        self.block = np.empty((self.cap, model.data.n + model.dim)) if model.family == LINEAR else None
         self.xty = None
 
-    def gradient(self, v: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
-        """The linear gradient at a checked vector or B x d batch v whose support union is cols.
+    def product(self, v: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
+        """[X theta | X'X theta / n] at a checked vector or B x d batch v whose support union is cols.
 
-        None when the full product R X / n is to be taken instead.
+        None when the slots do not cover cols and the budget cannot fill
+        them, or the model is not linear.
         """
-        if self.model.family != LINEAR:
+        if self.block is None:
             return None
         self.budget = min(self.budget + (1 if v.ndim == 1 else v.shape[0]), self.cap)
         if cols.size > self.cap:
@@ -264,38 +258,42 @@ class GramRows:
             self.restarts += 1
         if new.size:
             end = self.used + new.size
-            block = self.rows[self.used:end]
-            np.matmul(X[:, new].T, X, out=block)
-            block /= n
+            cols_new, rows = self.block[self.used:end, :n], self.block[self.used:end, n:]
+            cols_new[:] = X.T[new]
+            np.matmul(cols_new, X, out=rows)
+            rows /= n
             self.slot[new] = np.arange(self.used, end)
             self.used = end
             self.budget -= new.size
             self.computed += new.size
         W = np.zeros(v.shape[:-1] + (self.used,))
         W[..., self.slot[cols]] = v[..., cols]
-        return W @ self.rows[:self.used] - self.xty
+        return W @ self.block[:self.used]
 
 
 def value_and_gradient(model: ObjectiveModel, theta, gram: GramRows | None = None):
     """Average loss and its gradient (1/n) X' (psi'(X theta) - y).
 
-    For a B x d batch: B losses and the B x d gradient rows, from one
-    forward and one gradient matrix product.  With `gram`, the `GramRows`
-    of this model, a linear gradient comes from its cached rows instead
-    of the full product X' r / n, when they cover the support union or
-    its new rows fit the cache's budget.
+    For a B x d batch: B losses and the B x d gradient rows.  With `gram`,
+    the `GramRows` of this model, a linear evaluation is one product over
+    its slots when they cover the support union or its budget can fill
+    them; otherwise, and without `gram`, it is the forward product on the
+    support union and the full gradient product X' r / n.
     """
     v = _as_params(model, theta)
     cols = _support_union(v)
-    f, R = _loss_and_residual(model, v, cols)
-    G = None if gram is None else gram.gradient(v, cols)
-    return f, (R @ model.data.X / model.data.n if G is None else G)
+    Y = None if gram is None else gram.product(v, cols)
+    if Y is None:
+        f, R = _loss_and_residual(model, _forward_product(model, v, cols))
+        return f, R @ model.data.X / model.data.n
+    n = model.data.n
+    return _loss_and_residual(model, Y[..., :n])[0], Y[..., n:] - gram.xty
 
 
 def objective_value(model: ObjectiveModel, theta):
     """Average loss at theta (or at each batch row), without the gradient product."""
     v = _as_params(model, theta)
-    return _loss_and_residual(model, v, _support_union(v))[0]
+    return _loss_and_residual(model, _forward_product(model, v, _support_union(v)))[0]
 
 
 def gradient(model: ObjectiveModel, theta) -> np.ndarray:

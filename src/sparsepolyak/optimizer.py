@@ -11,19 +11,22 @@ The sparse Polyak rule sets
 with the gradient norm restricted to its w largest entries (w = s or 2s);
 restricting the denominator keeps steps dimension-independent, where the
 classic rule gap/||grad||^2 shrinks as the ambient dimension grows.
-||HT_w(grad)||^2 is computed once per iteration and serves both the step
-rule and the trace.
+||HT_w(grad)||^2 is the sum of the w largest squared entries, from one
+partition; it is computed once per iteration and serves both the step
+rule and the trace.  So an iteration makes one top-s selection, in the
+operator.
 
 `run_batch` is the one iteration loop.  It advances configs that share a
-model in lock step, with one forward and one gradient matrix product per
-iteration for all cells still running, and per-cell selection, step rule,
-stop tests and trace rows; `run` is its one-cell case.  The forward
-product multiplies only the design columns in the union of the running
-cells' supports, falling back to the full product when that union is wide
-(`objectives.GATHER_MAX_FRAC`).  A linear gradient comes from the Gram
-rows of the columns that union has used, cached for the one call
-(`objectives.GramRows`), once the cache's budget has paid for them; until
-then, and for a logistic gradient, it is the full product X' r / n.
+model in lock step, with one evaluation per iteration for all cells still
+running, and per-cell selection, step rule, stop tests and trace rows;
+`run` is its one-cell case.  A linear evaluation is one product over the
+slots of the call's `objectives.GramRows`, which hold the columns the
+union of the running cells' supports has used and their Gram rows: it
+gives X theta and X'X theta / n together, once the cache's budget has
+paid for the slots.  Until then, and for the logistic family, it is a
+forward product on the design columns of that union (the full product
+when the union is wide, `objectives.GATHER_MAX_FRAC`) and the full
+gradient product X' r / n.
 
 A fixed-step baseline gamma = 1/L_hat with
 L_hat = lambda_max(Sigma) (3/4 + (2s + s*)/(10 s)) is included for
@@ -37,7 +40,7 @@ import numpy as np
 
 from .objectives import GramRows, ObjectiveModel, ParamVector, value_and_gradient
 from .synthdata import DesignSpec, RegularityParams, design_spectrum
-from .thresholding import ThresholdSpec, hard_threshold
+from .thresholding import ThresholdSpec
 
 SPARSE_POLYAK = "sparse_polyak"
 CLASSIC_POLYAK = "classic_polyak"
@@ -150,12 +153,17 @@ class RunTrace:
 
 
 def grad_ht_norm_sq(grad: np.ndarray, ht_width: int) -> float:
-    """Squared norm of the top-``ht_width`` gradient entries, ||HT_w(grad)||^2."""
+    """Squared norm of the top-``ht_width`` gradient entries, ||HT_w(grad)||^2.
+
+    The sum of the ``ht_width`` largest entries of grad * grad; entries
+    tied at the boundary have equal squares, so which of them HT keeps
+    does not change the value.
+    """
     grad = np.asarray(grad, dtype=float)
     if grad.size < ht_width:
         raise ValueError(f"gradient has {grad.size} entries, fewer than ht_width = {ht_width}")
-    g = hard_threshold(grad, ht_width)
-    return float(np.dot(g, g))
+    k = grad.size - ht_width
+    return float(np.partition(grad * grad, k)[k:].sum())
 
 
 def _polyak_step(gap: float, denom: float, stalled: str) -> float:
@@ -292,14 +300,16 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
     """Run configs that share one model in lock step; one trace per config, in order.
 
     The iterates of the cells still running form a B x d array, so each
-    iteration makes one forward product (on the union of their supports)
-    and one gradient matrix product for all of them; a linear gradient
-    multiplies the Gram rows this call has cached for that union.  Which
-    iterations use the rows, and so the last bits of a linear cell,
-    depend on the order in which columns entered the batch's union and
-    on the batch size.  Selection, the step
-    rule, the stop tests and the trace rows are per cell, as in `run`; a
-    cell leaves the batch when it stops.  Raises
+    iteration makes one evaluation for all of them: for a linear model,
+    one product over the columns and Gram rows this call has cached for
+    the union of their supports; otherwise, or until the cache's budget
+    pays for them, a forward product on that union and one gradient
+    matrix product.  Which iterations use the cache, and the slot order
+    its sums run in, depend on the order in which columns entered the
+    batch's union and on the batch size, and so do the last bits of a
+    linear cell.  Selection, the step rule, the stop tests and the trace
+    rows are per cell, as in `run`; a cell leaves the batch when it
+    stops.  Raises
     OptimizerError, naming the iteration and the cell, on a non-finite
     evaluation.
     """
@@ -344,9 +354,10 @@ def run(config: RunConfig, keep_iterates: bool = False) -> RunTrace:
     With keep_iterates, every iterate and every pre-threshold gradient step
     is retained for invariant checks.  This is the one-cell case of
     `run_batch`, whose products on a one-row batch have the bits of the
-    vector products: X[:, S] theta[S] on the iterate's support S and, for
-    the linear family, the gradient from the run's Gram rows of the
-    columns its supports have used (X' r / n for the logistic family, and
-    for an iteration whose new rows the cache cannot yet pay for).
+    vector products: for the linear family, X theta and the gradient from
+    one product over the run's cached columns and Gram rows of the
+    columns its supports have used; for the logistic family, and for an
+    iteration whose new slots the cache cannot yet pay for,
+    X[:, S] theta[S] on the iterate's support S and X' r / n.
     """
     return run_batch([config], keep_iterates)[0]

@@ -104,17 +104,6 @@ def _threshold(V: np.ndarray, s: int, kind: str) -> np.ndarray:
     return out
 
 
-def top_s_support(v: np.ndarray, s: int) -> np.ndarray:
-    """Indices of the ``min(s, len(v))`` largest-magnitude entries.
-
-    Ties are broken by lowest index; the result is sorted ascending.
-    """
-    v = _check_input(v, s)
-    if s >= v.size:
-        return np.arange(v.size)
-    return np.flatnonzero(_top_s_mask(np.abs(v), s)[0])
-
-
 def hard_threshold(v: np.ndarray, s: int) -> np.ndarray:
     """Keep the ``s`` largest-magnitude entries of ``v``, zero the rest."""
     return _threshold(_check_input(v, s), s, HT)

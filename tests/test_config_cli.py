@@ -184,6 +184,18 @@ class TestCliRun:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    def test_sweep_dimension_below_true_sparsity_names_the_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("sweep.d_values = 60,120", "sweep.d_values = 4,120"))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "sweep.d_values" in err and "truth.s_star" in err
+
+    @pytest.mark.parametrize("check_s", [-3, 121])
+    def test_check_sparsity_outside_one_to_d_names_the_key(self, tmp_path, capsys, check_s):
+        cfg = write_config(tmp_path, extra=f"check.s = {check_s}\n")  # design.d = 120
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "check.s" in capsys.readouterr().err
+
     def test_divergent_run_is_numerical_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra="step.kind = fixed\nstep.fixed_gamma = 1e30\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL

@@ -14,12 +14,13 @@ from sparsepolyak.objectives import (
     ObjectiveModel,
     ParamVector,
     _as_params,
+    _forward_product,
     _loss_and_residual,
     _support_union,
     bregman_batch,
-    cumulant,
     gradient,
     objective_value,
+    sigmoid,
     target_value,
     value_and_gradient,
 )
@@ -28,7 +29,7 @@ from sparsepolyak.synthdata import DesignSpec, generate_design
 
 def loss_and_residual(model, theta):
     v = _as_params(model, theta)
-    return _loss_and_residual(model, v, _support_union(v))
+    return _loss_and_residual(model, _forward_product(model, v, _support_union(v)))
 
 
 def finite_difference_gradient(model, theta):
@@ -55,31 +56,37 @@ def random_model(rng, family):
     return ObjectiveModel(family=family, data=Dataset(X=X, y=y))
 
 
+def one_sample(family):
+    """A one-sample, one-feature model with x = 1 and y = 0: U = theta, f = psi(theta)."""
+    return ObjectiveModel(family=family, data=Dataset(X=[[1.0]], y=[0.0]))
+
+
 class TestCumulant:
+    """The cumulant psi and its derivative, through the loss and sigmoid."""
+
     def test_linear_values(self):
-        assert cumulant(LINEAR, 3.0) == (4.5, 3.0)
+        f, g = value_and_gradient(one_sample(LINEAR), [3.0])
+        assert (f, g.tolist()) == (4.5, [3.0])
 
     def test_logistic_symmetry_point(self):
-        val, der = cumulant(LOGISTIC, 0.0)
-        assert val == pytest.approx(math.log(2.0), abs=1e-15)
-        assert der == 0.5
+        assert objective_value(one_sample(LOGISTIC), [0.0]) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert sigmoid(0.0) == 0.5
 
     def test_logistic_saturated_regime(self):
         # log(1 + e^800) differs from 800 by e^-800, far below float64 resolution
-        val, der = cumulant(LOGISTIC, 800.0)
+        val = objective_value(one_sample(LOGISTIC), [800.0])
         assert abs(val - 800.0) <= 1e-12 * 800.0
-        assert der == 1.0
+        assert sigmoid(800.0) == 1.0
 
     def test_logistic_derivative_strict_bounds(self):
         # saturation reaches exactly 0/1 beyond |t| ~ 36 in float64
-        t = np.linspace(-36.0, 36.0, 2001)
-        _, der = cumulant(LOGISTIC, t)
+        der = sigmoid(np.linspace(-36.0, 36.0, 2001))
         assert np.all(der > 0.0)
         assert np.all(der < 1.0)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            cumulant("poisson", 1.0)
+            one_sample("poisson")
 
 
 class TestObjectiveValue:
@@ -336,6 +343,37 @@ class TestGramGradient:
         self.assert_matches_full(model, gram, Theta[::-1])  # stale slots get zero weight
         assert gram.used == 12 and gram.computed == 12 and gram.restarts == 0
 
+    def assert_block_matches_gathered(self, model, gram, Theta):
+        """f and the residual from the slot block against the gathered forward product."""
+        v = _as_params(model, Theta)
+        cols = _support_union(v)
+        Y = gram.product(v, cols)
+        assert Y is not None and Y.shape == v.shape[:-1] + (self.n + self.d,)
+        f, R = _loss_and_residual(model, Y[..., :self.n])
+        f_ref, R_ref = _loss_and_residual(model, _forward_product(model, v, cols))
+        np.testing.assert_allclose(f, f_ref, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(R, R_ref, rtol=1e-13, atol=1e-13 * np.abs(R_ref).max())
+        f_vg, _ = value_and_gradient(model, Theta, gram)
+        assert np.asarray(f_vg).tobytes() == np.asarray(f).tobytes()
+        self.assert_matches_full(model, gram, Theta)
+
+    def test_block_forward_product_matches_the_gathered_one(self):
+        model = self.model()
+        rng = np.random.default_rng(97)
+        gram = GramRows(model)
+        self.assert_block_matches_gathered(model, gram, self.sparse(rng, [3, 7, 11]))
+        Theta = np.zeros((4, self.d))  # the last row stays zero
+        for j, cols in enumerate(([0, 1, 2], [20, 21], [55, 59])):
+            Theta[j] = self.sparse(rng, cols)
+        self.assert_block_matches_gathered(model, gram, Theta)
+        assert gram.used == 10
+        self.assert_block_matches_gathered(model, gram, Theta[[1, 3]])  # 8 stale slots, zero weight
+        assert gram.used == 10 and gram.restarts == 0
+        after = np.array([self.sparse(rng, [30, 31, 32, 33]), self.sparse(rng, [7, 40])])
+        self.assert_block_matches_gathered(model, gram, after)  # 5 new columns do not fit
+        assert gram.restarts == 1 and gram.used == 6
+        self.assert_block_matches_gathered(model, gram, after[0])
+
     def test_union_past_the_cap_takes_the_full_product(self):
         model = self.model()
         rng = np.random.default_rng(67)
@@ -347,7 +385,7 @@ class TestGramGradient:
     def test_cap_is_at_most_the_dimension(self):
         X = np.random.default_rng(83).standard_normal((self.n, 6))
         gram = GramRows(ObjectiveModel(family=LINEAR, data=Dataset(X=X, y=np.ones(self.n))))
-        assert gram.cap == 6 and gram.rows.shape == (6, 6)
+        assert gram.cap == 6 and gram.block.shape == (6, self.n + 6)
 
     def test_rows_wait_for_the_budget(self):
         # a one-row cache that has spent its budget on a full cache regains
@@ -391,8 +429,8 @@ class TestGramGradient:
         full = 0
         for call, start in enumerate(range(45), 1):
             theta = self.sparse(rng, range(start, start + 11))
-            G = gram.gradient(theta, np.flatnonzero(theta))
-            full += G is None
+            Y = gram.product(theta, np.flatnonzero(theta))
+            full += Y is None
             assert gram.computed <= gram.cap + call and gram.used <= gram.cap
         assert gram.restarts >= 2 and full >= 35  # 37 of the 45 calls; 48 rows computed, not 495
 
@@ -402,7 +440,7 @@ class TestGramGradient:
         gram = GramRows(model)
         Theta = np.array([self.sparse(rng, [3, 9]), np.zeros(self.d)])
         assert np.array_equal(value_and_gradient(model, Theta, gram)[1], self.full_gradient(model, Theta))
-        assert gram.used == 0 and gram.rows is None
+        assert gram.used == 0 and gram.block is None
 
 
 class TestDomainTypes:

@@ -80,6 +80,21 @@ class TestStepRules:
         with pytest.raises(ValueError):
             grad_ht_norm_sq(np.array([1.0]), 2)
 
+    def test_grad_ht_norm_sq_boundary_ties(self):
+        # three entries tie at |3| for two slots: any two of them give 18
+        assert grad_ht_norm_sq(np.array([3.0, -3.0, 3.0, 1.0]), 2) == 18.0
+
+    def test_grad_ht_norm_sq_width_equal_to_size(self):
+        assert grad_ht_norm_sq(np.array([1.0, -2.0, 3.0]), 3) == 14.0
+
+    def test_grad_ht_norm_sq_matches_the_hard_threshold_norm(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            g = rng.standard_normal(int(rng.integers(1, 300))) * 10.0 ** rng.uniform(-8, 8)
+            w = int(rng.integers(1, g.size + 1))
+            ht = hard_threshold(g, w)
+            assert grad_ht_norm_sq(g, w) == pytest.approx(float(np.dot(ht, ht)), rel=1e-15, abs=0.0)
+
     def test_classic_polyak_value(self):
         assert classic_polyak_step(10.0, 0.0, np.array([2.0])) == pytest.approx(2.5)
 
@@ -211,12 +226,12 @@ class TestRunLoop:
 def vector_loop(config, full_product=False):
     """The per-cell loop on GEMV products, for linear sparse Polyak cells; the reference for `run`.
 
-    The forward product is X[:, S] theta[S] on the iterate's support S,
-    and the gradient comes from the Gram rows of the columns the supports
-    have used when their budget pays for them, else from X' r / n, as `run`
-    computes them; with full_product, they are the full X theta and
-    X' r / n on a row-major copy of X, kernels that gather no columns (the
-    drift reference).
+    X theta and the gradient come from one product over the cached columns
+    and Gram rows of the columns the supports have used, when their budget
+    pays for them, else from X[:, S] theta[S] on the iterate's support S
+    and X' r / n, as `run` computes them; with full_product, they are the
+    full X theta and X' r / n on a row-major copy of X, kernels that
+    gather no columns (the drift reference).
     """
     model, op, rule = config.model, config.operator, config.step_rule
     X = np.ascontiguousarray(model.data.X) if full_product else model.data.X
@@ -227,12 +242,15 @@ def vector_loop(config, full_product=False):
     rows, status = [], RunStatus.MAX_ITERS
     for t in range(config.max_iters + 1):
         cols = np.flatnonzero(theta)
-        S = slice(None) if full_product else cols
-        r = X[:, S] @ theta[S] - y
-        f = float(0.5 * np.dot(r, r) / n)
-        g = None if full_product else gram.gradient(theta, cols)
-        if g is None:
+        Y = None if full_product else gram.product(theta, cols)
+        if Y is None:
+            S = slice(None) if full_product else cols
+            r = X[:, S] @ theta[S] - y
             g = X.T @ r / n
+        else:
+            r = Y[:n] - y
+            g = Y[n:] - gram.xty
+        f = float(0.5 * np.dot(r, r) / n)
         ht = grad_ht_norm_sq(g, width)
         gamma = sparse_polyak_step(f, rule.f_hat, ht)
         diff = theta - truth

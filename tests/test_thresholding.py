@@ -13,7 +13,6 @@ from sparsepolyak.thresholding import (
     reciprocal_threshold,
     relative_concavity_bound,
     threshold_batch,
-    top_s_support,
 )
 
 
@@ -48,28 +47,39 @@ TIE_CASES = [
 ]
 
 
+def ht_support(v, s):
+    """The support HT keeps: its nonzero entries, in ascending order."""
+    return np.flatnonzero(hard_threshold(v, s))
+
+
+def reference_nonzero_support(v, s):
+    """The nonzero entries of the stable-sort support."""
+    ref = reference_support(v, s)
+    return ref[v[ref] != 0.0]
+
+
 class TestTopSSupport:
     def test_distinct_magnitudes(self):
-        assert top_s_support(np.array([3.0, -5.0, 2.0, 0.5]), 2).tolist() == [0, 1]
+        assert ht_support(np.array([3.0, -5.0, 2.0, 0.5]), 2).tolist() == [0, 1]
 
     def test_tie_break_lowest_index(self):
-        assert top_s_support(np.array([2.0, 2.0, 2.0]), 2).tolist() == [0, 1]
+        assert ht_support(np.array([2.0, 2.0, 2.0]), 2).tolist() == [0, 1]
         # five entries tie at magnitude 1 (0, 2, 4, 6, 8); two slots remain for them
-        assert top_s_support(TIE_CASES[0], 4).tolist() == [0, 1, 2, 5]
+        assert ht_support(TIE_CASES[0], 4).tolist() == [0, 1, 2, 5]
         for v in TIE_CASES:
             for s in range(1, v.size + 2):
-                assert top_s_support(v, s).tolist() == reference_support(v, s).tolist()
+                assert ht_support(v, s).tolist() == reference_nonzero_support(v, s).tolist()
                 for kind, fn in ((HT, hard_threshold), (RT, reciprocal_threshold)):
                     assert fn(v, s).tobytes() == reference_threshold(v, s, kind).tobytes()
 
     def test_s_exceeding_dimension_clamps(self):
-        assert top_s_support(np.array([7.0]), 3).tolist() == [0]
+        assert ht_support(np.array([7.0]), 3).tolist() == [0]
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            top_s_support(np.array([1.0, 2.0]), 0)
+            hard_threshold(np.array([1.0, 2.0]), 0)
         with pytest.raises(ValueError):
-            top_s_support(np.array([]), 1)
+            hard_threshold(np.array([]), 1)
 
 
 class TestHardThreshold:
