@@ -37,9 +37,7 @@ from .dataio import (
 )
 from .diagnostics import (
     active_median_step,
-    check_rsc,
-    check_rss,
-    check_weak_rsc,
+    check_assumptions,
     default_ht_width,
     grid_seed_cells,
     iters_to_plateau,
@@ -178,6 +176,11 @@ def _sweep_cell_task(base_design, truth_s_star, noise, s, d, seed, max_iters, n_
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
+    if not cfg.sweep_d_values:
+        raise ConfigError("sweep.d_values: dimension list must be nonempty")
+    if any(d < cfg.truth.s_star for d in cfg.sweep_d_values):
+        raise ConfigError(f"sweep.d_values: every dimension must be >= truth.s_star = "
+                          f"{cfg.truth.s_star}, got {cfg.sweep_d_values}")
     ht_width = _resolve_ht_width(cfg)
     items = [
         (cfg.design, cfg.truth.s_star, cfg.noise, cfg.operator_s, d, seed,
@@ -254,11 +257,7 @@ def cmd_check(cfg: ExperimentConfig, out_root: Path) -> int:
     model, _, _ = make_instance(cfg.design, cfg.truth, cfg.noise, cfg.seed)
     base = compute_regularity(cfg.design, cfg.check_s)
     params = RegularityParams(mu=base.mu * cfg.check_mu_scale, L=base.L, tau=base.tau, s=base.s)
-    reports = [
-        check_rsc(model, params, cfg.check_pairs, cfg.seed),
-        check_rss(model, params, cfg.check_pairs, cfg.seed),
-        check_weak_rsc(model, params, cfg.check_pairs, cfg.seed),
-    ]
+    reports = check_assumptions(model, params, cfg.check_pairs, cfg.seed)
     payload = {
         "constants": {"mu": params.mu, "L": params.L, "tau": params.tau, "s": params.s,
                       "mu_bar": params.mu_bar, "L_bar": params.L_bar,

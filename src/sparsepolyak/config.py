@@ -229,9 +229,6 @@ def resolve_config(values: dict) -> ExperimentConfig:
 
     if any(dv < 2 for dv in merged["sweep.d_values"]):
         raise ConfigError(f"sweep.d_values: dimensions must be >= 2, got {merged['sweep.d_values']}")
-    if any(dv < s_star for dv in merged["sweep.d_values"]):
-        raise ConfigError(f"sweep.d_values: every dimension must be >= truth.s_star = {s_star}, "
-                          f"got {merged['sweep.d_values']}")
     for key in ("concavity.trials", "check.pairs", "run.max_iters"):
         if merged[key] < 1:
             raise ConfigError(f"{key}: must be >= 1, got {merged[key]}")

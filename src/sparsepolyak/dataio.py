@@ -1,11 +1,7 @@
-"""File formats: dataset containers, run traces, summaries, manifests.
+"""File formats: the dataset container, run traces, summaries, manifests.
 
-Datasets rides in two interchangeable containers:
-
-* CSV - one row per sample, d feature columns then the response column,
-  written with 17 significant digits so float64 values round-trip exactly.
-* NPZ - binary arrays X, y plus a JSON metadata header (n, d, family,
-  seed, schema version) for exact replay.
+A dataset is written as NPZ: binary arrays X, y plus a JSON metadata header
+(n, d, family, seed, schema version) for exact replay.
 
 Run traces are CSV with the fixed header
 ``iter,f_value,step_size,grad_ht_norm_sq,error_sq,support_size`` and 12
@@ -111,21 +107,6 @@ def write_manifest(path, echo: dict, seeds: list[int], toolkit_version: str) -> 
         "config_hash": config_hash(echo),
     }
     atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def dataset_to_csv(data: Dataset, path) -> None:
-    rows = []
-    for i in range(data.n):
-        feats = ",".join(f"{v:.17g}" for v in data.X[i])
-        rows.append(f"{feats},{data.y[i]:.17g}")
-    atomic_write_text(path, "\n".join(rows) + "\n")
-
-
-def dataset_from_csv(path) -> Dataset:
-    raw = np.loadtxt(path, delimiter=",", ndmin=2)
-    if raw.shape[1] < 2:
-        raise ValueError("dataset CSV needs at least one feature column and a response column")
-    return Dataset(X=raw[:, :-1], y=raw[:, -1])
 
 
 def dataset_to_npz(data: Dataset, path, family: str, seed: int) -> None:

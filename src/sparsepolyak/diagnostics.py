@@ -1,19 +1,19 @@
-"""Empirical verification: curvature assumptions, contraction, operator comparison.
+"""Empirical verification: curvature assumptions, contraction, grid cells.
 
-The assumption checkers sample parameter pairs from a fixed mixture and
-count violations of the restricted-curvature inequalities for supplied
-constants (mu, L, tau).  They are samplers, not provers: zero violations
-certifies the constants on the tested pairs only, while any violation is a
-counterexample.
+`check_assumptions` samples parameter pairs from a fixed mixture once and
+counts violations of the three restricted-curvature inequalities (rsc, rss,
+weak_rsc) for supplied constants (mu, L, tau).  It is a sampler, not a
+prover: zero violations certifies the constants on the tested pairs only,
+while any violation is a counterexample.
 
 Plateau detection is measurement-based: the floor of a run is the median
 of the last 10% of recorded squared errors, and iterations-to-floor is the
 first time the error enters a small band above that level.
 
 `run_instance_cells` is the one cell loop behind the grid and sweep
-commands, `compare_operators` and `run_cell`: it generates a seed's instance once and
-advances all of its (operator, step rule) cells from zero in one lock-step
-batch (`optimizer.run_batch`), then measures each cell's plateau.
+commands: it generates a seed's instance once and advances all of its
+(operator, step rule) cells from zero in one lock-step batch
+(`optimizer.run_batch`), then measures each cell's plateau.
 """
 
 from dataclasses import dataclass
@@ -110,36 +110,6 @@ def _sample_pairs(dim: int, s: int, pairs: int, rng: np.random.Generator):
     return Theta1, Theta2
 
 
-def _curvature_slacks(
-    model: ObjectiveModel,
-    params: RegularityParams,
-    pairs: int,
-    seed: int,
-    assumption: str,
-) -> np.ndarray:
-    rng = substream(seed, STREAM_CHECK)
-    Theta1, Theta2 = _sample_pairs(model.dim, params.s, pairs, rng)
-    breg = bregman_batch(model, Theta1, Theta2)
-    diff = Theta1 - Theta2
-    n2 = np.einsum("ij,ij->i", diff, diff)
-    n1_sq = np.sum(np.abs(diff), axis=1) ** 2
-
-    if assumption == RSS:
-        bound = 0.5 * params.L * n2 + 0.5 * params.tau * n1_sq
-        return bound - breg
-    if assumption == RSC:
-        bound = 0.5 * params.mu * n2 - 0.5 * params.tau * n1_sq
-        return breg - bound
-    if assumption == WEAK_RSC:
-        norm2 = np.sqrt(n2)
-        quad = 0.5 * params.mu * n2 - 0.5 * params.tau * n1_sq
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lin = norm2 * (0.5 * params.mu - 0.5 * params.tau * np.where(n2 > 0, n1_sq / n2, 0.0))
-        bound = np.where(norm2 <= 1.0, quad, lin)
-        return breg - bound
-    raise ValueError(f"unknown assumption {assumption!r}")
-
-
 def _report(assumption: str, slacks: np.ndarray) -> AssumptionReport:
     scale = 1.0 + np.abs(slacks)
     violations = int(np.sum(slacks < -_VIOLATION_RTOL * scale))
@@ -151,25 +121,33 @@ def _report(assumption: str, slacks: np.ndarray) -> AssumptionReport:
     )
 
 
-def check_rsc(model: ObjectiveModel, params: RegularityParams, pairs: int, seed: int) -> AssumptionReport:
-    """Sample the lower curvature inequality with an l1-squared allowance."""
+def check_assumptions(
+    model: ObjectiveModel, params: RegularityParams, pairs: int, seed: int
+) -> list[AssumptionReport]:
+    """Sample the rsc, rss and weak_rsc inequalities on one set of pairs.
+
+    With D the Bregman divergence and delta = theta1 - theta2, the slacks are
+    rsc: D - (mu/2 ||delta||^2 - tau/2 ||delta||_1^2); rss: (L/2 ||delta||^2
+    + tau/2 ||delta||_1^2) - D; weak_rsc: the rsc slack for ||delta|| <= 1,
+    else D - ||delta|| (mu/2 - tau/2 ||delta||_1^2 / ||delta||^2).  The pairs
+    and divergences are computed once; reports come in that order.
+    """
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
-    return _report(RSC, _curvature_slacks(model, params, pairs, seed, RSC))
+    rng = substream(seed, STREAM_CHECK)
+    Theta1, Theta2 = _sample_pairs(model.dim, params.s, pairs, rng)
+    breg = bregman_batch(model, Theta1, Theta2)
+    diff = Theta1 - Theta2
+    n2 = np.einsum("ij,ij->i", diff, diff)
+    n1_sq = np.sum(np.abs(diff), axis=1) ** 2
 
-
-def check_rss(model: ObjectiveModel, params: RegularityParams, pairs: int, seed: int) -> AssumptionReport:
-    """Sample the upper curvature inequality with an l1-squared allowance."""
-    if pairs < 1:
-        raise ValueError("pairs must be >= 1")
-    return _report(RSS, _curvature_slacks(model, params, pairs, seed, RSS))
-
-
-def check_weak_rsc(model: ObjectiveModel, params: RegularityParams, pairs: int, seed: int) -> AssumptionReport:
-    """Sample the two-branch lower inequality (linear growth for far pairs)."""
-    if pairs < 1:
-        raise ValueError("pairs must be >= 1")
-    return _report(WEAK_RSC, _curvature_slacks(model, params, pairs, seed, WEAK_RSC))
+    quad = 0.5 * params.mu * n2 - 0.5 * params.tau * n1_sq
+    upper = 0.5 * params.L * n2 + 0.5 * params.tau * n1_sq
+    norm2 = np.sqrt(n2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lin = norm2 * (0.5 * params.mu - 0.5 * params.tau * np.where(n2 > 0, n1_sq / n2, 0.0))
+    weak = np.where(norm2 <= 1.0, quad, lin)
+    return [_report(RSC, breg - quad), _report(RSS, upper - breg), _report(WEAK_RSC, breg - weak)]
 
 
 def contraction_profile(trace: RunTrace, floor: float):
@@ -269,20 +247,6 @@ def default_ht_width(family: str) -> str:
     return WIDTH_2S if family == LOGISTIC else WIDTH_S
 
 
-def run_cell(
-    design: DesignSpec,
-    truth: TruthSpec,
-    noise: NoiseSpec,
-    op: ThresholdSpec,
-    seed: int,
-    max_iters: int,
-    step_kind: str = SPARSE_POLYAK,
-    ht_width: str | None = None,
-) -> RunTrace:
-    """One (operator, s, seed) run on a freshly generated instance; a one-cell `run_instance_cells`."""
-    return run_instance_cells(design, truth, noise, seed, [(op, step_kind)], max_iters, ht_width)[0][0]
-
-
 def run_instance_cells(
     design: DesignSpec,
     truth: TruthSpec,
@@ -366,28 +330,3 @@ def summarize_comparison(detail, s_grid: list[int]) -> dict[str, ComparisonRow]:
             iters_to_floor=int(np.median(floors[(kind, best_s)])),
         )
     return rows
-
-
-def compare_operators(
-    design: DesignSpec,
-    truth: TruthSpec,
-    noise: NoiseSpec,
-    s_grid: list[int],
-    seeds: list[int],
-    max_iters: int,
-    step_kind: str = SPARSE_POLYAK,
-    ht_width: str | None = None,
-):
-    """Grid-search both operators over (s, seed) and pick each one's best s.
-
-    Returns ({kind: ComparisonRow}, detail) where detail rows are
-    (kind, s, seed, final_error_sq, iters_to_floor) for every cell, seeds
-    outermost, suitable for CSV export.
-    """
-    if not s_grid:
-        raise ValueError("s grid must be nonempty")
-    if not seeds:
-        raise ValueError("seed list must be nonempty")
-    detail = [row for seed in seeds for row in grid_seed_cells(
-        design, truth, noise, s_grid, seed, max_iters, step_kind=step_kind, ht_width=ht_width)]
-    return summarize_comparison(detail, s_grid), detail

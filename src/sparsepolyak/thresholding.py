@@ -162,9 +162,8 @@ class ConcavityEstimate:
             raise ValueError("need s_star <= s <= dim")
 
 
-def _pair_ratios(Y: np.ndarray, Z: np.ndarray, s: int, kind: str) -> np.ndarray:
-    """Concavity ratios for row-paired (y, z); pairs with y = Phi(z) are dropped."""
-    P = threshold_batch(Z, s, kind)
+def _pair_ratios(Y: np.ndarray, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Concavity ratios for row-paired (y, z), P = Phi(Z); pairs with y = Phi(z) are dropped."""
     R = Z - P
     W = Y - P
     num = np.einsum("ij,ij->i", W, R)
@@ -173,15 +172,14 @@ def _pair_ratios(Y: np.ndarray, Z: np.ndarray, s: int, kind: str) -> np.ndarray:
     return num[ok] / den[ok]
 
 
-def _best_response(Z: np.ndarray, s: int, kind: str, s_star: int) -> np.ndarray:
+def _best_response(Z: np.ndarray, P: np.ndarray, s_star: int) -> np.ndarray:
     """Per-row s*-sparse y maximizing the ratio over supports off the kept set.
 
-    For y supported on T disjoint from the kept support, the ratio is
-    (c A - q) / (c^2 A + B) with A = ||r_T||^2, B = ||Phi(z)||^2,
+    For y supported on T disjoint from the kept support of P = Phi(Z), the
+    ratio is (c A - q) / (c^2 A + B) with A = ||r_T||^2, B = ||Phi(z)||^2,
     q = <Phi(z), z - Phi(z)> and y = c r_T; the best T is the top-s* of the
     off-support residual and the optimal scale is c = (q + sqrt(q^2+AB))/A.
     """
-    P = threshold_batch(Z, s, kind)
     R = Z - P
     Rm = np.where(P != 0.0, 0.0, R)
     nrows, dim = Z.shape
@@ -197,6 +195,21 @@ def _best_response(Z: np.ndarray, s: int, kind: str, s_star: int) -> np.ndarray:
     good = A > 0.0
     c[good] = (q[good] + np.sqrt(q[good] ** 2 + A[good] * B[good])) / A[good]
     return c[:, None] * rT
+
+
+def _batch_max_ratio(Y: np.ndarray, Z: np.ndarray, op: ThresholdSpec, s_star: int) -> tuple[float, int]:
+    """Largest ratio over the pairs (Y, Z) and (best response, Z), and the pair count.
+
+    Z is thresholded once; both candidate sets reuse the result.
+    """
+    P = threshold_batch(Z, op.s, op.kind)
+    best, total = 0.0, 0
+    for cand in (Y, _best_response(Z, P, s_star)):
+        r = _pair_ratios(cand, Z, P)
+        if r.size:
+            best = max(best, float(r.max()))
+        total += r.size
+    return best, total
 
 
 def _structured_pairs(s: int, s_star: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -259,20 +272,16 @@ def empirical_relative_concavity(
         Y = np.zeros((b, dim))
         scale = 10.0 ** rng.uniform(-1.0, 1.5, size=(b, 1))
         Y[rows, idx] = rng.standard_normal((b, min(s_star, dim))) * scale
-        for cand in (Y, _best_response(Z, s, op.kind, s_star)):
-            r = _pair_ratios(cand, Z, s, op.kind)
-            if r.size:
-                best = max(best, float(r.max()))
-            total += r.size
+        batch_best, pairs = _batch_max_ratio(Y, Z, op, s_star)
+        best = max(best, batch_best)
+        total += pairs
         done += b
 
     Ys, Zs = _structured_pairs(s, s_star, dim)
     if Zs.size:
-        for cand in (Ys, _best_response(Zs, s, op.kind, s_star)):
-            r = _pair_ratios(cand, Zs, s, op.kind)
-            if r.size:
-                best = max(best, float(r.max()))
-            total += r.size
+        batch_best, pairs = _batch_max_ratio(Ys, Zs, op, s_star)
+        best = max(best, batch_best)
+        total += pairs
 
     return ConcavityEstimate(
         operator=op,

@@ -22,13 +22,11 @@ import pytest
 from sparsepolyak.dataio import trace_csv_text
 from sparsepolyak.diagnostics import (
     active_median_step,
-    check_rsc,
-    check_rss,
+    check_assumptions,
     contraction_profile,
     iters_to_plateau,
     make_instance,
     plateau_level,
-    run_cell,
     run_instance_cells,
     summarize_comparison,
 )
@@ -272,8 +270,9 @@ class TestC05ContractionAndFloor:
         pooled_ratios = []
         confinement_ok = []
         for seed in SEEDS:
-            trace = run_cell(design, truth, noise, ThresholdSpec(kind=RT, s=chosen_s), seed,
-                             max_iters=1500)
+            trace = run_instance_cells(design, truth, noise, seed,
+                                       [(ThresholdSpec(kind=RT, s=chosen_s), SPARSE_POLYAK)],
+                                       max_iters=1500)[0][0]
             level = plateau_level(trace.error_sq)
             ratios, _ = contraction_profile(trace, floor=level)
             pooled_ratios.extend(ratios.tolist())
@@ -396,12 +395,11 @@ class TestC09AssumptionCheckers:
         model, _, _ = make_instance(design, TruthSpec(d=d, s_star=10),
                                     NoiseSpec(family=LINEAR, sigma=0.5), seed=0)
         params = compute_regularity(design, s)
-        sound_rsc = check_rsc(model, params, pairs=10000, seed=0)
-        sound_rss = check_rss(model, params, pairs=10000, seed=0)
+        sound_rsc, sound_rss, _ = check_assumptions(model, params, pairs=10000, seed=0)
         from sparsepolyak.synthdata import RegularityParams
 
         inflated = RegularityParams(mu=10.0 * params.mu, L=params.L, tau=params.tau, s=s)
-        power = check_rsc(model, inflated, pairs=10000, seed=0)
+        power = check_assumptions(model, inflated, pairs=10000, seed=0)[0]
         ok = sound_rsc.violations == 0 and sound_rss.violations == 0 and power.violations > 0
         elapsed = time.time() - t0
         report(9, ok,
@@ -426,8 +424,9 @@ class TestC10Determinism:
         noise = NoiseSpec(family=LINEAR, sigma=sigma)
         texts = []
         for _ in range(2):
-            trace = run_cell(design, truth, noise, ThresholdSpec(kind=RT, s=100), seed=0,
-                             max_iters=1500)
+            trace = run_instance_cells(design, truth, noise, 0,
+                                       [(ThresholdSpec(kind=RT, s=100), SPARSE_POLYAK)],
+                                       max_iters=1500)[0][0]
             texts.append(trace_csv_text(trace))
         ok = texts[0] == texts[1]
         elapsed = time.time() - t0

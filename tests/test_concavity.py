@@ -2,6 +2,7 @@
 
 import pytest
 
+from sparsepolyak import thresholding
 from sparsepolyak.thresholding import (
     HT,
     RT,
@@ -61,3 +62,18 @@ class TestOracleContract:
         # s = dim: the operator is the identity, the residual vanishes
         est = empirical_relative_concavity(ThresholdSpec(kind=HT, s=4), 2, 4, 2000, seed=3)
         assert est.estimate == 0.0
+
+    @pytest.mark.parametrize("kind", [HT, RT])
+    def test_each_batch_is_thresholded_once(self, monkeypatch, kind):
+        # 45000 trials in batches of 20000: three random batches plus the
+        # structured one; the random y and the best response share Phi(Z)
+        calls = []
+        original = thresholding._threshold
+
+        def counting(V, *args):
+            calls.append(V.shape[0])
+            return original(V, *args)
+
+        monkeypatch.setattr(thresholding, "_threshold", counting)
+        empirical_relative_concavity(ThresholdSpec(kind=kind, s=2), 1, 8, 45000, seed=5)
+        assert calls == [20000, 20000, 5000, 50]

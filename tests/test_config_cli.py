@@ -90,6 +90,15 @@ class TestResolution:
         with pytest.raises(ConfigError, match="operator.s"):
             resolve_config({"design.d": 10, "truth.s_star": 2, "operator.s": 11})
 
+    def test_empty_seed_list_names_the_key(self):
+        with pytest.raises(ConfigError, match="grid.seeds"):
+            resolve_config({"grid.seeds": []})
+
+    def test_sweep_dimensions_are_not_checked_outside_the_sweep(self):
+        # the default sweep.d_values = 250,500,1000 lie below these s*
+        for s_star in (300, 600):
+            assert resolve_config({"truth.s_star": s_star}).truth.s_star == s_star
+
     def test_f_hat_literal(self):
         cfg = resolve_config({"step.f_hat": "0.25"})
         assert cfg.f_hat == 0.25
@@ -189,6 +198,16 @@ class TestCliRun:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "sweep.d_values" in err and "truth.s_star" in err
+
+    def test_empty_sweep_dimension_list_names_the_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("sweep.d_values = 60,120", "sweep.d_values ="))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "sweep.d_values" in capsys.readouterr().err
+
+    def test_run_ignores_sweep_dimensions_below_true_sparsity(self, tmp_path):
+        # the default sweep.d_values = 250,500,1000 only constrain the sweep
+        cfg = write_config(tmp_path, text="truth.s_star = 300\nrun.max_iters = 3\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
 
     @pytest.mark.parametrize("check_s", [-3, 121])
     def test_check_sparsity_outside_one_to_d_names_the_key(self, tmp_path, capsys, check_s):

@@ -11,9 +11,7 @@ from sparsepolyak.dataio import (
     TRACE_HEADER,
     atomic_write_text,
     config_hash,
-    dataset_from_csv,
     dataset_from_npz,
-    dataset_to_csv,
     dataset_to_npz,
     trace_csv_text,
     write_summary_json,
@@ -62,21 +60,6 @@ class TestTraceCsv:
 
 
 class TestDatasetContainers:
-    def test_csv_round_trip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(0)
-        data = Dataset(X=rng.standard_normal((7, 3)), y=rng.standard_normal(7))
-        path = tmp_path / "data.csv"
-        dataset_to_csv(data, path)
-        loaded = dataset_from_csv(path)
-        assert loaded.X.tobytes() == data.X.tobytes()
-        assert loaded.y.tobytes() == data.y.tobytes()
-
-    def test_csv_shape_contract(self, tmp_path):
-        path = tmp_path / "one_col.csv"
-        path.write_text("1.0\n2.0\n")
-        with pytest.raises(ValueError):
-            dataset_from_csv(path)
-
     def test_npz_round_trip_with_metadata(self, tmp_path):
         rng = np.random.default_rng(1)
         data = Dataset(X=rng.standard_normal((5, 4)), y=rng.standard_normal(5))

@@ -1,23 +1,25 @@
-"""Diagnostics tests: checker soundness and power, profiles, operator comparison."""
+"""Diagnostics tests: checker soundness, power and slacks, profiles, operator comparison."""
 
 import numpy as np
 import pytest
 
 from sparsepolyak.diagnostics import (
+    _VIOLATION_RTOL,
+    _sample_pairs,
     active_median_step,
-    check_rsc,
-    check_rss,
-    check_weak_rsc,
-    compare_operators,
+    check_assumptions,
     contraction_profile,
     decomposition_margins,
+    grid_seed_cells,
     iters_to_plateau,
     make_instance,
     plateau_level,
+    run_instance_cells,
     summarize_comparison,
 )
-from sparsepolyak.objectives import LINEAR, LOGISTIC, ParamVector
-from sparsepolyak.optimizer import RunStatus, RunTrace
+from sparsepolyak.objectives import LINEAR, LOGISTIC, ParamVector, bregman_batch
+from sparsepolyak.optimizer import SPARSE_POLYAK, RunStatus, RunTrace
+from sparsepolyak.rng import STREAM_CHECK, substream
 from sparsepolyak.synthdata import (
     DesignSpec,
     NoiseSpec,
@@ -25,7 +27,7 @@ from sparsepolyak.synthdata import (
     TruthSpec,
     compute_regularity,
 )
-from sparsepolyak.thresholding import HT, RT
+from sparsepolyak.thresholding import HT, RT, ThresholdSpec
 
 
 def trace_from_errors(errors, status=RunStatus.MAX_ITERS):
@@ -57,67 +59,105 @@ def linear_checker_instance():
     return model, params
 
 
+@pytest.fixture(scope="module")
+def logistic_checker_instance():
+    d, s = 200, 16
+    n = int(np.ceil(4 * s * np.log(d)))
+    design = DesignSpec(n=n, d=d, omega=0.5)
+    model, _, _ = make_instance(design, TruthSpec(d=d, s_star=8), NoiseSpec(family=LOGISTIC), seed=0)
+    return model, compute_regularity(design, s)
+
+
+def check(model, params, pairs, seed):
+    """check_assumptions' reports keyed by assumption name."""
+    return {report.assumption: report for report in check_assumptions(model, params, pairs, seed)}
+
+
 class TestCheckerSoundness:
     def test_exact_constants_pass_rsc_and_rss(self, linear_checker_instance):
         model, params = linear_checker_instance
-        for checker in (check_rsc, check_rss):
-            report = checker(model, params, pairs=10000, seed=1)
-            assert report.pairs_tested == 10000
-            assert report.violations == 0
-            assert report.worst_margin >= 0.0
+        reports = check(model, params, pairs=10000, seed=1)
+        for name in ("rsc", "rss"):
+            assert reports[name].pairs_tested == 10000
+            assert reports[name].violations == 0
+            assert reports[name].worst_margin >= 0.0
 
     def test_zero_constants_pass_by_convexity(self, linear_checker_instance):
         model, params = linear_checker_instance
         degenerate = RegularityParams(mu=1e-300, L=params.L, tau=0.0, s=params.s)
-        report = check_rsc(model, degenerate, pairs=5000, seed=2)
-        assert report.violations == 0
+        assert check(model, degenerate, pairs=5000, seed=2)["rsc"].violations == 0
 
     def test_weak_rsc_holds_for_linear(self, linear_checker_instance):
         # the quadratic-growth inequality implies the two-branch variant
         model, params = linear_checker_instance
-        report = check_weak_rsc(model, params, pairs=10000, seed=3)
-        assert report.violations == 0
+        assert check(model, params, pairs=10000, seed=3)["weak_rsc"].violations == 0
 
 
 class TestCheckerPower:
     def test_inflated_mu_is_caught(self, linear_checker_instance):
         model, params = linear_checker_instance
         inflated = RegularityParams(mu=10.0 * params.mu, L=params.L, tau=params.tau, s=params.s)
-        report = check_rsc(model, inflated, pairs=10000, seed=4)
+        report = check(model, inflated, pairs=10000, seed=4)["rsc"]
         assert report.violations > 0
         assert report.worst_margin < 0.0
 
     def test_deflated_smoothness_is_caught(self, linear_checker_instance):
         model, params = linear_checker_instance
         broken = RegularityParams(mu=params.mu, L=params.mu, tau=0.0, s=params.s)
-        report = check_rss(model, broken, pairs=10000, seed=5)
-        assert report.violations > 0
+        assert check(model, broken, pairs=10000, seed=5)["rss"].violations > 0
 
 
 class TestLogisticWeakRsc:
-    def test_conservative_constants_pass(self):
-        d, s = 200, 16
-        n = int(np.ceil(4 * s * np.log(d)))
-        design = DesignSpec(n=n, d=d, omega=0.5)
-        model, _, _ = make_instance(design, TruthSpec(d=d, s_star=8), NoiseSpec(family=LOGISTIC), seed=0)
-        base = compute_regularity(design, s)
+    def test_conservative_constants_pass(self, logistic_checker_instance):
+        model, base = logistic_checker_instance
         # logistic curvature is at most a 1/4 of the quadratic one near the
         # origin and degrades with |x' theta|; an order-of-magnitude haircut
         # on mu is the documented conservative plug-in
-        params = RegularityParams(mu=base.mu / 20.0, L=base.L, tau=base.tau, s=s)
-        report = check_weak_rsc(model, params, pairs=10000, seed=6)
-        assert report.violations == 0
+        params = RegularityParams(mu=base.mu / 20.0, L=base.L, tau=base.tau, s=base.s)
+        assert check(model, params, pairs=10000, seed=6)["weak_rsc"].violations == 0
 
-    def test_quadratic_mu_fails_far_from_origin(self):
+    def test_quadratic_mu_fails_far_from_origin(self, logistic_checker_instance):
         # logistic loss grows linearly, so the quadratic-branch constant of
         # the linear family must be rejected by the two-branch checker
-        d, s = 200, 16
-        n = int(np.ceil(4 * s * np.log(d)))
-        design = DesignSpec(n=n, d=d, omega=0.5)
-        model, _, _ = make_instance(design, TruthSpec(d=d, s_star=8), NoiseSpec(family=LOGISTIC), seed=0)
-        base = compute_regularity(design, s)
-        report = check_rsc(model, base, pairs=10000, seed=7)
-        assert report.violations > 0
+        model, base = logistic_checker_instance
+        assert check(model, base, pairs=10000, seed=7)["rsc"].violations > 0
+
+
+class TestCheckerSlacks:
+    """check_assumptions against the three slack formulas written out here."""
+
+    @staticmethod
+    def expected(model, params, pairs, seed):
+        Theta1, Theta2 = _sample_pairs(model.dim, params.s, pairs, substream(seed, STREAM_CHECK))
+        breg = bregman_batch(model, Theta1, Theta2)
+        diff = Theta1 - Theta2
+        n2 = np.einsum("ij,ij->i", diff, diff)
+        n1_sq = np.sum(np.abs(diff), axis=1) ** 2
+        mu, L, tau = params.mu, params.L, params.tau
+        rsc = breg - (0.5 * mu * n2 - 0.5 * tau * n1_sq)
+        rss = (0.5 * L * n2 + 0.5 * tau * n1_sq) - breg
+        with np.errstate(divide="ignore", invalid="ignore"):
+            far = np.sqrt(n2) * (0.5 * mu - 0.5 * tau * np.where(n2 > 0, n1_sq / n2, 0.0))
+        weak_rsc = breg - np.where(np.sqrt(n2) <= 1.0, 0.5 * mu * n2 - 0.5 * tau * n1_sq, far)
+        return [
+            (name, int(np.sum(slack < -_VIOLATION_RTOL * (1.0 + np.abs(slack)))), float(slack.min()))
+            for name, slack in (("rsc", rsc), ("rss", rss), ("weak_rsc", weak_rsc))
+        ]
+
+    @pytest.mark.parametrize("mu_scale", [1.0, 10.0])
+    def test_linear_reports_match_the_formulas(self, linear_checker_instance, mu_scale):
+        model, base = linear_checker_instance
+        params = RegularityParams(mu=mu_scale * base.mu, L=base.L, tau=base.tau, s=base.s)
+        reports = check_assumptions(model, params, pairs=2000, seed=11)
+        assert [(r.assumption, r.violations, r.worst_margin) for r in reports] == \
+            self.expected(model, params, 2000, 11)
+        assert all(r.pairs_tested == 2000 for r in reports)
+
+    def test_logistic_reports_match_the_formulas(self, logistic_checker_instance):
+        model, params = logistic_checker_instance
+        reports = check_assumptions(model, params, pairs=2000, seed=12)
+        assert [(r.assumption, r.violations, r.worst_margin) for r in reports] == \
+            self.expected(model, params, 2000, 12)
 
 
 class TestContractionProfile:
@@ -176,8 +216,8 @@ class TestCompareOperators:
         design = DesignSpec(n=n, d=d, omega=0.0)
         truth = TruthSpec(d=d, s_star=s_star)
         noise = NoiseSpec(family=LINEAR, sigma=1e-12)
-        rows, detail = compare_operators(design, truth, noise, s_grid=[s_star], seeds=[0],
-                                         max_iters=400)
+        detail = grid_seed_cells(design, truth, noise, [s_star], seed=0, max_iters=400)
+        rows = summarize_comparison(detail, [s_star])
         assert rows[HT].best_s == s_star
         assert rows[RT].best_s == s_star
         assert rows[HT].final_error_sq < 1e-8
@@ -192,29 +232,18 @@ class TestCompareOperators:
         design = DesignSpec(n=n, d=d, omega=0.5)
         truth = TruthSpec(d=d, s_star=s_star)
         noise = NoiseSpec(family=LINEAR, sigma=0.5)
-        from sparsepolyak.diagnostics import run_cell
-        from sparsepolyak.thresholding import ThresholdSpec
 
         medians = {}
         for kind in (HT, RT):
             ratios_all = []
             for seed in range(5):
-                trace = run_cell(design, truth, noise, ThresholdSpec(kind=kind, s=4 * s_star),
-                                 seed, max_iters=500)
+                cell = (ThresholdSpec(kind=kind, s=4 * s_star), SPARSE_POLYAK)
+                trace = run_instance_cells(design, truth, noise, seed, [cell], max_iters=500)[0][0]
                 level = plateau_level(trace.error_sq)
                 ratios, _ = contraction_profile(trace, floor=level)
                 ratios_all.extend(ratios.tolist())
             medians[kind] = float(np.median(ratios_all))
         assert medians[RT] <= medians[HT] + 0.02
-
-    def test_empty_grid_rejected(self):
-        design = DesignSpec(n=10, d=5, omega=0.0)
-        truth = TruthSpec(d=5, s_star=2)
-        noise = NoiseSpec(family=LINEAR, sigma=0.5)
-        with pytest.raises(ValueError):
-            compare_operators(design, truth, noise, s_grid=[], seeds=[0], max_iters=10)
-        with pytest.raises(ValueError):
-            compare_operators(design, truth, noise, s_grid=[2], seeds=[], max_iters=10)
 
     def test_summarize_comparison_picks_min_median(self):
         detail = [
@@ -236,4 +265,4 @@ class TestReportValidation:
     def test_pairs_must_be_positive(self, linear_checker_instance):
         model, params = linear_checker_instance
         with pytest.raises(ValueError):
-            check_rsc(model, params, pairs=0, seed=0)
+            check_assumptions(model, params, pairs=0, seed=0)
