@@ -304,6 +304,8 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = load_config(args.config) if args.config else resolve_config({})
         if args.seed is not None:
             cfg.seed = args.seed

@@ -226,6 +226,10 @@ def resolve_config(values: dict) -> ExperimentConfig:
     seeds = merged["grid.seeds"]
     if not seeds:
         raise ConfigError("grid.seeds: seed list must be nonempty")
+    if any(seed < 0 for seed in seeds):
+        raise ConfigError(f"grid.seeds: seeds must be >= 0, got {seeds}")
+    if merged["run.seed"] < 0:
+        raise ConfigError(f"run.seed: must be >= 0, got {merged['run.seed']}")
 
     if any(dv < 2 for dv in merged["sweep.d_values"]):
         raise ConfigError(f"sweep.d_values: dimensions must be >= 2, got {merged['sweep.d_values']}")

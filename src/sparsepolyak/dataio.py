@@ -12,6 +12,7 @@ files get the umask's default mode, as with a plain ``open``.
 
 import hashlib
 import json
+import math
 import os
 import secrets
 from contextlib import contextmanager
@@ -24,6 +25,7 @@ from .optimizer import RunTrace
 
 SCHEMA_VERSION = 1
 TRACE_HEADER = "iter,f_value,step_size,grad_ht_norm_sq,error_sq,support_size"
+_TRACE_ROW = "%d,%.12g,%.12g,%.12g,%.12g,%d\n"
 
 
 @contextmanager
@@ -67,15 +69,11 @@ def config_hash(echo: dict) -> str:
 
 
 def trace_csv_text(trace: RunTrace) -> str:
-    lines = [TRACE_HEADER]
-    has_err = trace.error_sq is not None
-    for i in range(len(trace)):
-        err = f"{trace.error_sq[i]:.12g}" if has_err else "nan"
-        lines.append(
-            f"{trace.iters[i]},{trace.f_value[i]:.12g},{trace.step_size[i]:.12g},"
-            f"{trace.grad_ht_norm_sq[i]:.12g},{err},{trace.support_size[i]}"
-        )
-    return "\n".join(lines) + "\n"
+    """The header and one row per iteration; error_sq reads nan when the run had no truth."""
+    err = [math.nan] * len(trace) if trace.error_sq is None else trace.error_sq.tolist()
+    rows = zip(trace.iters.tolist(), trace.f_value.tolist(), trace.step_size.tolist(),
+               trace.grad_ht_norm_sq.tolist(), err, trace.support_size.tolist())
+    return TRACE_HEADER + "\n" + "".join([_TRACE_ROW % row for row in rows])
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:

@@ -153,7 +153,7 @@ def _as_params(model: ObjectiveModel, theta) -> np.ndarray:
 
 def _support_union(v: np.ndarray) -> np.ndarray:
     """Columns where any row of a vector or B x d batch is nonzero, ascending."""
-    return np.flatnonzero(v.reshape(-1, v.shape[-1]).any(axis=0))
+    return v.reshape(-1, v.shape[-1]).any(axis=0).nonzero()[0]
 
 
 def _forward_product(model: ObjectiveModel, v: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -243,10 +243,12 @@ class GramRows:
         self.budget = min(self.budget + (1 if v.ndim == 1 else v.shape[0]), self.cap)
         if cols.size > self.cap:
             return None
-        new = cols[self.slot[cols] < 0]
+        slots = self.slot[cols]
+        absent = slots < 0
+        new = cols[absent]
         restart = self.used + new.size > self.cap
         if restart:
-            new = cols
+            new, absent = cols, slice(None)
         if new.size > self.budget:
             return None
         X, n = self.model.data.X, self.model.data.n
@@ -262,12 +264,12 @@ class GramRows:
             cols_new[:] = X.T[new]
             np.matmul(cols_new, X, out=rows)
             rows /= n
-            self.slot[new] = np.arange(self.used, end)
+            slots[absent] = self.slot[new] = np.arange(self.used, end)
             self.used = end
             self.budget -= new.size
             self.computed += new.size
         W = np.zeros(v.shape[:-1] + (self.used,))
-        W[..., self.slot[cols]] = v[..., cols]
+        W[..., slots] = v.take(cols, axis=-1)
         return W @ self.block[:self.used]
 
 

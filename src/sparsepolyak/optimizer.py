@@ -12,9 +12,15 @@ with the gradient norm restricted to its w largest entries (w = s or 2s);
 restricting the denominator keeps steps dimension-independent, where the
 classic rule gap/||grad||^2 shrinks as the ambient dimension grows.
 ||HT_w(grad)||^2 is the sum of the w largest squared entries, from one
-partition; it is computed once per iteration and serves both the step
-rule and the trace.  So an iteration makes one top-s selection, in the
-operator.
+partition; it is computed once per iteration and serves the step rule,
+the trace and the finiteness check.  So an iteration makes one top-s
+selection, in the operator.  A NaN or inf anywhere in the gradient, or
+an entry whose square overflows, makes that norm NaN or inf (partition
+puts NaN last, among the w largest), so a cell checks f and the norm
+rather than every gradient entry.  Each iteration's evaluation and
+per-cell steps run under one `np.errstate` that silences overflow and
+invalid-value warnings; the check reports them as an `OptimizerError`
+naming the iteration and the cell.
 
 `run_batch` is the one iteration loop.  It advances configs that share a
 model in lock step, with one evaluation per iteration for all cells still
@@ -34,6 +40,7 @@ benchmarking.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,11 +247,11 @@ class _Cell:
     def step(self, t: int, theta: np.ndarray, f_t: float, g_t: np.ndarray) -> np.ndarray | None:
         """Record row t at theta; return the next iterate, or None when the cell stops at t."""
         op, rule = self.config.operator, self.config.step_rule
-        if not (np.isfinite(f_t) and np.all(np.isfinite(g_t))):
+        ht_norm_sq = grad_ht_norm_sq(g_t, self.width)
+        # a NaN or inf anywhere in g, or a square that overflows, makes the norm non-finite
+        if not (math.isfinite(f_t) and math.isfinite(ht_norm_sq)):
             raise OptimizerError(f"evaluation failed at iteration {t} (operator {op.kind}, "
                                  f"s = {op.s}): non-finite objective or gradient")
-
-        ht_norm_sq = grad_ht_norm_sq(g_t, self.width)
 
         stalled = False
         try:
@@ -309,9 +316,8 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
     batch's union and on the batch size, and so do the last bits of a
     linear cell.  Selection, the step rule, the stop tests and the trace
     rows are per cell, as in `run`; a cell leaves the batch when it
-    stops.  Raises
-    OptimizerError, naming the iteration and the cell, on a non-finite
-    evaluation.
+    stops.  Raises OptimizerError, naming the iteration and the cell,
+    when a cell's objective or ||HT_w(grad)||^2 is not finite.
     """
     if not configs:
         return []
@@ -324,18 +330,18 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
     gram = GramRows(model)
     t = 0
     while active:
-        try:
-            # overflow shows as a non-finite value, which `_Cell.step` reports
-            with np.errstate(over="ignore", invalid="ignore"):
+        # overflow shows as a non-finite f or gradient norm, which `_Cell.step` reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
                 F, G = value_and_gradient(model, Theta, gram)
-        except Exception as exc:
-            raise OptimizerError(f"evaluation failed at iteration {t}: {exc}") from exc
-        keep = []
-        for j, cell in enumerate(active):
-            nxt = cell.step(t, Theta[j], F[j], G[j])
-            if nxt is not None:
-                Theta[j] = nxt
-                keep.append(j)
+            except Exception as exc:
+                raise OptimizerError(f"evaluation failed at iteration {t}: {exc}") from exc
+            keep = []
+            for j, cell in enumerate(active):
+                nxt = cell.step(t, Theta[j], F[j], G[j])
+                if nxt is not None:
+                    Theta[j] = nxt
+                    keep.append(j)
         if len(keep) < len(active):
             active = [active[j] for j in keep]
             Theta = Theta[keep]

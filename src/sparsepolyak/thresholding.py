@@ -12,11 +12,17 @@ half at a tied boundary.
 
 Both operators break magnitude ties deterministically in favour of the
 lowest index, so identical inputs always produce identical outputs.  The
-support is selected in O(d) per vector: one ``np.partition`` gives the
-s-th and (s+1)-th largest magnitudes, entries above the s-th are kept,
-and the remaining slots go to the entries tied with it in index order.  The
-result equals the first s positions of a stable descending sort (see
-Blumensath & Davies 2009 for the operator).
+support is selected in O(d) per vector, by one path for a vector and for
+each row of a batch.  One ``np.partition`` at d-s-1 puts tau, the
+(s+1)-th largest magnitude, there and the s largest after it; their
+minimum is t, the s-th largest.  (Partitioning at both d-s-1 and d-s
+measured twice as slow.)  Entries at or above t are kept.  Every row
+keeps at least s entries, so when the flat count of kept entries is s
+per row, no row has a tie past the boundary; only otherwise are the rows
+counted one by one, and in a row that keeps too many, the entries tied
+at t fill the remaining slots in index order.  The result equals the
+first s positions of a stable descending sort (see Blumensath & Davies
+2009 for the operator).
 
 ``empirical_relative_concavity`` lower-bounds the worst-case ratio
 
@@ -66,25 +72,25 @@ def _check_input(v: np.ndarray, s: int, ndim: int = 1) -> np.ndarray:
     return v
 
 
-def _top_s_mask(a: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the ``s`` largest magnitudes ``a`` along the last axis, and tau.
+def _top_s_mask(a: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mask of the ``s`` largest magnitudes ``a`` along the last axis, with t and tau.
 
     Needs ``1 <= s < a.shape[-1]``.  One partition puts the s largest last:
     their minimum t is the s-th largest magnitude, the entry before them
-    the (s+1)-th, tau (kept with a trailing axis of length 1).  Entries at
-    or above t are kept, and when more tie at t than slots remain, only
-    the lowest-index tied entries.
+    the (s+1)-th, tau (both kept with a trailing axis of length 1).
+    Entries at or above t are kept, and when more tie at t than slots
+    remain, only the lowest-index tied entries.
     """
     n = a.shape[-1]
     part = np.partition(a, n - s - 1, axis=-1)
-    t = part[..., n - s :].min(axis=-1, keepdims=True)
+    t, tau = part[..., n - s :].min(axis=-1, keepdims=True), part[..., n - s - 1 : n - s]
     keep = a >= t
-    excess = np.count_nonzero(keep, axis=-1, keepdims=True) - s
-    if excess.any():
+    if np.count_nonzero(keep) != s * (a.size // n):
         tied = a == t
+        excess = np.count_nonzero(keep, axis=-1, keepdims=True) - s
         slots = np.count_nonzero(tied, axis=-1, keepdims=True) - excess
         keep &= ~tied | (np.cumsum(tied, axis=-1) <= slots)
-    return keep, part[..., n - s - 1 : n - s]
+    return keep, t, tau
 
 
 def _threshold(V: np.ndarray, s: int, kind: str) -> np.ndarray:
@@ -92,16 +98,13 @@ def _threshold(V: np.ndarray, s: int, kind: str) -> np.ndarray:
     if s >= V.shape[-1]:
         return V.copy()
     a = np.abs(V)
-    keep, tau = _top_s_mask(a, s)
+    keep, t, tau = _top_s_mask(a, s)
     if kind == HT:
         return np.where(keep, V, 0.0)
-    kept = a[keep]
-    under = (a * a - tau * tau)[keep]
-    # tau is the (s+1)-th magnitude, so kept entries satisfy |v_i| >= tau
-    assert np.all(under >= 0.0), "reciprocal threshold: kept magnitude below boundary"
-    out = np.zeros_like(V)
-    out[keep] = np.sign(V[keep]) * 0.5 * (kept + np.sqrt(under))
-    return out
+    # kept magnitudes are at least t, so with t >= tau the clamp at 0 acts only off the support
+    assert np.all(t >= tau), "reciprocal threshold: kept magnitude below boundary"
+    shrunk = np.sign(V) * 0.5 * (a + np.sqrt(np.maximum(a * a - tau * tau, 0.0)))
+    return np.where(keep, shrunk, 0.0)
 
 
 def hard_threshold(v: np.ndarray, s: int) -> np.ndarray:

@@ -94,6 +94,14 @@ class TestResolution:
         with pytest.raises(ConfigError, match="grid.seeds"):
             resolve_config({"grid.seeds": []})
 
+    def test_negative_run_seed_names_the_key(self):
+        with pytest.raises(ConfigError, match="run.seed"):
+            resolve_config({"run.seed": -1})
+
+    def test_negative_grid_seed_names_the_key(self):
+        with pytest.raises(ConfigError, match="grid.seeds"):
+            resolve_config({"grid.seeds": [0, -2]})
+
     def test_sweep_dimensions_are_not_checked_outside_the_sweep(self):
         # the default sweep.d_values = 250,500,1000 lie below these s*
         for s_star in (300, 600):
@@ -143,6 +151,14 @@ class TestCliRun:
         t1 = next(out1.glob("run_*/trace.csv")).read_bytes()
         t2 = next(out2.glob("run_*/trace.csv")).read_bytes()
         assert t1 == t2
+
+    def test_negative_seed_flag_rejected_by_every_seeded_command(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        for command in ("run", "grid", "sweep", "check"):
+            argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]
+            assert main(argv) == EXIT_CONFIG
+            assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_seed_override_changes_trace(self, tmp_path):
         cfg = write_config(tmp_path)

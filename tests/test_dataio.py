@@ -34,7 +34,51 @@ def small_trace():
     )
 
 
+def fstring_trace_csv(trace):
+    """The per-row f-string formatter that the trace writer must match byte for byte."""
+    lines = [TRACE_HEADER]
+    has_err = trace.error_sq is not None
+    for i in range(len(trace)):
+        err = f"{trace.error_sq[i]:.12g}" if has_err else "nan"
+        lines.append(
+            f"{trace.iters[i]},{trace.f_value[i]:.12g},{trace.step_size[i]:.12g},"
+            f"{trace.grad_ht_norm_sq[i]:.12g},{err},{trace.support_size[i]}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def long_trace(rows=1500):
+    """Values over many decades, with signed zeros, subnormals and huge values."""
+    rng = np.random.default_rng(3)
+
+    def column():
+        v = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows)
+        v[:6] = [0.0, -0.0, 5e-324, -1e308, 1.0 / 3.0, 123456789012345.0]
+        return v
+
+    return RunTrace(
+        iters=np.arange(rows),
+        f_value=column(),
+        step_size=np.abs(column()),
+        grad_ht_norm_sq=np.abs(column()),
+        error_sq=np.abs(column()),
+        support_size=rng.integers(0, 1000, rows),
+        status=RunStatus.MAX_ITERS,
+        final_theta=ParamVector(np.array([1.0, 0.0])),
+    )
+
+
 class TestTraceCsv:
+    def test_matches_the_per_row_formatter(self):
+        one_row = small_trace()
+        for name in ("iters", "f_value", "step_size", "grad_ht_norm_sq", "error_sq",
+                     "support_size"):
+            setattr(one_row, name, getattr(one_row, name)[:1])
+        no_truth = long_trace()
+        no_truth.error_sq = None
+        for trace in (long_trace(), one_row, no_truth, small_trace()):
+            assert trace_csv_text(trace) == fstring_trace_csv(trace)
+
     def test_header_contract(self):
         text = trace_csv_text(small_trace())
         assert text.splitlines()[0] == TRACE_HEADER

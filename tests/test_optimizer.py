@@ -1,5 +1,7 @@
 """Optimizer tests: step rules, loop contracts, recovery, contraction invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,33 @@ class TestRunLoop:
                               fixed_gamma=1e30, max_iters=50)
         with pytest.raises(OptimizerError, match="iteration"):
             run(config)
+
+    @pytest.mark.parametrize("corrupt", ["nan_outside_top_w", "pos_inf", "neg_inf", "entry_1e200"])
+    def test_non_finite_gradient_fails_at_its_iteration(self, monkeypatch, corrupt):
+        # the finiteness check reads f and ||HT_w(g)||^2 only; a bad entry
+        # anywhere in g, or a finite one whose square overflows, must make
+        # the norm non-finite and stop the run
+        from sparsepolyak import optimizer
+
+        model, theta_star, f_hat = linear_instance(50, 20, 3, 0.0, 0.5, seed=5)
+        config = basic_config(model, theta_star, f_hat, s=5, max_iters=50)
+        real = optimizer.value_and_gradient
+        calls = []
+
+        def corrupted(model, Theta, gram):
+            F, G = real(model, Theta, gram)
+            calls.append(None)
+            if len(calls) == 3:
+                j = int(np.argmin(np.abs(G[0])))
+                G[0, j] = {"nan_outside_top_w": np.nan, "pos_inf": np.inf, "neg_inf": -np.inf,
+                           "entry_1e200": 1e200}[corrupt]
+            return F, G
+
+        monkeypatch.setattr(optimizer, "value_and_gradient", corrupted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OptimizerError, match=r"iteration 2 \(operator ht, s = 5\)"):
+                run(config)
 
     def test_initial_point_sparsity_validated(self):
         model, theta_star, f_hat = linear_instance(50, 20, 3, 0.0, 0.5, seed=6)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsepolyak.thresholding import (
     HT,
@@ -170,6 +172,32 @@ class TestBatchAgreement:
                 np.testing.assert_array_equal(batch, rows)
                 ref = np.stack([reference_threshold(t, s, kind) for t in T])
                 assert threshold_batch(T, s, kind).tobytes() == ref.tobytes()
+
+
+# integer-rounded entries, so magnitudes tie often, with both signed zeros
+ENTRIES = st.sampled_from([-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def batches(draw):
+    d = draw(st.integers(1, 10))
+    row = st.lists(ENTRIES, min_size=d, max_size=d)
+    return np.array(draw(st.lists(row, min_size=1, max_size=5)))
+
+
+class TestOneSelectionPath:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(batches())
+    # rows 0 and 2 tie past the boundary at s = 2, row 1 does not: the
+    # flat count of kept entries must send the batch to the per-row counts
+    @example(np.array([[1.0, 1.0, -1.0, 2.0], [3.0, 2.0, 1.0, 0.0], [0.0, -0.0, 0.0, -0.0]]))
+    def test_vector_and_batch_match_stable_sort_reference(self, V):
+        for s in range(1, V.shape[1] + 1):
+            for kind, fn in ((HT, hard_threshold), (RT, reciprocal_threshold)):
+                ref = np.stack([reference_threshold(v, s, kind) for v in V])
+                assert threshold_batch(V, s, kind).tobytes() == ref.tobytes()
+                for v, r in zip(V, ref):
+                    assert fn(v, s).tobytes() == r.tobytes()
 
 
 class TestThresholdSpec:
