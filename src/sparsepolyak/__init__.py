@@ -16,8 +16,6 @@ from .objectives import (
     LOGISTIC,
     Dataset,
     ObjectiveModel,
-    ParamVector,
-    gradient,
     objective_value,
     target_value,
 )
@@ -64,8 +62,7 @@ from .thresholding import (
 
 __all__ = [
     "__version__",
-    "LINEAR", "LOGISTIC", "Dataset", "ObjectiveModel", "ParamVector",
-    "gradient", "objective_value", "target_value",
+    "LINEAR", "LOGISTIC", "Dataset", "ObjectiveModel", "objective_value", "target_value",
     "CLASSIC_POLYAK", "FIXED", "SPARSE_POLYAK",
     "OptimizerError", "RunConfig", "RunStatus", "RunTrace",
     "StalledZeroGradientError", "StepRule",

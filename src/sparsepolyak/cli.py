@@ -8,7 +8,7 @@ Subcommands
     check      curvature-assumption sampling report; writes assumptions.json
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (a stalled
-step rule or a non-finite objective evaluation).
+step rule, a non-finite objective evaluation or a non-finite step size).
 
 Every artifact directory carries a manifest (config echo, seeds, schema and
 toolkit versions, config hash) sufficient to reproduce it byte for byte;
@@ -38,7 +38,6 @@ from .dataio import (
 from .diagnostics import (
     active_median_step,
     check_assumptions,
-    default_ht_width,
     grid_seed_cells,
     iters_to_plateau,
     make_instance,
@@ -73,10 +72,6 @@ def _out_root(cfg: ExperimentConfig, cli_out: str | None) -> Path:
     return Path(os.environ.get("SPARSEPOLYAK_OUT", "runs"))
 
 
-def _resolve_ht_width(cfg: ExperimentConfig) -> str:
-    return default_ht_width(cfg.noise.family) if cfg.ht_width == "auto" else cfg.ht_width
-
-
 def _build_step_rule(cfg: ExperimentConfig, f_hat_target: float) -> StepRule:
     f_hat = cfg.f_hat if cfg.f_hat is not None else f_hat_target
     if cfg.step_kind == FIXED:
@@ -86,7 +81,7 @@ def _build_step_rule(cfg: ExperimentConfig, f_hat_target: float) -> StepRule:
                               f"= {s_star}, got {cfg.operator_s}; or set step.fixed_gamma")
         gamma = cfg.fixed_gamma or fixed_step_lhat(cfg.design, cfg.operator_s, s_star)
         return StepRule(kind=FIXED, f_hat=f_hat, fixed_gamma=gamma)
-    return StepRule(kind=cfg.step_kind, f_hat=f_hat, ht_width=_resolve_ht_width(cfg))
+    return StepRule(kind=cfg.step_kind, f_hat=f_hat, ht_width=cfg.ht_width)
 
 
 def cmd_run(cfg: ExperimentConfig, out_root: Path) -> int:
@@ -131,10 +126,9 @@ def cmd_grid(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     if cfg.step_kind == FIXED:
         raise ConfigError("step.kind: the grid comparison needs an adaptive rule "
                           "(sparse_polyak or classic_polyak)")
-    ht_width = _resolve_ht_width(cfg)
     items = [
         (cfg.design, cfg.truth, cfg.noise, cfg.s_grid, seed, cfg.grid_max_iters,
-         cfg.step_kind, ht_width, cfg.f_hat, cfg.stop_tol)
+         cfg.step_kind, cfg.ht_width, cfg.f_hat, cfg.stop_tol)
         for seed in cfg.seeds
     ]
     detail = [row for rows in _pmap(grid_seed_cells, items, workers) for row in rows]
@@ -181,10 +175,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     if any(d < cfg.truth.s_star for d in cfg.sweep_d_values):
         raise ConfigError(f"sweep.d_values: every dimension must be >= truth.s_star = "
                           f"{cfg.truth.s_star}, got {cfg.sweep_d_values}")
-    ht_width = _resolve_ht_width(cfg)
     items = [
         (cfg.design, cfg.truth.s_star, cfg.noise, cfg.operator_s, d, seed,
-         cfg.sweep_max_iters, cfg.n_factor, ht_width, cfg.f_hat, cfg.stop_tol)
+         cfg.sweep_max_iters, cfg.n_factor, cfg.ht_width, cfg.f_hat, cfg.stop_tol)
         for d in cfg.sweep_d_values
         for seed in cfg.seeds
     ]

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .objectives import LINEAR, LOGISTIC
-from .optimizer import CLASSIC_POLYAK, FIXED, SPARSE_POLYAK, WIDTH_2S, WIDTH_S
+from .optimizer import CLASSIC_POLYAK, FIXED, SPARSE_POLYAK, WIDTH_2S, WIDTH_S, default_ht_width
 from .synthdata import DesignSpec, NoiseSpec, TruthSpec
 from .thresholding import HT, RT
 
@@ -134,7 +134,7 @@ class ExperimentConfig:
     operator_kind: str
     operator_s: int
     step_kind: str
-    ht_width: str  # "auto" resolved at build time against the family
+    ht_width: str  # s or 2s; "auto" resolved against the family (the echo keeps "auto")
     fixed_gamma: float | None
     f_hat: float | None  # None means "use the target value f(theta*)"
     max_iters: int
@@ -182,8 +182,9 @@ def resolve_config(values: dict) -> ExperimentConfig:
         raise ConfigError(f"operator.kind: unknown operator {merged['operator.kind']!r}")
     if merged["step.kind"] not in (SPARSE_POLYAK, CLASSIC_POLYAK, FIXED):
         raise ConfigError(f"step.kind: unknown rule {merged['step.kind']!r}")
-    if merged["step.ht_width"] not in ("auto", WIDTH_S, WIDTH_2S):
-        raise ConfigError(f"step.ht_width: expected auto | s | 2s, got {merged['step.ht_width']!r}")
+    ht_width = merged["step.ht_width"]
+    if ht_width not in ("auto", WIDTH_S, WIDTH_2S):
+        raise ConfigError(f"step.ht_width: expected auto | s | 2s, got {ht_width!r}")
 
     n = merged["design.n"] or derived_n(merged["design.n_factor"], s_star, d)
     try:
@@ -264,7 +265,7 @@ def resolve_config(values: dict) -> ExperimentConfig:
         operator_kind=merged["operator.kind"],
         operator_s=operator_s,
         step_kind=merged["step.kind"],
-        ht_width=merged["step.ht_width"],
+        ht_width=default_ht_width(family) if ht_width == "auto" else ht_width,
         fixed_gamma=fixed_gamma or None,
         f_hat=f_hat,
         max_iters=merged["run.max_iters"],

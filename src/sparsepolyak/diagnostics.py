@@ -20,15 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import Dataset, LOGISTIC, ObjectiveModel, ParamVector, bregman_batch, target_value
+from .objectives import Dataset, ObjectiveModel, bregman_batch, target_value
 from .optimizer import (
     FIXED,
     SPARSE_POLYAK,
-    WIDTH_2S,
-    WIDTH_S,
     RunConfig,
     RunTrace,
     StepRule,
+    default_ht_width,
     fixed_step_lhat,
     run_batch,
 )
@@ -194,7 +193,7 @@ def active_median_step(step_size: np.ndarray, plateau_iter: int) -> float:
     return float(np.median(active))
 
 
-def decomposition_margins(trace: RunTrace, theta_hat: ParamVector, eta_bound: float) -> np.ndarray:
+def decomposition_margins(trace: RunTrace, theta_hat: np.ndarray, eta_bound: float) -> np.ndarray:
     """Slack of the per-iteration thresholding-deviation inequality.
 
     For each update, with union support S = supp(theta_{t+1}) | supp(theta_hat)
@@ -207,7 +206,7 @@ def decomposition_margins(trace: RunTrace, theta_hat: ParamVector, eta_bound: fl
     """
     if trace.iterates is None or trace.pre_threshold is None:
         raise ValueError("trace was not recorded with keep_iterates=True")
-    hat = theta_hat.values
+    hat = np.asarray(theta_hat, dtype=float)
     margins = []
     for z, nxt in zip(trace.pre_threshold, trace.iterates[1:]):
         union = np.union1d(np.flatnonzero(nxt), np.flatnonzero(hat))
@@ -240,11 +239,6 @@ def make_instance(design: DesignSpec, truth: TruthSpec, noise: NoiseSpec, seed: 
     y = generate_responses(noise.family, X, theta_star, noise, seed)
     model = ObjectiveModel(family=noise.family, data=Dataset(X=X, y=y))
     return model, theta_star, target_value(model, theta_star)
-
-
-def default_ht_width(family: str) -> str:
-    """Step-rule restriction width: 2s for logistic-type objectives, s otherwise."""
-    return WIDTH_2S if family == LOGISTIC else WIDTH_S
 
 
 def run_instance_cells(

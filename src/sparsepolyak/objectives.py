@@ -20,16 +20,10 @@ supports of the parameter rows; when that union spans more than
 (the full product).
 
 The gradient has all d entries, since selection and the step rule read
-every one.  By default it is the full product X' r / n.  For the linear
-family it is X'X theta / n - X'y / n, which needs only the Gram rows of
-the support columns.  A `GramRows` cache, passed to `value_and_gradient`,
-stores each support column next to its Gram row when the column enters
-the support union; while its slots cover the union, one product over
-them gives both X theta and X'X theta / n, and no column is gathered.  A
-budget of one cache plus one full product's worth of rows per call bounds
-what it computes; a call it cannot pay for takes the gathered forward
-product and the full gradient product.  The logistic gradient is not
-linear in theta and always takes that path.
+every one: the full product X' r / n, or for the linear family, while a
+`GramRows` cache covers the support union, X'X theta / n - X'y / n from
+the Gram rows of the support columns.  Parameters are float arrays: a
+1-d vector or a B x d batch of rows.
 """
 
 from dataclasses import dataclass
@@ -110,40 +104,9 @@ class ObjectiveModel:
         return self.data.d
 
 
-class ParamVector:
-    """Dense coefficient vector with a cached support set."""
-
-    __slots__ = ("values", "_support")
-
-    def __init__(self, values):
-        v = np.array(values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("parameter vector must be a nonempty 1-d vector")
-        v.setflags(write=False)
-        self.values = v
-        self._support = None
-
-    @property
-    def support(self) -> np.ndarray:
-        if self._support is None:
-            self._support = np.flatnonzero(self.values)
-        return self._support
-
-    @property
-    def nnz(self) -> int:
-        return self.support.size
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
-    def __repr__(self):
-        return f"ParamVector(dim={self.dim}, nnz={self.nnz})"
-
-
 def _as_params(model: ObjectiveModel, theta) -> np.ndarray:
-    """A ParamVector, a 1-d vector or a B x d batch of row vectors, checked against the model."""
-    v = theta.values if isinstance(theta, ParamVector) else np.asarray(theta, dtype=float)
+    """A 1-d vector or a B x d batch of row vectors, checked against the model."""
+    v = np.asarray(theta, dtype=float)
     if v.ndim not in (1, 2):
         raise ValueError("parameter must be a 1-d vector or a B x d batch")
     if v.shape[-1] != model.dim:
@@ -171,13 +134,15 @@ def _loss_and_residual(model: ObjectiveModel, U: np.ndarray):
     """Average loss (squared-error form if linear) and residual psi'(U) - y at U = X theta.
 
     An n-vector U gives a float and an n-vector, a B x n batch B losses
-    and a B x n residual.  Each loss is reduced over its own row, so a
-    one-row batch has the bits of the vector call.
+    and a B x n residual.  Each loss is reduced over its own row
+    (`np.vecdot`, which keeps the bits of `np.dot` on each row, where
+    `np.einsum` does not), so a one-row batch has the bits of the vector
+    call.
     """
     y, n = model.data.y, model.data.n
     if model.family == LINEAR:
         R = U - y
-        f = 0.5 * np.dot(R, R) / n if R.ndim == 1 else np.array([0.5 * np.dot(r, r) / n for r in R])
+        f = 0.5 * np.vecdot(R, R) / n
     else:
         f = np.mean(np.logaddexp(0.0, U) - y * U, axis=-1)
         R = sigmoid(U) - y
@@ -296,11 +261,6 @@ def objective_value(model: ObjectiveModel, theta):
     """Average loss at theta (or at each batch row), without the gradient product."""
     v = _as_params(model, theta)
     return _loss_and_residual(model, _forward_product(model, v, _support_union(v)))[0]
-
-
-def gradient(model: ObjectiveModel, theta) -> np.ndarray:
-    """Gradient at theta; the gradient half of `value_and_gradient`."""
-    return value_and_gradient(model, theta)[1]
 
 
 def target_value(model: ObjectiveModel, theta_star) -> float:

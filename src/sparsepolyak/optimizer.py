@@ -19,20 +19,17 @@ an entry whose square overflows, makes that norm NaN or inf (partition
 puts NaN last, among the w largest), so a cell checks f and the norm
 rather than every gradient entry.  Each iteration's evaluation and
 per-cell steps run under one `np.errstate` that silences overflow and
-invalid-value warnings; the check reports them as an `OptimizerError`
-naming the iteration and the cell.
+invalid-value warnings; the check reports them, and a non-finite step
+size (a positive gap over a subnormal denominator, which would put
+inf * 0 = NaN into z), as an `OptimizerError` naming the iteration and
+the cell.
 
-`run_batch` is the one iteration loop.  It advances configs that share a
-model in lock step, with one evaluation per iteration for all cells still
-running, and per-cell selection, step rule, stop tests and trace rows;
-`run` is its one-cell case.  A linear evaluation is one product over the
-slots of the call's `objectives.GramRows`, which hold the columns the
-union of the running cells' supports has used and their Gram rows: it
-gives X theta and X'X theta / n together, once the cache's budget has
-paid for the slots.  Until then, and for the logistic family, it is a
-forward product on the design columns of that union (the full product
-when the union is wide, `objectives.GATHER_MAX_FRAC`) and the full
-gradient product X' r / n.
+Parameters are float arrays: a start point, a truth and a final
+estimate are length-d vectors.  `run_batch` is the one iteration loop:
+it moves the iterates of configs that share a model as the rows of a
+B x d array, with one evaluation per iteration for all cells still
+running and per-cell selection, step rule, stop tests and trace rows.
+`run` is its one-cell case.
 
 A fixed-step baseline gamma = 1/L_hat with
 L_hat = lambda_max(Sigma) (3/4 + (2s + s*)/(10 s)) is included for
@@ -45,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import GramRows, ObjectiveModel, ParamVector, value_and_gradient
+from .objectives import LOGISTIC, GramRows, ObjectiveModel, value_and_gradient
 from .synthdata import DesignSpec, RegularityParams, design_spectrum
 from .thresholding import ThresholdSpec
 
@@ -56,6 +53,11 @@ _STEP_KINDS = (SPARSE_POLYAK, CLASSIC_POLYAK, FIXED)
 
 WIDTH_S = "s"
 WIDTH_2S = "2s"
+
+
+def default_ht_width(family: str) -> str:
+    """Step-rule restriction width: 2s for logistic-type objectives, s otherwise."""
+    return WIDTH_2S if family == LOGISTIC else WIDTH_S
 
 
 class StalledZeroGradientError(RuntimeError):
@@ -101,35 +103,40 @@ class RunStatus(enum.Enum):
 
 @dataclass
 class RunConfig:
-    """Everything `run` needs: model, operator, step rule, start, budget."""
+    """Everything `run` needs: model, operator, step rule, start, budget; vectors have length d."""
 
     model: ObjectiveModel
     operator: ThresholdSpec
     step_rule: StepRule
-    theta0: ParamVector
+    theta0: np.ndarray
     max_iters: int
     stop_tol: float | None = None
-    theta_star: ParamVector | None = None
+    theta_star: np.ndarray | None = None
 
     def __post_init__(self):
+        d = self.model.dim
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if self.operator.s > self.model.dim:
-            raise ValueError(f"operator sparsity {self.operator.s} exceeds dimension {self.model.dim}")
-        if self.theta0.dim != self.model.dim:
-            raise ValueError("theta0 dimension does not match the model")
-        if self.theta0.nnz > self.operator.s:
-            raise ValueError(f"initial point has {self.theta0.nnz} nonzeros, exceeding s = {self.operator.s}")
+        if self.operator.s > d:
+            raise ValueError(f"operator sparsity {self.operator.s} exceeds dimension {d}")
+        self.theta0 = np.asarray(self.theta0, dtype=float)
+        self.theta_star = None if self.theta_star is None else np.asarray(self.theta_star, dtype=float)
+        for name, v in (("theta0", self.theta0), ("theta_star", self.theta_star)):
+            if v is not None and v.shape != (d,):
+                raise ValueError(f"{name} has shape {v.shape}, expected ({d},)")
+        nnz = np.count_nonzero(self.theta0)
+        if nnz > self.operator.s:
+            raise ValueError(f"initial point has {nnz} nonzeros, exceeding s = {self.operator.s}")
         if self.stop_tol is not None and self.stop_tol < 0:
             raise ValueError("stop_tol must be nonnegative")
 
     @classmethod
     def zero_start(cls, model: ObjectiveModel, operator: ThresholdSpec, step_rule: StepRule,
-                   max_iters: int, theta_star: ParamVector | None = None,
+                   max_iters: int, theta_star: np.ndarray | None = None,
                    stop_tol: float | None = None) -> "RunConfig":
         """A run started from the zero vector, as every harness cell is."""
         return cls(model=model, operator=operator, step_rule=step_rule, max_iters=max_iters,
-                   theta0=ParamVector(np.zeros(model.dim)), stop_tol=stop_tol, theta_star=theta_star)
+                   theta0=np.zeros(model.dim), stop_tol=stop_tol, theta_star=theta_star)
 
     def resolved_stop_tol(self) -> float | None:
         """Default: 1e-12 relative to |f_hat| + 1; None when f_hat is unknown."""
@@ -151,7 +158,7 @@ class RunTrace:
     error_sq: np.ndarray | None
     support_size: np.ndarray
     status: RunStatus
-    final_theta: ParamVector
+    final_theta: np.ndarray
     iterates: list[np.ndarray] | None = None
     pre_threshold: list[np.ndarray] | None = None
 
@@ -225,21 +232,17 @@ def theoretical_floor(regularity: RegularityParams, grad_at_truth_ht_norm: float
     return 36.0 * grad_at_truth_ht_norm**2 / regularity.mu_bar**2
 
 
-def _step_width(rule: StepRule, operator: ThresholdSpec, dim: int) -> int:
-    w = operator.s if rule.ht_width == WIDTH_S else 2 * operator.s
-    return min(w, dim)
-
-
 class _Cell:
     """One config's state in the lock-step loop: its rule, stop tests and trace rows."""
 
     def __init__(self, config: RunConfig, keep_iterates: bool):
         self.config = config
-        self.truth = None if config.theta_star is None else config.theta_star.values
+        self.truth = config.theta_star
         self.stop_tol = config.resolved_stop_tol()
-        self.width = _step_width(config.step_rule, config.operator, config.model.dim)
+        s = config.operator.s
+        self.width = min(s if config.step_rule.ht_width == WIDTH_S else 2 * s, config.model.dim)
         self.rows = []  # (t, f, gamma, ||HT_w(grad)||^2, squared error, support size)
-        self.iterates = [config.theta0.values.copy()] if keep_iterates else None
+        self.iterates = [config.theta0.copy()] if keep_iterates else None
         self.pre_threshold = [] if keep_iterates else None
         self.status = None
         self.final_theta = None
@@ -264,6 +267,9 @@ class _Cell:
         except StalledZeroGradientError:
             gamma = 0.0
             stalled = True
+        if not math.isfinite(gamma):
+            raise OptimizerError(f"non-finite step size {gamma} at iteration {t} (operator {op.kind}, "
+                                 f"s = {op.s}): positive gap over a vanishing denominator")
 
         err_sq = None
         if self.truth is not None:
@@ -284,7 +290,7 @@ class _Cell:
                 self.pre_threshold.append(z)
                 self.iterates.append(nxt)
             return nxt
-        self.final_theta = ParamVector(theta)
+        self.final_theta = theta.copy()  # theta is a row of the batch buffer
         return None
 
     def trace(self) -> RunTrace:
@@ -317,7 +323,7 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
     linear cell.  Selection, the step rule, the stop tests and the trace
     rows are per cell, as in `run`; a cell leaves the batch when it
     stops.  Raises OptimizerError, naming the iteration and the cell,
-    when a cell's objective or ||HT_w(grad)||^2 is not finite.
+    when a cell's objective, ||HT_w(grad)||^2 or step size is not finite.
     """
     if not configs:
         return []
@@ -326,7 +332,7 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
         raise ValueError("run_batch needs configs that share one ObjectiveModel")
     cells = [_Cell(c, keep_iterates) for c in configs]
     active = cells
-    Theta = np.array([c.theta0.values for c in configs])
+    Theta = np.array([c.theta0 for c in configs])
     gram = GramRows(model)
     t = 0
     while active:
@@ -360,10 +366,6 @@ def run(config: RunConfig, keep_iterates: bool = False) -> RunTrace:
     With keep_iterates, every iterate and every pre-threshold gradient step
     is retained for invariant checks.  This is the one-cell case of
     `run_batch`, whose products on a one-row batch have the bits of the
-    vector products: for the linear family, X theta and the gradient from
-    one product over the run's cached columns and Gram rows of the
-    columns its supports have used; for the logistic family, and for an
-    iteration whose new slots the cache cannot yet pay for,
-    X[:, S] theta[S] on the iterate's support S and X' r / n.
+    vector products.
     """
     return run_batch([config], keep_iterates)[0]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import LINEAR, LOGISTIC, ParamVector, sigmoid
+from .objectives import LINEAR, LOGISTIC, sigmoid
 from .rng import STREAM_DESIGN, STREAM_NOISE, STREAM_TRUTH, substream
 
 
@@ -170,21 +170,22 @@ def generate_design(spec: DesignSpec, seed: int) -> np.ndarray:
     return X
 
 
-def generate_truth(spec: TruthSpec, seed: int) -> ParamVector:
-    """Exactly s_star standard-normal entries on a uniformly random support."""
+def generate_truth(spec: TruthSpec, seed: int) -> np.ndarray:
+    """Exactly s_star standard-normal entries on a uniformly random support; read-only."""
     theta = np.zeros(spec.d)
     if spec.s_star > 0:
         rng = substream(seed, STREAM_TRUTH)
         support = rng.choice(spec.d, size=spec.s_star, replace=False)
         theta[support] = rng.standard_normal(spec.s_star)
-    return ParamVector(theta)
+    theta.setflags(write=False)
+    return theta
 
 
 def generate_responses(family: str, X: np.ndarray, theta_star, noise: NoiseSpec, seed: int) -> np.ndarray:
     """Linear: y = X theta* + sigma eps.  Logistic: y ~ Bernoulli(sigmoid(X theta*))."""
     if family != noise.family:
         raise ValueError(f"family {family!r} does not match noise spec {noise.family!r}")
-    v = theta_star.values if isinstance(theta_star, ParamVector) else np.asarray(theta_star, dtype=float)
+    v = np.asarray(theta_star, dtype=float)
     if v.shape[0] != X.shape[1]:
         raise ValueError(f"truth has dimension {v.shape[0]}, design has {X.shape[1]} features")
     u = X @ v

@@ -63,10 +63,10 @@ class ThresholdSpec:
         return reciprocal_threshold(v, self.s)
 
 
-def _check_input(v: np.ndarray, s: int, ndim: int = 1) -> np.ndarray:
+def _check_input(v: np.ndarray, s: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.ndim != ndim or v.shape[-1] == 0:
-        raise ValueError(f"input must be a {ndim}-d array with a nonempty last axis")
+    if v.ndim not in (1, 2) or v.shape[-1] == 0:
+        raise ValueError("input must be a vector or a batch of rows with a nonempty last axis")
     if s < 1:
         raise ValueError(f"sparsity level must be >= 1, got {s}")
     return v
@@ -79,13 +79,20 @@ def _top_s_mask(a: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     their minimum t is the s-th largest magnitude, the entry before them
     the (s+1)-th, tau (both kept with a trailing axis of length 1).
     Entries at or above t are kept, and when more tie at t than slots
-    remain, only the lowest-index tied entries.
+    remain, only the lowest-index tied entries.  A NaN sorts last, so t
+    is NaN exactly in a row that holds one, and that row keeps nothing.
+    A vector that keeps s entries therefore holds no NaN; t is checked
+    for one otherwise, and in every batch, where a row with ties past
+    the boundary can make up the flat count of a row that keeps nothing.
     """
     n = a.shape[-1]
     part = np.partition(a, n - s - 1, axis=-1)
     t, tau = part[..., n - s :].min(axis=-1, keepdims=True), part[..., n - s - 1 : n - s]
     keep = a >= t
-    if np.count_nonzero(keep) != s * (a.size // n):
+    kept = np.count_nonzero(keep)
+    if (kept != s or a.ndim > 1) and np.isnan(t).any():
+        raise ValueError("thresholding input holds a NaN")
+    if kept != s * (a.size // n):
         tied = a == t
         excess = np.count_nonzero(keep, axis=-1, keepdims=True) - s
         slots = np.count_nonzero(tied, axis=-1, keepdims=True) - excess
@@ -101,32 +108,26 @@ def _threshold(V: np.ndarray, s: int, kind: str) -> np.ndarray:
     keep, t, tau = _top_s_mask(a, s)
     if kind == HT:
         return np.where(keep, V, 0.0)
-    # kept magnitudes are at least t, so with t >= tau the clamp at 0 acts only off the support
-    assert np.all(t >= tau), "reciprocal threshold: kept magnitude below boundary"
+    # kept magnitudes are at least t >= tau (the partition), so the clamp at 0 acts only off the support
     shrunk = np.sign(V) * 0.5 * (a + np.sqrt(np.maximum(a * a - tau * tau, 0.0)))
     return np.where(keep, shrunk, 0.0)
 
 
 def hard_threshold(v: np.ndarray, s: int) -> np.ndarray:
-    """Keep the ``s`` largest-magnitude entries of ``v``, zero the rest."""
+    """Keep the ``s`` largest-magnitude entries of ``v``, or of each row of a batch, zero the rest.
+
+    A row that holds a NaN, when ``s`` is below its length, raises ValueError.
+    """
     return _threshold(_check_input(v, s), s, HT)
 
 
 def reciprocal_threshold(v: np.ndarray, s: int) -> np.ndarray:
-    """Keep the top-``s`` support of ``v`` with reciprocal shrinkage.
+    """Keep the top-``s`` support of ``v``, or of each row of a batch, with reciprocal shrinkage.
 
-    When ``s >= len(v)`` the boundary magnitude is 0 and the operator is
-    the identity.
+    When ``s`` is at least the row length the boundary magnitude is 0 and
+    the operator is the identity; a NaN is rejected as in `hard_threshold`.
     """
     return _threshold(_check_input(v, s), s, RT)
-
-
-def threshold_batch(Z: np.ndarray, s: int, kind: str) -> np.ndarray:
-    """Row-wise operator application; matches the 1-d functions exactly."""
-    Z = _check_input(Z, s, ndim=2)
-    if kind not in _KINDS:
-        raise ValueError(f"unknown thresholding kind {kind!r}")
-    return _threshold(Z, s, kind)
 
 
 def relative_concavity_bound(kind: str, s_star: int, s: int) -> float | None:
@@ -205,7 +206,7 @@ def _batch_max_ratio(Y: np.ndarray, Z: np.ndarray, op: ThresholdSpec, s_star: in
 
     Z is thresholded once; both candidate sets reuse the result.
     """
-    P = threshold_batch(Z, op.s, op.kind)
+    P = op.apply(Z)
     best, total = 0.0, 0
     for cand in (Y, _best_response(Z, P, s_star)):
         r = _pair_ratios(cand, Z, P)

@@ -123,6 +123,14 @@ class TestResolution:
         assert cfg.echo["design.n"] == cfg.design.n
         assert cfg.echo["operator.s"] == cfg.operator_s
 
+    @pytest.mark.parametrize("family, width, resolved", [
+        ("linear", "auto", "s"), ("logistic", "auto", "2s"), ("logistic", "s", "s"),
+    ])
+    def test_ht_width_resolved_once_echo_keeps_auto(self, family, width, resolved):
+        cfg = resolve_config({"noise.family": family, "step.ht_width": width})
+        assert cfg.ht_width == resolved
+        assert cfg.echo["step.ht_width"] == width
+
     def test_schema_file_in_repo_matches_implementation(self):
         repo_schema = Path(__file__).resolve().parents[1] / "config-schema.txt"
         assert repo_schema.read_text() == schema_text()
@@ -365,3 +373,11 @@ class TestCliGridSweepReports:
         payload = json.loads(next(out.glob("check_*/assumptions.json")).read_text())
         assert {r["assumption"] for r in payload["reports"]} == {"rsc", "rss", "weak_rsc"}
         assert all(r["violations"] == 0 for r in payload["reports"])
+
+
+class TestPackageExports:
+    def test_every_exported_name_resolves(self):
+        import sparsepolyak
+
+        missing = [name for name in sparsepolyak.__all__ if not hasattr(sparsepolyak, name)]
+        assert missing == []

@@ -17,7 +17,7 @@ from sparsepolyak.dataio import (
     write_summary_json,
     write_trace_csv,
 )
-from sparsepolyak.objectives import Dataset, LINEAR, ParamVector
+from sparsepolyak.objectives import Dataset, LINEAR
 from sparsepolyak.optimizer import RunStatus, RunTrace
 
 
@@ -30,7 +30,7 @@ def small_trace():
         error_sq=np.array([2.0, 0.5, 1e-12]),
         support_size=np.array([0, 3, 3]),
         status=RunStatus.CONVERGED,
-        final_theta=ParamVector(np.array([1.0, 0.0])),
+        final_theta=np.array([1.0, 0.0]),
     )
 
 
@@ -64,7 +64,7 @@ def long_trace(rows=1500):
         error_sq=np.abs(column()),
         support_size=rng.integers(0, 1000, rows),
         status=RunStatus.MAX_ITERS,
-        final_theta=ParamVector(np.array([1.0, 0.0])),
+        final_theta=np.array([1.0, 0.0]),
     )
 
 

@@ -17,7 +17,7 @@ from sparsepolyak.diagnostics import (
     run_instance_cells,
     summarize_comparison,
 )
-from sparsepolyak.objectives import LINEAR, LOGISTIC, ParamVector, bregman_batch
+from sparsepolyak.objectives import LINEAR, LOGISTIC, bregman_batch
 from sparsepolyak.optimizer import SPARSE_POLYAK, RunStatus, RunTrace
 from sparsepolyak.rng import STREAM_CHECK, substream
 from sparsepolyak.synthdata import (
@@ -41,7 +41,7 @@ def trace_from_errors(errors, status=RunStatus.MAX_ITERS):
         error_sq=errors,
         support_size=np.zeros(k, dtype=int),
         status=status,
-        final_theta=ParamVector(np.zeros(2)),
+        final_theta=np.zeros(2),
     )
 
 
@@ -204,7 +204,7 @@ class TestDecompositionMargins:
     def test_requires_kept_iterates(self):
         trace = trace_from_errors([1.0, 0.5])
         with pytest.raises(ValueError):
-            decomposition_margins(trace, ParamVector(np.zeros(2)), 0.25)
+            decomposition_margins(trace, np.zeros(2), 0.25)
 
 
 class TestCompareOperators:

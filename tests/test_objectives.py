@@ -12,13 +12,11 @@ from sparsepolyak.objectives import (
     Dataset,
     GramRows,
     ObjectiveModel,
-    ParamVector,
     _as_params,
     _forward_product,
     _loss_and_residual,
     _support_union,
     bregman_batch,
-    gradient,
     objective_value,
     sigmoid,
     target_value,
@@ -121,11 +119,11 @@ class TestObjectiveValue:
 class TestGradient:
     def test_linear_single_sample(self):
         model = ObjectiveModel(family=LINEAR, data=Dataset(X=[[1.0, 0.0]], y=[1.0]))
-        np.testing.assert_allclose(gradient(model, [0.0, 0.0]), [-1.0, 0.0])
+        np.testing.assert_allclose(value_and_gradient(model, [0.0, 0.0])[1], [-1.0, 0.0])
 
     def test_logistic_single_sample(self):
         model = ObjectiveModel(family=LOGISTIC, data=Dataset(X=[[2.0, 0.0]], y=[1.0]))
-        np.testing.assert_allclose(gradient(model, [0.0, 0.0]), [-1.0, 0.0])
+        np.testing.assert_allclose(value_and_gradient(model, [0.0, 0.0])[1], [-1.0, 0.0])
 
     @pytest.mark.parametrize("family", [LINEAR, LOGISTIC])
     def test_matches_finite_differences(self, family):
@@ -133,7 +131,7 @@ class TestGradient:
         for _ in range(100):
             model = random_model(rng, family)
             theta = rng.standard_normal(model.dim)
-            g = gradient(model, theta)
+            g = value_and_gradient(model, theta)[1]
             fd = finite_difference_gradient(model, theta)
             scale = np.maximum(np.abs(fd), 1e-3)
             assert np.max(np.abs(g - fd) / scale) <= 1e-5
@@ -145,12 +143,12 @@ class TestGradient:
             theta = rng.standard_normal(model.dim)
             X, y = model.data.X, model.data.y
             expected = X.T @ (X @ theta - y) / model.data.n
-            np.testing.assert_allclose(gradient(model, theta), expected, atol=1e-12)
+            np.testing.assert_allclose(value_and_gradient(model, theta)[1], expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
         model = ObjectiveModel(family=LINEAR, data=Dataset(X=[[1.0, 0.0]], y=[1.0]))
         with pytest.raises(ValueError):
-            gradient(model, [1.0])
+            value_and_gradient(model, [1.0])[1]
 
 
 class TestConvexity:
@@ -194,7 +192,7 @@ class TestFusedEvaluation:
             theta = rng.standard_normal(model.dim)
             f, g = value_and_gradient(model, theta)
             assert f == objective_value(model, theta)
-            assert g.tobytes() == gradient(model, theta).tobytes()
+            assert g.tobytes() == value_and_gradient(model, theta)[1].tobytes()
 
 
 class TestBatchEvaluation:
@@ -207,7 +205,7 @@ class TestBatchEvaluation:
         singles = [objective_value(model, row) for row in Thetas]
         np.testing.assert_allclose(batch_f, singles, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(objective_value(model, Thetas), singles, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(batch_g, [gradient(model, row) for row in Thetas],
+        np.testing.assert_allclose(batch_g, [value_and_gradient(model, row)[1] for row in Thetas],
                                    rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("family", [LINEAR, LOGISTIC])
@@ -218,7 +216,7 @@ class TestBatchEvaluation:
         T2 = rng.standard_normal((8, model.dim))
         batch = bregman_batch(model, T1, T2)
         direct = [
-            objective_value(model, a) - objective_value(model, b) - gradient(model, b) @ (a - b)
+            objective_value(model, a) - objective_value(model, b) - value_and_gradient(model, b)[1] @ (a - b)
             for a, b in zip(T1, T2)
         ]
         np.testing.assert_allclose(batch, direct, rtol=1e-9, atol=1e-11)
@@ -455,11 +453,3 @@ class TestDomainTypes:
     def test_logistic_responses_validated(self):
         with pytest.raises(ValueError):
             ObjectiveModel(family=LOGISTIC, data=Dataset(X=[[1.0]], y=[0.5]))
-
-    def test_param_vector_support_cache(self):
-        p = ParamVector([0.0, 3.0, 0.0, -2.0])
-        assert p.support.tolist() == [1, 3]
-        assert p.nnz == 2
-        assert p.dim == 4
-        with pytest.raises(ValueError):
-            p.values[0] = 1.0  # stored values are read-only

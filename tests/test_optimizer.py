@@ -12,8 +12,7 @@ from sparsepolyak.objectives import (
     Dataset,
     GramRows,
     ObjectiveModel,
-    ParamVector,
-    gradient,
+    value_and_gradient,
 )
 from sparsepolyak.optimizer import (
     CLASSIC_POLYAK,
@@ -59,10 +58,13 @@ def basic_config(model, theta_star, f_hat, s, kind=HT, step_kind=SPARSE_POLYAK,
         model=model,
         operator=ThresholdSpec(kind=kind, s=s),
         step_rule=rule,
-        theta0=ParamVector(np.zeros(model.dim)),
+        theta0=np.zeros(model.dim),
         max_iters=max_iters,
         theta_star=theta_star,
     )
+
+
+RUN_CONFIG_FIELDS = ("model", "operator", "step_rule", "theta0", "max_iters", "stop_tol", "theta_star")
 
 
 class TestStepRules:
@@ -159,7 +161,7 @@ class TestRunLoop:
         assert len(trace) == 1
         assert trace.status is RunStatus.CONVERGED
         assert trace.step_size[0] == 0.0
-        np.testing.assert_array_equal(trace.final_theta.values, theta_star.values)
+        np.testing.assert_array_equal(trace.final_theta, theta_star)
 
     def test_sparsity_preserved_every_iteration(self):
         model, theta_star, f_hat = linear_instance(120, 60, 6, 0.5, 0.5, seed=1)
@@ -188,7 +190,7 @@ class TestRunLoop:
         t2 = run(basic_config(model, theta_star, f_hat, s=10, max_iters=60))
         for name in ("f_value", "step_size", "grad_ht_norm_sq", "error_sq"):
             assert getattr(t1, name).tobytes() == getattr(t2, name).tobytes()
-        assert t1.final_theta.values.tobytes() == t2.final_theta.values.tobytes()
+        assert t1.final_theta.tobytes() == t2.final_theta.tobytes()
 
     def test_stall_terminates_with_distinct_status(self):
         # zero parameter is already stationary, but the target is unattainable
@@ -199,7 +201,7 @@ class TestRunLoop:
             model=model,
             operator=ThresholdSpec(kind=HT, s=1),
             step_rule=rule,
-            theta0=ParamVector(np.zeros(2)),
+            theta0=np.zeros(2),
             max_iters=50,
         )
         trace = run(config)
@@ -241,15 +243,43 @@ class TestRunLoop:
             with pytest.raises(OptimizerError, match=r"iteration 2 \(operator ht, s = 5\)"):
                 run(config)
 
+    def test_non_finite_step_size_fails_at_its_iteration(self, monkeypatch):
+        # gamma = inf (a positive gap over a subnormal denominator) would put
+        # inf * 0 = NaN into z; the cell must stop before the operator
+        from sparsepolyak import optimizer
+
+        model, theta_star, f_hat = linear_instance(50, 20, 3, 0.0, 0.5, seed=5)
+        config = basic_config(model, theta_star, f_hat, s=5, max_iters=50)
+        real = optimizer.sparse_polyak_step
+        calls = []
+
+        def overflowing(f_val, f_hat, ht_norm_sq):
+            calls.append(None)
+            return np.inf if len(calls) == 3 else real(f_val, f_hat, ht_norm_sq)
+
+        monkeypatch.setattr(optimizer, "sparse_polyak_step", overflowing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OptimizerError, match=r"iteration 2 \(operator ht, s = 5\)"):
+                run(config)
+
     def test_initial_point_sparsity_validated(self):
         model, theta_star, f_hat = linear_instance(50, 20, 3, 0.0, 0.5, seed=6)
-        config = basic_config(model, theta_star, f_hat, s=5)
-        with pytest.raises(ValueError):
-            config2 = basic_config(model, theta_star, f_hat, s=2)
-            config2.theta0 = ParamVector(np.ones(20))
-            RunConfig(**{f: getattr(config2, f) for f in (
-                "model", "operator", "step_rule", "theta0", "max_iters",
-                "stop_tol", "theta_star")})
+        config = basic_config(model, theta_star, f_hat, s=2)
+        config.theta0 = np.ones(20)
+        with pytest.raises(ValueError, match="20 nonzeros, exceeding s = 2"):
+            RunConfig(**{f: getattr(config, f) for f in RUN_CONFIG_FIELDS})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("theta0", np.zeros(19), r"theta0 has shape \(19,\), expected \(20,\)"),
+        ("theta_star", np.zeros((1, 20)), r"theta_star has shape \(1, 20\), expected \(20,\)"),
+    ], ids=["theta0", "theta_star"])
+    def test_parameter_shape_validated(self, field, value, message):
+        model, theta_star, f_hat = linear_instance(50, 20, 3, 0.0, 0.5, seed=6)
+        config = basic_config(model, theta_star, f_hat, s=2)
+        setattr(config, field, value)
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**{f: getattr(config, f) for f in RUN_CONFIG_FIELDS})
 
 
 def vector_loop(config, full_product=False):
@@ -266,7 +296,7 @@ def vector_loop(config, full_product=False):
     X = np.ascontiguousarray(model.data.X) if full_product else model.data.X
     y, n = model.data.y, model.data.n
     gram = GramRows(model)
-    theta, truth = config.theta0.values.copy(), config.theta_star.values
+    theta, truth = config.theta0.copy(), config.theta_star
     width = min(op.s if rule.ht_width == "s" else 2 * op.s, model.dim)
     rows, status = [], RunStatus.MAX_ITERS
     for t in range(config.max_iters + 1):
@@ -292,7 +322,7 @@ def vector_loop(config, full_product=False):
         theta = op.apply(theta - gamma * g)
     t, f, gamma, ht, err, nnz = (np.array(col) for col in zip(*rows))
     return RunTrace(iters=t, f_value=f, step_size=gamma, grad_ht_norm_sq=ht, error_sq=err,
-                    support_size=nnz, status=status, final_theta=ParamVector(theta))
+                    support_size=nnz, status=status, final_theta=theta)
 
 
 def zero_response_model(kind):
@@ -307,12 +337,12 @@ def mixed_configs(model, s_lo, s_hi):
     """HT/RT cells at two sparsities under all three rules, plus an instant and a stalled cell."""
     d = model.dim
     start = np.random.default_rng(12).standard_normal(d)
-    zero = ParamVector(np.zeros(d))
+    zero = np.zeros(d)
     gamma = model.data.n / np.linalg.norm(model.data.X, 2) ** 2
 
     def cell(kind, s, step_kind, max_iters, f_hat=0.0, theta0=None, stop_tol=None, ht_width="s"):
         if theta0 is None:
-            theta0 = ParamVector(hard_threshold(start, s))
+            theta0 = hard_threshold(start, s)
         rule = StepRule(kind=step_kind, f_hat=f_hat, ht_width=ht_width,
                         fixed_gamma=gamma if step_kind == FIXED else None)
         return RunConfig(model=model, operator=ThresholdSpec(kind=kind, s=s), step_rule=rule,
@@ -348,11 +378,28 @@ class TestRunBatch:
         for b, single in zip(batch, singles):
             assert_same_cell(b, single)
             assert len(b.iterates) == len(b) and len(b.pre_threshold) == len(b) - 1
-            np.testing.assert_array_equal(b.iterates[-1], b.final_theta.values)
+            np.testing.assert_array_equal(b.iterates[-1], b.final_theta)
         statuses = [b.status for b in batch]
         assert statuses[6:] == [RunStatus.CONVERGED, RunStatus.STALLED_ZERO_GRADIENT]
         assert len(batch[6]) == len(batch[7]) == 1
         assert {RunStatus.CONVERGED, RunStatus.MAX_ITERS} <= set(statuses[:6])
+
+    def test_final_theta_owns_its_memory(self, monkeypatch):
+        # a view would keep the B x d batch buffer alive and writable
+        from sparsepolyak import optimizer
+
+        model, (s_lo, s_hi) = zero_response_model("design")
+        real = optimizer.value_and_gradient
+        buffers = []
+
+        def recording(model, Theta, gram):
+            buffers.append(Theta)
+            return real(model, Theta, gram)
+
+        monkeypatch.setattr(optimizer, "value_and_gradient", recording)
+        traces = run_batch(mixed_configs(model, s_lo, s_hi))
+        for trace in traces:
+            assert not any(np.shares_memory(trace.final_theta, Theta) for Theta in buffers)
 
     def test_cell_order_does_not_matter(self):
         model, (s_lo, s_hi) = zero_response_model("design")
@@ -410,7 +457,7 @@ class TestNoiselessRecovery:
         for seed in range(3):
             model, theta_star, _ = linear_instance(n, d, s_star, 0.0, 1.0, seed=seed)
             # rebuild with exact responses to make the target value 0
-            data = Dataset(X=model.data.X, y=model.data.X @ theta_star.values)
+            data = Dataset(X=model.data.X, y=model.data.X @ theta_star)
             model = ObjectiveModel(family=LINEAR, data=data)
             trace = run(basic_config(model, theta_star, 0.0, s=s_star, max_iters=500))
             assert trace.f_value[-1] < 1e-10
@@ -421,7 +468,7 @@ class TestNoiselessRecovery:
         d, s_star = 400, 10
         n = int(np.ceil(8 * s_star * np.log(d)))
         model, theta_star, _ = linear_instance(n, d, s_star, 0.5, 1.0, seed=0)
-        data = Dataset(X=model.data.X, y=model.data.X @ theta_star.values)
+        data = Dataset(X=model.data.X, y=model.data.X @ theta_star)
         model = ObjectiveModel(family=LINEAR, data=data)
         trace = run(basic_config(model, theta_star, 0.0, s=2 * s_star, max_iters=500))
         assert trace.status is RunStatus.CONVERGED
@@ -469,7 +516,7 @@ def applicable_instance():
     model, theta_star, f_hat = make_instance(design, truth, noise, seed=0)
     params = compute_regularity(design, s)
     assert params.theory_applicable
-    ghat = gradient(model, theta_star)
+    ghat = value_and_gradient(model, theta_star)[1]
     floor = theoretical_floor(params, np.linalg.norm(hard_threshold(ghat, s)))
     trace = run(basic_config(model, theta_star, f_hat, s=s, kind=RT, max_iters=300))
     return design, params, trace, floor, s, s_star, sigma

@@ -14,7 +14,6 @@ from sparsepolyak.thresholding import (
     hard_threshold,
     reciprocal_threshold,
     relative_concavity_bound,
-    threshold_batch,
 )
 
 
@@ -82,6 +81,17 @@ class TestTopSSupport:
             hard_threshold(np.array([1.0, 2.0]), 0)
         with pytest.raises(ValueError):
             hard_threshold(np.array([]), 1)
+
+    @pytest.mark.parametrize("fn", [hard_threshold, reciprocal_threshold])
+    def test_nan_input_rejected(self, fn):
+        batches = (
+            np.array([[1.0, 2.0, 3.0, 4.0], [1.0, np.nan, 2.0, 3.0]]),
+            # the first row keeps four tied entries: the flat count is s per row
+            np.array([[1.0, 1.0, 1.0, 1.0], [np.nan, 1.0, 2.0, 3.0]]),
+        )
+        for v in (np.array([np.nan, 1.0, 2.0, 3.0]), *batches):
+            with pytest.raises(ValueError, match="NaN"):
+                fn(v, 2)
 
 
 class TestHardThreshold:
@@ -167,11 +177,11 @@ class TestBatchAgreement:
         T[:3] = 0.0
         for s in (1, 4, 11, 12):
             for kind, fn in ((HT, hard_threshold), (RT, reciprocal_threshold)):
-                batch = threshold_batch(Z, s, kind)
+                batch = fn(Z, s)
                 rows = np.stack([fn(z, s) for z in Z])
                 np.testing.assert_array_equal(batch, rows)
                 ref = np.stack([reference_threshold(t, s, kind) for t in T])
-                assert threshold_batch(T, s, kind).tobytes() == ref.tobytes()
+                assert fn(T, s).tobytes() == ref.tobytes()
 
 
 # integer-rounded entries, so magnitudes tie often, with both signed zeros
@@ -195,7 +205,7 @@ class TestOneSelectionPath:
         for s in range(1, V.shape[1] + 1):
             for kind, fn in ((HT, hard_threshold), (RT, reciprocal_threshold)):
                 ref = np.stack([reference_threshold(v, s, kind) for v in V])
-                assert threshold_batch(V, s, kind).tobytes() == ref.tobytes()
+                assert fn(V, s).tobytes() == ref.tobytes()
                 for v, r in zip(V, ref):
                     assert fn(v, s).tobytes() == r.tobytes()
 
