@@ -12,12 +12,13 @@ used in step-size gaps must come from `target_value` (same form) and
 never be mixed across forms.
 
 An evaluation forms U = X theta and reduces it to the loss and the
-residual psi'(U) - y (`_loss_and_residual`, shared by every path).  The
-design is stored column-major, and iterates are sparse, so
-`_forward_product` multiplies only the columns in the union of the
-supports of the parameter rows; when that union spans more than
-`GATHER_MAX_FRAC` of the columns, the same expression takes every column
-(the full product).
+residual psi'(U) - y (`_loss_and_residual`, shared by every path; the
+logistic cumulant is `softplus`).  Iterates are sparse, so U needs only
+the columns in the union of the supports of the parameter rows.  While a
+`GramRows` cache holds those columns, U is one product over its slots;
+otherwise `_forward_product` gathers them from the column-major design,
+or takes every column (the full product) when the union spans more than
+`GATHER_MAX_FRAC` of them.
 
 The gradient has all d entries, since selection and the step rule read
 every one: the full product X' r / n, or for the linear family, while a
@@ -42,7 +43,8 @@ _FAMILIES = (LINEAR, LOGISTIC)
 # never slower.  The gathered block is then at most a quarter of X's bytes
 # (1.4 MB at 691 x 1000, 6.7 MB at 2675 x 1250), a temporary per product.
 # The same share of n bounds the slots of a `GramRows` cache, so its
-# cap x (n + d) block is at most half of X's bytes when n <= d.
+# block, cap x (n + d) (linear) or cap x n (logistic), is at most half of
+# X's bytes when n <= d; its pages are touched only as slots fill.
 GATHER_MAX_FRAC = 0.25
 
 
@@ -50,6 +52,18 @@ def sigmoid(t):
     """Overflow-safe logistic function 1 / (1 + exp(-t))."""
     t = np.asarray(t, dtype=float)
     return 0.5 * (1.0 + np.tanh(0.5 * t))
+
+
+def softplus(t):
+    """Overflow-safe log(1 + exp(t)), the logistic cumulant.
+
+    max(t, 0) + log1p(exp(-|t|)): the branch formula of
+    `np.logaddexp(0, t)`, built from vectorised ufuncs, which agree with it
+    to a few ulps.  On a 10 x 2675 batch it took 0.10-0.16 ms against
+    0.72-1.03 ms for `np.logaddexp` (one core of a shared 2-vCPU x86 host).
+    """
+    t = np.asarray(t, dtype=float)
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
 @dataclass(frozen=True)
@@ -70,7 +84,8 @@ class Dataset:
             raise ValueError("X must be a nonempty n x d matrix")
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise ValueError(f"y must have length n = {X.shape[0]}, got shape {y.shape}")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        # min and max propagate NaN and show +-inf, without an n x d mask
+        if not all(np.isfinite(a.min()) and np.isfinite(a.max()) for a in (X, y)):
             raise ValueError("dataset entries must be finite")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
@@ -144,42 +159,42 @@ def _loss_and_residual(model: ObjectiveModel, U: np.ndarray):
         R = U - y
         f = 0.5 * np.vecdot(R, R) / n
     else:
-        f = np.mean(np.logaddexp(0.0, U) - y * U, axis=-1)
+        f = np.mean(softplus(U) - y * U, axis=-1)
         R = sigmoid(U) - y
     return (float(f) if U.ndim == 1 else f), R
 
 
 class GramRows:
-    """Design columns x_j and Gram rows x_j' X / n of the columns a linear-family run uses.
+    """Cached design columns x_j of a run's support union, with their Gram rows x_j' X / n if linear.
 
-    For the squared-error loss the gradient is X'X theta / n - X'y / n, and
-    theta is sparse, so only the Gram rows of its support columns are
+    A column that enters the support union of the parameter rows fills
+    the next free slot; then one product W @ block over the used slots,
+    with the parameters as weights and zero weight on the columns that
+    have left the union, gives X theta, so no column is gathered per call.
+    For the squared-error loss the gradient is X'X theta / n - X'y / n,
+    and theta is sparse, so only the Gram rows of its support columns are
     needed (the covariance update of glmnet's coordinate descent, Friedman,
-    Hastie & Tibshirani 2010).  A slot holds a column and its Gram row side
-    by side, [x_j' | x_j' X / n], in a cap x (n + d) block.  A column
-    that enters the support union fills the next free slot; then one
-    product W @ block over the used slots, with the parameters as weights
-    and zero weight on the columns that have left the union, gives
-    X theta in its first n entries and X'X theta / n in the rest, so no
-    column is gathered or row copied per call.  X'y / n is computed on
-    the first call that uses the slots.
+    Hastie & Tibshirani 2010).  A linear slot therefore holds a column and
+    its Gram row side by side, [x_j' | x_j' X / n], in a cap x (n + d)
+    block, and the same product gives X theta in its first n entries and
+    X'X theta / n in the rest; X'y / n is computed on the first call that
+    uses the slots.  A logistic slot holds the column alone, in a cap x n
+    block, and its gradient stays the full product R X / n.
 
-    The slots pay off while the support union of a batch is narrow and
-    stable: one Gram row takes the flops of one row of the full product
-    R X / n, and is then reused.  They are paid from a budget that starts
-    at the slot count and grows by the batch size B on each call (the
-    rows of one full product), up to the slot count; a call whose new
-    columns exceed the budget takes the gathered forward product and the
-    full gradient product instead.  So over any stretch of calls the rows
-    computed are at most those of the stretch's full products plus one
-    cache's worth, however the union drifts.
+    Gram rows pay off while the support union of a batch is narrow and
+    stable: one takes the flops of one row of the full product R X / n,
+    and is then reused.  Slots are paid from a budget that starts at the
+    slot count and grows by the batch size B on each call (the rows of one
+    full product), up to the slot count; a call whose new columns exceed
+    the budget takes the gathered forward product (and for the linear
+    family the full gradient product) instead.  So over any stretch of
+    calls the Gram rows computed are at most those of the stretch's full
+    products plus one cache's worth, however the union drifts.
 
-    There are at most `GATHER_MAX_FRAC` n slots and at most d, so the
-    block is at most half of X's bytes when n <= d.  When the new columns
-    do not fit, the slots restart from the current union; a union wider
-    than the slots takes the other path, as a logistic model does on
-    every call.  `computed` and `restarts` count the slots filled and the
-    restarts.
+    There are at most `GATHER_MAX_FRAC` n slots and at most d.  When the
+    new columns do not fit, the slots restart from the current union; a
+    union wider than the slots takes the other path.  `computed` and
+    `restarts` count the slots filled and the restarts.
 
     The block is valid for one model and is not freed until the object
     is: create one per run (`optimizer.run_batch` does) rather than
@@ -194,17 +209,17 @@ class GramRows:
         self.budget = self.cap  # slots the next call may fill
         self.computed = 0
         self.restarts = 0
-        self.block = np.empty((self.cap, model.data.n + model.dim)) if model.family == LINEAR else None
+        width = model.data.n + (model.dim if model.family == LINEAR else 0)
+        self.block = np.empty((self.cap, width))
         self.xty = None
 
     def product(self, v: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
-        """[X theta | X'X theta / n] at a checked vector or B x d batch v whose support union is cols.
+        """W @ block at a checked vector or B x d batch v whose support union is cols.
 
-        None when the slots do not cover cols and the budget cannot fill
-        them, or the model is not linear.
+        [X theta | X'X theta / n] for a linear model, X theta for a
+        logistic one; None when the slots do not cover cols and the
+        budget cannot fill them.
         """
-        if self.block is None:
-            return None
         self.budget = min(self.budget + (1 if v.ndim == 1 else v.shape[0]), self.cap)
         if cols.size > self.cap:
             return None
@@ -217,7 +232,8 @@ class GramRows:
         if new.size > self.budget:
             return None
         X, n = self.model.data.X, self.model.data.n
-        if self.xty is None:
+        linear = self.model.family == LINEAR
+        if linear and self.xty is None:
             self.xty = self.model.data.y @ X / n
         if restart:
             self.slot[:] = -1
@@ -225,10 +241,12 @@ class GramRows:
             self.restarts += 1
         if new.size:
             end = self.used + new.size
-            cols_new, rows = self.block[self.used:end, :n], self.block[self.used:end, n:]
-            cols_new[:] = X.T[new]
-            np.matmul(cols_new, X, out=rows)
-            rows /= n
+            cols_new = self.block[self.used:end, :n]
+            np.take(X.T, new, axis=0, out=cols_new, mode="clip")  # in place when the slots are contiguous
+            if linear:
+                rows = self.block[self.used:end, n:]
+                np.matmul(cols_new, X, out=rows)
+                rows /= n
             slots[absent] = self.slot[new] = np.arange(self.used, end)
             self.used = end
             self.budget -= new.size
@@ -242,19 +260,20 @@ def value_and_gradient(model: ObjectiveModel, theta, gram: GramRows | None = Non
     """Average loss and its gradient (1/n) X' (psi'(X theta) - y).
 
     For a B x d batch: B losses and the B x d gradient rows.  With `gram`,
-    the `GramRows` of this model, a linear evaluation is one product over
-    its slots when they cover the support union or its budget can fill
-    them; otherwise, and without `gram`, it is the forward product on the
-    support union and the full gradient product X' r / n.
+    the `GramRows` of this model, X theta comes from one product over its
+    slots when they cover the support union or its budget can fill them,
+    and for a linear model that product gives the gradient too; otherwise,
+    and without `gram`, X theta is the forward product on the support
+    union.  Every other gradient is the full product X' r / n.
     """
     v = _as_params(model, theta)
     cols = _support_union(v)
     Y = None if gram is None else gram.product(v, cols)
-    if Y is None:
-        f, R = _loss_and_residual(model, _forward_product(model, v, cols))
-        return f, R @ model.data.X / model.data.n
     n = model.data.n
-    return _loss_and_residual(model, Y[..., :n])[0], Y[..., n:] - gram.xty
+    f, R = _loss_and_residual(model, _forward_product(model, v, cols) if Y is None else Y[..., :n])
+    if Y is None or model.family != LINEAR:
+        return f, R @ model.data.X / n
+    return f, Y[..., n:] - gram.xty
 
 
 def objective_value(model: ObjectiveModel, theta):
@@ -285,5 +304,5 @@ def bregman_batch(model: ObjectiveModel, Theta1: np.ndarray, Theta2: np.ndarray)
     if model.family == LINEAR:
         D = U1 - U2
         return 0.5 * np.einsum("ij,ij->j", D, D) / model.data.n
-    vals = np.logaddexp(0.0, U1) - np.logaddexp(0.0, U2) - sigmoid(U2) * (U1 - U2)
+    vals = softplus(U1) - softplus(U2) - sigmoid(U2) * (U1 - U2)
     return np.mean(vals, axis=0)

@@ -101,9 +101,13 @@ class RunStatus(enum.Enum):
     STALLED_ZERO_GRADIENT = "stalled_zero_gradient"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything `run` needs: model, operator, step rule, start, budget; vectors have length d."""
+    """Everything `run` needs: model, operator, step rule, start, budget; vectors have length d.
+
+    Frozen, so the checks hold for its life: derive a changed config with
+    `dataclasses.replace`, which checks it again.
+    """
 
     model: ObjectiveModel
     operator: ThresholdSpec
@@ -119,8 +123,9 @@ class RunConfig:
             raise ValueError("max_iters must be >= 0")
         if self.operator.s > d:
             raise ValueError(f"operator sparsity {self.operator.s} exceeds dimension {d}")
-        self.theta0 = np.asarray(self.theta0, dtype=float)
-        self.theta_star = None if self.theta_star is None else np.asarray(self.theta_star, dtype=float)
+        object.__setattr__(self, "theta0", np.asarray(self.theta0, dtype=float))
+        if self.theta_star is not None:
+            object.__setattr__(self, "theta_star", np.asarray(self.theta_star, dtype=float))
         for name, v in (("theta0", self.theta0), ("theta_star", self.theta_star)):
             if v is not None and v.shape != (d,):
                 raise ValueError(f"{name} has shape {v.shape}, expected ({d},)")
@@ -313,14 +318,15 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
     """Run configs that share one model in lock step; one trace per config, in order.
 
     The iterates of the cells still running form a B x d array, so each
-    iteration makes one evaluation for all of them: for a linear model,
-    one product over the columns and Gram rows this call has cached for
-    the union of their supports; otherwise, or until the cache's budget
-    pays for them, a forward product on that union and one gradient
+    iteration makes one evaluation for all of them: one product over the
+    design columns this call has cached for the union of their supports
+    (for a linear model, with their Gram rows, which give the gradient
+    too), or, until the cache's budget pays for them, a forward product
+    on that union; then, unless the Gram rows gave it, one gradient
     matrix product.  Which iterations use the cache, and the slot order
     its sums run in, depend on the order in which columns entered the
     batch's union and on the batch size, and so do the last bits of a
-    linear cell.  Selection, the step rule, the stop tests and the trace
+    cell.  Selection, the step rule, the stop tests and the trace
     rows are per cell, as in `run`; a cell leaves the batch when it
     stops.  Raises OptimizerError, naming the iteration and the cell,
     when a cell's objective, ||HT_w(grad)||^2 or step size is not finite.

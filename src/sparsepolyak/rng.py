@@ -28,3 +28,15 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     """Generator for the stream identified by ``key`` under ``seed``."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def substreams(seed: int, *key: int):
+    """Generators for the streams ``key + (i,)``, i = 0, 1, 2, ..., in order.
+
+    The i-th is the generator ``substream(seed, *key, i)`` returns: a
+    SeedSequence spawns its children under consecutive keys.  They are
+    spawned one at a time, as they are drawn.
+    """
+    parent = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    while True:
+        yield np.random.Generator(np.random.PCG64(parent.spawn(1)[0]))

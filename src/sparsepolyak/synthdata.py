@@ -19,7 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import LINEAR, LOGISTIC, sigmoid
-from .rng import STREAM_DESIGN, STREAM_NOISE, STREAM_TRUTH, substream
+from .rng import STREAM_DESIGN, STREAM_NOISE, STREAM_TRUTH, substream, substreams
+
+# Bytes of the row-major block that `generate_design` draws rows into.
+DESIGN_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -153,20 +156,28 @@ def design_spectrum(omega: float, d: int) -> tuple[float, float]:
 def generate_design(spec: DesignSpec, seed: int) -> np.ndarray:
     """Draw the n x d design; one RNG substream per sample row.
 
-    X is column-major, so the column recursion writes contiguous columns
-    and `Dataset` stores it without a copy.  With column_normalize, each
-    column is rescaled so ||X_j|| / sqrt(n) = 1.
+    X is column-major, so the column recursion runs in place on contiguous
+    columns and `Dataset` stores it without a copy.  Each row's normals are
+    drawn into a row-major block of about `DESIGN_BLOCK_BYTES` and the
+    block is copied into X, so generation holds X plus that block rather
+    than a second n x d buffer.  With column_normalize, each column is
+    rescaled in place so ||X_j|| / sqrt(n) = 1 (the column norms take one
+    n x d temporary).
     """
-    eps = np.empty((spec.n, spec.d))
-    for i in range(spec.n):
-        eps[i] = substream(seed, STREAM_DESIGN, i).standard_normal(spec.d)
-    X = np.empty((spec.n, spec.d), order="F")
-    X[:, 0] = eps[:, 0] / np.sqrt(1.0 - spec.omega**2)
-    for t in range(1, spec.d):
-        X[:, t] = spec.omega * X[:, t - 1] + eps[:, t]
+    n, d = spec.n, spec.d
+    X = np.empty((n, d), order="F")
+    block = np.empty((min(n, max(1, DESIGN_BLOCK_BYTES // (8 * d))), d))
+    rows = substreams(seed, STREAM_DESIGN)
+    for start in range(0, n, block.shape[0]):
+        part = block[:n - start]
+        for row in part:
+            next(rows).standard_normal(out=row)
+        X[start:start + part.shape[0]] = part
+    X[:, 0] /= np.sqrt(1.0 - spec.omega**2)
+    for t in range(1, d):
+        X[:, t] += spec.omega * X[:, t - 1]
     if spec.column_normalize:
-        scale = np.linalg.norm(X, axis=0) / np.sqrt(spec.n)
-        X = X / scale
+        X /= np.linalg.norm(X, axis=0) / np.sqrt(n)
     return X
 
 

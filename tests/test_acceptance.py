@@ -105,6 +105,7 @@ class TestC01OperatorUnitSuite:
         assert elapsed < self.BUDGET
 
 
+@pytest.mark.slow
 class TestC02ConcavityCertification:
     BUDGET = 60.0
 
@@ -290,6 +291,7 @@ class TestC05ContractionAndFloor:
         assert elapsed < self.BUDGET
 
 
+@pytest.mark.slow
 class TestC06PrecisionScaling:
     BUDGET = 600.0
 
@@ -307,6 +309,7 @@ class TestC06PrecisionScaling:
         assert sweep_seconds < self.BUDGET
 
 
+@pytest.mark.slow
 class TestC07RateInvariance:
     BUDGET = 600.0
 
@@ -337,6 +340,7 @@ class TestC07RateInvariance:
         assert sweep_seconds < self.BUDGET
 
 
+@pytest.mark.slow
 class TestC08QuarterScaleLogisticReplication:
     BUDGET = 900.0
     ITER_BUDGET = 150  # mid-transient: grid search still differentiates the operators

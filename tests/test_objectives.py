@@ -1,6 +1,8 @@
 """Objective-function tests: frozen values, finite-difference oracle, convexity."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from sparsepolyak.objectives import (
     bregman_batch,
     objective_value,
     sigmoid,
+    softplus,
     target_value,
     value_and_gradient,
 )
@@ -75,6 +78,15 @@ class TestCumulant:
         val = objective_value(one_sample(LOGISTIC), [800.0])
         assert abs(val - 800.0) <= 1e-12 * 800.0
         assert sigmoid(800.0) == 1.0
+
+    def test_softplus_matches_logaddexp_without_warnings(self):
+        t = np.array([-np.inf, -1000.0, -40.0, -1.0, -0.0, 0.0, 1e-300, 1.0, 40.0, 1000.0, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = softplus(t)
+        ref = np.logaddexp(0.0, t)
+        assert got[0] == 0.0 and got[-1] == np.inf
+        np.testing.assert_allclose(got[1:-1], ref[1:-1], rtol=4e-16, atol=0.0)
 
     def test_logistic_derivative_strict_bounds(self):
         # saturation reaches exactly 0/1 beyond |t| ~ 36 in float64
@@ -346,7 +358,7 @@ class TestGramGradient:
         v = _as_params(model, Theta)
         cols = _support_union(v)
         Y = gram.product(v, cols)
-        assert Y is not None and Y.shape == v.shape[:-1] + (self.n + self.d,)
+        assert Y is not None and Y.shape == v.shape[:-1] + gram.block.shape[1:]
         f, R = _loss_and_residual(model, Y[..., :self.n])
         f_ref, R_ref = _loss_and_residual(model, _forward_product(model, v, cols))
         np.testing.assert_allclose(f, f_ref, rtol=1e-13, atol=0.0)
@@ -432,13 +444,45 @@ class TestGramGradient:
             assert gram.computed <= gram.cap + call and gram.used <= gram.cap
         assert gram.restarts >= 2 and full >= 35  # 37 of the 45 calls; 48 rows computed, not 495
 
-    def test_logistic_gradient_bytes_unchanged(self):
+    def test_logistic_slots_hold_columns_only(self):
+        # the same drifting unions as the linear case: X theta from the
+        # slots within 1e-13 (relative) of the gathered product, the
+        # gradient the full product R X / n
         model = self.model(LOGISTIC)
         rng = np.random.default_rng(73)
         gram = GramRows(model)
-        Theta = np.array([self.sparse(rng, [3, 9]), np.zeros(self.d)])
-        assert np.array_equal(value_and_gradient(model, Theta, gram)[1], self.full_gradient(model, Theta))
-        assert gram.used == 0 and gram.block is None
+        assert gram.block.shape == (gram.cap, self.n)
+        self.assert_block_matches_gathered(model, gram, self.sparse(rng, [3, 9]))
+        Theta = np.zeros((4, self.d))  # the last row stays zero
+        for j, cols in enumerate(([0, 1, 2], [20, 21], [55, 59])):
+            Theta[j] = self.sparse(rng, cols)
+        self.assert_block_matches_gathered(model, gram, Theta)
+        assert gram.used == 9
+        after = np.array([self.sparse(rng, [30, 31, 32, 33]), self.sparse(rng, [7, 40])])
+        self.assert_block_matches_gathered(model, gram, after)  # 6 new columns do not fit
+        assert gram.restarts == 1 and gram.used == 6 and gram.xty is None
+
+    def test_logistic_repeat_call_gathers_no_columns(self):
+        n, d, union = 400, 160, 40
+        rng = np.random.default_rng(101)
+        X = rng.standard_normal((n, d))
+        model = ObjectiveModel(family=LOGISTIC, data=Dataset(X=X, y=(rng.random(n) < 0.5).astype(float)))
+        gram = GramRows(model)
+        Theta = np.zeros((2, d))
+        Theta[0, :union // 2] = rng.standard_normal(union // 2)
+        Theta[1, d - union // 2:] = rng.standard_normal(union // 2)
+        first = value_and_gradient(model, Theta, gram)
+        assert gram.used == gram.computed == union
+        tracemalloc.start()
+        try:
+            second = value_and_gradient(model, Theta, gram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gram.computed == union and gram.restarts == 0
+        assert peak < 8 * n * union  # the gathered columns alone would take that
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestDomainTypes:
@@ -449,6 +493,14 @@ class TestDomainTypes:
             Dataset(X=[[1.0, 2.0]], y=[1.0, 2.0])
         with pytest.raises(ValueError):
             Dataset(X=np.zeros((0, 2)), y=np.zeros(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "pos_inf", "neg_inf"])
+    @pytest.mark.parametrize("where", ["X", "y"])
+    def test_dataset_rejects_non_finite(self, where, bad):
+        X, y = np.ones((3, 4)), np.zeros(3)
+        (X if where == "X" else y)[1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            Dataset(X=X, y=y)
 
     def test_logistic_responses_validated(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Optimizer tests: step rules, loop contracts, recovery, contraction invariants."""
 
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -62,9 +63,6 @@ def basic_config(model, theta_star, f_hat, s, kind=HT, step_kind=SPARSE_POLYAK,
         max_iters=max_iters,
         theta_star=theta_star,
     )
-
-
-RUN_CONFIG_FIELDS = ("model", "operator", "step_rule", "theta0", "max_iters", "stop_tol", "theta_star")
 
 
 class TestStepRules:
@@ -155,8 +153,7 @@ class TestTheoreticalFloor:
 class TestRunLoop:
     def test_started_at_target_stops_immediately(self):
         model, theta_star, f_hat = linear_instance(60, 30, 5, 0.0, 0.5, seed=0)
-        config = basic_config(model, theta_star, f_hat, s=5)
-        config.theta0 = theta_star  # start exactly at the target value
+        config = replace(basic_config(model, theta_star, f_hat, s=5), theta0=theta_star)  # start at the target
         trace = run(config)
         assert len(trace) == 1
         assert trace.status is RunStatus.CONVERGED
@@ -266,9 +263,8 @@ class TestRunLoop:
     def test_initial_point_sparsity_validated(self):
         model, theta_star, f_hat = linear_instance(50, 20, 3, 0.0, 0.5, seed=6)
         config = basic_config(model, theta_star, f_hat, s=2)
-        config.theta0 = np.ones(20)
         with pytest.raises(ValueError, match="20 nonzeros, exceeding s = 2"):
-            RunConfig(**{f: getattr(config, f) for f in RUN_CONFIG_FIELDS})
+            replace(config, theta0=np.ones(20))
 
     @pytest.mark.parametrize("field, value, message", [
         ("theta0", np.zeros(19), r"theta0 has shape \(19,\), expected \(20,\)"),
@@ -277,9 +273,15 @@ class TestRunLoop:
     def test_parameter_shape_validated(self, field, value, message):
         model, theta_star, f_hat = linear_instance(50, 20, 3, 0.0, 0.5, seed=6)
         config = basic_config(model, theta_star, f_hat, s=2)
-        setattr(config, field, value)
         with pytest.raises(ValueError, match=message):
-            RunConfig(**{f: getattr(config, f) for f in RUN_CONFIG_FIELDS})
+            replace(config, **{field: value})
+
+    def test_config_is_frozen(self):
+        model, theta_star, f_hat = linear_instance(50, 20, 3, 0.0, 0.5, seed=6)
+        config = basic_config(model, theta_star, f_hat, s=2)
+        with pytest.raises(FrozenInstanceError):
+            config.theta0 = np.ones(20)
+        assert config.theta0.dtype == float and np.count_nonzero(config.theta0) == 0
 
 
 def vector_loop(config, full_product=False):

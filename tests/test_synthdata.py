@@ -1,10 +1,14 @@
 """Generator tests: moments against closed forms, support exactness, regularity constants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sparsepolyak.objectives import LINEAR, LOGISTIC
+from sparsepolyak.rng import STREAM_DESIGN, substream
 from sparsepolyak.synthdata import (
+    DESIGN_BLOCK_BYTES,
     DesignSpec,
     NoiseSpec,
     RegularityParams,
@@ -18,7 +22,50 @@ from sparsepolyak.synthdata import (
 )
 
 
+def two_buffer_design(spec, seed):
+    """The reference generator: all normals in a row-major n x d buffer, then the recursion into X."""
+    eps = np.empty((spec.n, spec.d))
+    for i in range(spec.n):
+        eps[i] = substream(seed, STREAM_DESIGN, i).standard_normal(spec.d)
+    X = np.empty((spec.n, spec.d), order="F")
+    X[:, 0] = eps[:, 0] / np.sqrt(1.0 - spec.omega**2)
+    for t in range(1, spec.d):
+        X[:, t] = spec.omega * X[:, t - 1] + eps[:, t]
+    if spec.column_normalize:
+        X = X / (np.linalg.norm(X, axis=0) / np.sqrt(spec.n))
+    return X
+
+
+def block_rows(d):
+    return DESIGN_BLOCK_BYTES // (8 * d)
+
+
 class TestGenerateDesign:
+    @pytest.mark.parametrize("spec", [
+        DesignSpec(n=300, d=1000, omega=0.5),  # 131 rows per block: 2 blocks and 38 rows
+        DesignSpec(n=50, d=200, omega=0.3),  # fewer rows than one block
+        DesignSpec(n=1, d=1, omega=0.5),
+        DesignSpec(n=300, d=1000, omega=0.5, column_normalize=True),
+    ], ids=["partial_last_block", "below_one_block", "one_by_one", "column_normalize"])
+    def test_matches_the_two_buffer_recursion(self, spec):
+        assert spec.n % block_rows(spec.d) != 0
+        X = generate_design(spec, seed=11)
+        assert X.flags.f_contiguous
+        assert X.tobytes(order="F") == two_buffer_design(spec, seed=11).tobytes(order="F")
+
+    def test_generation_holds_one_design_and_one_block(self):
+        spec = DesignSpec(n=2000, d=200, omega=0.5)  # X 3.2 MB, block 655 rows (1.05 MB)
+        design_bytes = 8 * spec.n * spec.d
+        block_bytes = 8 * block_rows(spec.d) * spec.d
+        slack = 8 * 4 * spec.n + (64 << 10)  # a few column temporaries and the stream objects
+        tracemalloc.start()
+        try:
+            generate_design(spec, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < design_bytes + block_bytes + slack
+
     def test_iid_case_matches_identity_covariance(self):
         X = generate_design(DesignSpec(n=1000, d=5, omega=0.0), seed=0)
         cov = X.T @ X / 1000
