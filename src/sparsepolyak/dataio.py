@@ -24,6 +24,7 @@ from .objectives import Dataset
 from .optimizer import RunTrace
 
 SCHEMA_VERSION = 1
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TRACE_HEADER = "iter,f_value,step_size,grad_ht_norm_sq,error_sq,support_size"
 _TRACE_ROW = "%d,%.12g,%.12g,%.12g,%.12g,%d\n"
 
@@ -95,11 +96,30 @@ def write_summary_json(path, trace: RunTrace, echo: dict, iters_to_floor: int | 
     atomic_write_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
+def numeric_build() -> dict:
+    """The numpy and BLAS build, and the BLAS thread environment, of this process.
+
+    The design streams follow numpy's SeedSequence algorithm and the solver's
+    last bits follow the BLAS library and its thread count.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas_vendor": blas.get("name", "unknown"),
+        "blas_version": blas.get("version", "unknown"),
+        "blas_thread_env": {var: os.environ.get(var) for var in BLAS_THREAD_ENV},
+    }
+
+
 def write_manifest(path, echo: dict, seeds: list[int], toolkit_version: str) -> None:
     """Everything required to reproduce the artifact directory byte-for-byte."""
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "toolkit_version": toolkit_version,
+        "numeric_build": numeric_build(),
         "seeds": list(map(int, seeds)),
         "config": echo,
         "config_hash": config_hash(echo),

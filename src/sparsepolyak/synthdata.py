@@ -153,19 +153,13 @@ def design_spectrum(omega: float, d: int) -> tuple[float, float]:
             _kms_extreme(omega, d, 0.0, math.pi / (d + 1)))
 
 
-def generate_design(spec: DesignSpec, seed: int) -> np.ndarray:
-    """Draw the n x d design; one RNG substream per sample row.
+def _draw_rows(X: np.ndarray, seed: int) -> None:
+    """Fill X with the rows' standard normals, one `substreams` stream per row.
 
-    X is column-major, so the column recursion runs in place on contiguous
-    columns and `Dataset` stores it without a copy.  Each row's normals are
-    drawn into a row-major block of about `DESIGN_BLOCK_BYTES` and the
-    block is copied into X, so generation holds X plus that block rather
-    than a second n x d buffer.  With column_normalize, each column is
-    rescaled in place so ||X_j|| / sqrt(n) = 1 (the column norms take one
-    n x d temporary).
+    Rows are drawn into a row-major block of about `DESIGN_BLOCK_BYTES`,
+    which is copied into X and freed on return.
     """
-    n, d = spec.n, spec.d
-    X = np.empty((n, d), order="F")
+    n, d = X.shape
     block = np.empty((min(n, max(1, DESIGN_BLOCK_BYTES // (8 * d))), d))
     rows = substreams(seed, STREAM_DESIGN)
     for start in range(0, n, block.shape[0]):
@@ -173,11 +167,47 @@ def generate_design(spec: DesignSpec, seed: int) -> np.ndarray:
         for row in part:
             next(rows).standard_normal(out=row)
         X[start:start + part.shape[0]] = part
+
+
+def _column_norms(X: np.ndarray) -> np.ndarray:
+    """||X_j|| for each column of a column-major X, bit for bit np.linalg.norm(X, axis=0).
+
+    The squares are formed a column block of about `DESIGN_BLOCK_BYTES` at a
+    time and reduced along the contiguous columns, the same pairwise sum.
+    """
+    n, d = X.shape
+    width = min(d, max(1, DESIGN_BLOCK_BYTES // (8 * n)))
+    sq = np.empty((n, width), order="F")
+    norms = np.empty(d)
+    for start in range(0, d, width):
+        cols = X[:, start:start + width]
+        part = sq[:, :cols.shape[1]]
+        np.multiply(cols, cols, out=part)
+        np.add.reduce(part, axis=0, out=norms[start:start + cols.shape[1]])
+    return np.sqrt(norms, out=norms)
+
+
+def generate_design(spec: DesignSpec, seed: int) -> np.ndarray:
+    """Draw the n x d design; one RNG substream per sample row.
+
+    X is column-major, so the column recursion runs in place on contiguous
+    columns and `Dataset` stores it without a copy.  The row streams come
+    from `substreams`, whose per-row seeding costs a few microseconds next
+    to the row's d normals.  Each row's normals are drawn into a row-major
+    block of about `DESIGN_BLOCK_BYTES` and the block is copied into X; the
+    recursion runs in place.  With column_normalize each column is rescaled
+    in place so ||X_j|| / sqrt(n) = 1, its norm taken a column block at a
+    time.  So generation holds X plus about one block, never a second n x d
+    buffer.
+    """
+    n, d = spec.n, spec.d
+    X = np.empty((n, d), order="F")
+    _draw_rows(X, seed)
     X[:, 0] /= np.sqrt(1.0 - spec.omega**2)
     for t in range(1, d):
         X[:, t] += spec.omega * X[:, t - 1]
     if spec.column_normalize:
-        X /= np.linalg.norm(X, axis=0) / np.sqrt(n)
+        X /= _column_norms(X) / np.sqrt(n)
     return X
 
 

@@ -14,6 +14,7 @@ from sparsepolyak.dataio import (
     dataset_from_npz,
     dataset_to_npz,
     trace_csv_text,
+    write_manifest,
     write_summary_json,
     write_trace_csv,
 )
@@ -126,6 +127,22 @@ class TestSummaryAndHash:
         assert payload["iters_to_floor"] == 1
         assert payload["config"] == {"design.d": 2}
         assert payload["config_hash"] == config_hash({"design.d": 2})
+
+    def test_manifest_records_the_numeric_build(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        path = tmp_path / "manifest.json"
+        write_manifest(path, {"design.d": 2}, [4], "0.0.1")
+        payload = json.loads(path.read_text())
+        assert set(payload) == {"schema_version", "toolkit_version", "numeric_build", "seeds",
+                                "config", "config_hash"}
+        build = payload["numeric_build"]
+        assert set(build) == {"numpy", "blas_vendor", "blas_version", "blas_thread_env"}
+        assert build["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert (build["blas_vendor"], build["blas_version"]) == (blas["name"], blas["version"])
+        assert build["blas_thread_env"] == {"OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": None,
+                                            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS")}
 
     def test_config_hash_key_order_independent(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})

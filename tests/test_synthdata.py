@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sparsepolyak.objectives import LINEAR, LOGISTIC
-from sparsepolyak.rng import STREAM_DESIGN, substream
+from sparsepolyak.rng import CHUNK_ROWS, STREAM_DESIGN, substream
 from sparsepolyak.synthdata import (
     DESIGN_BLOCK_BYTES,
     DesignSpec,
@@ -40,13 +40,28 @@ def block_rows(d):
     return DESIGN_BLOCK_BYTES // (8 * d)
 
 
+def design_and_block_bytes(spec):
+    """X, one row block, and a slack for a few column temporaries and the stream objects."""
+    return 8 * spec.n * spec.d + 8 * block_rows(spec.d) * spec.d + 8 * 4 * spec.n + (64 << 10)
+
+
+def traced_peak(spec):
+    tracemalloc.start()
+    try:
+        generate_design(spec, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestGenerateDesign:
     @pytest.mark.parametrize("spec", [
         DesignSpec(n=300, d=1000, omega=0.5),  # 131 rows per block: 2 blocks and 38 rows
         DesignSpec(n=50, d=200, omega=0.3),  # fewer rows than one block
         DesignSpec(n=1, d=1, omega=0.5),
         DesignSpec(n=300, d=1000, omega=0.5, column_normalize=True),
-    ], ids=["partial_last_block", "below_one_block", "one_by_one", "column_normalize"])
+        DesignSpec(n=2 * CHUNK_ROWS + 3, d=40, omega=0.4),  # row streams cross two seeding chunks
+    ], ids=["partial_last_block", "below_one_block", "one_by_one", "column_normalize", "crosses_chunks"])
     def test_matches_the_two_buffer_recursion(self, spec):
         assert spec.n % block_rows(spec.d) != 0
         X = generate_design(spec, seed=11)
@@ -55,16 +70,12 @@ class TestGenerateDesign:
 
     def test_generation_holds_one_design_and_one_block(self):
         spec = DesignSpec(n=2000, d=200, omega=0.5)  # X 3.2 MB, block 655 rows (1.05 MB)
-        design_bytes = 8 * spec.n * spec.d
-        block_bytes = 8 * block_rows(spec.d) * spec.d
-        slack = 8 * 4 * spec.n + (64 << 10)  # a few column temporaries and the stream objects
-        tracemalloc.start()
-        try:
-            generate_design(spec, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < design_bytes + block_bytes + slack
+        assert traced_peak(spec) < design_and_block_bytes(spec)
+
+    def test_normalized_generation_holds_one_design_and_one_block(self):
+        # the column norms square 65 columns (1.04 MB) at a time, after the block is freed
+        spec = DesignSpec(n=2000, d=200, omega=0.5, column_normalize=True)
+        assert traced_peak(spec) < design_and_block_bytes(spec)
 
     def test_iid_case_matches_identity_covariance(self):
         X = generate_design(DesignSpec(n=1000, d=5, omega=0.0), seed=0)
