@@ -33,6 +33,7 @@ from .optimizer import (
     fixed_step_lhat,
     grad_ht_norm_sq,
     lhat_gamma,
+    make_step_rule,
     run,
     run_batch,
     sparse_polyak_step,
@@ -66,8 +67,8 @@ __all__ = [
     "CLASSIC_POLYAK", "FIXED", "SPARSE_POLYAK",
     "OptimizerError", "RunConfig", "RunStatus", "RunTrace",
     "StalledZeroGradientError", "StepRule",
-    "classic_polyak_step", "fixed_step_lhat", "grad_ht_norm_sq", "lhat_gamma", "run", "run_batch",
-    "sparse_polyak_step", "theoretical_floor",
+    "classic_polyak_step", "fixed_step_lhat", "grad_ht_norm_sq", "lhat_gamma", "make_step_rule",
+    "run", "run_batch", "sparse_polyak_step", "theoretical_floor",
     "DesignSpec", "NoiseSpec", "RegularityParams", "TruthSpec",
     "ar1_covariance", "compute_regularity", "generate_design",
     "generate_responses", "generate_truth",

@@ -7,6 +7,12 @@ Subcommands
     concavity  thresholding-operator concavity certification; writes concavity.json
     check      curvature-assumption sampling report; writes assumptions.json
 
+Every cell (one instance run with one operator and one step rule) gets its
+rule from `optimizer.make_step_rule`.  `grid` and `sweep` build their cell
+list and one argument tuple per instance and map
+`diagnostics.run_instance_cells` over the instances; `run` calls
+`optimizer.run` and measures the plateau with the same `diagnostics.plateau`.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (a stalled
 step rule, a non-finite objective evaluation or a non-finite step size).
 
@@ -21,6 +27,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +45,8 @@ from .dataio import (
 from .diagnostics import (
     active_median_step,
     check_assumptions,
-    grid_seed_cells,
-    iters_to_plateau,
     make_instance,
-    plateau_level,
+    plateau,
     run_instance_cells,
     summarize_comparison,
 )
@@ -52,11 +57,10 @@ from .optimizer import (
     OptimizerError,
     RunConfig,
     RunStatus,
-    StepRule,
-    fixed_step_lhat,
+    make_step_rule,
     run,
 )
-from .synthdata import DesignSpec, RegularityParams, TruthSpec, compute_regularity
+from .synthdata import RegularityParams, compute_regularity
 from .thresholding import HT, RT, ThresholdSpec, empirical_relative_concavity
 
 EXIT_OK = 0
@@ -72,31 +76,22 @@ def _out_root(cfg: ExperimentConfig, cli_out: str | None) -> Path:
     return Path(os.environ.get("SPARSEPOLYAK_OUT", "runs"))
 
 
-def _build_step_rule(cfg: ExperimentConfig, f_hat_target: float) -> StepRule:
-    f_hat = cfg.f_hat if cfg.f_hat is not None else f_hat_target
-    if cfg.step_kind == FIXED:
-        s_star = max(cfg.truth.s_star, 1)
-        if not cfg.fixed_gamma and cfg.operator_s < s_star:
-            raise ConfigError(f"operator.s: the fixed step 1/L_hat needs operator.s >= truth.s_star "
-                              f"= {s_star}, got {cfg.operator_s}; or set step.fixed_gamma")
-        gamma = cfg.fixed_gamma or fixed_step_lhat(cfg.design, cfg.operator_s, s_star)
-        return StepRule(kind=FIXED, f_hat=f_hat, fixed_gamma=gamma)
-    return StepRule(kind=cfg.step_kind, f_hat=f_hat, ht_width=cfg.ht_width)
-
-
 def cmd_run(cfg: ExperimentConfig, out_root: Path) -> int:
+    s_star = max(cfg.truth.s_star, 1)
+    if cfg.step_kind == FIXED and not cfg.fixed_gamma and cfg.operator_s < s_star:
+        raise ConfigError(f"operator.s: the fixed step 1/L_hat needs operator.s >= truth.s_star "
+                          f"= {s_star}, got {cfg.operator_s}; or set step.fixed_gamma")
     model, theta_star, f_target = make_instance(cfg.design, cfg.truth, cfg.noise, cfg.seed)
-    rule = _build_step_rule(cfg, f_target)
+    f_hat = f_target if cfg.f_hat is None else cfg.f_hat
+    rule = make_step_rule(cfg.step_kind, f_hat, cfg.ht_width, cfg.design, cfg.operator_s,
+                          cfg.truth.s_star, cfg.fixed_gamma)
     op = ThresholdSpec(kind=cfg.operator_kind, s=cfg.operator_s)
     trace = run(RunConfig.zero_start(model, op, rule, cfg.max_iters, theta_star, cfg.stop_tol))
 
     out_dir = out_root / f"run_{config_hash(cfg.echo)}"
     write_trace_csv(trace, out_dir / "trace.csv")
-    level = plateau_level(trace.error_sq)
-    write_summary_json(
-        out_dir / "summary.json", trace, cfg.echo,
-        iters_to_floor=iters_to_plateau(trace.error_sq, level),
-    )
+    _, hit = plateau(trace.error_sq)
+    write_summary_json(out_dir / "summary.json", trace, cfg.echo, iters_to_floor=hit)
     write_manifest(out_dir / "manifest.json", cfg.echo, [cfg.seed], __version__)
     dataset_to_npz(model.data, out_dir / "dataset.npz", cfg.noise.family, cfg.seed)
     print(f"run: status={trace.status.value} iters={trace.iters[-1]} "
@@ -126,12 +121,12 @@ def cmd_grid(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     if cfg.step_kind == FIXED:
         raise ConfigError("step.kind: the grid comparison needs an adaptive rule "
                           "(sparse_polyak or classic_polyak)")
-    items = [
-        (cfg.design, cfg.truth, cfg.noise, cfg.s_grid, seed, cfg.grid_max_iters,
-         cfg.step_kind, cfg.ht_width, cfg.f_hat, cfg.stop_tol)
-        for seed in cfg.seeds
-    ]
-    detail = [row for rows in _pmap(grid_seed_cells, items, workers) for row in rows]
+    cells = [(ThresholdSpec(kind=kind, s=s), cfg.step_kind) for kind in (HT, RT) for s in cfg.s_grid]
+    items = [(cfg.design, cfg.truth, cfg.noise, seed, cells, cfg.grid_max_iters,
+              cfg.ht_width, cfg.f_hat, cfg.stop_tol) for seed in cfg.seeds]
+    detail = [(op.kind, op.s, seed, float(trace.error_sq[-1]), hit)
+              for seed, runs in zip(cfg.seeds, _pmap(run_instance_cells, items, workers))
+              for (op, _), (trace, _, hit) in zip(cells, runs)]
     rows = summarize_comparison(detail, cfg.s_grid)
 
     out_dir = out_root / f"grid_{config_hash(cfg.echo)}"
@@ -154,34 +149,22 @@ def cmd_grid(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     return EXIT_OK
 
 
-def _sweep_cell_task(base_design, truth_s_star, noise, s, d, seed, max_iters, n_factor, ht_width,
-                     f_hat, stop_tol):
-    """Sparse and classic runs for one (d, seed); returns sweep.csv rows."""
-    n = derived_n(n_factor, truth_s_star, d)
-    design = DesignSpec(n=n, d=d, omega=base_design.omega,
-                        column_normalize=base_design.column_normalize)
-    methods = (SPARSE_POLYAK, CLASSIC_POLYAK)
-    op = ThresholdSpec(kind=HT, s=min(s, d))
-    runs = run_instance_cells(design, TruthSpec(d=d, s_star=truth_s_star), noise, seed,
-                              [(op, method) for method in methods], max_iters, ht_width,
-                              f_hat, stop_tol)
-    return [(d, n, seed, method, level, hit, active_median_step(trace.step_size, hit))
-            for method, (trace, level, hit) in zip(methods, runs)]
-
-
 def cmd_sweep(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     if not cfg.sweep_d_values:
         raise ConfigError("sweep.d_values: dimension list must be nonempty")
     if any(d < cfg.truth.s_star for d in cfg.sweep_d_values):
         raise ConfigError(f"sweep.d_values: every dimension must be >= truth.s_star = "
                           f"{cfg.truth.s_star}, got {cfg.sweep_d_values}")
-    items = [
-        (cfg.design, cfg.truth.s_star, cfg.noise, cfg.operator_s, d, seed,
-         cfg.sweep_max_iters, cfg.n_factor, cfg.ht_width, cfg.f_hat, cfg.stop_tol)
-        for d in cfg.sweep_d_values
-        for seed in cfg.seeds
-    ]
-    detail = [row for rows in _pmap(_sweep_cell_task, items, workers) for row in rows]
+    methods = (SPARSE_POLYAK, CLASSIC_POLYAK)
+    items = []
+    for d in cfg.sweep_d_values:
+        design = replace(cfg.design, n=derived_n(cfg.n_factor, cfg.truth.s_star, d), d=d)
+        cells = [(ThresholdSpec(kind=HT, s=min(cfg.operator_s, d)), method) for method in methods]
+        items += [(design, replace(cfg.truth, d=d), cfg.noise, seed, cells, cfg.sweep_max_iters,
+                   cfg.ht_width, cfg.f_hat, cfg.stop_tol) for seed in cfg.seeds]
+    detail = [(design.d, design.n, seed, method, level, hit, active_median_step(trace.step_size, hit))
+              for (design, _, _, seed, *_), runs in zip(items, _pmap(run_instance_cells, items, workers))
+              for method, (trace, level, hit) in zip(methods, runs)]
 
     out_dir = out_root / f"sweep_{config_hash(cfg.echo)}"
     csv_lines = ["d,n,seed,method,plateau_error_sq,iters_to_plateau,median_active_step"]
@@ -192,7 +175,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     lines = [f"{'d':>6} {'n':>6} {'method':<16} {'median plateau':>15} {'median iters':>13} {'median step':>12}"]
     report = {}
     for d in cfg.sweep_d_values:
-        for method in (SPARSE_POLYAK, CLASSIC_POLYAK):
+        for method in methods:
             rows = [r for r in detail if r[0] == d and r[3] == method]
             med_level = float(np.median([r[4] for r in rows]))
             med_hit = float(np.median([r[5] for r in rows]))

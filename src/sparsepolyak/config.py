@@ -186,14 +186,23 @@ def resolve_config(values: dict) -> ExperimentConfig:
     if ht_width not in ("auto", WIDTH_S, WIDTH_2S):
         raise ConfigError(f"step.ht_width: expected auto | s | 2s, got {ht_width!r}")
 
+    if d < 1:
+        raise ConfigError(f"design.d: must be >= 1, got {d}")
+    if merged["design.n"] < 0:
+        raise ConfigError(f"design.n: must be >= 0 (0 derives it from design.n_factor), "
+                          f"got {merged['design.n']}")
+    # the sweep derives n from n_factor at each of its dimensions, even when design.n is set
+    if merged["design.n_factor"] <= 0:
+        raise ConfigError(f"design.n_factor: must be positive, got {merged['design.n_factor']}")
     n = merged["design.n"] or derived_n(merged["design.n_factor"], s_star, d)
+    # n and d are checked above and the family before, so what the specs reject is omega and sigma
     try:
         design = DesignSpec(
             n=n, d=d, omega=merged["design.omega"],
             column_normalize=merged["design.column_normalize"],
         )
     except ValueError as exc:
-        raise ConfigError(f"design: {exc}") from exc
+        raise ConfigError(f"design.omega: {exc}") from exc
     try:
         truth = TruthSpec(d=d, s_star=s_star)
     except ValueError as exc:
@@ -201,7 +210,7 @@ def resolve_config(values: dict) -> ExperimentConfig:
     try:
         noise = NoiseSpec(family=family, sigma=merged["noise.sigma"] if family == LINEAR else None)
     except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from exc
+        raise ConfigError(f"noise.sigma: {exc}") from exc
 
     operator_s = merged["operator.s"] or min(d, 2 * max(s_star, 1))
     if not 1 <= operator_s <= d:

@@ -8,12 +8,14 @@ while any violation is a counterexample.
 
 Plateau detection is measurement-based: the floor of a run is the median
 of the last 10% of recorded squared errors, and iterations-to-floor is the
-first time the error enters a small band above that level.
+first time the error enters a small band above that level; `plateau`
+gives both.
 
-`run_instance_cells` is the one cell loop behind the grid and sweep
-commands: it generates a seed's instance once and advances all of its
-(operator, step rule) cells from zero in one lock-step batch
-(`optimizer.run_batch`), then measures each cell's plateau.
+`run_instance_cells` is the one cell worker of the grid and sweep
+commands: it generates a seed's instance once, builds each (operator,
+step kind) cell's rule with `optimizer.make_step_rule`, advances all the
+cells from zero in one lock-step batch (`optimizer.run_batch`), then
+measures each cell's plateau.
 """
 
 from dataclasses import dataclass
@@ -21,16 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import Dataset, ObjectiveModel, bregman_batch, target_value
-from .optimizer import (
-    FIXED,
-    SPARSE_POLYAK,
-    RunConfig,
-    RunTrace,
-    StepRule,
-    default_ht_width,
-    fixed_step_lhat,
-    run_batch,
-)
+from .optimizer import RunConfig, RunTrace, default_ht_width, make_step_rule, run_batch
 from .rng import STREAM_CHECK, substream
 from .synthdata import (
     DesignSpec,
@@ -50,6 +43,9 @@ WEAK_RSC = "weak_rsc"
 # Relative slack below which a sampled inequality counts as violated; guards
 # against accumulation error in large Bregman sums.
 _VIOLATION_RTOL = 1e-9
+
+# Relative band above the plateau level that counts as reaching it.
+PLATEAU_REL_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -179,11 +175,17 @@ def plateau_level(error_sq: np.ndarray) -> float:
     return float(np.median(error_sq[-k:]))
 
 
-def iters_to_plateau(error_sq: np.ndarray, level: float, rel_margin: float = 0.05) -> int:
-    """First iteration whose squared error is within (1 + rel_margin) of the level."""
+def iters_to_plateau(error_sq: np.ndarray, level: float) -> int:
+    """First iteration whose squared error is within (1 + PLATEAU_REL_MARGIN) of the level."""
     error_sq = np.asarray(error_sq, dtype=float)
-    hits = np.flatnonzero(error_sq <= (1.0 + rel_margin) * level)
+    hits = np.flatnonzero(error_sq <= (1.0 + PLATEAU_REL_MARGIN) * level)
     return int(hits[0]) if hits.size else int(error_sq.size - 1)
+
+
+def plateau(error_sq: np.ndarray) -> tuple[float, int]:
+    """(plateau level, iterations to plateau) of one squared-error record."""
+    level = plateau_level(error_sq)
+    return level, iters_to_plateau(error_sq, level)
 
 
 def active_median_step(step_size: np.ndarray, plateau_iter: int) -> float:
@@ -256,52 +258,21 @@ def run_instance_cells(
 
     The instance is generated once and its cells run as one lock-step
     batch, so each cell's last bits can depend on the other cells and
-    their order (never on worker count).  f_hat None means the target value
-    f(theta*); stop_tol None means the run's default tolerance.  A fixed
-    cell steps by 1/L_hat of its own s.  Returns (trace, plateau level,
-    iterations to plateau) per cell, in order.
+    their order (never on worker count).  ht_width None means the family's
+    default; f_hat None means the target value f(theta*); stop_tol None
+    means the run's default tolerance.  A fixed cell steps by 1/L_hat of
+    its own s.  Returns (trace, plateau level, iterations to plateau) per
+    cell, in order.
     """
     model, theta_star, f_target = make_instance(design, truth, noise, seed)
     target = f_target if f_hat is None else f_hat
     width = ht_width or default_ht_width(noise.family)
-
-    def rule(op: ThresholdSpec, step_kind: str) -> StepRule:
-        if step_kind == FIXED:
-            return StepRule(kind=FIXED, f_hat=target,
-                            fixed_gamma=fixed_step_lhat(design, op.s, truth.s_star))
-        return StepRule(kind=step_kind, f_hat=target, ht_width=width)
-
-    traces = run_batch([RunConfig.zero_start(model, op, rule(op, step_kind), max_iters,
-                                             theta_star, stop_tol)
-                        for op, step_kind in cells])
-    out = []
-    for trace in traces:
-        level = plateau_level(trace.error_sq)
-        out.append((trace, level, iters_to_plateau(trace.error_sq, level)))
-    return out
-
-
-def grid_seed_cells(
-    design: DesignSpec,
-    truth: TruthSpec,
-    noise: NoiseSpec,
-    s_grid: list[int],
-    seed: int,
-    max_iters: int,
-    step_kind: str = SPARSE_POLYAK,
-    ht_width: str | None = None,
-    f_hat: float | None = None,
-    stop_tol: float | None = None,
-) -> list[tuple]:
-    """Every (operator, s) grid cell for one seed.
-
-    Rows are (kind, s, seed, final_error_sq, iters_to_floor), operators
-    outermost; f_hat and stop_tol are as in `run_instance_cells`.
-    """
-    cells = [(ThresholdSpec(kind=kind, s=s), step_kind) for kind in (HT, RT) for s in s_grid]
-    runs = run_instance_cells(design, truth, noise, seed, cells, max_iters, ht_width, f_hat, stop_tol)
-    return [(op.kind, op.s, seed, float(trace.error_sq[-1]), hit)
-            for (op, _), (trace, _, hit) in zip(cells, runs)]
+    traces = run_batch([
+        RunConfig.zero_start(model, op, make_step_rule(kind, target, width, design, op.s, truth.s_star),
+                             max_iters, theta_star, stop_tol)
+        for op, kind in cells
+    ])
+    return [(trace, *plateau(trace.error_sq)) for trace in traces]
 
 
 def summarize_comparison(detail, s_grid: list[int]) -> dict[str, ComparisonRow]:

@@ -226,6 +226,19 @@ def fixed_step_lhat(design: DesignSpec, s: int, s_star: int) -> float:
     return lhat_gamma(lam_max, s, s_star)
 
 
+def make_step_rule(kind: str, f_hat: float, ht_width: str, design: DesignSpec, s: int,
+                   s_star: int, fixed_gamma: float | None = None) -> StepRule:
+    """The step rule of one cell with operator sparsity s.
+
+    A fixed rule steps by fixed_gamma when it is given, else by 1/L_hat of
+    the design at sparsity s and true sparsity max(s_star, 1).
+    """
+    if kind == FIXED:
+        gamma = fixed_gamma or fixed_step_lhat(design, s, max(s_star, 1))
+        return StepRule(kind=FIXED, f_hat=f_hat, fixed_gamma=gamma)
+    return StepRule(kind=kind, f_hat=f_hat, ht_width=ht_width)
+
+
 def theoretical_floor(regularity: RegularityParams, grad_at_truth_ht_norm: float) -> float:
     """Squared radius 36 ||HT_s(grad f(theta_hat))||^2 / mu_bar^2.
 

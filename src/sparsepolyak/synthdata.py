@@ -43,19 +43,16 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class TruthSpec:
-    """Support size and magnitude law of the ground-truth coefficients."""
+    """Support size of the ground-truth coefficients, whose values are standard normal."""
 
     d: int
     s_star: int
-    magnitude_dist: str = "std_normal"
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be positive")
         if not 0 <= self.s_star <= self.d:
             raise ValueError(f"need 0 <= s_star <= d, got s_star={self.s_star}, d={self.d}")
-        if self.magnitude_dist != "std_normal":
-            raise ValueError(f"unsupported magnitude distribution {self.magnitude_dist!r}")
 
 
 @dataclass(frozen=True)

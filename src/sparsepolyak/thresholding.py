@@ -43,6 +43,9 @@ HT = "ht"
 RT = "rt"
 _KINDS = (HT, RT)
 
+# Random trials the concavity oracle draws and thresholds per batch.
+CONCAVITY_BATCH = 20000
+
 
 @dataclass(frozen=True)
 class ThresholdSpec:
@@ -246,7 +249,6 @@ def empirical_relative_concavity(
     dim: int,
     trials: int,
     seed: int,
-    batch_size: int = 20000,
 ) -> ConcavityEstimate:
     """Maximize the concavity ratio over randomized and structured pairs.
 
@@ -268,7 +270,7 @@ def empirical_relative_concavity(
     total = 0
     done = 0
     while done < trials:
-        b = min(batch_size, trials - done)
+        b = min(CONCAVITY_BATCH, trials - done)
         Z = rng.standard_normal((b, dim))
         keys = rng.random((b, dim))
         idx = np.argpartition(keys, kth=min(s_star, dim) - 1, axis=1)[:, : min(s_star, dim)]

@@ -17,6 +17,9 @@ from sparsepolyak.config import (
     resolve_config,
     schema_text,
 )
+from sparsepolyak.dataio import trace_csv_text
+from sparsepolyak.diagnostics import run_instance_cells
+from sparsepolyak.thresholding import ThresholdSpec
 
 BASE_CONFIG = """
 # small linear instance for fast end-to-end checks
@@ -117,6 +120,14 @@ class TestResolution:
     def test_non_finite_float_names_the_key(self, key):
         with pytest.raises(ConfigError, match=key):
             resolve_config({key: float("nan")})
+
+    @pytest.mark.parametrize("key, value", [
+        ("design.n", -5), ("design.d", 0), ("design.omega", 1.0), ("noise.sigma", 0.0),
+        ("design.n_factor", 0.0), ("design.n_factor", -1.0),
+    ])
+    def test_invalid_spec_value_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            resolve_config({key: value})
 
     def test_echo_contains_derived_values(self):
         cfg = resolve_config({"design.d": 100, "truth.s_star": 4})
@@ -223,6 +234,13 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert "sweep.d_values" in err and "truth.s_star" in err
 
+    def test_sweep_with_nonpositive_n_factor_names_the_key(self, tmp_path, capsys):
+        # the sweep derives n from design.n_factor at each dimension, even with design.n set
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("design.n_factor = 6",
+                                                         "design.n = 100\ndesign.n_factor = -1"))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "design.n_factor" in capsys.readouterr().err
+
     def test_empty_sweep_dimension_list_names_the_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG.replace("sweep.d_values = 60,120", "sweep.d_values ="))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -252,6 +270,20 @@ class TestCliRun:
             assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["sparse_polyak", "classic_polyak", "fixed"])
+    def test_run_matches_its_one_cell_instance_run(self, tmp_path, kind):
+        # run and the grid/sweep worker build their cells with one step-rule builder
+        cfg_path = write_config(tmp_path, extra=f"step.kind = {kind}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        cfg = load_config(cfg_path)
+        cell = (ThresholdSpec(kind=cfg.operator_kind, s=cfg.operator_s), kind)
+        [(trace, _, hit)] = run_instance_cells(cfg.design, cfg.truth, cfg.noise, cfg.seed, [cell],
+                                               cfg.max_iters, cfg.ht_width, cfg.f_hat, cfg.stop_tol)
+        assert next(out.glob("run_*/trace.csv")).read_text() == trace_csv_text(trace)
+        summary = json.loads(next(out.glob("run_*/summary.json")).read_text())
+        assert summary["iters_to_floor"] == hit
 
     def test_output_root_from_environment(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)

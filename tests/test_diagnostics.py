@@ -10,7 +10,6 @@ from sparsepolyak.diagnostics import (
     check_assumptions,
     contraction_profile,
     decomposition_margins,
-    grid_seed_cells,
     iters_to_plateau,
     make_instance,
     plateau_level,
@@ -216,7 +215,10 @@ class TestCompareOperators:
         design = DesignSpec(n=n, d=d, omega=0.0)
         truth = TruthSpec(d=d, s_star=s_star)
         noise = NoiseSpec(family=LINEAR, sigma=1e-12)
-        detail = grid_seed_cells(design, truth, noise, [s_star], seed=0, max_iters=400)
+        cells = [(ThresholdSpec(kind=kind, s=s_star), SPARSE_POLYAK) for kind in (HT, RT)]
+        runs = run_instance_cells(design, truth, noise, 0, cells, max_iters=400)
+        detail = [(op.kind, op.s, 0, float(trace.error_sq[-1]), hit)
+                  for (op, _), (trace, _, hit) in zip(cells, runs)]
         rows = summarize_comparison(detail, [s_star])
         assert rows[HT].best_s == s_star
         assert rows[RT].best_s == s_star
