@@ -152,6 +152,10 @@ def cmd_grid(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
 def cmd_sweep(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     if not cfg.sweep_d_values:
         raise ConfigError("sweep.d_values: dimension list must be nonempty")
+    if cfg.n_configured:
+        raise ConfigError(f"design.n: the sweep derives n = ceil(n_factor * s_star * ln d) at each "
+                          f"dimension, so the difficulty stays constant; leave design.n at 0, "
+                          f"got {cfg.n_configured}")
     if any(d < cfg.truth.s_star for d in cfg.sweep_d_values):
         raise ConfigError(f"sweep.d_values: every dimension must be >= truth.s_star = "
                           f"{cfg.truth.s_star}, got {cfg.sweep_d_values}")

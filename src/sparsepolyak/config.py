@@ -33,7 +33,7 @@ _GRID_PATTERN = (1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0, 7.0 / 3.0)
 
 # key -> (type tag, default, help)
 SCHEMA = {
-    "design.n": ("int", 0, "sample count; 0 derives ceil(n_factor * s_star * ln d)"),
+    "design.n": ("int", 0, "sample count; 0 derives ceil(n_factor * s_star * ln d); sweep needs 0"),
     "design.d": ("int", 1000, "ambient dimension"),
     "design.omega": ("float", 0.5, "AR(1) feature correlation in [0, 1)"),
     "design.column_normalize": ("bool", False, "rescale columns to ||X_j||/sqrt(n) = 1"),
@@ -146,6 +146,7 @@ class ExperimentConfig:
     sweep_d_values: list[int]
     sweep_max_iters: int
     n_factor: float
+    n_configured: int  # design.n as configured; 0 when n is derived
     concavity_dims: list[int]
     concavity_s_values: list[int]
     concavity_trials: int
@@ -191,7 +192,6 @@ def resolve_config(values: dict) -> ExperimentConfig:
     if merged["design.n"] < 0:
         raise ConfigError(f"design.n: must be >= 0 (0 derives it from design.n_factor), "
                           f"got {merged['design.n']}")
-    # the sweep derives n from n_factor at each of its dimensions, even when design.n is set
     if merged["design.n_factor"] <= 0:
         raise ConfigError(f"design.n_factor: must be positive, got {merged['design.n_factor']}")
     n = merged["design.n"] or derived_n(merged["design.n_factor"], s_star, d)
@@ -286,6 +286,7 @@ def resolve_config(values: dict) -> ExperimentConfig:
         sweep_d_values=list(merged["sweep.d_values"]),
         sweep_max_iters=merged["sweep.max_iters"] or merged["run.max_iters"],
         n_factor=merged["design.n_factor"],
+        n_configured=merged["design.n"],
         concavity_dims=list(merged["concavity.dims"]),
         concavity_s_values=list(merged["concavity.s_values"]),
         concavity_trials=merged["concavity.trials"],

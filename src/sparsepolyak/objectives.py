@@ -129,7 +129,7 @@ def _as_params(model: ObjectiveModel, theta) -> np.ndarray:
     return v
 
 
-def _support_union(v: np.ndarray) -> np.ndarray:
+def support_union(v: np.ndarray) -> np.ndarray:
     """Columns where any row of a vector or B x d batch is nonzero, ascending."""
     return v.reshape(-1, v.shape[-1]).any(axis=0).nonzero()[0]
 
@@ -183,18 +183,15 @@ class GramRows:
 
     Gram rows pay off while the support union of a batch is narrow and
     stable: one takes the flops of one row of the full product R X / n,
-    and is then reused.  Slots are paid from a budget that starts at the
-    slot count and grows by the batch size B on each call (the rows of one
-    full product), up to the slot count; a call whose new columns exceed
-    the budget takes the gathered forward product (and for the linear
-    family the full gradient product) instead.  So over any stretch of
-    calls the Gram rows computed are at most those of the stretch's full
-    products plus one cache's worth, however the union drifts.
-
+    and is then reused.  Every call whose union fits uses the slots.
     There are at most `GATHER_MAX_FRAC` n slots and at most d.  When the
     new columns do not fit, the slots restart from the current union; a
-    union wider than the slots takes the other path.  `computed` and
-    `restarts` count the slots filled and the restarts.
+    union wider than the slots takes the other path.  The worst case is a
+    union that drifts near the cap: each restart refills up to every
+    slot, as many flops as slots / B full products of a batch of B rows.
+    `computed` and `restarts` count the slots filled and the restarts.
+    A call given the same ``cols`` array object as the previous call
+    (the loop passes an unchanged union unchanged) reuses its slot map.
 
     The block is valid for one model and is not freed until the object
     is: create one per run (`optimizer.run_batch` does) rather than
@@ -206,36 +203,40 @@ class GramRows:
         self.cap = min(int(GATHER_MAX_FRAC * model.data.n), model.dim)
         self.slot = np.full(model.dim, -1, dtype=np.intp)  # column -> slot, -1 if absent
         self.used = 0
-        self.budget = self.cap  # slots the next call may fill
         self.computed = 0
         self.restarts = 0
         width = model.data.n + (model.dim if model.family == LINEAR else 0)
         self.block = np.empty((self.cap, width))
         self.xty = None
+        self._last = (None, None)  # the previous call's cols and their slots
 
     def product(self, v: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
         """W @ block at a checked vector or B x d batch v whose support union is cols.
 
         [X theta | X'X theta / n] for a linear model, X theta for a
-        logistic one; None when the slots do not cover cols and the
-        budget cannot fill them.
+        logistic one; None when cols has more columns than the slots.
         """
-        self.budget = min(self.budget + (1 if v.ndim == 1 else v.shape[0]), self.cap)
         if cols.size > self.cap:
             return None
+        last_cols, slots = self._last
+        if cols is not last_cols:
+            slots = self._fill(cols)
+            self._last = (cols, slots)
+        W = np.zeros(v.shape[:-1] + (self.used,))
+        W[..., slots] = v.take(cols, axis=-1)
+        return W @ self.block[:self.used]
+
+    def _fill(self, cols: np.ndarray) -> np.ndarray:
+        """Slots of cols, filling the absent ones (after a restart when they do not fit)."""
         slots = self.slot[cols]
         absent = slots < 0
         new = cols[absent]
-        restart = self.used + new.size > self.cap
-        if restart:
-            new, absent = cols, slice(None)
-        if new.size > self.budget:
-            return None
         X, n = self.model.data.X, self.model.data.n
         linear = self.model.family == LINEAR
         if linear and self.xty is None:
             self.xty = self.model.data.y @ X / n
-        if restart:
+        if self.used + new.size > self.cap:
+            new, absent = cols, slice(None)
             self.slot[:] = -1
             self.used = 0
             self.restarts += 1
@@ -249,25 +250,25 @@ class GramRows:
                 rows /= n
             slots[absent] = self.slot[new] = np.arange(self.used, end)
             self.used = end
-            self.budget -= new.size
             self.computed += new.size
-        W = np.zeros(v.shape[:-1] + (self.used,))
-        W[..., slots] = v.take(cols, axis=-1)
-        return W @ self.block[:self.used]
+        return slots
 
 
-def value_and_gradient(model: ObjectiveModel, theta, gram: GramRows | None = None):
+def value_and_gradient(model: ObjectiveModel, theta, gram: GramRows | None = None,
+                       cols: np.ndarray | None = None):
     """Average loss and its gradient (1/n) X' (psi'(X theta) - y).
 
-    For a B x d batch: B losses and the B x d gradient rows.  With `gram`,
-    the `GramRows` of this model, X theta comes from one product over its
-    slots when they cover the support union or its budget can fill them,
-    and for a linear model that product gives the gradient too; otherwise,
-    and without `gram`, X theta is the forward product on the support
-    union.  Every other gradient is the full product X' r / n.
+    For a B x d batch: B losses and the B x d gradient rows.  ``cols`` is
+    the support union of theta's rows, ascending, when the caller keeps
+    it (it is computed otherwise).  With `gram`, the `GramRows` of this
+    model, X theta comes from one product over its slots when the union
+    fits them, and for a linear model that product gives the gradient too;
+    otherwise, and without `gram`, X theta is the forward product on the
+    support union.  Every other gradient is the full product X' r / n.
     """
     v = _as_params(model, theta)
-    cols = _support_union(v)
+    if cols is None:
+        cols = support_union(v)
     Y = None if gram is None else gram.product(v, cols)
     n = model.data.n
     f, R = _loss_and_residual(model, _forward_product(model, v, cols) if Y is None else Y[..., :n])
@@ -279,7 +280,7 @@ def value_and_gradient(model: ObjectiveModel, theta, gram: GramRows | None = Non
 def objective_value(model: ObjectiveModel, theta):
     """Average loss at theta (or at each batch row), without the gradient product."""
     v = _as_params(model, theta)
-    return _loss_and_residual(model, _forward_product(model, v, _support_union(v)))[0]
+    return _loss_and_residual(model, _forward_product(model, v, support_union(v)))[0]
 
 
 def target_value(model: ObjectiveModel, theta_star) -> float:

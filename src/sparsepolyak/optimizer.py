@@ -17,12 +17,18 @@ the trace and the finiteness check.  So an iteration makes one top-s
 selection, in the operator.  A NaN or inf anywhere in the gradient, or
 an entry whose square overflows, makes that norm NaN or inf (partition
 puts NaN last, among the w largest), so a cell checks f and the norm
-rather than every gradient entry.  Each iteration's evaluation and
-per-cell steps run under one `np.errstate` that silences overflow and
+rather than every gradient entry.  A run's evaluations and per-cell
+steps run under one `np.errstate` that silences overflow and
 invalid-value warnings; the check reports them, and a non-finite step
 size (a positive gap over a subnormal denominator, which would put
 inf * 0 = NaN into z), as an `OptimizerError` naming the iteration and
 the cell.
+
+Each cell carries the support of its iterate and hands it to the
+operator as the guess of the next top-s set (see `thresholding`), which
+returns the new support; late in a run the support rarely moves, and a
+certified guess skips the partition.  The trace's support size is the
+carried support's length.
 
 Parameters are float arrays: a start point, a truth and a final
 estimate are length-d vectors.  `run_batch` is the one iteration loop:
@@ -42,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import LOGISTIC, GramRows, ObjectiveModel, value_and_gradient
+from .objectives import LOGISTIC, GramRows, ObjectiveModel, support_union, value_and_gradient
 from .synthdata import DesignSpec, RegularityParams, design_spectrum
 from .thresholding import ThresholdSpec
 
@@ -260,13 +266,18 @@ class _Cell:
         s = config.operator.s
         self.width = min(s if config.step_rule.ht_width == WIDTH_S else 2 * s, config.model.dim)
         self.rows = []  # (t, f, gamma, ||HT_w(grad)||^2, squared error, support size)
+        self.support = np.flatnonzero(config.theta0)  # of the current iterate, ascending
         self.iterates = [config.theta0.copy()] if keep_iterates else None
         self.pre_threshold = [] if keep_iterates else None
         self.status = None
         self.final_theta = None
 
     def step(self, t: int, theta: np.ndarray, f_t: float, g_t: np.ndarray) -> np.ndarray | None:
-        """Record row t at theta; return the next iterate, or None when the cell stops at t."""
+        """Record row t at theta; return the next iterate, or None when the cell stops at t.
+
+        `support` becomes the next iterate's; it is the same array while the
+        certified selection keeps it.
+        """
         op, rule = self.config.operator, self.config.step_rule
         ht_norm_sq = grad_ht_norm_sq(g_t, self.width)
         # a NaN or inf anywhere in g, or a square that overflows, makes the norm non-finite
@@ -293,7 +304,7 @@ class _Cell:
         if self.truth is not None:
             diff = theta - self.truth
             err_sq = float(np.dot(diff, diff))
-        self.rows.append((t, f_t, gamma, ht_norm_sq, err_sq, int(np.count_nonzero(theta))))
+        self.rows.append((t, f_t, gamma, ht_norm_sq, err_sq, self.support.size))
 
         if stalled:
             self.status = RunStatus.STALLED_ZERO_GRADIENT
@@ -303,7 +314,7 @@ class _Cell:
             self.status = RunStatus.MAX_ITERS
         else:
             z = theta - gamma * g_t
-            nxt = op.apply(z)
+            nxt, self.support = op.apply(z, self.support)
             if self.iterates is not None:
                 self.pre_threshold.append(z)
                 self.iterates.append(nxt)
@@ -334,15 +345,17 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
     iteration makes one evaluation for all of them: one product over the
     design columns this call has cached for the union of their supports
     (for a linear model, with their Gram rows, which give the gradient
-    too), or, until the cache's budget pays for them, a forward product
-    on that union; then, unless the Gram rows gave it, one gradient
-    matrix product.  Which iterations use the cache, and the slot order
-    its sums run in, depend on the order in which columns entered the
-    batch's union and on the batch size, and so do the last bits of a
-    cell.  Selection, the step rule, the stop tests and the trace
-    rows are per cell, as in `run`; a cell leaves the batch when it
-    stops.  Raises OptimizerError, naming the iteration and the cell,
-    when a cell's objective, ||HT_w(grad)||^2 or step size is not finite.
+    too), or, for a union wider than the cache, a forward product on that
+    union; then, unless the Gram rows gave it, one gradient matrix
+    product.  The union is rebuilt only when a cell's support changes or a
+    cell leaves the batch, and the cache looks up its slots only for a
+    rebuilt union.  The slot order its sums run in depends on the order in
+    which columns entered the batch's union and on the batch size, and so
+    do the last bits of a cell.  Selection, the step rule, the stop tests
+    and the trace rows are per cell, as in `run`; a cell leaves the batch
+    when it stops.  The whole run is under one `np.errstate`.  Raises
+    OptimizerError, naming the iteration and the cell, when a cell's
+    objective, ||HT_w(grad)||^2 or step size is not finite.
     """
     if not configs:
         return []
@@ -353,24 +366,31 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
     active = cells
     Theta = np.array([c.theta0 for c in configs])
     gram = GramRows(model)
+    cols = None  # the support union of the rows of Theta; None when it must be rebuilt
     t = 0
-    while active:
-        # overflow shows as a non-finite f or gradient norm, which `_Cell.step` reports
-        with np.errstate(over="ignore", invalid="ignore"):
+    # overflow shows as a non-finite f or gradient norm, which `_Cell.step` reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        while active:
+            if cols is None:
+                cols = active[0].support if len(active) == 1 else support_union(Theta)
             try:
-                F, G = value_and_gradient(model, Theta, gram)
+                F, G = value_and_gradient(model, Theta, gram, cols)
             except Exception as exc:
                 raise OptimizerError(f"evaluation failed at iteration {t}: {exc}") from exc
             keep = []
             for j, cell in enumerate(active):
+                before = cell.support
                 nxt = cell.step(t, Theta[j], F[j], G[j])
                 if nxt is not None:
                     Theta[j] = nxt
                     keep.append(j)
-        if len(keep) < len(active):
-            active = [active[j] for j in keep]
-            Theta = Theta[keep]
-        t += 1
+                    if cell.support is not before:
+                        cols = None
+            if len(keep) < len(active):
+                active = [active[j] for j in keep]
+                Theta = Theta[keep]
+                cols = None
+            t += 1
     return [cell.trace() for cell in cells]
 
 

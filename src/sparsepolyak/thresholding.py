@@ -24,6 +24,17 @@ at t fill the remaining slots in index order.  The result equals the
 first s positions of a stable descending sort (see Blumensath & Davies
 2009 for the operator).
 
+A vector may come with a guess of its support, in the descent loop the
+support of the previous iterate.  When the guess S has s entries and
+min_{i in S} |v_i| > max_{j not in S} |v_j|, S is exactly the top-s set,
+with t and tau those two numbers, so the output is written on S without
+a partition (the guess-then-verify active set of glmnet, Friedman,
+Hastie & Tibshirani 2010, and the strong rules of Tibshirani et al.
+2012).  The test is strict, so a tie at the boundary or a NaN (whose
+maximum or minimum is NaN) falls back to the partition on the same
+magnitudes, as does a changed support; the certified output has the
+partition's bits.  A guessed call also returns the output's support.
+
 ``empirical_relative_concavity`` lower-bounds the worst-case ratio
 
     <y - Phi_s(z), z - Phi_s(z)> / ||y - Phi_s(z)||^2      (y s*-sparse)
@@ -60,10 +71,10 @@ class ThresholdSpec:
         if self.s < 1:
             raise ValueError(f"sparsity level must be >= 1, got {self.s}")
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        if self.kind == HT:
-            return hard_threshold(v, self.s)
-        return reciprocal_threshold(v, self.s)
+    def apply(self, v: np.ndarray, support: np.ndarray | None = None):
+        """HT or RT of ``v``; with ``support``, as in `hard_threshold`, also the output's support."""
+        fn = hard_threshold if self.kind == HT else reciprocal_threshold
+        return fn(v, self.s) if support is None else fn(v, self.s, support)
 
 
 def _check_input(v: np.ndarray, s: int) -> np.ndarray:
@@ -103,34 +114,72 @@ def _top_s_mask(a: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return keep, t, tau
 
 
-def _threshold(V: np.ndarray, s: int, kind: str) -> np.ndarray:
-    """HT or RT of a vector, or of each row of a batch."""
+def _shrink(v: np.ndarray, a: np.ndarray, tau) -> np.ndarray:
+    """RT's kept value sign(v) (|v| + sqrt(v^2 - tau^2)) / 2 at entries v with magnitudes a.
+
+    A kept magnitude is at least t >= tau, so the clamp at 0 acts only off
+    the support.
+    """
+    return np.sign(v) * 0.5 * (a + np.sqrt(np.maximum(a * a - tau * tau, 0.0)))
+
+
+def _threshold(V: np.ndarray, s: int, kind: str, support: np.ndarray | None = None):
+    """HT or RT of a vector, or of each row of a batch, and the output's support for a guess.
+
+    ``support`` guesses a vector's top-s support (ascending distinct
+    indices).  With it, the second value is ``np.flatnonzero`` of the
+    output: the guess itself when the certificate holds and every kept
+    value is nonzero (RT halves a subnormal to 0).  Without it, None.
+    """
+    if support is not None and V.ndim != 1:
+        raise ValueError("a support guess needs a vector")
     if s >= V.shape[-1]:
-        return V.copy()
+        out = V.copy()
+        return out, None if support is None else np.flatnonzero(out)
     a = np.abs(V)
+    if support is not None and support.size == s:
+        a_in = a[support]
+        t = a_in.min()
+        a[support] = 0.0
+        tau = a.max()  # magnitudes are >= 0, so the zeroed guess does not raise it
+        if t > tau:
+            out = np.zeros(V.shape)
+            if kind == HT:
+                out[support] = V[support]
+                return out, support
+            kept = _shrink(V[support], a_in, tau)
+            out[support] = kept
+            return out, support if kept.all() else support[kept != 0.0]
+        a[support] = a_in
     keep, t, tau = _top_s_mask(a, s)
-    if kind == HT:
-        return np.where(keep, V, 0.0)
-    # kept magnitudes are at least t >= tau (the partition), so the clamp at 0 acts only off the support
-    shrunk = np.sign(V) * 0.5 * (a + np.sqrt(np.maximum(a * a - tau * tau, 0.0)))
-    return np.where(keep, shrunk, 0.0)
+    out = np.where(keep, V if kind == HT else _shrink(V, a, tau), 0.0)
+    return out, None if support is None else np.flatnonzero(out)
 
 
-def hard_threshold(v: np.ndarray, s: int) -> np.ndarray:
+def hard_threshold(v: np.ndarray, s: int, support: np.ndarray | None = None):
     """Keep the ``s`` largest-magnitude entries of ``v``, or of each row of a batch, zero the rest.
 
-    A row that holds a NaN, when ``s`` is below its length, raises ValueError.
+    A row that holds a NaN, when ``s`` is below its length, raises
+    ValueError.  ``support`` guesses the top-s support of a vector; the
+    output is the same, and the call returns it with its support,
+    ``np.flatnonzero`` of the output.  The guess must be ascending
+    distinct indices, such as the support a previous call returned; as
+    with `np.searchsorted`'s sorted input this is not checked, and a guess
+    that repeats an index gives an undefined result.
     """
-    return _threshold(_check_input(v, s), s, HT)
+    out, kept = _threshold(_check_input(v, s), s, HT, support)
+    return out if support is None else (out, kept)
 
 
-def reciprocal_threshold(v: np.ndarray, s: int) -> np.ndarray:
+def reciprocal_threshold(v: np.ndarray, s: int, support: np.ndarray | None = None):
     """Keep the top-``s`` support of ``v``, or of each row of a batch, with reciprocal shrinkage.
 
     When ``s`` is at least the row length the boundary magnitude is 0 and
-    the operator is the identity; a NaN is rejected as in `hard_threshold`.
+    the operator is the identity; a NaN is rejected and ``support`` is
+    taken as in `hard_threshold`.
     """
-    return _threshold(_check_input(v, s), s, RT)
+    out, kept = _threshold(_check_input(v, s), s, RT, support)
+    return out if support is None else (out, kept)
 
 
 def relative_concavity_bound(kind: str, s_star: int, s: int) -> float | None:

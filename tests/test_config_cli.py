@@ -235,11 +235,25 @@ class TestCliRun:
         assert "sweep.d_values" in err and "truth.s_star" in err
 
     def test_sweep_with_nonpositive_n_factor_names_the_key(self, tmp_path, capsys):
-        # the sweep derives n from design.n_factor at each dimension, even with design.n set
+        # design.n_factor is checked even with design.n set
         cfg = write_config(tmp_path, BASE_CONFIG.replace("design.n_factor = 6",
                                                          "design.n = 100\ndesign.n_factor = -1"))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "design.n_factor" in capsys.readouterr().err
+
+    def test_sweep_rejects_a_configured_sample_count(self, tmp_path, capsys):
+        # the sweep derives n per dimension (103 at d = 60 and 120 at d = 120
+        # here), so it used to override design.n without a word
+        cfg = write_config(tmp_path, text="design.d = 120\ntruth.s_star = 5\ndesign.n = 100\n"
+                                          "sweep.d_values = 60,120\nrun.max_iters = 5\n")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "design.n:" in err and "got 100" in err
+        assert not out.exists()
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK  # run honours design.n
+        manifest = json.loads(next(out.glob("run_*/manifest.json")).read_text())
+        assert manifest["config"]["design.n"] == 100
 
     def test_empty_sweep_dimension_list_names_the_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG.replace("sweep.d_values = 60,120", "sweep.d_values ="))
@@ -388,6 +402,26 @@ class TestCliGridSweepReports:
         assert len(grid_rows) == 12 and len(sweep_rows) == 12
         assert all(row.split(",")[4] == "0" for row in grid_rows)
         assert all(row.split(",")[5] == "0" for row in sweep_rows)
+
+    def test_grid_rows_replay_as_one_cell_runs(self, tmp_path):
+        # every cell of the default grid's seed-0 instance, rerun alone with
+        # `run`: a batch sums its products over the union of its cells'
+        # supports, so only last bits may differ (at most 8.6e-14 relative
+        # over the 110 default cells, measured with 1 BLAS thread)
+        cfg = resolve_config({})
+        seed = cfg.seeds[0]
+        cells = [(ThresholdSpec(kind=kind, s=s), cfg.step_kind) for kind in ("ht", "rt") for s in cfg.s_grid]
+        rows = run_instance_cells(cfg.design, cfg.truth, cfg.noise, seed, cells, cfg.grid_max_iters,
+                                  cfg.ht_width, cfg.f_hat, cfg.stop_tol)
+        for (op, _), (trace, _, hit) in zip(cells, rows):
+            out = tmp_path / f"{op.kind}{op.s}"
+            text = f"operator.kind = {op.kind}\noperator.s = {op.s}\nrun.seed = {seed}\n"
+            assert main(["run", "--config", write_config(tmp_path, text=text), "--out", str(out)]) == EXIT_OK
+            summary = json.loads(next(out.glob("run_*/summary.json")).read_text())
+            assert summary["status"] == trace.status.value
+            assert summary["iterations"] + 1 == len(trace)
+            assert summary["iters_to_floor"] == hit
+            assert summary["final_error_sq"] == pytest.approx(trace.error_sq[-1], rel=1e-12, abs=0.0)
 
     def test_concavity_report(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -17,11 +17,11 @@ from sparsepolyak.objectives import (
     _as_params,
     _forward_product,
     _loss_and_residual,
-    _support_union,
     bregman_batch,
     objective_value,
     sigmoid,
     softplus,
+    support_union,
     target_value,
     value_and_gradient,
 )
@@ -30,7 +30,7 @@ from sparsepolyak.synthdata import DesignSpec, generate_design
 
 def loss_and_residual(model, theta):
     v = _as_params(model, theta)
-    return _loss_and_residual(model, _forward_product(model, v, _support_union(v)))
+    return _loss_and_residual(model, _forward_product(model, v, support_union(v)))
 
 
 def finite_difference_gradient(model, theta):
@@ -356,7 +356,7 @@ class TestGramGradient:
     def assert_block_matches_gathered(self, model, gram, Theta):
         """f and the residual from the slot block against the gathered forward product."""
         v = _as_params(model, Theta)
-        cols = _support_union(v)
+        cols = support_union(v)
         Y = gram.product(v, cols)
         assert Y is not None and Y.shape == v.shape[:-1] + gram.block.shape[1:]
         f, R = _loss_and_residual(model, Y[..., :self.n])
@@ -397,23 +397,6 @@ class TestGramGradient:
         gram = GramRows(ObjectiveModel(family=LINEAR, data=Dataset(X=X, y=np.ones(self.n))))
         assert gram.cap == 6 and gram.block.shape == (6, self.n + 6)
 
-    def test_rows_wait_for_the_budget(self):
-        # a one-row cache that has spent its budget on a full cache regains
-        # one row per call: 4 new columns take the full product for 3 calls
-        model = self.model()
-        rng = np.random.default_rng(89)
-        gram = GramRows(model)
-        self.assert_matches_full(model, gram, self.sparse(rng, range(12)))
-        assert gram.used == 12 and gram.budget == 0
-        theta = self.sparse(rng, [20, 21, 22, 23])
-        for _ in range(3):
-            assert np.array_equal(value_and_gradient(model, theta, gram)[1], self.full_gradient(model, theta))
-            assert gram.used == 12
-        self.assert_matches_full(model, gram, theta)
-        assert gram.used == 4 and gram.restarts == 1 and gram.budget == 0
-        self.assert_matches_full(model, gram, theta)
-        assert gram.computed == 16
-
     def test_drifting_supports_restart_the_cache_within_the_cap(self):
         model = self.model()
         rng = np.random.default_rng(71)
@@ -426,23 +409,20 @@ class TestGramGradient:
         assert max(used) <= gram.cap
         assert used[:5] == [5, 7, 9, 11, 5]  # the fifth window's 2 new columns restart it
         assert gram.restarts > 1
-        assert gram.computed <= gram.cap + len(used)
+        assert gram.computed <= gram.cap * (gram.restarts + 1)  # each fill of the slots holds at most cap
 
-    def test_drift_near_the_cap_takes_the_full_product(self):
-        # an 11-column window moving one column per call: a cache that filled
-        # every call would restart each time and compute 11 rows, the cost
-        # of 11 one-row full products; the budget allows one cache's worth
-        # plus one row per call
+    def test_drift_near_the_cap_restarts_every_other_call(self):
+        # the worst case of a cache with no budget: an 11-column window
+        # moving one column per call fills the twelfth slot, then restarts
+        # and refills all 11 columns, the cost of 11 one-row full products
         model = self.model()
         rng = np.random.default_rng(79)
         gram = GramRows(model)
-        full = 0
-        for call, start in enumerate(range(45), 1):
+        for start in range(45):
             theta = self.sparse(rng, range(start, start + 11))
-            Y = gram.product(theta, np.flatnonzero(theta))
-            full += Y is None
-            assert gram.computed <= gram.cap + call and gram.used <= gram.cap
-        assert gram.restarts >= 2 and full >= 35  # 37 of the 45 calls; 48 rows computed, not 495
+            assert gram.product(theta, np.flatnonzero(theta)) is not None
+            self.assert_matches_full(model, gram, theta)
+        assert gram.restarts == 22 and gram.computed == 11 + 22 * (1 + 11)
 
     def test_logistic_slots_hold_columns_only(self):
         # the same drifting unions as the linear case: X theta from the

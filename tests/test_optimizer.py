@@ -225,8 +225,8 @@ class TestRunLoop:
         real = optimizer.value_and_gradient
         calls = []
 
-        def corrupted(model, Theta, gram):
-            F, G = real(model, Theta, gram)
+        def corrupted(model, Theta, gram, cols):
+            F, G = real(model, Theta, gram, cols)
             calls.append(None)
             if len(calls) == 3:
                 j = int(np.argmin(np.abs(G[0])))
@@ -288,8 +288,8 @@ def vector_loop(config, full_product=False):
     """The per-cell loop on GEMV products, for linear sparse Polyak cells; the reference for `run`.
 
     X theta and the gradient come from one product over the cached columns
-    and Gram rows of the columns the supports have used, when their budget
-    pays for them, else from X[:, S] theta[S] on the iterate's support S
+    and Gram rows of the columns the supports have used, when the support
+    fits the cache, else from X[:, S] theta[S] on the iterate's support S
     and X' r / n, as `run` computes them; with full_product, they are the
     full X theta and X' r / n on a row-major copy of X, kernels that
     gather no columns (the drift reference).
@@ -394,9 +394,9 @@ class TestRunBatch:
         real = optimizer.value_and_gradient
         buffers = []
 
-        def recording(model, Theta, gram):
+        def recording(model, Theta, gram, cols):
             buffers.append(Theta)
-            return real(model, Theta, gram)
+            return real(model, Theta, gram, cols)
 
         monkeypatch.setattr(optimizer, "value_and_gradient", recording)
         traces = run_batch(mixed_configs(model, s_lo, s_hi))
@@ -449,6 +449,78 @@ class TestRunBatch:
         np.testing.assert_array_equal(got.support_size, old.support_size)
         for name in ("f_value", "error_sq"):
             np.testing.assert_allclose(getattr(got, name), getattr(old, name), rtol=1e-12, atol=0.0)
+
+
+DESK = {"default": (HT, 40, SPARSE_POLYAK), "rt_s100": (RT, 100, SPARSE_POLYAK), "fixed": (HT, 40, FIXED)}
+
+
+def desk_traces(label):
+    """The desk config `label` at seed 0 (d = 1000, s* = 20, 1500 iterations), as `sparsepolyak run` builds it."""
+    from sparsepolyak.config import resolve_config
+    from sparsepolyak.optimizer import make_step_rule
+
+    kind, s, step = DESK[label]
+    cfg = resolve_config({"noise.sigma": 0.5, "design.d": 1000, "design.omega": 0.5, "truth.s_star": 20,
+                          "operator.kind": kind, "operator.s": s, "step.kind": step})
+    model, theta_star, f_hat = make_instance(cfg.design, cfg.truth, cfg.noise, 0)
+    rule = make_step_rule(step, f_hat, cfg.ht_width, cfg.design, s, 20)
+    return [run(RunConfig.zero_start(model, ThresholdSpec(kind=kind, s=s), rule, 1500, theta_star))]
+
+
+def logistic_grid_traces():
+    """One logistic grid instance: HT and RT at three sparsity levels in one batch."""
+    from sparsepolyak.diagnostics import run_instance_cells
+
+    design = DesignSpec(n=int(np.ceil(5 * 10 * np.log(300))), d=300, omega=0.5)
+    cells = [(ThresholdSpec(kind=kind, s=s), SPARSE_POLYAK) for kind in (HT, RT) for s in (10, 20, 30)]
+    runs = run_instance_cells(design, TruthSpec(d=300, s_star=10), NoiseSpec(family="logistic"), 0, cells, 150)
+    return [trace for trace, _, _ in runs]
+
+
+class TestCarriedSupport:
+    """A cell's support guess (the previous top-s set) changes no bit of a run, and is used."""
+
+    @staticmethod
+    def count_selections(monkeypatch, guess):
+        """Patch the operator to count guessed calls and partitions; without `guess`, guess nothing."""
+        from sparsepolyak import thresholding
+
+        counts = {"guessed": 0, "partitioned": 0}
+        threshold, top_s_mask = thresholding._threshold, thresholding._top_s_mask
+
+        def counted_threshold(V, s, kind, support=None):
+            if support is not None:
+                counts["guessed"] += 1
+                if not guess:
+                    support = support[:0]  # a guess shorter than s is never certified
+            return threshold(V, s, kind, support)
+
+        def counted_top_s_mask(a, s):
+            counts["partitioned"] += 1
+            return top_s_mask(a, s)
+
+        monkeypatch.setattr(thresholding, "_threshold", counted_threshold)
+        monkeypatch.setattr(thresholding, "_top_s_mask", counted_top_s_mask)
+        return counts
+
+    @pytest.mark.parametrize("label", ["default", "rt_s100", "fixed", "logistic_grid"])
+    def test_guess_keeps_the_bits(self, monkeypatch, label):
+        make = logistic_grid_traces if label == "logistic_grid" else lambda: desk_traces(label)
+        with monkeypatch.context() as patch:
+            off = self.count_selections(patch, guess=False)
+            unguessed = make()
+        on = self.count_selections(monkeypatch, guess=True)
+        guessed = make()
+        selections = sum(len(trace) - 1 for trace in guessed)
+        assert on["guessed"] == off["guessed"] == off["partitioned"] == selections
+        for a, b in zip(guessed, unguessed):
+            assert a.status is b.status
+            for name in ("iters", "f_value", "step_size", "grad_ht_norm_sq", "error_sq",
+                         "support_size", "final_theta"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        if label == "default":
+            # the certified branch must serve most selections, or the guess does nothing
+            assert on["partitioned"] <= 0.1 * selections
 
 
 class TestNoiselessRecovery:

@@ -210,6 +210,83 @@ class TestOneSelectionPath:
                     assert fn(v, s).tobytes() == r.tobytes()
 
 
+@st.composite
+def guessed_vectors(draw):
+    """A vector (tied integers or floats, subnormals included), a sparsity level and a NaN flag."""
+    d = draw(st.integers(2, 12))
+    entries = st.one_of(ENTRIES, st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True))
+    v = np.array(draw(st.lists(entries, min_size=d, max_size=d)), dtype=float)
+    return v, draw(st.integers(1, d)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+def support_guesses(v, s, seed):
+    """Guesses of the top-s support: true, stale by one swap, random, short and tied."""
+    rng = np.random.default_rng(seed)
+    true = reference_support(v, s)
+    out = {"true": true, "random": np.sort(rng.choice(v.size, size=min(s, v.size), replace=False)),
+           "short": true[:-1], "empty": true[:0]}
+    outside = np.setdiff1d(np.arange(v.size), true)
+    if outside.size:
+        stale = true.copy()
+        stale[rng.integers(true.size)] = rng.choice(outside)
+        out["stale"] = np.sort(stale)
+        # the boundary entry of the top-s set swapped for a later entry of equal magnitude
+        a = np.abs(v)
+        edge = true[np.flatnonzero(a[true] == a[true].min())[-1]]
+        tied = outside[a[outside] == a[edge]]
+        if tied.size:
+            out["tied"] = np.sort(np.append(true[true != edge], tied[0]))
+    return out
+
+
+class TestGuessedSupport:
+    """A support guess leaves the output's bits alone and returns the output's support."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(guessed_vectors())
+    # RT halves a kept subnormal to (signed) zero: the certified support must drop it
+    @example((np.array([5e-324, 0.0, 0.0]), 1, 0))
+    @example((np.array([0.0, -5e-324, 1.0, 0.0]), 2, 1))
+    def test_guessed_selection_matches_reference(self, case):
+        v, s, seed = case
+        before = v.tobytes()
+        for name, guess in support_guesses(v, s, seed).items():
+            for kind, fn in ((HT, hard_threshold), (RT, reciprocal_threshold)):
+                out, support = fn(v, s, guess)
+                assert out.tobytes() == reference_threshold(v, s, kind).tobytes(), (name, kind)
+                assert out.tobytes() == fn(v, s).tobytes(), (name, kind)
+                assert support.tolist() == np.flatnonzero(out).tolist(), (name, kind)
+                out_spec, support_spec = ThresholdSpec(kind=kind, s=s).apply(v, guess)
+                assert out_spec.tobytes() == out.tobytes()
+                assert support_spec.tolist() == support.tolist()
+        assert v.tobytes() == before
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(guessed_vectors(), st.integers(0, 11))
+    def test_nan_rejected_with_any_guess(self, case, where):
+        v, s, seed = case
+        if s >= v.size:
+            return
+        v[where % v.size] = np.nan
+        for guess in support_guesses(np.nan_to_num(v), s, seed).values():
+            for fn in (hard_threshold, reciprocal_threshold):
+                with pytest.raises(ValueError, match="NaN"):
+                    fn(v, s, guess)
+
+    def test_certified_guess_is_returned_unchanged(self):
+        v = np.array([0.1, -4.0, 0.2, 3.0, -0.3, 2.0])
+        guess = np.array([1, 3, 5])
+        for fn in (hard_threshold, reciprocal_threshold):
+            assert fn(v, 3, guess)[1] is guess
+        tied = np.array([1.0, 3.0, 2.0, -2.0])  # entries 2 and 3 tie at the boundary
+        out, support = hard_threshold(tied, 2, np.array([1, 3]))
+        assert support.tolist() == [1, 2] and out.tolist() == [0.0, 3.0, 2.0, 0.0]
+
+    def test_guess_needs_a_vector(self):
+        with pytest.raises(ValueError, match="vector"):
+            hard_threshold(np.ones((2, 3)), 1, np.array([0]))
+
+
 class TestThresholdSpec:
     def test_apply_dispatch(self):
         v = np.array([3.0, 2.0, 1.0])
