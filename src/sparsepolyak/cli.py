@@ -14,7 +14,7 @@ list and one argument tuple per instance and map
 `optimizer.run` and measures the plateau with the same `diagnostics.plateau`.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (a stalled
-step rule, a non-finite objective evaluation or a non-finite step size).
+step rule, a non-finite target value, objective evaluation or step size).
 
 Every artifact directory carries a manifest (config echo, seeds, schema and
 toolkit versions, config hash) sufficient to reproduce it byte for byte;
@@ -48,6 +48,7 @@ from .diagnostics import (
     make_instance,
     plateau,
     run_instance_cells,
+    step_target,
     summarize_comparison,
 )
 from .optimizer import (
@@ -82,7 +83,7 @@ def cmd_run(cfg: ExperimentConfig, out_root: Path) -> int:
         raise ConfigError(f"operator.s: the fixed step 1/L_hat needs operator.s >= truth.s_star "
                           f"= {s_star}, got {cfg.operator_s}; or set step.fixed_gamma")
     model, theta_star, f_target = make_instance(cfg.design, cfg.truth, cfg.noise, cfg.seed)
-    f_hat = f_target if cfg.f_hat is None else cfg.f_hat
+    f_hat = step_target(f_target, cfg.f_hat)
     rule = make_step_rule(cfg.step_kind, f_hat, cfg.ht_width, cfg.design, cfg.operator_s,
                           cfg.truth.s_star, cfg.fixed_gamma)
     op = ThresholdSpec(kind=cfg.operator_kind, s=cfg.operator_s)
@@ -92,7 +93,7 @@ def cmd_run(cfg: ExperimentConfig, out_root: Path) -> int:
     write_trace_csv(trace, out_dir / "trace.csv")
     _, hit = plateau(trace.error_sq)
     write_summary_json(out_dir / "summary.json", trace, cfg.echo, iters_to_floor=hit)
-    write_manifest(out_dir / "manifest.json", cfg.echo, [cfg.seed], __version__)
+    write_manifest(out_dir / "manifest.json", cfg.echo, [cfg.seed])
     dataset_to_npz(model.data, out_dir / "dataset.npz", cfg.noise.family, cfg.seed)
     print(f"run: status={trace.status.value} iters={trace.iters[-1]} "
           f"final_f={trace.f_value[-1]:.6g} final_error_sq={trace.error_sq[-1]:.6g}")
@@ -143,7 +144,7 @@ def cmd_grid(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
         lines.append(f"{kind:<10} {row.best_s:>8} {row.final_error_sq:>22.6g} {row.iters_to_floor:>16}")
     summary = "\n".join(lines) + "\n"
     atomic_write_text(out_dir / "summary.txt", summary)
-    write_manifest(out_dir / "manifest.json", cfg.echo, cfg.seeds, __version__)
+    write_manifest(out_dir / "manifest.json", cfg.echo, cfg.seeds)
     print(summary, end="")
     print(f"artifacts: {out_dir}")
     return EXIT_OK
@@ -191,7 +192,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
         lines.append(f"sparse polyak iters-to-plateau spread (max/min): {max(sparse_hits) / min(sparse_hits):.3f}")
     summary = "\n".join(lines) + "\n"
     atomic_write_text(out_dir / "summary.txt", summary)
-    write_manifest(out_dir / "manifest.json", cfg.echo, cfg.seeds, __version__)
+    write_manifest(out_dir / "manifest.json", cfg.echo, cfg.seeds)
     print(summary, end="")
     print(f"artifacts: {out_dir}")
     return EXIT_OK
@@ -226,7 +227,7 @@ def cmd_concavity(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     cells = _pmap(_concavity_cell_task, items, workers)
     out_dir = out_root / f"concavity_{config_hash(cfg.echo)}"
     atomic_write_text(out_dir / "concavity.json", json.dumps(cells, indent=2) + "\n")
-    write_manifest(out_dir / "manifest.json", cfg.echo, [cfg.seed], __version__)
+    write_manifest(out_dir / "manifest.json", cfg.echo, [cfg.seed])
     violations = [c for c in cells if c["within_bound"] is False]
     print(f"concavity: {len(cells)} cells, {len(violations)} bound violations")
     print(f"artifacts: {out_dir}")
@@ -234,9 +235,13 @@ def cmd_concavity(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
 
 
 def cmd_check(cfg: ExperimentConfig, out_root: Path) -> int:
-    model, _, _ = make_instance(cfg.design, cfg.truth, cfg.noise, cfg.seed)
     base = compute_regularity(cfg.design, cfg.check_s)
-    params = RegularityParams(mu=base.mu * cfg.check_mu_scale, L=base.L, tau=base.tau, s=base.s)
+    mu = base.mu * cfg.check_mu_scale
+    if mu > base.L:
+        raise ConfigError(f"check.mu_scale: must be at most L/mu = {base.L / base.mu:.6g} at this "
+                          f"design, so that mu <= L; got {cfg.check_mu_scale}")
+    params = RegularityParams(mu=mu, L=base.L, tau=base.tau, s=base.s)
+    model, _, _ = make_instance(cfg.design, cfg.truth, cfg.noise, cfg.seed)
     reports = check_assumptions(model, params, cfg.check_pairs, cfg.seed)
     payload = {
         "constants": {"mu": params.mu, "L": params.L, "tau": params.tau, "s": params.s,
@@ -250,7 +255,7 @@ def cmd_check(cfg: ExperimentConfig, out_root: Path) -> int:
     }
     out_dir = out_root / f"check_{config_hash(cfg.echo)}"
     atomic_write_text(out_dir / "assumptions.json", json.dumps(payload, indent=2) + "\n")
-    write_manifest(out_dir / "manifest.json", cfg.echo, [cfg.seed], __version__)
+    write_manifest(out_dir / "manifest.json", cfg.echo, [cfg.seed])
     for r in reports:
         print(f"{r.assumption}: {r.violations}/{r.pairs_tested} violations, worst margin {r.worst_margin:.3g}")
     print(f"artifacts: {out_dir}")

@@ -59,7 +59,7 @@ SCHEMA = {
     "concavity.s_values": ("intlist", [1, 2, 3, 4], "operator sparsity levels for the oracle"),
     "concavity.trials": ("int", 100000, "random trials per oracle cell"),
     "check.pairs": ("int", 10000, "sampled pairs per assumption check"),
-    "check.mu_scale": ("float", 1.0, "multiplier on mu, for checker power experiments"),
+    "check.mu_scale": ("float", 1.0, "multiplier on mu, for checker power experiments; at most L/mu"),
     "check.s": ("int", 0, "sparsity level for checker constants; 0 derives 2 * s_star"),
     "out.dir": ("str", "", "output root; empty uses $SPARSEPOLYAK_OUT or ./runs"),
 }

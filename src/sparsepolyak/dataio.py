@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .objectives import Dataset
 from .optimizer import RunTrace
 
@@ -114,11 +115,11 @@ def numeric_build() -> dict:
     }
 
 
-def write_manifest(path, echo: dict, seeds: list[int], toolkit_version: str) -> None:
+def write_manifest(path, echo: dict, seeds: list[int]) -> None:
     """Everything required to reproduce the artifact directory byte-for-byte."""
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "toolkit_version": toolkit_version,
+        "toolkit_version": __version__,
         "numeric_build": numeric_build(),
         "seeds": list(map(int, seeds)),
         "config": echo,
@@ -137,12 +138,3 @@ def dataset_to_npz(data: Dataset, path, family: str, seed: int) -> None:
     }
     with _atomic_file(path) as fh:
         np.savez(fh, X=data.X, y=data.y, meta=json.dumps(meta, sort_keys=True))
-
-
-def dataset_from_npz(path) -> tuple[Dataset, dict]:
-    with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"]))
-        data = Dataset(X=archive["X"], y=archive["y"])
-    if meta.get("n") != data.n or meta.get("d") != data.d:
-        raise ValueError("NPZ metadata does not match array shapes")
-    return data, meta

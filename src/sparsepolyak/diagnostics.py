@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import Dataset, ObjectiveModel, bregman_batch, target_value
-from .optimizer import RunConfig, RunTrace, default_ht_width, make_step_rule, run_batch
+from .optimizer import OptimizerError, RunConfig, RunTrace, default_ht_width, make_step_rule, run_batch
 from .rng import STREAM_CHECK, substream
 from .synthdata import (
     DesignSpec,
@@ -224,7 +224,6 @@ def decomposition_margins(trace: RunTrace, theta_hat: np.ndarray, eta_bound: flo
 class ComparisonRow:
     """Grid-search outcome for one operator."""
 
-    operator: ThresholdSpec
     best_s: int
     final_error_sq: float
     iters_to_floor: int
@@ -238,9 +237,17 @@ def make_instance(design: DesignSpec, truth: TruthSpec, noise: NoiseSpec, seed: 
     """Generate (model, truth, target value) for one seed."""
     X = generate_design(design, seed)
     theta_star = generate_truth(truth, seed)
-    y = generate_responses(noise.family, X, theta_star, noise, seed)
+    y = generate_responses(X, theta_star, noise, seed)
     model = ObjectiveModel(family=noise.family, data=Dataset(X=X, y=y))
-    return model, theta_star, target_value(model, theta_star)
+    with np.errstate(over="ignore", invalid="ignore"):  # `step_target` reports a non-finite target
+        return model, theta_star, target_value(model, theta_star)
+
+
+def step_target(f_target: float, f_hat: float | None) -> float:
+    """f_hat, or the target value f(theta*) when f_hat is None; `OptimizerError` if that is not finite."""
+    if f_hat is None and not np.isfinite(f_target):
+        raise OptimizerError(f"the target value f(theta*) = {f_target} is not finite")
+    return f_target if f_hat is None else f_hat
 
 
 def run_instance_cells(
@@ -265,7 +272,7 @@ def run_instance_cells(
     cell, in order.
     """
     model, theta_star, f_target = make_instance(design, truth, noise, seed)
-    target = f_target if f_hat is None else f_hat
+    target = step_target(f_target, f_hat)
     width = ht_width or default_ht_width(noise.family)
     traces = run_batch([
         RunConfig.zero_start(model, op, make_step_rule(kind, target, width, design, op.s, truth.s_star),
@@ -289,7 +296,6 @@ def summarize_comparison(detail, s_grid: list[int]) -> dict[str, ComparisonRow]:
         medians = {s: float(np.median(finals[(kind, s)])) for s in s_grid}
         best_s = min(s_grid, key=lambda s: medians[s])
         rows[kind] = ComparisonRow(
-            operator=ThresholdSpec(kind=kind, s=best_s),
             best_s=best_s,
             final_error_sq=medians[best_s],
             iters_to_floor=int(np.median(floors[(kind, best_s)])),

@@ -15,10 +15,10 @@ An evaluation forms U = X theta and reduces it to the loss and the
 residual psi'(U) - y (`_loss_and_residual`, shared by every path; the
 logistic cumulant is `softplus`).  Iterates are sparse, so U needs only
 the columns in the union of the supports of the parameter rows.  While a
-`GramRows` cache holds those columns, U is one product over its slots;
-otherwise `_forward_product` gathers them from the column-major design,
-or takes every column (the full product) when the union spans more than
-`GATHER_MAX_FRAC` of them.
+`GramRows` cache holds those columns, U is one product of the parameters
+in slot order with its slots; otherwise `_forward_product` gathers them
+from the column-major design, or takes every column (the full product)
+when the union spans more than `GATHER_MAX_FRAC` of them.
 
 The gradient has all d entries, since selection and the step rule read
 every one: the full product X' r / n, or for the linear family, while a
@@ -167,19 +167,19 @@ def _loss_and_residual(model: ObjectiveModel, U: np.ndarray):
 class GramRows:
     """Cached design columns x_j of a run's support union, with their Gram rows x_j' X / n if linear.
 
-    A column that enters the support union of the parameter rows fills
-    the next free slot; then one product W @ block over the used slots,
-    with the parameters as weights and zero weight on the columns that
-    have left the union, gives X theta, so no column is gathered per call.
-    For the squared-error loss the gradient is X'X theta / n - X'y / n,
-    and theta is sparse, so only the Gram rows of its support columns are
-    needed (the covariance update of glmnet's coordinate descent, Friedman,
-    Hastie & Tibshirani 2010).  A linear slot therefore holds a column and
-    its Gram row side by side, [x_j' | x_j' X / n], in a cap x (n + d)
-    block, and the same product gives X theta in its first n entries and
-    X'X theta / n in the rest; X'y / n is computed on the first call that
-    uses the slots.  A logistic slot holds the column alone, in a cap x n
-    block, and its gradient stays the full product R X / n.
+    A column that enters the support union fills the next free slot, and
+    ``order`` keeps each slot's column, so X theta is one product of the
+    parameters in slot order with the used slots.  A stale slot, whose
+    column has left the union, weighs exactly +0.0, as thresholding writes
+    +0.0 off the support.  For the squared-error loss the gradient is
+    X'X theta / n - X'y / n, and theta is sparse, so only the Gram rows of
+    its support columns are needed (the covariance update of glmnet's coordinate
+    descent, Friedman, Hastie & Tibshirani 2010).  A linear slot therefore
+    holds a column and its Gram row side by side, [x_j' | x_j' X / n], in a
+    cap x (n + d) block, and the same product gives X theta in its first n
+    entries and X'X theta / n in the rest; X'y / n is computed on the first
+    call that uses the slots.  A logistic slot holds the column alone, in a
+    cap x n block, and its gradient stays the full product R X / n.
 
     Gram rows pay off while the support union of a batch is narrow and
     stable: one takes the flops of one row of the full product R X / n,
@@ -191,7 +191,7 @@ class GramRows:
     slot, as many flops as slots / B full products of a batch of B rows.
     `computed` and `restarts` count the slots filled and the restarts.
     A call given the same ``cols`` array object as the previous call
-    (the loop passes an unchanged union unchanged) reuses its slot map.
+    (the loop passes an unchanged union unchanged) skips the slot lookup.
 
     The block is valid for one model and is not freed until the object
     is: create one per run (`optimizer.run_batch` does) rather than
@@ -207,36 +207,33 @@ class GramRows:
         self.restarts = 0
         width = model.data.n + (model.dim if model.family == LINEAR else 0)
         self.block = np.empty((self.cap, width))
+        # after the block: before it, glibc's heap layout kept ~5 MB more resident on grid_logistic
+        self.order = np.empty(self.cap, dtype=np.intp)  # slot -> column
         self.xty = None
-        self._last = (None, None)  # the previous call's cols and their slots
+        self._cols = None  # the previous call's cols, whose columns all hold slots
 
     def product(self, v: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
-        """W @ block at a checked vector or B x d batch v whose support union is cols.
+        """v in slot order @ the used slots, at a checked vector or B x d batch v with support union cols.
 
         [X theta | X'X theta / n] for a linear model, X theta for a
         logistic one; None when cols has more columns than the slots.
         """
         if cols.size > self.cap:
             return None
-        last_cols, slots = self._last
-        if cols is not last_cols:
-            slots = self._fill(cols)
-            self._last = (cols, slots)
-        W = np.zeros(v.shape[:-1] + (self.used,))
-        W[..., slots] = v.take(cols, axis=-1)
-        return W @ self.block[:self.used]
+        if cols is not self._cols:
+            self._fill(cols)
+            self._cols = cols
+        return v.take(self.order[:self.used], axis=-1) @ self.block[:self.used]
 
-    def _fill(self, cols: np.ndarray) -> np.ndarray:
-        """Slots of cols, filling the absent ones (after a restart when they do not fit)."""
-        slots = self.slot[cols]
-        absent = slots < 0
-        new = cols[absent]
+    def _fill(self, cols: np.ndarray) -> None:
+        """Give every column of cols a slot (after a restart when the absent ones do not fit)."""
+        new = cols[self.slot[cols] < 0]
         X, n = self.model.data.X, self.model.data.n
         linear = self.model.family == LINEAR
         if linear and self.xty is None:
             self.xty = self.model.data.y @ X / n
         if self.used + new.size > self.cap:
-            new, absent = cols, slice(None)
+            new = cols
             self.slot[:] = -1
             self.used = 0
             self.restarts += 1
@@ -248,10 +245,10 @@ class GramRows:
                 rows = self.block[self.used:end, n:]
                 np.matmul(cols_new, X, out=rows)
                 rows /= n
-            slots[absent] = self.slot[new] = np.arange(self.used, end)
+            self.slot[new] = np.arange(self.used, end)
+            self.order[self.used:end] = new
             self.used = end
             self.computed += new.size
-        return slots
 
 
 def value_and_gradient(model: ObjectiveModel, theta, gram: GramRows | None = None,

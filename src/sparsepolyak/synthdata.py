@@ -219,16 +219,14 @@ def generate_truth(spec: TruthSpec, seed: int) -> np.ndarray:
     return theta
 
 
-def generate_responses(family: str, X: np.ndarray, theta_star, noise: NoiseSpec, seed: int) -> np.ndarray:
+def generate_responses(X: np.ndarray, theta_star, noise: NoiseSpec, seed: int) -> np.ndarray:
     """Linear: y = X theta* + sigma eps.  Logistic: y ~ Bernoulli(sigmoid(X theta*))."""
-    if family != noise.family:
-        raise ValueError(f"family {family!r} does not match noise spec {noise.family!r}")
     v = np.asarray(theta_star, dtype=float)
     if v.shape[0] != X.shape[1]:
         raise ValueError(f"truth has dimension {v.shape[0]}, design has {X.shape[1]} features")
     u = X @ v
     rng = substream(seed, STREAM_NOISE)
-    if family == LINEAR:
+    if noise.family == LINEAR:
         return u + noise.sigma * rng.standard_normal(X.shape[0])
     return (rng.random(X.shape[0]) < sigmoid(u)).astype(float)
 

@@ -285,6 +285,26 @@ class TestCliRun:
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_non_finite_target_value_is_numerical_failure(self, tmp_path, capsys, command):
+        # f(theta*) overflows at this noise scale, so no step rule has a target value
+        cfg = write_config(tmp_path, text="design.d = 60\ntruth.s_star = 3\nnoise.sigma = 1e160\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "f(theta*) = inf" in err
+
+    def test_check_does_not_need_a_finite_target_value(self, tmp_path):
+        cfg = write_config(tmp_path, text="design.d = 60\ntruth.s_star = 3\nnoise.sigma = 1e160\n"
+                                          "check.pairs = 8\n")
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+
+    def test_check_mu_scale_above_l_over_mu_names_the_bound(self, tmp_path, capsys):
+        # L/mu is about 36 at the default design, so a x40 experiment has no valid constants
+        cfg = write_config(tmp_path, text="check.mu_scale = 40\ncheck.pairs = 8\n")
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "check.mu_scale" in err and "L/mu = 35.9992" in err
+
     @pytest.mark.parametrize("kind", ["sparse_polyak", "classic_polyak", "fixed"])
     def test_run_matches_its_one_cell_instance_run(self, tmp_path, kind):
         # run and the grid/sweep worker build their cells with one step-rule builder

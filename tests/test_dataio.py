@@ -7,11 +7,11 @@ import stat
 import numpy as np
 import pytest
 
+import sparsepolyak
 from sparsepolyak.dataio import (
     TRACE_HEADER,
     atomic_write_text,
     config_hash,
-    dataset_from_npz,
     dataset_to_npz,
     trace_csv_text,
     write_manifest,
@@ -110,9 +110,10 @@ class TestDatasetContainers:
         data = Dataset(X=rng.standard_normal((5, 4)), y=rng.standard_normal(5))
         path = tmp_path / "data.npz"
         dataset_to_npz(data, path, family=LINEAR, seed=17)
-        loaded, meta = dataset_from_npz(path)
-        assert loaded.X.tobytes() == data.X.tobytes()
-        assert loaded.y.tobytes() == data.y.tobytes()
+        with np.load(path, allow_pickle=False) as archive:
+            X, y, meta = archive["X"], archive["y"], json.loads(str(archive["meta"]))
+        assert X.tobytes() == data.X.tobytes()
+        assert y.tobytes() == data.y.tobytes()
         assert meta["n"] == 5 and meta["d"] == 4
         assert meta["family"] == LINEAR and meta["seed"] == 17
 
@@ -132,10 +133,11 @@ class TestSummaryAndHash:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         path = tmp_path / "manifest.json"
-        write_manifest(path, {"design.d": 2}, [4], "0.0.1")
+        write_manifest(path, {"design.d": 2}, [4])
         payload = json.loads(path.read_text())
         assert set(payload) == {"schema_version", "toolkit_version", "numeric_build", "seeds",
                                 "config", "config_hash"}
+        assert payload["toolkit_version"] == sparsepolyak.__version__
         build = payload["numeric_build"]
         assert set(build) == {"numpy", "blas_vendor", "blas_version", "blas_thread_env"}
         assert build["numpy"] == np.__version__

@@ -163,26 +163,21 @@ class TestGenerateResponses:
         spec = DesignSpec(n=100, d=10, omega=0.5)
         X = generate_design(spec, seed=0)
         theta = generate_truth(TruthSpec(d=10, s_star=5), seed=0)
-        y = generate_responses(LINEAR, X, theta, NoiseSpec(family=LINEAR, sigma=1e-12), seed=0)
+        y = generate_responses(X, theta, NoiseSpec(family=LINEAR, sigma=1e-12), seed=0)
         assert np.max(np.abs(y - X @ theta)) < 1e-9
 
     def test_logistic_zero_truth_balanced(self):
         spec = DesignSpec(n=10000, d=4, omega=0.0)
         X = generate_design(spec, seed=1)
-        y = generate_responses(LOGISTIC, X, np.zeros(4), NoiseSpec(family=LOGISTIC), seed=1)
+        y = generate_responses(X, np.zeros(4), NoiseSpec(family=LOGISTIC), seed=1)
         assert set(np.unique(y)) <= {0.0, 1.0}
         assert abs(y.mean() - 0.5) < 0.02
 
     def test_logistic_saturated_scores(self):
         # With x' theta* = 20 for every sample, P(y=0) = 2e-9 per sample.
         X = np.ones((2000, 1))
-        y = generate_responses(LOGISTIC, X, np.array([20.0]), NoiseSpec(family=LOGISTIC), seed=2)
+        y = generate_responses(X, np.array([20.0]), NoiseSpec(family=LOGISTIC), seed=2)
         assert np.all(y == 1.0)
-
-    def test_family_mismatch_rejected(self):
-        X = np.ones((3, 1))
-        with pytest.raises(ValueError):
-            generate_responses(LINEAR, X, np.array([1.0]), NoiseSpec(family=LOGISTIC), seed=0)
 
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):
