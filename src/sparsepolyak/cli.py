@@ -3,7 +3,8 @@
 Subcommands
     run        one optimizer run; writes trace.csv, summary.json, manifest.json, dataset.npz
     grid       operator-vs-sparsity grid search; writes comparison.csv and a text summary
-    sweep      dimension sweep at constant statistical difficulty; writes sweep.csv
+    sweep      dimension sweep at constant statistical difficulty, operator.kind at
+               min(operator.s, d); writes sweep.csv
     concavity  thresholding-operator concavity certification; writes concavity.json
     check      curvature-assumption sampling report; writes assumptions.json
 
@@ -164,7 +165,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     items = []
     for d in cfg.sweep_d_values:
         design = replace(cfg.design, n=derived_n(cfg.n_factor, cfg.truth.s_star, d), d=d)
-        cells = [(ThresholdSpec(kind=HT, s=min(cfg.operator_s, d)), method) for method in methods]
+        cells = [(ThresholdSpec(kind=cfg.operator_kind, s=min(cfg.operator_s, d)), method) for method in methods]
         items += [(design, replace(cfg.truth, d=d), cfg.noise, seed, cells, cfg.sweep_max_iters,
                    cfg.ht_width, cfg.f_hat, cfg.stop_tol) for seed in cfg.seeds]
     detail = [(design.d, design.n, seed, method, level, hit, active_median_step(trace.step_size, hit))

@@ -11,9 +11,18 @@ Derived defaults: a zero/absent sample count becomes
 ``2 * s_star``, and the grid defaults to ``s_star`` scaled by
 {1, 4/3, 5/3, 2, 7/3} mirroring the benchmark grid pattern.
 
-`schema_text` renders the shipped ``config-schema.txt``.
+Each `SCHEMA` entry states what its key accepts: a lower bound (held by
+every entry of a list) or a tuple of choices.  `resolve_config` enforces
+those in one loop, after finiteness of every float, then the rules that
+tie keys together: each sparsity level at most ``design.d``, ``0 <= s_star
+<= d``, ``omega`` in [0, 1), ``sigma > 0`` for the linear family, and a
+nonempty seed list.  Every error names its key.
+
+`schema_text` renders the shipped ``config-schema.txt``, accepted column
+included, from the same table.
 """
 
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,38 +39,41 @@ class ConfigError(ValueError):
 
 
 _GRID_PATTERN = (1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0, 7.0 / 3.0)
+_COMPARE = {">=": operator.ge, ">": operator.gt}
 
-# key -> (type tag, default, help)
+# key -> (type tag, default, accepted, help).  accepted is a lower bound ("> 0", ">= 1"),
+# on every entry of an intlist; a tuple of choices; or None where a spec or a
+# cross-field rule in resolve_config checks the key.
 SCHEMA = {
-    "design.n": ("int", 0, "sample count; 0 derives ceil(n_factor * s_star * ln d); sweep needs 0"),
-    "design.d": ("int", 1000, "ambient dimension"),
-    "design.omega": ("float", 0.5, "AR(1) feature correlation in [0, 1)"),
-    "design.column_normalize": ("bool", False, "rescale columns to ||X_j||/sqrt(n) = 1"),
-    "design.n_factor": ("float", 5.0, "multiplier used when deriving n"),
-    "truth.s_star": ("int", 20, "ground-truth support size"),
-    "noise.family": ("str", LINEAR, "response family: linear | logistic"),
-    "noise.sigma": ("float", 0.5, "additive noise scale (linear family only)"),
-    "operator.kind": ("str", HT, "sparsifying operator: ht | rt"),
-    "operator.s": ("int", 0, "iterate sparsity level; 0 derives 2 * s_star"),
-    "step.kind": ("str", SPARSE_POLYAK, "sparse_polyak | classic_polyak | fixed"),
-    "step.ht_width": ("str", "auto", "step-rule restriction: auto | s | 2s"),
-    "step.fixed_gamma": ("float", 0.0, "fixed step size; 0 derives 1/L_hat from the design"),
-    "step.f_hat": ("str", "target", "'target' for f(theta*), or a float literal"),
-    "run.max_iters": ("int", 1500, "iteration budget for single runs"),
-    "run.stop_tol": ("float", -1.0, "stop when f - f_hat <= tol; negative uses 1e-12 (1 + |f_hat|)"),
-    "run.seed": ("int", 0, "seed for single runs"),
-    "grid.s_values": ("intlist", [], "sparsity grid; empty derives the scaled default pattern"),
-    "grid.seeds": ("intlist", list(range(11)), "seeds for grid / sweep medians"),
-    "grid.max_iters": ("int", 0, "iteration budget for grid cells; 0 uses run.max_iters"),
-    "sweep.d_values": ("intlist", [250, 500, 1000], "dimensions for the rate-invariance sweep"),
-    "sweep.max_iters": ("int", 0, "iteration budget for sweep cells; 0 uses run.max_iters"),
-    "concavity.dims": ("intlist", [8], "vector dimensions for the concavity oracle"),
-    "concavity.s_values": ("intlist", [1, 2, 3, 4], "operator sparsity levels for the oracle"),
-    "concavity.trials": ("int", 100000, "random trials per oracle cell"),
-    "check.pairs": ("int", 10000, "sampled pairs per assumption check"),
-    "check.mu_scale": ("float", 1.0, "multiplier on mu, for checker power experiments; at most L/mu"),
-    "check.s": ("int", 0, "sparsity level for checker constants; 0 derives 2 * s_star"),
-    "out.dir": ("str", "", "output root; empty uses $SPARSEPOLYAK_OUT or ./runs"),
+    "design.n": ("int", 0, ">= 0", "sample count; 0 derives ceil(n_factor * s_star * ln d); sweep needs 0"),
+    "design.d": ("int", 1000, ">= 1", "ambient dimension"),
+    "design.omega": ("float", 0.5, None, "AR(1) feature correlation in [0, 1)"),
+    "design.column_normalize": ("bool", False, None, "rescale columns to ||X_j||/sqrt(n) = 1"),
+    "design.n_factor": ("float", 5.0, "> 0", "multiplier used when deriving n"),
+    "truth.s_star": ("int", 20, None, "ground-truth support size, in [0, design.d]"),
+    "noise.family": ("str", LINEAR, (LINEAR, LOGISTIC), "response family"),
+    "noise.sigma": ("float", 0.5, None, "additive noise scale, > 0 (linear family only)"),
+    "operator.kind": ("str", HT, (HT, RT), "sparsifying operator"),
+    "operator.s": ("int", 0, ">= 0", "iterate sparsity level, at most design.d; 0 derives 2 * s_star"),
+    "step.kind": ("str", SPARSE_POLYAK, (SPARSE_POLYAK, CLASSIC_POLYAK, FIXED), "step-size rule"),
+    "step.ht_width": ("str", "auto", ("auto", WIDTH_S, WIDTH_2S), "restriction width; auto: s, 2s if logistic"),
+    "step.fixed_gamma": ("float", 0.0, ">= 0", "fixed step size; 0 derives 1/L_hat from the design"),
+    "step.f_hat": ("str", "target", None, "'target' for f(theta*), or a finite float literal"),
+    "run.max_iters": ("int", 1500, ">= 1", "iteration budget for single runs"),
+    "run.stop_tol": ("float", -1.0, None, "stop when f - f_hat <= tol; negative uses 1e-12 (1 + |f_hat|)"),
+    "run.seed": ("int", 0, ">= 0", "seed for single runs"),
+    "grid.s_values": ("intlist", [], ">= 1", "sparsity grid, at most design.d; empty derives the scaled pattern"),
+    "grid.seeds": ("intlist", list(range(11)), ">= 0", "seeds for grid / sweep medians; nonempty"),
+    "grid.max_iters": ("int", 0, ">= 0", "iteration budget for grid cells; 0 uses run.max_iters"),
+    "sweep.d_values": ("intlist", [250, 500, 1000], ">= 2", "sweep dimensions: nonempty, each >= s_star"),
+    "sweep.max_iters": ("int", 0, ">= 0", "iteration budget for sweep cells; 0 uses run.max_iters"),
+    "concavity.dims": ("intlist", [8], ">= 1", "vector dimensions for the concavity oracle"),
+    "concavity.s_values": ("intlist", [1, 2, 3, 4], ">= 1", "operator sparsity levels for the oracle"),
+    "concavity.trials": ("int", 100000, ">= 1", "random trials per oracle cell"),
+    "check.pairs": ("int", 10000, ">= 1", "sampled pairs per assumption check"),
+    "check.mu_scale": ("float", 1.0, "> 0", "multiplier on mu, for checker power experiments; at most L/mu"),
+    "check.s": ("int", 0, ">= 0", "checker sparsity level, at most design.d; 0 derives 2 * s_star"),
+    "out.dir": ("str", "", None, "output root; empty uses $SPARSEPOLYAK_OUT or ./runs"),
 }
 
 
@@ -70,16 +82,19 @@ def schema_text() -> str:
         "# Configuration schema: flat `key = value` lines, `#` comments.",
         "# Unknown keys are rejected.  Integer lists are comma separated.",
         "#",
-        "# key                      type     default              meaning",
+        "# accepted: a lower bound (on every entry of a list), the choices, or - (see meaning).",
+        "#",
+        "# key                      type     default              accepted         meaning",
     ]
-    for key, (tag, default, help_) in SCHEMA.items():
+    for key, (tag, default, accepted, help_) in SCHEMA.items():
         if isinstance(default, list):
             shown = ",".join(str(v) for v in default) if default else "(derived)"
         elif isinstance(default, bool):
             shown = "true" if default else "false"
         else:
             shown = str(default)
-        lines.append(f"{key:<26} {tag:<8} {shown:<20} {help_}")
+        rule = "|".join(accepted) if isinstance(accepted, tuple) else accepted or "-"
+        lines.append(f"{key:<26} {tag:<8} {shown:<20} {rule:<16} {help_}")
     return "\n".join(lines) + "\n"
 
 
@@ -166,36 +181,37 @@ def default_s_grid(s_star: int, d: int) -> list[int]:
     return grid
 
 
+def _sparsity(merged: dict, key: str, d: int, s_star: int) -> int:
+    """The sparsity level `key` sets, 0 deriving min(d, 2 * s_star); at most d."""
+    s = merged[key] or min(d, 2 * max(s_star, 1))
+    if s > d:
+        raise ConfigError(f"{key}: must be at most design.d = {d}, got {s}")
+    return s
+
+
 def resolve_config(values: dict) -> ExperimentConfig:
-    """Apply defaults, derive dependent values, validate cross-field constraints."""
+    """Apply defaults, enforce each key's accepted values, derive dependent values
+    and validate cross-field constraints."""
     merged = {key: spec[1] for key, spec in SCHEMA.items()}
     merged.update(values)
-    for key, (tag, _, _) in SCHEMA.items():
-        if tag == "float" and not np.isfinite(merged[key]):
-            raise ConfigError(f"{key}: must be finite, got {merged[key]!r}")
+    for key, (tag, _, accepted, _) in SCHEMA.items():
+        value = merged[key]
+        if tag == "float" and not np.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {value!r}")
+        if isinstance(accepted, tuple) and value not in accepted:
+            raise ConfigError(f"{key}: must be one of {' | '.join(accepted)}, got {value!r}")
+        if isinstance(accepted, str):
+            op, bound = accepted.split()
+            entries = value if tag == "intlist" else [value]
+            if not all(_COMPARE[op](v, float(bound)) for v in entries):
+                raise ConfigError(f"{key}: {'every entry ' if tag == 'intlist' else ''}must be {accepted}, "
+                                  f"got {value!r}")
 
     d = merged["design.d"]
     s_star = merged["truth.s_star"]
     family = merged["noise.family"]
-    if family not in (LINEAR, LOGISTIC):
-        raise ConfigError(f"noise.family: unknown family {family!r}")
-    if merged["operator.kind"] not in (HT, RT):
-        raise ConfigError(f"operator.kind: unknown operator {merged['operator.kind']!r}")
-    if merged["step.kind"] not in (SPARSE_POLYAK, CLASSIC_POLYAK, FIXED):
-        raise ConfigError(f"step.kind: unknown rule {merged['step.kind']!r}")
-    ht_width = merged["step.ht_width"]
-    if ht_width not in ("auto", WIDTH_S, WIDTH_2S):
-        raise ConfigError(f"step.ht_width: expected auto | s | 2s, got {ht_width!r}")
-
-    if d < 1:
-        raise ConfigError(f"design.d: must be >= 1, got {d}")
-    if merged["design.n"] < 0:
-        raise ConfigError(f"design.n: must be >= 0 (0 derives it from design.n_factor), "
-                          f"got {merged['design.n']}")
-    if merged["design.n_factor"] <= 0:
-        raise ConfigError(f"design.n_factor: must be positive, got {merged['design.n_factor']}")
     n = merged["design.n"] or derived_n(merged["design.n_factor"], s_star, d)
-    # n and d are checked above and the family before, so what the specs reject is omega and sigma
+    # n, d and the family are checked above, so what the specs reject is omega, s* and sigma
     try:
         design = DesignSpec(
             n=n, d=d, omega=merged["design.omega"],
@@ -212,9 +228,7 @@ def resolve_config(values: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"noise.sigma: {exc}") from exc
 
-    operator_s = merged["operator.s"] or min(d, 2 * max(s_star, 1))
-    if not 1 <= operator_s <= d:
-        raise ConfigError(f"operator.s: need 1 <= s <= d = {d}, got {operator_s}")
+    operator_s = _sparsity(merged, "operator.s", d, s_star)
 
     f_hat_raw = merged["step.f_hat"]
     if f_hat_raw == "target":
@@ -226,39 +240,15 @@ def resolve_config(values: dict) -> ExperimentConfig:
             raise ConfigError(f"step.f_hat: expected 'target' or a float, got {f_hat_raw!r}") from exc
         if not np.isfinite(f_hat):
             raise ConfigError(f"step.f_hat: must be finite, got {f_hat_raw!r}")
-    fixed_gamma = merged["step.fixed_gamma"]
-    if fixed_gamma < 0:
-        raise ConfigError(f"step.fixed_gamma: must be >= 0 (0 derives 1/L_hat), got {fixed_gamma}")
 
     s_grid = merged["grid.s_values"] or default_s_grid(s_star, d)
-    if any(not 1 <= s <= d for s in s_grid):
-        raise ConfigError(f"grid.s_values: every s must lie in [1, {d}], got {s_grid}")
+    if any(s > d for s in s_grid):
+        raise ConfigError(f"grid.s_values: every entry must be at most design.d = {d}, got {s_grid}")
     seeds = merged["grid.seeds"]
     if not seeds:
         raise ConfigError("grid.seeds: seed list must be nonempty")
-    if any(seed < 0 for seed in seeds):
-        raise ConfigError(f"grid.seeds: seeds must be >= 0, got {seeds}")
-    if merged["run.seed"] < 0:
-        raise ConfigError(f"run.seed: must be >= 0, got {merged['run.seed']}")
 
-    if any(dv < 2 for dv in merged["sweep.d_values"]):
-        raise ConfigError(f"sweep.d_values: dimensions must be >= 2, got {merged['sweep.d_values']}")
-    for key in ("concavity.trials", "check.pairs", "run.max_iters"):
-        if merged[key] < 1:
-            raise ConfigError(f"{key}: must be >= 1, got {merged[key]}")
-    for key in ("grid.max_iters", "sweep.max_iters"):
-        if merged[key] < 0:
-            raise ConfigError(f"{key}: must be >= 0 (0 uses run.max_iters), got {merged[key]}")
-    if any(dim < 1 for dim in merged["concavity.dims"]):
-        raise ConfigError("concavity.dims: dimensions must be >= 1")
-    if any(s < 1 for s in merged["concavity.s_values"]):
-        raise ConfigError("concavity.s_values: sparsity levels must be >= 1")
-    if merged["check.mu_scale"] <= 0:
-        raise ConfigError("check.mu_scale: must be positive")
-
-    check_s = merged["check.s"] or min(d, 2 * max(s_star, 1))
-    if not 1 <= check_s <= d:
-        raise ConfigError(f"check.s: need 1 <= s <= d = {d} (0 derives 2 * s_star), got {check_s}")
+    check_s = _sparsity(merged, "check.s", d, s_star)
     stop_tol = merged["run.stop_tol"]
 
     echo = dict(merged)
@@ -274,8 +264,8 @@ def resolve_config(values: dict) -> ExperimentConfig:
         operator_kind=merged["operator.kind"],
         operator_s=operator_s,
         step_kind=merged["step.kind"],
-        ht_width=default_ht_width(family) if ht_width == "auto" else ht_width,
-        fixed_gamma=fixed_gamma or None,
+        ht_width=default_ht_width(family) if merged["step.ht_width"] == "auto" else merged["step.ht_width"],
+        fixed_gamma=merged["step.fixed_gamma"] or None,
         f_hat=f_hat,
         max_iters=merged["run.max_iters"],
         stop_tol=None if stop_tol < 0 else stop_tol,

@@ -239,10 +239,8 @@ def make_step_rule(kind: str, f_hat: float, ht_width: str, design: DesignSpec, s
     A fixed rule steps by fixed_gamma when it is given, else by 1/L_hat of
     the design at sparsity s and true sparsity max(s_star, 1).
     """
-    if kind == FIXED:
-        gamma = fixed_gamma or fixed_step_lhat(design, s, max(s_star, 1))
-        return StepRule(kind=FIXED, f_hat=f_hat, fixed_gamma=gamma)
-    return StepRule(kind=kind, f_hat=f_hat, ht_width=ht_width)
+    gamma = (fixed_gamma or fixed_step_lhat(design, s, max(s_star, 1))) if kind == FIXED else None
+    return StepRule(kind=kind, f_hat=f_hat, ht_width=ht_width, fixed_gamma=gamma)
 
 
 def theoretical_floor(regularity: RegularityParams, grad_at_truth_ht_norm: float) -> float:

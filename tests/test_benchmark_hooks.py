@@ -3,7 +3,9 @@
 `perfbench/tracing.py` wraps the functions its `TRACED` table names and
 skips a name that no longer exists, so renaming a traced function would
 silently read 0 for its per-layer metrics.  The benchmark also wraps
-`optimizer.run` to record each `sparsepolyak run` outcome.
+`optimizer.run` to record each `sparsepolyak run` outcome, and hands the
+CLI the configs of `perfbench/workloads.py`, so a schema change that
+rejects one would read as `cells_ok_frac` 0.
 """
 
 import importlib.util
@@ -13,30 +15,46 @@ import pytest
 
 import sparsepolyak.cli
 from sparsepolyak.cli import EXIT_OK, main
+from sparsepolyak.config import ConfigError, parse_config_text, resolve_config
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Entries the table still names after the package dropped them; they read 0 by design.
 STALE = {("objectives", "gradient"), ("thresholding", "top_s_support"),
          ("thresholding", "threshold_batch")}
 
 
-def traced_names():
-    if not TRACING.is_file():
-        pytest.skip("no perfbench/tracing.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    if not hasattr(tracing, "TRACED"):
-        pytest.skip("perfbench/tracing.py has no TRACED table")
-    return [tuple(entry) for entry in tracing.TRACED]
+def perfbench_table(module: str, table: str):
+    """`table` of perfbench/<module>.py; skips when either is absent."""
+    path = PERFBENCH / f"{module}.py"
+    if not path.is_file():
+        pytest.skip(f"no perfbench/{module}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{module}", path)
+    loaded = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loaded)
+    if not hasattr(loaded, table):
+        pytest.skip(f"perfbench/{module}.py has no {table} table")
+    return getattr(loaded, table)
 
 
 def test_every_traced_function_resolves():
-    missing = [f"{module}.{func}" for module, func in traced_names()
+    missing = [f"{module}.{func}" for module, func in perfbench_table("tracing", "TRACED")
                if (module, func) not in STALE
                and not callable(getattr(importlib.import_module(f"sparsepolyak.{module}"), func, None))]
     assert missing == []
+
+
+def test_every_workload_config_resolves():
+    failures = []
+    for workload in perfbench_table("workloads", "WORKLOADS").values():
+        for seed in workload.pool:
+            for inv in workload.invocations(seed):
+                for text in (inv.config, inv.probe_config):
+                    try:
+                        resolve_config(parse_config_text(text))
+                    except ConfigError as exc:
+                        failures.append(f"{workload.name}/{inv.label}/seed{seed}: {exc}")
+    assert failures == []
 
 
 def test_cli_run_calls_optimizer_run_once(tmp_path, monkeypatch):

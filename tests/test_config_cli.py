@@ -1,7 +1,10 @@
 """Config parsing/validation and end-to-end CLI contract tests."""
 
+import csv
 import json
+import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 
 from sparsepolyak.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from sparsepolyak.config import (
+    SCHEMA,
     ConfigError,
     default_s_grid,
     derived_n,
@@ -18,7 +22,7 @@ from sparsepolyak.config import (
     schema_text,
 )
 from sparsepolyak.dataio import trace_csv_text
-from sparsepolyak.diagnostics import run_instance_cells
+from sparsepolyak.diagnostics import active_median_step, run_instance_cells
 from sparsepolyak.thresholding import ThresholdSpec
 
 BASE_CONFIG = """
@@ -47,6 +51,20 @@ def write_config(tmp_path, text=BASE_CONFIG, extra=""):
     path = tmp_path / "exp.cfg"
     path.write_text(text + extra)
     return str(path)
+
+
+BOUNDED = [(key, tag, accepted) for key, (tag, _, accepted, _) in SCHEMA.items() if isinstance(accepted, str)]
+CHOICES = [(key, accepted) for key, (_, _, accepted, _) in SCHEMA.items() if isinstance(accepted, tuple)]
+
+
+def bound_values(tag: str, accepted: str) -> tuple:
+    """The least value a SCHEMA lower bound accepts and the greatest it rejects."""
+    op, bound = accepted.split()
+    if tag == "float":
+        b = float(bound)
+        return (np.nextafter(b, np.inf), b) if op == ">" else (b, np.nextafter(b, -np.inf))
+    b = int(bound)
+    return (b + 1, b) if op == ">" else (b, b - 1)
 
 
 class TestParsing:
@@ -128,6 +146,23 @@ class TestResolution:
     def test_invalid_spec_value_names_the_key(self, key, value):
         with pytest.raises(ConfigError, match=key):
             resolve_config({key: value})
+
+    @pytest.mark.parametrize("key, tag, accepted", BOUNDED)
+    def test_every_bound_is_enforced_by_name(self, key, tag, accepted):
+        ok, bad = bound_values(tag, accepted)
+        if tag == "intlist":
+            ok, bad = [ok], [ok, bad]
+        companions = {"truth.s_star": 1} if key == "design.d" else {}  # the default s* = 20 exceeds d = 1
+        resolve_config({**companions, key: ok})
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+            resolve_config({**companions, key: bad})
+
+    @pytest.mark.parametrize("key, choices", CHOICES)
+    def test_every_choice_is_enforced_by_name(self, key, choices):
+        for choice in choices:
+            assert resolve_config({key: choice}).echo[key] == choice
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+            resolve_config({key: "bogus"})
 
     def test_echo_contains_derived_values(self):
         cfg = resolve_config({"design.d": 100, "truth.s_star": 4})
@@ -319,6 +354,23 @@ class TestCliRun:
         summary = json.loads(next(out.glob("run_*/summary.json")).read_text())
         assert summary["iters_to_floor"] == hit
 
+    def test_fixed_rule_records_the_configured_width(self, tmp_path):
+        # grad_ht_norm_sq is ||HT_w(grad)||^2 at step.ht_width for every rule; a width
+        # cannot move a fixed rule's iterates, so no other column changes
+        columns = {}
+        for width in ("s", "2s"):
+            text = ("design.d = 120\ntruth.s_star = 5\nnoise.family = logistic\nstep.kind = fixed\n"
+                    f"run.max_iters = 100\nstep.ht_width = {width}\n")
+            out = tmp_path / width
+            assert main(["run", "--config", write_config(tmp_path, text=text), "--out", str(out)]) == EXIT_OK
+            with open(next(out.glob("run_*/trace.csv")), newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            columns[width] = {name: [row[name] for row in rows] for name in rows[0]}
+        narrow = columns["s"].pop("grad_ht_norm_sq")
+        wide = columns["2s"].pop("grad_ht_norm_sq")
+        assert columns["s"] == columns["2s"]
+        assert all(float(w) >= float(n) for n, w in zip(narrow, wide)) and narrow != wide
+
     def test_output_root_from_environment(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
         root = tmp_path / "env_root"
@@ -410,6 +462,29 @@ class TestCliGridSweepReports:
         assert lines[0] == "d,n,seed,method,plateau_error_sq,iters_to_plateau,median_active_step"
         # 2 dimensions x 3 seeds x 2 methods
         assert len(lines) == 1 + 12
+
+    def test_sweep_runs_the_configured_operator(self, tmp_path):
+        # each sweep cell runs operator.kind at min(operator.s, d), like a one-cell instance run
+        text = "design.d = 120\ntruth.s_star = 5\nsweep.d_values = 60,120\ngrid.seeds = 0\nrun.max_iters = 200\n"
+        rows = {}
+        for kind in ("ht", "rt"):
+            out = tmp_path / kind
+            cfg_path = write_config(tmp_path, text=text, extra=f"operator.kind = {kind}\n")
+            assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+            rows[kind] = next(out.glob("sweep_*/sweep.csv")).read_text().splitlines()[1:]
+        assert rows["rt"] != rows["ht"]
+        cfg = load_config(cfg_path)
+        methods = ("sparse_polyak", "classic_polyak")
+        expected = []
+        for d in cfg.sweep_d_values:
+            design = replace(cfg.design, n=derived_n(cfg.n_factor, cfg.truth.s_star, d), d=d)
+            cells = [(ThresholdSpec(kind="rt", s=min(cfg.operator_s, d)), method) for method in methods]
+            runs = run_instance_cells(design, replace(cfg.truth, d=d), cfg.noise, 0, cells,
+                                      cfg.sweep_max_iters, cfg.ht_width, cfg.f_hat, cfg.stop_tol)
+            expected += [f"{d},{design.n},0,{method},{level:.12g},{hit},"
+                         f"{active_median_step(trace.step_size, hit):.12g}"
+                         for method, (trace, level, hit) in zip(methods, runs)]
+        assert rows["rt"] == expected
 
     def test_grid_and_sweep_honour_f_hat_and_stop_tol(self, tmp_path):
         # f - f_hat <= 100 holds at the zero start, so every cell stops at iteration 0
