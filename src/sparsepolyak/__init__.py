@@ -43,7 +43,6 @@ from .synthdata import (
     DesignSpec,
     NoiseSpec,
     RegularityParams,
-    TruthSpec,
     ar1_covariance,
     compute_regularity,
     generate_design,
@@ -69,7 +68,7 @@ __all__ = [
     "StalledZeroGradientError", "StepRule",
     "classic_polyak_step", "fixed_step_lhat", "grad_ht_norm_sq", "lhat_gamma", "make_step_rule",
     "run", "run_batch", "sparse_polyak_step", "theoretical_floor",
-    "DesignSpec", "NoiseSpec", "RegularityParams", "TruthSpec",
+    "DesignSpec", "NoiseSpec", "RegularityParams",
     "ar1_covariance", "compute_regularity", "generate_design",
     "generate_responses", "generate_truth",
     "HT", "RT", "ConcavityEstimate", "ThresholdSpec",

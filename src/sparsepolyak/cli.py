@@ -79,14 +79,14 @@ def _out_root(cfg: ExperimentConfig, cli_out: str | None) -> Path:
 
 
 def cmd_run(cfg: ExperimentConfig, out_root: Path) -> int:
-    s_star = max(cfg.truth.s_star, 1)
+    s_star = max(cfg.s_star, 1)
     if cfg.step_kind == FIXED and not cfg.fixed_gamma and cfg.operator_s < s_star:
         raise ConfigError(f"operator.s: the fixed step 1/L_hat needs operator.s >= truth.s_star "
                           f"= {s_star}, got {cfg.operator_s}; or set step.fixed_gamma")
-    model, theta_star, f_target = make_instance(cfg.design, cfg.truth, cfg.noise, cfg.seed)
-    f_hat = step_target(f_target, cfg.f_hat)
+    model, theta_star = make_instance(cfg.design, cfg.s_star, cfg.noise, cfg.seed)
+    f_hat = step_target(model, theta_star, cfg.f_hat)
     rule = make_step_rule(cfg.step_kind, f_hat, cfg.ht_width, cfg.design, cfg.operator_s,
-                          cfg.truth.s_star, cfg.fixed_gamma)
+                          cfg.s_star, cfg.fixed_gamma)
     op = ThresholdSpec(kind=cfg.operator_kind, s=cfg.operator_s)
     trace = run(RunConfig.zero_start(model, op, rule, cfg.max_iters, theta_star, cfg.stop_tol))
 
@@ -96,7 +96,7 @@ def cmd_run(cfg: ExperimentConfig, out_root: Path) -> int:
     write_summary_json(out_dir / "summary.json", trace, cfg.echo, iters_to_floor=hit)
     write_manifest(out_dir / "manifest.json", cfg.echo, [cfg.seed])
     dataset_to_npz(model.data, out_dir / "dataset.npz", cfg.noise.family, cfg.seed)
-    print(f"run: status={trace.status.value} iters={trace.iters[-1]} "
+    print(f"run: status={trace.status.value} iters={len(trace) - 1} "
           f"final_f={trace.f_value[-1]:.6g} final_error_sq={trace.error_sq[-1]:.6g}")
     print(f"artifacts: {out_dir}")
     if trace.status is RunStatus.STALLED_ZERO_GRADIENT:
@@ -124,7 +124,7 @@ def cmd_grid(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
         raise ConfigError("step.kind: the grid comparison needs an adaptive rule "
                           "(sparse_polyak or classic_polyak)")
     cells = [(ThresholdSpec(kind=kind, s=s), cfg.step_kind) for kind in (HT, RT) for s in cfg.s_grid]
-    items = [(cfg.design, cfg.truth, cfg.noise, seed, cells, cfg.grid_max_iters,
+    items = [(cfg.design, cfg.s_star, cfg.noise, seed, cells, cfg.grid_max_iters,
               cfg.ht_width, cfg.f_hat, cfg.stop_tol) for seed in cfg.seeds]
     detail = [(op.kind, op.s, seed, float(trace.error_sq[-1]), hit)
               for seed, runs in zip(cfg.seeds, _pmap(run_instance_cells, items, workers))
@@ -158,15 +158,15 @@ def cmd_sweep(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
         raise ConfigError(f"design.n: the sweep derives n = ceil(n_factor * s_star * ln d) at each "
                           f"dimension, so the difficulty stays constant; leave design.n at 0, "
                           f"got {cfg.n_configured}")
-    if any(d < cfg.truth.s_star for d in cfg.sweep_d_values):
+    if any(d < cfg.s_star for d in cfg.sweep_d_values):
         raise ConfigError(f"sweep.d_values: every dimension must be >= truth.s_star = "
-                          f"{cfg.truth.s_star}, got {cfg.sweep_d_values}")
+                          f"{cfg.s_star}, got {cfg.sweep_d_values}")
     methods = (SPARSE_POLYAK, CLASSIC_POLYAK)
     items = []
     for d in cfg.sweep_d_values:
-        design = replace(cfg.design, n=derived_n(cfg.n_factor, cfg.truth.s_star, d), d=d)
+        design = replace(cfg.design, n=derived_n(cfg.n_factor, cfg.s_star, d), d=d)
         cells = [(ThresholdSpec(kind=cfg.operator_kind, s=min(cfg.operator_s, d)), method) for method in methods]
-        items += [(design, replace(cfg.truth, d=d), cfg.noise, seed, cells, cfg.sweep_max_iters,
+        items += [(design, cfg.s_star, cfg.noise, seed, cells, cfg.sweep_max_iters,
                    cfg.ht_width, cfg.f_hat, cfg.stop_tol) for seed in cfg.seeds]
     detail = [(design.d, design.n, seed, method, level, hit, active_median_step(trace.step_size, hit))
               for (design, _, _, seed, *_), runs in zip(items, _pmap(run_instance_cells, items, workers))
@@ -223,8 +223,11 @@ def cmd_concavity(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
         for s_star in range(1, s + 1)
         for kind in (HT, RT)
     ]
+    if not cfg.concavity_dims:
+        raise ConfigError("concavity.dims: dimension list must be nonempty")
     if not items:
-        raise ConfigError("concavity: no valid (s, dim) cells; need s <= dim")
+        raise ConfigError(f"concavity.s_values: need an entry at most the largest dimension, "
+                          f"max(concavity.dims) = {max(cfg.concavity_dims)}, got {cfg.concavity_s_values}")
     cells = _pmap(_concavity_cell_task, items, workers)
     out_dir = out_root / f"concavity_{config_hash(cfg.echo)}"
     atomic_write_text(out_dir / "concavity.json", json.dumps(cells, indent=2) + "\n")
@@ -242,7 +245,7 @@ def cmd_check(cfg: ExperimentConfig, out_root: Path) -> int:
         raise ConfigError(f"check.mu_scale: must be at most L/mu = {base.L / base.mu:.6g} at this "
                           f"design, so that mu <= L; got {cfg.check_mu_scale}")
     params = RegularityParams(mu=mu, L=base.L, tau=base.tau, s=base.s)
-    model, _, _ = make_instance(cfg.design, cfg.truth, cfg.noise, cfg.seed)
+    model, _ = make_instance(cfg.design, cfg.s_star, cfg.noise, cfg.seed)
     reports = check_assumptions(model, params, cfg.check_pairs, cfg.seed)
     payload = {
         "constants": {"mu": params.mu, "L": params.L, "tau": params.tau, "s": params.s,
@@ -279,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", type=str, default=None, help="config file (defaults apply if omitted)")
-        p.add_argument("--seed", type=int, default=None, help="override run.seed")
+        p.add_argument("--seed", type=int, default=None, help="override run.seed (run, concavity, check)")
         p.add_argument("--out", type=str, default=None, help="output root directory")
         p.add_argument("--workers", type=int, default=1, help="parallel workers for grid/sweep/concavity cells")
     return parser
@@ -290,6 +293,8 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        if args.seed is not None and args.command in ("grid", "sweep"):
+            raise ConfigError(f"--seed: {args.command} takes its seeds from grid.seeds; set that key instead")
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = load_config(args.config) if args.config else resolve_config({})

@@ -13,10 +13,11 @@ Derived defaults: a zero/absent sample count becomes
 
 Each `SCHEMA` entry states what its key accepts: a lower bound (held by
 every entry of a list) or a tuple of choices.  `resolve_config` enforces
-those in one loop, after finiteness of every float, then the rules that
-tie keys together: each sparsity level at most ``design.d``, ``0 <= s_star
-<= d``, ``omega`` in [0, 1), ``sigma > 0`` for the linear family, and a
-nonempty seed list.  Every error names its key.
+those in one loop, after finiteness of every float, with the entries of
+every list distinct; then the rules that tie keys together: ``s_star`` and
+each sparsity level at most ``design.d``, ``omega`` in [0, 1), ``sigma >
+0`` for the linear family, and a nonempty seed list.  Every error names
+its key.
 
 `schema_text` renders the shipped ``config-schema.txt``, accepted column
 included, from the same table.
@@ -30,7 +31,7 @@ import numpy as np
 
 from .objectives import LINEAR, LOGISTIC
 from .optimizer import CLASSIC_POLYAK, FIXED, SPARSE_POLYAK, WIDTH_2S, WIDTH_S, default_ht_width
-from .synthdata import DesignSpec, NoiseSpec, TruthSpec
+from .synthdata import DesignSpec, NoiseSpec
 from .thresholding import HT, RT
 
 
@@ -42,15 +43,15 @@ _GRID_PATTERN = (1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0, 7.0 / 3.0)
 _COMPARE = {">=": operator.ge, ">": operator.gt}
 
 # key -> (type tag, default, accepted, help).  accepted is a lower bound ("> 0", ">= 1"),
-# on every entry of an intlist; a tuple of choices; or None where a spec or a
-# cross-field rule in resolve_config checks the key.
+# on every entry of an intlist, whose entries are also distinct; a tuple of choices;
+# or None where a spec or a cross-field rule in resolve_config checks the key.
 SCHEMA = {
     "design.n": ("int", 0, ">= 0", "sample count; 0 derives ceil(n_factor * s_star * ln d); sweep needs 0"),
     "design.d": ("int", 1000, ">= 1", "ambient dimension"),
     "design.omega": ("float", 0.5, None, "AR(1) feature correlation in [0, 1)"),
     "design.column_normalize": ("bool", False, None, "rescale columns to ||X_j||/sqrt(n) = 1"),
     "design.n_factor": ("float", 5.0, "> 0", "multiplier used when deriving n"),
-    "truth.s_star": ("int", 20, None, "ground-truth support size, in [0, design.d]"),
+    "truth.s_star": ("int", 20, ">= 0", "ground-truth support size, at most design.d"),
     "noise.family": ("str", LINEAR, (LINEAR, LOGISTIC), "response family"),
     "noise.sigma": ("float", 0.5, None, "additive noise scale, > 0 (linear family only)"),
     "operator.kind": ("str", HT, (HT, RT), "sparsifying operator"),
@@ -80,7 +81,7 @@ SCHEMA = {
 def schema_text() -> str:
     lines = [
         "# Configuration schema: flat `key = value` lines, `#` comments.",
-        "# Unknown keys are rejected.  Integer lists are comma separated.",
+        "# Unknown keys are rejected.  Integer lists are comma separated, their entries distinct.",
         "#",
         "# accepted: a lower bound (on every entry of a list), the choices, or - (see meaning).",
         "#",
@@ -144,7 +145,7 @@ class ExperimentConfig:
     """Validated, fully derived experiment description."""
 
     design: DesignSpec
-    truth: TruthSpec
+    s_star: int
     noise: NoiseSpec
     operator_kind: str
     operator_s: int
@@ -206,12 +207,14 @@ def resolve_config(values: dict) -> ExperimentConfig:
             if not all(_COMPARE[op](v, float(bound)) for v in entries):
                 raise ConfigError(f"{key}: {'every entry ' if tag == 'intlist' else ''}must be {accepted}, "
                                   f"got {value!r}")
+        if tag == "intlist" and len(set(value)) < len(value):
+            raise ConfigError(f"{key}: entries must be distinct, got {value!r}")
 
     d = merged["design.d"]
     s_star = merged["truth.s_star"]
     family = merged["noise.family"]
     n = merged["design.n"] or derived_n(merged["design.n_factor"], s_star, d)
-    # n, d and the family are checked above, so what the specs reject is omega, s* and sigma
+    # n, d and the family are checked above, so what the specs reject is omega and sigma
     try:
         design = DesignSpec(
             n=n, d=d, omega=merged["design.omega"],
@@ -219,10 +222,8 @@ def resolve_config(values: dict) -> ExperimentConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"design.omega: {exc}") from exc
-    try:
-        truth = TruthSpec(d=d, s_star=s_star)
-    except ValueError as exc:
-        raise ConfigError(f"truth.s_star: {exc}") from exc
+    if s_star > d:
+        raise ConfigError(f"truth.s_star: must be at most design.d = {d}, got {s_star}")
     try:
         noise = NoiseSpec(family=family, sigma=merged["noise.sigma"] if family == LINEAR else None)
     except ValueError as exc:
@@ -259,7 +260,7 @@ def resolve_config(values: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         design=design,
-        truth=truth,
+        s_star=s_star,
         noise=noise,
         operator_kind=merged["operator.kind"],
         operator_s=operator_s,

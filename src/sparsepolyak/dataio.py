@@ -73,7 +73,7 @@ def config_hash(echo: dict) -> str:
 def trace_csv_text(trace: RunTrace) -> str:
     """The header and one row per iteration; error_sq reads nan when the run had no truth."""
     err = [math.nan] * len(trace) if trace.error_sq is None else trace.error_sq.tolist()
-    rows = zip(trace.iters.tolist(), trace.f_value.tolist(), trace.step_size.tolist(),
+    rows = zip(range(len(trace)), trace.f_value.tolist(), trace.step_size.tolist(),
                trace.grad_ht_norm_sq.tolist(), err, trace.support_size.tolist())
     return TRACE_HEADER + "\n" + "".join([_TRACE_ROW % row for row in rows])
 
@@ -86,7 +86,7 @@ def write_summary_json(path, trace: RunTrace, echo: dict, iters_to_floor: int | 
     """Final error, floor timing, status, and a hashed config echo."""
     summary = {
         "status": trace.status.value,
-        "iterations": int(trace.iters[-1]),
+        "iterations": len(trace) - 1,
         "final_f_value": float(trace.f_value[-1]),
         "final_error_sq": None if trace.error_sq is None else float(trace.error_sq[-1]),
         "final_support_size": int(trace.support_size[-1]),

@@ -11,6 +11,10 @@ of the last 10% of recorded squared errors, and iterations-to-floor is the
 first time the error enters a small band above that level; `plateau`
 gives both.
 
+`make_instance` generates one seed's (model, truth), the truth of the
+design's dimension; only a step rule reads f(theta*), so `step_target`
+computes it, and only when no f_hat is given.
+
 `run_instance_cells` is the one cell worker of the grid and sweep
 commands: it generates a seed's instance once, builds each (operator,
 step kind) cell's rule with `optimizer.make_step_rule`, advances all the
@@ -29,7 +33,6 @@ from .synthdata import (
     DesignSpec,
     NoiseSpec,
     RegularityParams,
-    TruthSpec,
     generate_design,
     generate_responses,
     generate_truth,
@@ -233,26 +236,28 @@ class ComparisonRow:
             raise ValueError("final squared error must be nonnegative")
 
 
-def make_instance(design: DesignSpec, truth: TruthSpec, noise: NoiseSpec, seed: int):
-    """Generate (model, truth, target value) for one seed."""
+def make_instance(design: DesignSpec, s_star: int, noise: NoiseSpec, seed: int):
+    """Generate (model, truth) for one seed; the truth has the design's d entries."""
     X = generate_design(design, seed)
-    theta_star = generate_truth(truth, seed)
+    theta_star = generate_truth(design.d, s_star, seed)
     y = generate_responses(X, theta_star, noise, seed)
-    model = ObjectiveModel(family=noise.family, data=Dataset(X=X, y=y))
-    with np.errstate(over="ignore", invalid="ignore"):  # `step_target` reports a non-finite target
-        return model, theta_star, target_value(model, theta_star)
+    return ObjectiveModel(family=noise.family, data=Dataset(X=X, y=y)), theta_star
 
 
-def step_target(f_target: float, f_hat: float | None) -> float:
+def step_target(model: ObjectiveModel, theta_star: np.ndarray, f_hat: float | None) -> float:
     """f_hat, or the target value f(theta*) when f_hat is None; `OptimizerError` if that is not finite."""
-    if f_hat is None and not np.isfinite(f_target):
+    if f_hat is not None:
+        return f_hat
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite target is reported below
+        f_target = target_value(model, theta_star)
+    if not np.isfinite(f_target):
         raise OptimizerError(f"the target value f(theta*) = {f_target} is not finite")
-    return f_target if f_hat is None else f_hat
+    return f_target
 
 
 def run_instance_cells(
     design: DesignSpec,
-    truth: TruthSpec,
+    s_star: int,
     noise: NoiseSpec,
     seed: int,
     cells: list[tuple[ThresholdSpec, str]],
@@ -263,19 +268,20 @@ def run_instance_cells(
 ) -> list[tuple[RunTrace, float, int]]:
     """Zero-start runs of (operator, step kind) cells on one seed's instance.
 
-    The instance is generated once and its cells run as one lock-step
-    batch, so each cell's last bits can depend on the other cells and
-    their order (never on worker count).  ht_width None means the family's
-    default; f_hat None means the target value f(theta*); stop_tol None
-    means the run's default tolerance.  A fixed cell steps by 1/L_hat of
-    its own s.  Returns (trace, plateau level, iterations to plateau) per
-    cell, in order.
+    The instance (design of d features, truth of s_star of them) is
+    generated once and its cells run as one lock-step batch, so each
+    cell's last bits can depend on the other cells and their order (never
+    on worker count).  ht_width None means the family's default; f_hat
+    None means the target value f(theta*), computed only then; stop_tol
+    None means the run's default tolerance.  A fixed cell steps by 1/L_hat
+    of its own s.  Returns (trace, plateau level, iterations to plateau)
+    per cell, in order.
     """
-    model, theta_star, f_target = make_instance(design, truth, noise, seed)
-    target = step_target(f_target, f_hat)
+    model, theta_star = make_instance(design, s_star, noise, seed)
+    target = step_target(model, theta_star, f_hat)
     width = ht_width or default_ht_width(noise.family)
     traces = run_batch([
-        RunConfig.zero_start(model, op, make_step_rule(kind, target, width, design, op.s, truth.s_star),
+        RunConfig.zero_start(model, op, make_step_rule(kind, target, width, design, op.s, s_star),
                              max_iters, theta_star, stop_tol)
         for op, kind in cells
     ])

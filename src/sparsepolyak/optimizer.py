@@ -160,9 +160,8 @@ class RunConfig:
 
 @dataclass
 class RunTrace:
-    """Per-iteration record of a run, including the starting point."""
+    """Per-iteration record of a run, including the starting point; row t is iteration t."""
 
-    iters: np.ndarray
     f_value: np.ndarray
     step_size: np.ndarray
     grad_ht_norm_sq: np.ndarray
@@ -174,7 +173,7 @@ class RunTrace:
     pre_threshold: list[np.ndarray] | None = None
 
     def __len__(self):
-        return self.iters.size
+        return self.f_value.size
 
 
 def grad_ht_norm_sq(grad: np.ndarray, ht_width: int) -> float:
@@ -263,7 +262,7 @@ class _Cell:
         self.stop_tol = config.resolved_stop_tol()
         s = config.operator.s
         self.width = min(s if config.step_rule.ht_width == WIDTH_S else 2 * s, config.model.dim)
-        self.rows = []  # (t, f, gamma, ||HT_w(grad)||^2, squared error, support size)
+        self.rows = []  # row t: (f, gamma, ||HT_w(grad)||^2, squared error, support size)
         self.support = np.flatnonzero(config.theta0)  # of the current iterate, ascending
         self.iterates = [config.theta0.copy()] if keep_iterates else None
         self.pre_threshold = [] if keep_iterates else None
@@ -302,7 +301,7 @@ class _Cell:
         if self.truth is not None:
             diff = theta - self.truth
             err_sq = float(np.dot(diff, diff))
-        self.rows.append((t, f_t, gamma, ht_norm_sq, err_sq, self.support.size))
+        self.rows.append((f_t, gamma, ht_norm_sq, err_sq, self.support.size))
 
         if stalled:
             self.status = RunStatus.STALLED_ZERO_GRADIENT
@@ -321,9 +320,8 @@ class _Cell:
         return None
 
     def trace(self) -> RunTrace:
-        t, f, gamma, ht_norm_sq, err_sq, nnz = zip(*self.rows)
+        f, gamma, ht_norm_sq, err_sq, nnz = zip(*self.rows)
         return RunTrace(
-            iters=np.array(t, dtype=int),
             f_value=np.array(f),
             step_size=np.array(gamma),
             grad_ht_norm_sq=np.array(ht_norm_sq),

@@ -9,8 +9,9 @@ computed rather than estimated: Sigma^-1 is tridiagonal (Kac, Murdock &
 Szego 1953), so `design_spectrum` finds the extreme eigenvalues of Sigma
 exactly at every d from one scalar eigenvalue equation.
 
-All generators are pure functions of (spec, seed); see `rng` for the
-stream-splitting rule.
+All generators are pure functions of their arguments, seed included; see
+`rng` for the stream-splitting rule.  An instance has one dimension, the
+design's d, which `generate_truth` takes as an argument.
 """
 
 import math
@@ -39,20 +40,6 @@ class DesignSpec:
             raise ValueError("n and d must be positive")
         if not 0.0 <= self.omega < 1.0:
             raise ValueError(f"omega must lie in [0, 1), got {self.omega}")
-
-
-@dataclass(frozen=True)
-class TruthSpec:
-    """Support size of the ground-truth coefficients, whose values are standard normal."""
-
-    d: int
-    s_star: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be positive")
-        if not 0 <= self.s_star <= self.d:
-            raise ValueError(f"need 0 <= s_star <= d, got s_star={self.s_star}, d={self.d}")
 
 
 @dataclass(frozen=True)
@@ -208,23 +195,25 @@ def generate_design(spec: DesignSpec, seed: int) -> np.ndarray:
     return X
 
 
-def generate_truth(spec: TruthSpec, seed: int) -> np.ndarray:
-    """Exactly s_star standard-normal entries on a uniformly random support; read-only."""
-    theta = np.zeros(spec.d)
-    if spec.s_star > 0:
+def generate_truth(d: int, s_star: int, seed: int) -> np.ndarray:
+    """Exactly s_star standard-normal entries of d on a uniformly random support; read-only.
+
+    Raises ValueError unless d >= 1 and 0 <= s_star <= d.
+    """
+    if d < 1 or not 0 <= s_star <= d:
+        raise ValueError(f"need d >= 1 and 0 <= s_star <= d, got d={d}, s_star={s_star}")
+    theta = np.zeros(d)
+    if s_star > 0:
         rng = substream(seed, STREAM_TRUTH)
-        support = rng.choice(spec.d, size=spec.s_star, replace=False)
-        theta[support] = rng.standard_normal(spec.s_star)
+        support = rng.choice(d, size=s_star, replace=False)
+        theta[support] = rng.standard_normal(s_star)
     theta.setflags(write=False)
     return theta
 
 
 def generate_responses(X: np.ndarray, theta_star, noise: NoiseSpec, seed: int) -> np.ndarray:
     """Linear: y = X theta* + sigma eps.  Logistic: y ~ Bernoulli(sigmoid(X theta*))."""
-    v = np.asarray(theta_star, dtype=float)
-    if v.shape[0] != X.shape[1]:
-        raise ValueError(f"truth has dimension {v.shape[0]}, design has {X.shape[1]} features")
-    u = X @ v
+    u = X @ np.asarray(theta_star, dtype=float)
     rng = substream(seed, STREAM_NOISE)
     if noise.family == LINEAR:
         return u + noise.sigma * rng.standard_normal(X.shape[0])

@@ -234,16 +234,13 @@ def _best_response(Z: np.ndarray, P: np.ndarray, s_star: int) -> np.ndarray:
     For y supported on T disjoint from the kept support of P = Phi(Z), the
     ratio is (c A - q) / (c^2 A + B) with A = ||r_T||^2, B = ||Phi(z)||^2,
     q = <Phi(z), z - Phi(z)> and y = c r_T; the best T is the top-s* of the
-    off-support residual and the optimal scale is c = (q + sqrt(q^2+AB))/A.
+    off-support residual (selected by `hard_threshold`, lowest index on a
+    tie) and the optimal scale is c = (q + sqrt(q^2+AB))/A.
     """
     R = Z - P
     Rm = np.where(P != 0.0, 0.0, R)
     nrows, dim = Z.shape
-    k = min(s_star, dim)
-    idx = np.argpartition(-np.abs(Rm), kth=k - 1, axis=1)[:, :k]
-    rows = np.arange(nrows)[:, None]
-    rT = np.zeros_like(Z)
-    rT[rows, idx] = Rm[rows, idx]
+    rT = hard_threshold(Rm, min(s_star, dim))
     A = np.einsum("ij,ij->i", rT, rT)
     B = np.einsum("ij,ij->i", P, P)
     q = np.einsum("ij,ij->i", P, R)

@@ -49,7 +49,6 @@ from sparsepolyak.optimizer import (
 from sparsepolyak.synthdata import (
     DesignSpec,
     NoiseSpec,
-    TruthSpec,
     compute_regularity,
     generate_design,
     generate_truth,
@@ -180,7 +179,7 @@ class TestC04NoiselessExactRecovery:
         for seed in SEEDS:
             design = DesignSpec(n=n, d=d, omega=omega)
             X = generate_design(design, seed)
-            theta_star = generate_truth(TruthSpec(d=d, s_star=s_star), seed)
+            theta_star = generate_truth(d, s_star, seed)
             model = ObjectiveModel(family=LINEAR, data=Dataset(X=X, y=X @ theta_star))
             config = RunConfig(
                 model=model,
@@ -224,12 +223,11 @@ def noisy_linear_sweep():
     for d in (250, 500, 1000):
         n = int(np.ceil(5 * s_star * np.log(d)))
         design = DesignSpec(n=n, d=d, omega=omega)
-        truth = TruthSpec(d=d, s_star=s_star)
         noise = NoiseSpec(family=LINEAR, sigma=sigma)
         rules = (SPARSE_POLYAK, CLASSIC_POLYAK)
         op = ThresholdSpec(kind=HT, s=s)
         for seed in SEEDS:
-            runs = run_instance_cells(design, truth, noise, seed, [(op, rule) for rule in rules],
+            runs = run_instance_cells(design, s_star, noise, seed, [(op, rule) for rule in rules],
                                       max_iters=1500)
             for rule, (trace, _, _) in zip(rules, runs):
                 results[(d, rule, seed)] = trace
@@ -264,12 +262,11 @@ class TestC05ContractionAndFloor:
         eta = relative_concavity_bound(RT, s_star, chosen_s)
         confinement = 1.01 * (1.0 + 4.0 * eta)
 
-        truth = TruthSpec(d=d, s_star=s_star)
         noise = NoiseSpec(family=LINEAR, sigma=sigma)
         pooled_ratios = []
         confinement_ok = []
         for seed in SEEDS:
-            trace = run_instance_cells(design, truth, noise, seed,
+            trace = run_instance_cells(design, s_star, noise, seed,
                                        [(ThresholdSpec(kind=RT, s=chosen_s), SPARSE_POLYAK)],
                                        max_iters=1500)[0][0]
             level = plateau_level(trace.error_sq)
@@ -351,7 +348,6 @@ class TestC08QuarterScaleLogisticReplication:
         n = int(np.ceil(5 * s_star * np.log(d)))
         grid = [75, 100, 125, 150, 175]
         design = DesignSpec(n=n, d=d, omega=omega)
-        truth = TruthSpec(d=d, s_star=s_star)
         noise = NoiseSpec(family=LOGISTIC)
 
         sparse_detail = []
@@ -359,7 +355,7 @@ class TestC08QuarterScaleLogisticReplication:
         cells = ([(ThresholdSpec(kind=kind, s=s), SPARSE_POLYAK) for s in grid for kind in (HT, RT)]
                  + [(ThresholdSpec(kind=HT, s=s), FIXED) for s in grid])
         for seed in SEEDS:
-            runs = run_instance_cells(design, truth, noise, seed, cells, max_iters=self.ITER_BUDGET)
+            runs = run_instance_cells(design, s_star, noise, seed, cells, max_iters=self.ITER_BUDGET)
             for (op, rule), (trace, _, hit) in zip(cells, runs):
                 if rule == FIXED:
                     fixed_finals[op.s].append(float(trace.error_sq[-1]))
@@ -394,8 +390,7 @@ class TestC09AssumptionCheckers:
         d, s = 1000, 20
         n = int(np.ceil(4 * s * np.log(d)))
         design = DesignSpec(n=n, d=d, omega=0.5)
-        model, _, _ = make_instance(design, TruthSpec(d=d, s_star=10),
-                                    NoiseSpec(family=LINEAR, sigma=0.5), seed=0)
+        model, _ = make_instance(design, 10, NoiseSpec(family=LINEAR, sigma=0.5), seed=0)
         params = compute_regularity(design, s)
         sound_rsc, sound_rss, _ = check_assumptions(model, params, pairs=10000, seed=0)
         from sparsepolyak.synthdata import RegularityParams
@@ -422,11 +417,10 @@ class TestC10Determinism:
         d, s_star, sigma, omega = 1000, 20, 0.5, 0.5
         n = int(np.ceil(5 * s_star * np.log(d)))
         design = DesignSpec(n=n, d=d, omega=omega)
-        truth = TruthSpec(d=d, s_star=s_star)
         noise = NoiseSpec(family=LINEAR, sigma=sigma)
         texts = []
         for _ in range(2):
-            trace = run_instance_cells(design, truth, noise, 0,
+            trace = run_instance_cells(design, s_star, noise, 0,
                                        [(ThresholdSpec(kind=RT, s=100), SPARSE_POLYAK)],
                                        max_iters=1500)[0][0]
             texts.append(trace_csv_text(trace))

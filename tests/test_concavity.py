@@ -66,14 +66,15 @@ class TestOracleContract:
     @pytest.mark.parametrize("kind", [HT, RT])
     def test_each_batch_is_thresholded_once(self, monkeypatch, kind):
         # 45000 trials in batches of 20000: three random batches plus the
-        # structured one; the random y and the best response share Phi(Z)
+        # structured one; the random y and the best response share Phi(Z),
+        # and the best response takes its top-s* residual with one HT call
         calls = []
         original = thresholding._threshold
 
-        def counting(V, *args):
-            calls.append(V.shape[0])
-            return original(V, *args)
+        def counting(V, s, op_kind, *args):
+            calls.append((V.shape[0], s, op_kind))
+            return original(V, s, op_kind, *args)
 
         monkeypatch.setattr(thresholding, "_threshold", counting)
         empirical_relative_concavity(ThresholdSpec(kind=kind, s=2), 1, 8, 45000, seed=5)
-        assert calls == [20000, 20000, 5000, 50]
+        assert calls == [call for rows in (20000, 20000, 5000, 50) for call in ((rows, 2, kind), (rows, 1, HT))]

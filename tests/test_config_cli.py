@@ -54,6 +54,7 @@ def write_config(tmp_path, text=BASE_CONFIG, extra=""):
 
 
 BOUNDED = [(key, tag, accepted) for key, (tag, _, accepted, _) in SCHEMA.items() if isinstance(accepted, str)]
+INTLISTS = [key for key, (tag, *_) in SCHEMA.items() if tag == "intlist"]
 CHOICES = [(key, accepted) for key, (_, _, accepted, _) in SCHEMA.items() if isinstance(accepted, tuple)]
 
 
@@ -103,7 +104,7 @@ class TestResolution:
     def test_desk_scale_defaults(self):
         cfg = resolve_config({})
         assert cfg.design.d == 1000
-        assert cfg.truth.s_star == 20
+        assert cfg.s_star == 20
         assert cfg.design.omega == 0.5
         assert len(cfg.seeds) == 11
 
@@ -126,7 +127,7 @@ class TestResolution:
     def test_sweep_dimensions_are_not_checked_outside_the_sweep(self):
         # the default sweep.d_values = 250,500,1000 lie below these s*
         for s_star in (300, 600):
-            assert resolve_config({"truth.s_star": s_star}).truth.s_star == s_star
+            assert resolve_config({"truth.s_star": s_star}).s_star == s_star
 
     def test_f_hat_literal(self):
         cfg = resolve_config({"step.f_hat": "0.25"})
@@ -156,6 +157,20 @@ class TestResolution:
         resolve_config({**companions, key: ok})
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
             resolve_config({**companions, key: bad})
+
+    @pytest.mark.parametrize("key", INTLISTS)
+    def test_every_list_rejects_a_repeated_entry_by_name(self, key):
+        # a repeated seed counted twice in the grid's medians, a repeated s or d wrote duplicate rows
+        assert len(INTLISTS) == 5
+        value = bound_values("intlist", SCHEMA[key][2])[0]
+        assert resolve_config({key: [value, value + 1]}).echo[key] == [value, value + 1]
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: entries must be distinct"):
+            resolve_config({key: [value, value + 1, value]})
+
+    def test_true_sparsity_above_dimension_names_the_key(self):
+        assert resolve_config({"design.d": 10, "truth.s_star": 10}).s_star == 10
+        with pytest.raises(ConfigError, match="^truth.s_star: must be at most design.d = 10"):
+            resolve_config({"design.d": 10, "truth.s_star": 11})
 
     @pytest.mark.parametrize("key, choices", CHOICES)
     def test_every_choice_is_enforced_by_name(self, key, choices):
@@ -213,6 +228,29 @@ class TestCliRun:
             assert main(argv) == EXIT_CONFIG
             assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["grid", "sweep"])
+    def test_seed_flag_rejected_where_grid_seeds_apply(self, tmp_path, capsys, command):
+        # grid and sweep take their seeds from grid.seeds; --seed only renamed the output
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--seed", "5"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--seed" in err and "grid.seeds" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra, calls", [
+        ("run", "", 1), ("run", "step.f_hat = 0.1\n", 0), ("check", "", 0),
+    ], ids=["run", "run_f_hat", "check"])
+    def test_target_value_is_computed_only_for_a_step_rule(self, tmp_path, monkeypatch, command, extra, calls):
+        from sparsepolyak import diagnostics
+
+        counted = []
+        real = diagnostics.target_value
+        monkeypatch.setattr(diagnostics, "target_value", lambda *args: counted.append(1) or real(*args))
+        cfg = write_config(tmp_path, extra=extra)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert len(counted) == calls
 
     def test_seed_override_changes_trace(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -348,7 +386,7 @@ class TestCliRun:
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
         cfg = load_config(cfg_path)
         cell = (ThresholdSpec(kind=cfg.operator_kind, s=cfg.operator_s), kind)
-        [(trace, _, hit)] = run_instance_cells(cfg.design, cfg.truth, cfg.noise, cfg.seed, [cell],
+        [(trace, _, hit)] = run_instance_cells(cfg.design, cfg.s_star, cfg.noise, cfg.seed, [cell],
                                                cfg.max_iters, cfg.ht_width, cfg.f_hat, cfg.stop_tol)
         assert next(out.glob("run_*/trace.csv")).read_text() == trace_csv_text(trace)
         summary = json.loads(next(out.glob("run_*/summary.json")).read_text())
@@ -477,9 +515,9 @@ class TestCliGridSweepReports:
         methods = ("sparse_polyak", "classic_polyak")
         expected = []
         for d in cfg.sweep_d_values:
-            design = replace(cfg.design, n=derived_n(cfg.n_factor, cfg.truth.s_star, d), d=d)
+            design = replace(cfg.design, n=derived_n(cfg.n_factor, cfg.s_star, d), d=d)
             cells = [(ThresholdSpec(kind="rt", s=min(cfg.operator_s, d)), method) for method in methods]
-            runs = run_instance_cells(design, replace(cfg.truth, d=d), cfg.noise, 0, cells,
+            runs = run_instance_cells(design, cfg.s_star, cfg.noise, 0, cells,
                                       cfg.sweep_max_iters, cfg.ht_width, cfg.f_hat, cfg.stop_tol)
             expected += [f"{d},{design.n},0,{method},{level:.12g},{hit},"
                          f"{active_median_step(trace.step_size, hit):.12g}"
@@ -506,7 +544,7 @@ class TestCliGridSweepReports:
         cfg = resolve_config({})
         seed = cfg.seeds[0]
         cells = [(ThresholdSpec(kind=kind, s=s), cfg.step_kind) for kind in ("ht", "rt") for s in cfg.s_grid]
-        rows = run_instance_cells(cfg.design, cfg.truth, cfg.noise, seed, cells, cfg.grid_max_iters,
+        rows = run_instance_cells(cfg.design, cfg.s_star, cfg.noise, seed, cells, cfg.grid_max_iters,
                                   cfg.ht_width, cfg.f_hat, cfg.stop_tol)
         for (op, _), (trace, _, hit) in zip(cells, rows):
             out = tmp_path / f"{op.kind}{op.s}"
@@ -526,6 +564,18 @@ class TestCliGridSweepReports:
         # s in {2, 3}, s* in 1..s, two operators -> 10 cells
         assert len(cells) == 10
         assert all(c["within_bound"] in (True, None) for c in cells)
+
+    @pytest.mark.parametrize("dims, named", [
+        ("2", "concavity.s_values: need an entry at most the largest dimension, max(concavity.dims) = 2"),
+        ("", "concavity.dims: dimension list must be nonempty"),
+    ], ids=["s_values_above_dims", "no_dims"])
+    def test_concavity_without_a_valid_cell_names_the_key(self, tmp_path, capsys, dims, named):
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("concavity.dims = 6", f"concavity.dims = {dims}")
+                                                .replace("concavity.s_values = 2,3", "concavity.s_values = 3"))
+        out = tmp_path / "out"
+        assert main(["concavity", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_check_report(self, tmp_path):
         cfg = write_config(tmp_path)

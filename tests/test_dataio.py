@@ -24,7 +24,6 @@ from sparsepolyak.optimizer import RunStatus, RunTrace
 
 def small_trace():
     return RunTrace(
-        iters=np.array([0, 1, 2]),
         f_value=np.array([1.5, 0.25, 1e-13]),
         step_size=np.array([0.1, 0.05, 0.0]),
         grad_ht_norm_sq=np.array([4.0, 1.0, 1e-20]),
@@ -42,7 +41,7 @@ def fstring_trace_csv(trace):
     for i in range(len(trace)):
         err = f"{trace.error_sq[i]:.12g}" if has_err else "nan"
         lines.append(
-            f"{trace.iters[i]},{trace.f_value[i]:.12g},{trace.step_size[i]:.12g},"
+            f"{i},{trace.f_value[i]:.12g},{trace.step_size[i]:.12g},"
             f"{trace.grad_ht_norm_sq[i]:.12g},{err},{trace.support_size[i]}"
         )
     return "\n".join(lines) + "\n"
@@ -58,7 +57,6 @@ def long_trace(rows=1500):
         return v
 
     return RunTrace(
-        iters=np.arange(rows),
         f_value=column(),
         step_size=np.abs(column()),
         grad_ht_norm_sq=np.abs(column()),
@@ -72,8 +70,7 @@ def long_trace(rows=1500):
 class TestTraceCsv:
     def test_matches_the_per_row_formatter(self):
         one_row = small_trace()
-        for name in ("iters", "f_value", "step_size", "grad_ht_norm_sq", "error_sq",
-                     "support_size"):
+        for name in ("f_value", "step_size", "grad_ht_norm_sq", "error_sq", "support_size"):
             setattr(one_row, name, getattr(one_row, name)[:1])
         no_truth = long_trace()
         no_truth.error_sq = None

@@ -23,7 +23,6 @@ from sparsepolyak.synthdata import (
     DesignSpec,
     NoiseSpec,
     RegularityParams,
-    TruthSpec,
     compute_regularity,
 )
 from sparsepolyak.thresholding import HT, RT, ThresholdSpec
@@ -33,7 +32,6 @@ def trace_from_errors(errors, status=RunStatus.MAX_ITERS):
     errors = np.asarray(errors, dtype=float)
     k = errors.size
     return RunTrace(
-        iters=np.arange(k),
         f_value=np.zeros(k),
         step_size=np.zeros(k),
         grad_ht_norm_sq=np.zeros(k),
@@ -51,9 +49,8 @@ def linear_checker_instance():
     d, s = 400, 20
     n = int(np.ceil(4 * s * np.log(d)))
     design = DesignSpec(n=n, d=d, omega=0.5)
-    truth = TruthSpec(d=d, s_star=10)
     noise = NoiseSpec(family=LINEAR, sigma=0.5)
-    model, _, _ = make_instance(design, truth, noise, seed=0)
+    model, _ = make_instance(design, 10, noise, seed=0)
     params = compute_regularity(design, s)
     return model, params
 
@@ -63,7 +60,7 @@ def logistic_checker_instance():
     d, s = 200, 16
     n = int(np.ceil(4 * s * np.log(d)))
     design = DesignSpec(n=n, d=d, omega=0.5)
-    model, _, _ = make_instance(design, TruthSpec(d=d, s_star=8), NoiseSpec(family=LOGISTIC), seed=0)
+    model, _ = make_instance(design, 8, NoiseSpec(family=LOGISTIC), seed=0)
     return model, compute_regularity(design, s)
 
 
@@ -213,10 +210,9 @@ class TestCompareOperators:
         d, s_star = 150, 6
         n = int(np.ceil(8 * s_star * np.log(d)))
         design = DesignSpec(n=n, d=d, omega=0.0)
-        truth = TruthSpec(d=d, s_star=s_star)
         noise = NoiseSpec(family=LINEAR, sigma=1e-12)
         cells = [(ThresholdSpec(kind=kind, s=s_star), SPARSE_POLYAK) for kind in (HT, RT)]
-        runs = run_instance_cells(design, truth, noise, 0, cells, max_iters=400)
+        runs = run_instance_cells(design, s_star, noise, 0, cells, max_iters=400)
         detail = [(op.kind, op.s, 0, float(trace.error_sq[-1]), hit)
                   for (op, _), (trace, _, hit) in zip(cells, runs)]
         rows = summarize_comparison(detail, [s_star])
@@ -232,7 +228,6 @@ class TestCompareOperators:
         d, s_star = 300, 10
         n = int(np.ceil(5 * s_star * np.log(d)))
         design = DesignSpec(n=n, d=d, omega=0.5)
-        truth = TruthSpec(d=d, s_star=s_star)
         noise = NoiseSpec(family=LINEAR, sigma=0.5)
 
         medians = {}
@@ -240,7 +235,7 @@ class TestCompareOperators:
             ratios_all = []
             for seed in range(5):
                 cell = (ThresholdSpec(kind=kind, s=4 * s_star), SPARSE_POLYAK)
-                trace = run_instance_cells(design, truth, noise, seed, [cell], max_iters=500)[0][0]
+                trace = run_instance_cells(design, s_star, noise, seed, [cell], max_iters=500)[0][0]
                 level = plateau_level(trace.error_sq)
                 ratios, _ = contraction_profile(trace, floor=level)
                 ratios_all.extend(ratios.tolist())

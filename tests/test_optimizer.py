@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sparsepolyak.dataio import trace_csv_text
-from sparsepolyak.diagnostics import decomposition_margins, make_instance
+from sparsepolyak.diagnostics import decomposition_margins, make_instance, step_target
 from sparsepolyak.objectives import (
     LINEAR,
     Dataset,
@@ -38,7 +38,6 @@ from sparsepolyak.synthdata import (
     DesignSpec,
     NoiseSpec,
     RegularityParams,
-    TruthSpec,
     ar1_covariance,
     compute_regularity,
 )
@@ -47,9 +46,9 @@ from sparsepolyak.thresholding import HT, RT, ThresholdSpec, hard_threshold, rel
 
 def linear_instance(n, d, s_star, omega, sigma, seed, column_normalize=False):
     design = DesignSpec(n=n, d=d, omega=omega, column_normalize=column_normalize)
-    truth = TruthSpec(d=d, s_star=s_star)
     noise = NoiseSpec(family=LINEAR, sigma=sigma)
-    return make_instance(design, truth, noise, seed)
+    model, theta_star = make_instance(design, s_star, noise, seed)
+    return model, theta_star, step_target(model, theta_star, None)
 
 
 def basic_config(model, theta_star, f_hat, s, kind=HT, step_kind=SPARSE_POLYAK,
@@ -177,8 +176,8 @@ class TestRunLoop:
     def test_trace_records_every_iteration_from_zero(self):
         model, theta_star, f_hat = linear_instance(80, 40, 4, 0.0, 0.5, seed=3)
         trace = run(basic_config(model, theta_star, f_hat, s=8, max_iters=25))
-        assert trace.iters[0] == 0
-        assert np.all(np.diff(trace.iters) == 1)
+        iters = [int(row.split(",")[0]) for row in trace_csv_text(trace).splitlines()[1:]]
+        assert iters == list(range(len(trace)))
         assert len(trace) <= 26
 
     def test_deterministic_bit_for_bit(self):
@@ -315,15 +314,15 @@ def vector_loop(config, full_product=False):
         ht = grad_ht_norm_sq(g, width)
         gamma = sparse_polyak_step(f, rule.f_hat, ht)
         diff = theta - truth
-        rows.append((t, f, gamma, ht, float(np.dot(diff, diff)), int(np.count_nonzero(theta))))
+        rows.append((f, gamma, ht, float(np.dot(diff, diff)), int(np.count_nonzero(theta))))
         if f - rule.f_hat <= config.resolved_stop_tol():
             status = RunStatus.CONVERGED
             break
         if t == config.max_iters:
             break
         theta = op.apply(theta - gamma * g)
-    t, f, gamma, ht, err, nnz = (np.array(col) for col in zip(*rows))
-    return RunTrace(iters=t, f_value=f, step_size=gamma, grad_ht_norm_sq=ht, error_sq=err,
+    f, gamma, ht, err, nnz = (np.array(col) for col in zip(*rows))
+    return RunTrace(f_value=f, step_size=gamma, grad_ht_norm_sq=ht, error_sq=err,
                     support_size=nnz, status=status, final_theta=theta)
 
 
@@ -462,7 +461,8 @@ def desk_traces(label):
     kind, s, step = DESK[label]
     cfg = resolve_config({"noise.sigma": 0.5, "design.d": 1000, "design.omega": 0.5, "truth.s_star": 20,
                           "operator.kind": kind, "operator.s": s, "step.kind": step})
-    model, theta_star, f_hat = make_instance(cfg.design, cfg.truth, cfg.noise, 0)
+    model, theta_star = make_instance(cfg.design, cfg.s_star, cfg.noise, 0)
+    f_hat = step_target(model, theta_star, None)
     rule = make_step_rule(step, f_hat, cfg.ht_width, cfg.design, s, 20)
     return [run(RunConfig.zero_start(model, ThresholdSpec(kind=kind, s=s), rule, 1500, theta_star))]
 
@@ -473,7 +473,7 @@ def logistic_grid_traces():
 
     design = DesignSpec(n=int(np.ceil(5 * 10 * np.log(300))), d=300, omega=0.5)
     cells = [(ThresholdSpec(kind=kind, s=s), SPARSE_POLYAK) for kind in (HT, RT) for s in (10, 20, 30)]
-    runs = run_instance_cells(design, TruthSpec(d=300, s_star=10), NoiseSpec(family="logistic"), 0, cells, 150)
+    runs = run_instance_cells(design, 10, NoiseSpec(family="logistic"), 0, cells, 150)
     return [trace for trace, _, _ in runs]
 
 
@@ -515,7 +515,7 @@ class TestCarriedSupport:
         assert on["guessed"] == off["guessed"] == off["partitioned"] == selections
         for a, b in zip(guessed, unguessed):
             assert a.status is b.status
-            for name in ("iters", "f_value", "step_size", "grad_ht_norm_sq", "error_sq",
+            for name in ("f_value", "step_size", "grad_ht_norm_sq", "error_sq",
                          "support_size", "final_theta"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
         if label == "default":
@@ -585,9 +585,9 @@ def applicable_instance():
     # initial error ||theta*||^2
     d, s_star, s, n, sigma = 1000, 10, 40, 15000, 0.2
     design = DesignSpec(n=n, d=d, omega=0.5, column_normalize=True)
-    truth = TruthSpec(d=d, s_star=s_star)
     noise = NoiseSpec(family=LINEAR, sigma=sigma)
-    model, theta_star, f_hat = make_instance(design, truth, noise, seed=0)
+    model, theta_star = make_instance(design, s_star, noise, seed=0)
+    f_hat = step_target(model, theta_star, None)
     params = compute_regularity(design, s)
     assert params.theory_applicable
     ghat = value_and_gradient(model, theta_star)[1]

@@ -12,7 +12,6 @@ from sparsepolyak.synthdata import (
     DesignSpec,
     NoiseSpec,
     RegularityParams,
-    TruthSpec,
     ar1_covariance,
     compute_regularity,
     design_spectrum,
@@ -120,7 +119,7 @@ class TestGenerateDesign:
 
 class TestGenerateTruth:
     def test_full_support(self):
-        theta = generate_truth(TruthSpec(d=10, s_star=10), seed=0)
+        theta = generate_truth(10, 10, seed=0)
         assert np.count_nonzero(theta) == 10
         assert not theta.flags.writeable
 
@@ -128,11 +127,11 @@ class TestGenerateTruth:
         rng_sizes = [(50, 7), (100, 1), (30, 29)]
         for d, s_star in rng_sizes:
             for seed in range(5):
-                theta = generate_truth(TruthSpec(d=d, s_star=s_star), seed=seed)
+                theta = generate_truth(d, s_star, seed=seed)
                 assert np.count_nonzero(theta) == s_star
 
     def test_zero_support_gives_zero_vector(self):
-        theta = generate_truth(TruthSpec(d=5, s_star=0), seed=0)
+        theta = generate_truth(5, 0, seed=0)
         assert np.count_nonzero(theta) == 0
 
     def test_support_inclusion_frequencies(self):
@@ -145,7 +144,7 @@ class TestGenerateTruth:
         p = s_star / d
         counts = np.zeros(d)
         for seed in range(n_seeds):
-            counts[generate_truth(TruthSpec(d=d, s_star=s_star), seed=seed) != 0] += 1
+            counts[generate_truth(d, s_star, seed=seed) != 0] += 1
         freq = counts / n_seeds
         sigma = np.sqrt(p * (1 - p) / n_seeds)
         assert freq.mean() == pytest.approx(p, abs=1e-12)
@@ -153,16 +152,21 @@ class TestGenerateTruth:
         assert np.mean(np.abs(freq - p) <= 3.0 * sigma) >= 0.99
 
     def test_deterministic_in_seed(self):
-        a = generate_truth(TruthSpec(d=100, s_star=10), seed=4)
-        b = generate_truth(TruthSpec(d=100, s_star=10), seed=4)
+        a = generate_truth(100, 10, seed=4)
+        b = generate_truth(100, 10, seed=4)
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("d, s_star", [(0, 0), (5, -1), (5, 6)])
+    def test_rejects_bad_dimension_or_support_size(self, d, s_star):
+        with pytest.raises(ValueError):
+            generate_truth(d, s_star, seed=0)
 
 
 class TestGenerateResponses:
     def test_linear_noiseless_limit(self):
         spec = DesignSpec(n=100, d=10, omega=0.5)
         X = generate_design(spec, seed=0)
-        theta = generate_truth(TruthSpec(d=10, s_star=5), seed=0)
+        theta = generate_truth(10, 5, seed=0)
         y = generate_responses(X, theta, NoiseSpec(family=LINEAR, sigma=1e-12), seed=0)
         assert np.max(np.abs(y - X @ theta)) < 1e-9
 
