@@ -19,8 +19,10 @@ step rule, a non-finite target value, objective evaluation or step size).
 
 Every artifact directory carries a manifest (config echo, seeds, schema and
 toolkit versions, config hash) sufficient to reproduce it byte for byte;
-output directories are named by the config hash.  The output root is, in
-precedence order: --out, the config's out.dir, $SPARSEPOLYAK_OUT, ./runs.
+output directories are named `<command>_<config hash>`, and `_publish` writes
+every command's text artifacts, its manifest and its report the same way.
+The output root is --out, else $SPARSEPOLYAK_OUT, else ./runs; it is not part
+of the config, so it does not change the hash.
 """
 
 import argparse
@@ -70,12 +72,24 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _out_root(cfg: ExperimentConfig, cli_out: str | None) -> Path:
-    if cli_out:
-        return Path(cli_out)
-    if cfg.out_dir:
-        return Path(cfg.out_dir)
-    return Path(os.environ.get("SPARSEPOLYAK_OUT", "runs"))
+def _artifact_dir(out_root: Path, command: str, cfg: ExperimentConfig) -> Path:
+    return out_root / f"{command}_{config_hash(cfg.echo)}"
+
+
+def _publish(out_root: Path, command: str, cfg: ExperimentConfig, seeds: list[int],
+             files: dict[str, str], report: str) -> None:
+    """Write each named text file, then the manifest, into the command's
+    artifact directory; then print the report and the directory.
+
+    `run` writes its trace, summary and dataset into `_artifact_dir` first
+    and publishes no text file of its own.
+    """
+    out_dir = _artifact_dir(out_root, command, cfg)
+    for name, text in files.items():
+        atomic_write_text(out_dir / name, text)
+    write_manifest(out_dir / "manifest.json", cfg.echo, seeds)
+    print(report, end="")
+    print(f"artifacts: {out_dir}")
 
 
 def cmd_run(cfg: ExperimentConfig, out_root: Path) -> int:
@@ -90,15 +104,14 @@ def cmd_run(cfg: ExperimentConfig, out_root: Path) -> int:
     op = ThresholdSpec(kind=cfg.operator_kind, s=cfg.operator_s)
     trace = run(RunConfig.zero_start(model, op, rule, cfg.max_iters, theta_star, cfg.stop_tol))
 
-    out_dir = out_root / f"run_{config_hash(cfg.echo)}"
+    out_dir = _artifact_dir(out_root, "run", cfg)
     write_trace_csv(trace, out_dir / "trace.csv")
     _, hit = plateau(trace.error_sq)
     write_summary_json(out_dir / "summary.json", trace, cfg.echo, iters_to_floor=hit)
-    write_manifest(out_dir / "manifest.json", cfg.echo, [cfg.seed])
     dataset_to_npz(model.data, out_dir / "dataset.npz", cfg.noise.family, cfg.seed)
-    print(f"run: status={trace.status.value} iters={len(trace) - 1} "
-          f"final_f={trace.f_value[-1]:.6g} final_error_sq={trace.error_sq[-1]:.6g}")
-    print(f"artifacts: {out_dir}")
+    _publish(out_root, "run", cfg, [cfg.seed], {},
+             f"run: status={trace.status.value} iters={len(trace) - 1} "
+             f"final_f={trace.f_value[-1]:.6g} final_error_sq={trace.error_sq[-1]:.6g}\n")
     if trace.status is RunStatus.STALLED_ZERO_GRADIENT:
         print("numerical failure: step rule stalled (positive gap, zero thresholded "
               "gradient); the target value is unattainable at this sparsity", file=sys.stderr)
@@ -131,12 +144,9 @@ def cmd_grid(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
               for (op, _), (trace, _, hit) in zip(cells, runs)]
     rows = summarize_comparison(detail, cfg.s_grid)
 
-    out_dir = out_root / f"grid_{config_hash(cfg.echo)}"
     csv_lines = ["operator,s,seed,final_error_sq,iters_to_floor"]
     for kind, s, seed, err, itf in detail:
         csv_lines.append(f"{kind},{s},{seed},{err:.12g},{itf}")
-    atomic_write_text(out_dir / "comparison.csv", "\n".join(csv_lines) + "\n")
-
     lines = [
         f"{'operator':<10} {'best s':>8} {'median final error^2':>22} {'iters to floor':>16}",
     ]
@@ -144,10 +154,8 @@ def cmd_grid(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
         row = rows[kind]
         lines.append(f"{kind:<10} {row.best_s:>8} {row.final_error_sq:>22.6g} {row.iters_to_floor:>16}")
     summary = "\n".join(lines) + "\n"
-    atomic_write_text(out_dir / "summary.txt", summary)
-    write_manifest(out_dir / "manifest.json", cfg.echo, cfg.seeds)
-    print(summary, end="")
-    print(f"artifacts: {out_dir}")
+    _publish(out_root, "grid", cfg, cfg.seeds,
+             {"comparison.csv": "\n".join(csv_lines) + "\n", "summary.txt": summary}, summary)
     return EXIT_OK
 
 
@@ -172,12 +180,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
               for (design, _, _, seed, *_), runs in zip(items, _pmap(run_instance_cells, items, workers))
               for method, (trace, level, hit) in zip(methods, runs)]
 
-    out_dir = out_root / f"sweep_{config_hash(cfg.echo)}"
     csv_lines = ["d,n,seed,method,plateau_error_sq,iters_to_plateau,median_active_step"]
     for d, n, seed, method, level, hit, step in detail:
         csv_lines.append(f"{d},{n},{seed},{method},{level:.12g},{hit},{step:.12g}")
-    atomic_write_text(out_dir / "sweep.csv", "\n".join(csv_lines) + "\n")
-
     lines = [f"{'d':>6} {'n':>6} {'method':<16} {'median plateau':>15} {'median iters':>13} {'median step':>12}"]
     report = {}
     for d in cfg.sweep_d_values:
@@ -192,10 +197,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     if min(sparse_hits) > 0:
         lines.append(f"sparse polyak iters-to-plateau spread (max/min): {max(sparse_hits) / min(sparse_hits):.3f}")
     summary = "\n".join(lines) + "\n"
-    atomic_write_text(out_dir / "summary.txt", summary)
-    write_manifest(out_dir / "manifest.json", cfg.echo, cfg.seeds)
-    print(summary, end="")
-    print(f"artifacts: {out_dir}")
+    _publish(out_root, "sweep", cfg, cfg.seeds,
+             {"sweep.csv": "\n".join(csv_lines) + "\n", "summary.txt": summary}, summary)
     return EXIT_OK
 
 
@@ -229,12 +232,9 @@ def cmd_concavity(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
         raise ConfigError(f"concavity.s_values: need an entry at most the largest dimension, "
                           f"max(concavity.dims) = {max(cfg.concavity_dims)}, got {cfg.concavity_s_values}")
     cells = _pmap(_concavity_cell_task, items, workers)
-    out_dir = out_root / f"concavity_{config_hash(cfg.echo)}"
-    atomic_write_text(out_dir / "concavity.json", json.dumps(cells, indent=2) + "\n")
-    write_manifest(out_dir / "manifest.json", cfg.echo, [cfg.seed])
     violations = [c for c in cells if c["within_bound"] is False]
-    print(f"concavity: {len(cells)} cells, {len(violations)} bound violations")
-    print(f"artifacts: {out_dir}")
+    _publish(out_root, "concavity", cfg, [cfg.seed], {"concavity.json": json.dumps(cells, indent=2) + "\n"},
+             f"concavity: {len(cells)} cells, {len(violations)} bound violations\n")
     return EXIT_OK
 
 
@@ -257,12 +257,10 @@ def cmd_check(cfg: ExperimentConfig, out_root: Path) -> int:
             for r in reports
         ],
     }
-    out_dir = out_root / f"check_{config_hash(cfg.echo)}"
-    atomic_write_text(out_dir / "assumptions.json", json.dumps(payload, indent=2) + "\n")
-    write_manifest(out_dir / "manifest.json", cfg.echo, [cfg.seed])
-    for r in reports:
-        print(f"{r.assumption}: {r.violations}/{r.pairs_tested} violations, worst margin {r.worst_margin:.3g}")
-    print(f"artifacts: {out_dir}")
+    report = "".join(f"{r.assumption}: {r.violations}/{r.pairs_tested} violations, "
+                     f"worst margin {r.worst_margin:.3g}\n" for r in reports)
+    _publish(out_root, "check", cfg, [cfg.seed], {"assumptions.json": json.dumps(payload, indent=2) + "\n"},
+             report)
     return EXIT_OK
 
 
@@ -301,7 +299,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
             cfg.echo["run.seed"] = args.seed
-        out_root = _out_root(cfg, args.out)
+        out_root = Path(args.out or os.environ.get("SPARSEPOLYAK_OUT", "runs"))
         if args.command == "run":
             return cmd_run(cfg, out_root)
         if args.command == "grid":

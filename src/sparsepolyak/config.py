@@ -49,7 +49,6 @@ SCHEMA = {
     "design.n": ("int", 0, ">= 0", "sample count; 0 derives ceil(n_factor * s_star * ln d); sweep needs 0"),
     "design.d": ("int", 1000, ">= 1", "ambient dimension"),
     "design.omega": ("float", 0.5, None, "AR(1) feature correlation in [0, 1)"),
-    "design.column_normalize": ("bool", False, None, "rescale columns to ||X_j||/sqrt(n) = 1"),
     "design.n_factor": ("float", 5.0, "> 0", "multiplier used when deriving n"),
     "truth.s_star": ("int", 20, ">= 0", "ground-truth support size, at most design.d"),
     "noise.family": ("str", LINEAR, (LINEAR, LOGISTIC), "response family"),
@@ -74,7 +73,6 @@ SCHEMA = {
     "check.pairs": ("int", 10000, ">= 1", "sampled pairs per assumption check"),
     "check.mu_scale": ("float", 1.0, "> 0", "multiplier on mu, for checker power experiments; at most L/mu"),
     "check.s": ("int", 0, ">= 0", "checker sparsity level, at most design.d; 0 derives 2 * s_star"),
-    "out.dir": ("str", "", None, "output root; empty uses $SPARSEPOLYAK_OUT or ./runs"),
 }
 
 
@@ -90,8 +88,6 @@ def schema_text() -> str:
     for key, (tag, default, accepted, help_) in SCHEMA.items():
         if isinstance(default, list):
             shown = ",".join(str(v) for v in default) if default else "(derived)"
-        elif isinstance(default, bool):
-            shown = "true" if default else "false"
         else:
             shown = str(default)
         rule = "|".join(accepted) if isinstance(accepted, tuple) else accepted or "-"
@@ -107,12 +103,6 @@ def _parse_value(key: str, raw: str):
             return int(raw)
         if tag == "float":
             return float(raw)
-        if tag == "bool":
-            if raw.lower() in ("true", "1", "yes", "on"):
-                return True
-            if raw.lower() in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if tag == "intlist":
             if not raw:
                 return []
@@ -169,7 +159,6 @@ class ExperimentConfig:
     check_pairs: int
     check_mu_scale: float
     check_s: int
-    out_dir: str
     echo: dict = field(default_factory=dict)
 
 
@@ -216,10 +205,7 @@ def resolve_config(values: dict) -> ExperimentConfig:
     n = merged["design.n"] or derived_n(merged["design.n_factor"], s_star, d)
     # n, d and the family are checked above, so what the specs reject is omega and sigma
     try:
-        design = DesignSpec(
-            n=n, d=d, omega=merged["design.omega"],
-            column_normalize=merged["design.column_normalize"],
-        )
+        design = DesignSpec(n=n, d=d, omega=merged["design.omega"])
     except ValueError as exc:
         raise ConfigError(f"design.omega: {exc}") from exc
     if s_star > d:
@@ -284,7 +270,6 @@ def resolve_config(values: dict) -> ExperimentConfig:
         check_pairs=merged["check.pairs"],
         check_mu_scale=merged["check.mu_scale"],
         check_s=check_s,
-        out_dir=merged["out.dir"],
         echo=echo,
     )
 

@@ -6,8 +6,9 @@ A dataset is written as NPZ: binary arrays X, y plus a JSON metadata header
 Run traces are CSV with the fixed header
 ``iter,f_value,step_size,grad_ht_norm_sq,error_sq,support_size`` and 12
 significant digits.  All writes go through one atomic path (temp file,
-fsync, rename) so concurrent sweep cells never observe partial artifacts;
-files get the umask's default mode, as with a plain ``open``.
+fsync, rename), so a reader, or a second process writing the same
+config-hash directory, never sees a partial file; files get the umask's
+default mode, as with a plain ``open``.
 """
 
 import hashlib

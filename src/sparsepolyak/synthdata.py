@@ -3,7 +3,8 @@
 Each sample row follows a stationary first-order autoregression across
 features: the first feature is eps_1 / sqrt(1 - omega^2) and each later
 feature is omega * previous + eps_t with fresh standard normals, giving
-the exact covariance Sigma_ij = omega^|i-j| / (1 - omega^2).  Knowing
+the exact covariance Sigma_ij = omega^|i-j| / (1 - omega^2); the columns
+are not rescaled, so every design is drawn from exactly this Sigma.  Knowing
 Sigma in closed form lets the regularity constants (mu, L, tau) be
 computed rather than estimated: Sigma^-1 is tridiagonal (Kac, Murdock &
 Szego 1953), so `design_spectrum` finds the extreme eigenvalues of Sigma
@@ -22,7 +23,7 @@ import numpy as np
 from .objectives import LINEAR, LOGISTIC, sigmoid
 from .rng import STREAM_DESIGN, STREAM_NOISE, STREAM_TRUTH, substream, substreams
 
-# Bytes of the row-major block that `generate_design` draws rows into.
+# Bytes of the row-major block that `_draw_rows` draws the design's rows into.
 DESIGN_BLOCK_BYTES = 1 << 20
 
 
@@ -33,7 +34,6 @@ class DesignSpec:
     n: int
     d: int
     omega: float = 0.0
-    column_normalize: bool = False
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
@@ -153,24 +153,6 @@ def _draw_rows(X: np.ndarray, seed: int) -> None:
         X[start:start + part.shape[0]] = part
 
 
-def _column_norms(X: np.ndarray) -> np.ndarray:
-    """||X_j|| for each column of a column-major X, bit for bit np.linalg.norm(X, axis=0).
-
-    The squares are formed a column block of about `DESIGN_BLOCK_BYTES` at a
-    time and reduced along the contiguous columns, the same pairwise sum.
-    """
-    n, d = X.shape
-    width = min(d, max(1, DESIGN_BLOCK_BYTES // (8 * n)))
-    sq = np.empty((n, width), order="F")
-    norms = np.empty(d)
-    for start in range(0, d, width):
-        cols = X[:, start:start + width]
-        part = sq[:, :cols.shape[1]]
-        np.multiply(cols, cols, out=part)
-        np.add.reduce(part, axis=0, out=norms[start:start + cols.shape[1]])
-    return np.sqrt(norms, out=norms)
-
-
 def generate_design(spec: DesignSpec, seed: int) -> np.ndarray:
     """Draw the n x d design; one RNG substream per sample row.
 
@@ -179,10 +161,10 @@ def generate_design(spec: DesignSpec, seed: int) -> np.ndarray:
     from `substreams`, whose per-row seeding costs a few microseconds next
     to the row's d normals.  Each row's normals are drawn into a row-major
     block of about `DESIGN_BLOCK_BYTES` and the block is copied into X; the
-    recursion runs in place.  With column_normalize each column is rescaled
-    in place so ||X_j|| / sqrt(n) = 1, its norm taken a column block at a
-    time.  So generation holds X plus about one block, never a second n x d
-    buffer.
+    recursion runs in place.  So generation holds X plus about one block,
+    never a second n x d buffer.  The columns are not rescaled: X's
+    population covariance is `ar1_covariance(d, omega)`, the Sigma that
+    `compute_regularity` takes every constant from.
     """
     n, d = spec.n, spec.d
     X = np.empty((n, d), order="F")
@@ -190,8 +172,6 @@ def generate_design(spec: DesignSpec, seed: int) -> np.ndarray:
     X[:, 0] /= np.sqrt(1.0 - spec.omega**2)
     for t in range(1, d):
         X[:, t] += spec.omega * X[:, t - 1]
-    if spec.column_normalize:
-        X /= _column_norms(X) / np.sqrt(n)
     return X
 
 

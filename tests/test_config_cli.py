@@ -4,7 +4,7 @@ import csv
 import json
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ from sparsepolyak.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from sparsepolyak.config import (
     SCHEMA,
     ConfigError,
+    ExperimentConfig,
     default_s_grid,
     derived_n,
     load_config,
@@ -73,9 +74,18 @@ class TestParsing:
         values = parse_config_text("# c\n\ndesign.d = 50\ndesign.omega = 0.25 # trailing\n")
         assert values == {"design.d": 50, "design.omega": 0.25}
 
-    def test_unknown_key_rejected_by_name(self):
-        with pytest.raises(ConfigError, match="design.sigma"):
-            parse_config_text("design.sigma = 1.0\n")
+    @pytest.mark.parametrize("key, value", [
+        ("design.sigma", "1.0"),
+        ("design.column_normalize", "true"),  # a design is always exactly its Sigma
+        ("out.dir", "elsewhere"),  # the output root is --out or $SPARSEPOLYAK_OUT
+    ], ids=["design.sigma", "design.column_normalize", "out.dir"])
+    def test_unknown_key_rejected_by_name(self, tmp_path, capsys, key, value):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config_text(f"{key} = {value}\n")
+        cfg = write_config(tmp_path, extra=f"{key} = {value}\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -191,6 +201,28 @@ class TestResolution:
         cfg = resolve_config({"noise.family": family, "step.ht_width": width})
         assert cfg.ht_width == resolved
         assert cfg.echo["step.ht_width"] == width
+
+    def test_every_key_reaches_the_resolved_config(self):
+        # one accepted non-default value per key, each changing a derived field; a key
+        # that is parsed and echoed but read by nothing fails here
+        other = {
+            "design.n": 500, "design.d": 500, "design.omega": 0.25, "design.n_factor": 6.0,
+            "truth.s_star": 10, "noise.family": "logistic", "noise.sigma": 1.0,
+            "operator.kind": "rt", "operator.s": 30, "step.kind": "classic_polyak",
+            "step.ht_width": "2s", "step.fixed_gamma": 0.1, "step.f_hat": "0.5",
+            "run.max_iters": 100, "run.stop_tol": 1e-6, "run.seed": 3,
+            "grid.s_values": [5, 10], "grid.seeds": [0, 1], "grid.max_iters": 5,
+            "sweep.d_values": [100], "sweep.max_iters": 5, "concavity.dims": [6],
+            "concavity.s_values": [1, 2], "concavity.trials": 10, "check.pairs": 10,
+            "check.mu_scale": 0.5, "check.s": 7,
+        }
+        assert sorted(other) == sorted(SCHEMA)
+        base = resolve_config({})
+        names = [f.name for f in fields(ExperimentConfig) if f.name != "echo"]
+        for key, value in other.items():
+            cfg = resolve_config({key: value})
+            assert cfg.echo[key] == value
+            assert any(getattr(cfg, name) != getattr(base, name) for name in names), key
 
     def test_schema_file_in_repo_matches_implementation(self):
         repo_schema = Path(__file__).resolve().parents[1] / "config-schema.txt"
@@ -409,12 +441,19 @@ class TestCliRun:
         assert columns["s"] == columns["2s"]
         assert all(float(w) >= float(n) for n, w in zip(narrow, wide)) and narrow != wide
 
-    def test_output_root_from_environment(self, tmp_path, monkeypatch):
+    def test_output_root_from_environment(self, tmp_path, monkeypatch, capsys):
+        # the root comes from --out or $SPARSEPOLYAK_OUT and does not enter the hash
         cfg = write_config(tmp_path)
-        root = tmp_path / "env_root"
-        monkeypatch.setenv("SPARSEPOLYAK_OUT", str(root))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "flag")]) == EXIT_OK
+        monkeypatch.setenv("SPARSEPOLYAK_OUT", str(tmp_path / "env"))
         assert main(["run", "--config", cfg]) == EXIT_OK
-        assert len(list(root.glob("run_*/trace.csv"))) == 1
+        assert len(list((tmp_path / "env").glob("run_*/trace.csv"))) == 1
+        flag_dirs = [p.name for p in (tmp_path / "flag").iterdir()]
+        assert flag_dirs == [p.name for p in (tmp_path / "env").iterdir()]
+        manifest = json.loads((tmp_path / "flag" / flag_dirs[0] / "manifest.json").read_text())
+        assert not [key for key in manifest["config"] if key.startswith("out.")]
+        artifacts = [line for line in capsys.readouterr().out.splitlines() if line.startswith("artifacts:")]
+        assert artifacts == [f"artifacts: {tmp_path / root / flag_dirs[0]}" for root in ("flag", "env")]
 
     def test_logistic_run(self, tmp_path):
         cfg = write_config(

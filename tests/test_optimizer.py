@@ -44,8 +44,8 @@ from sparsepolyak.synthdata import (
 from sparsepolyak.thresholding import HT, RT, ThresholdSpec, hard_threshold, relative_concavity_bound
 
 
-def linear_instance(n, d, s_star, omega, sigma, seed, column_normalize=False):
-    design = DesignSpec(n=n, d=d, omega=omega, column_normalize=column_normalize)
+def linear_instance(n, d, s_star, omega, sigma, seed):
+    design = DesignSpec(n=n, d=d, omega=omega)
     noise = NoiseSpec(family=LINEAR, sigma=sigma)
     model, theta_star = make_instance(design, s_star, noise, seed)
     return model, theta_star, step_target(model, theta_star, None)
@@ -584,7 +584,7 @@ def applicable_instance():
     # sigma small enough that the guaranteed floor sits well below the
     # initial error ||theta*||^2
     d, s_star, s, n, sigma = 1000, 10, 40, 15000, 0.2
-    design = DesignSpec(n=n, d=d, omega=0.5, column_normalize=True)
+    design = DesignSpec(n=n, d=d, omega=0.5)
     noise = NoiseSpec(family=LINEAR, sigma=sigma)
     model, theta_star = make_instance(design, s_star, noise, seed=0)
     f_hat = step_target(model, theta_star, None)
@@ -617,7 +617,7 @@ class TestContractionInvariants:
 
     def test_floor_matches_noise_scaling_within_order(self, applicable_instance):
         # the guaranteed radius should track sigma^2 s log(d) / (n mu_bar^2)
-        # up to a moderate constant for a normalized design
+        # up to a moderate constant
         design, params, trace, floor, s, s_star, sigma = applicable_instance
         reference = 288.0 * sigma**2 * s * np.log(design.d) / (design.n * params.mu_bar**2)
         assert reference / 10.0 <= floor <= reference * 10.0

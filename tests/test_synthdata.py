@@ -30,8 +30,6 @@ def two_buffer_design(spec, seed):
     X[:, 0] = eps[:, 0] / np.sqrt(1.0 - spec.omega**2)
     for t in range(1, spec.d):
         X[:, t] = spec.omega * X[:, t - 1] + eps[:, t]
-    if spec.column_normalize:
-        X = X / (np.linalg.norm(X, axis=0) / np.sqrt(spec.n))
     return X
 
 
@@ -58,9 +56,8 @@ class TestGenerateDesign:
         DesignSpec(n=300, d=1000, omega=0.5),  # 131 rows per block: 2 blocks and 38 rows
         DesignSpec(n=50, d=200, omega=0.3),  # fewer rows than one block
         DesignSpec(n=1, d=1, omega=0.5),
-        DesignSpec(n=300, d=1000, omega=0.5, column_normalize=True),
         DesignSpec(n=2 * CHUNK_ROWS + 3, d=40, omega=0.4),  # row streams cross two seeding chunks
-    ], ids=["partial_last_block", "below_one_block", "one_by_one", "column_normalize", "crosses_chunks"])
+    ], ids=["partial_last_block", "below_one_block", "one_by_one", "crosses_chunks"])
     def test_matches_the_two_buffer_recursion(self, spec):
         assert spec.n % block_rows(spec.d) != 0
         X = generate_design(spec, seed=11)
@@ -69,11 +66,6 @@ class TestGenerateDesign:
 
     def test_generation_holds_one_design_and_one_block(self):
         spec = DesignSpec(n=2000, d=200, omega=0.5)  # X 3.2 MB, block 655 rows (1.05 MB)
-        assert traced_peak(spec) < design_and_block_bytes(spec)
-
-    def test_normalized_generation_holds_one_design_and_one_block(self):
-        # the column norms square 65 columns (1.04 MB) at a time, after the block is freed
-        spec = DesignSpec(n=2000, d=200, omega=0.5, column_normalize=True)
         assert traced_peak(spec) < design_and_block_bytes(spec)
 
     def test_iid_case_matches_identity_covariance(self):
@@ -104,11 +96,6 @@ class TestGenerateDesign:
         assert a.tobytes() == b.tobytes()
         c = generate_design(spec, seed=10)
         assert a.tobytes() != c.tobytes()
-
-    def test_column_normalization(self):
-        spec = DesignSpec(n=200, d=10, omega=0.5, column_normalize=True)
-        X = generate_design(spec, seed=3)
-        np.testing.assert_allclose(np.linalg.norm(X, axis=0) / np.sqrt(200), 1.0, atol=1e-12)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
