@@ -64,7 +64,7 @@ from .optimizer import (
     make_step_rule,
     run,
 )
-from .synthdata import RegularityParams, compute_regularity
+from .synthdata import compute_regularity
 from .thresholding import HT, RT, ThresholdSpec, empirical_relative_concavity
 
 EXIT_OK = 0
@@ -94,15 +94,14 @@ def _publish(out_root: Path, command: str, cfg: ExperimentConfig, seeds: list[in
 
 def cmd_run(cfg: ExperimentConfig, out_root: Path) -> int:
     s_star = max(cfg.s_star, 1)
-    if cfg.step_kind == FIXED and not cfg.fixed_gamma and cfg.operator_s < s_star:
+    if cfg.step_kind == FIXED and cfg.operator_s < s_star:
         raise ConfigError(f"operator.s: the fixed step 1/L_hat needs operator.s >= truth.s_star "
-                          f"= {s_star}, got {cfg.operator_s}; or set step.fixed_gamma")
+                          f"= {s_star}, got {cfg.operator_s}")
     model, theta_star = make_instance(cfg.design, cfg.s_star, cfg.noise, cfg.seed)
     f_hat = step_target(model, theta_star, cfg.f_hat)
-    rule = make_step_rule(cfg.step_kind, f_hat, cfg.ht_width, cfg.design, cfg.operator_s,
-                          cfg.s_star, cfg.fixed_gamma)
+    rule = make_step_rule(cfg.step_kind, f_hat, cfg.ht_width, cfg.design, cfg.operator_s, cfg.s_star)
     op = ThresholdSpec(kind=cfg.operator_kind, s=cfg.operator_s)
-    trace = run(RunConfig.zero_start(model, op, rule, cfg.max_iters, theta_star, cfg.stop_tol))
+    trace = run(RunConfig.zero_start(model, op, rule, cfg.max_iters, theta_star))
 
     out_dir = _artifact_dir(out_root, "run", cfg)
     write_trace_csv(trace, out_dir / "trace.csv")
@@ -138,7 +137,7 @@ def cmd_grid(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
                           "(sparse_polyak or classic_polyak)")
     cells = [(ThresholdSpec(kind=kind, s=s), cfg.step_kind) for kind in (HT, RT) for s in cfg.s_grid]
     items = [(cfg.design, cfg.s_star, cfg.noise, seed, cells, cfg.grid_max_iters,
-              cfg.ht_width, cfg.f_hat, cfg.stop_tol) for seed in cfg.seeds]
+              cfg.ht_width, cfg.f_hat) for seed in cfg.seeds]
     detail = [(op.kind, op.s, seed, float(trace.error_sq[-1]), hit)
               for seed, runs in zip(cfg.seeds, _pmap(run_instance_cells, items, workers))
               for (op, _), (trace, _, hit) in zip(cells, runs)]
@@ -162,10 +161,6 @@ def cmd_grid(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
 def cmd_sweep(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     if not cfg.sweep_d_values:
         raise ConfigError("sweep.d_values: dimension list must be nonempty")
-    if cfg.n_configured:
-        raise ConfigError(f"design.n: the sweep derives n = ceil(n_factor * s_star * ln d) at each "
-                          f"dimension, so the difficulty stays constant; leave design.n at 0, "
-                          f"got {cfg.n_configured}")
     if any(d < cfg.s_star for d in cfg.sweep_d_values):
         raise ConfigError(f"sweep.d_values: every dimension must be >= truth.s_star = "
                           f"{cfg.s_star}, got {cfg.sweep_d_values}")
@@ -175,7 +170,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
         design = replace(cfg.design, n=derived_n(cfg.n_factor, cfg.s_star, d), d=d)
         cells = [(ThresholdSpec(kind=cfg.operator_kind, s=min(cfg.operator_s, d)), method) for method in methods]
         items += [(design, cfg.s_star, cfg.noise, seed, cells, cfg.sweep_max_iters,
-                   cfg.ht_width, cfg.f_hat, cfg.stop_tol) for seed in cfg.seeds]
+                   cfg.ht_width, cfg.f_hat) for seed in cfg.seeds]
     detail = [(design.d, design.n, seed, method, level, hit, active_median_step(trace.step_size, hit))
               for (design, _, _, seed, *_), runs in zip(items, _pmap(run_instance_cells, items, workers))
               for method, (trace, level, hit) in zip(methods, runs)]
@@ -239,18 +234,13 @@ def cmd_concavity(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
 
 
 def cmd_check(cfg: ExperimentConfig, out_root: Path) -> int:
-    base = compute_regularity(cfg.design, cfg.check_s)
-    mu = base.mu * cfg.check_mu_scale
-    if mu > base.L:
-        raise ConfigError(f"check.mu_scale: must be at most L/mu = {base.L / base.mu:.6g} at this "
-                          f"design, so that mu <= L; got {cfg.check_mu_scale}")
-    params = RegularityParams(mu=mu, L=base.L, tau=base.tau, s=base.s)
+    params = compute_regularity(cfg.design, cfg.operator_s)
     model, _ = make_instance(cfg.design, cfg.s_star, cfg.noise, cfg.seed)
     reports = check_assumptions(model, params, cfg.check_pairs, cfg.seed)
     payload = {
         "constants": {"mu": params.mu, "L": params.L, "tau": params.tau, "s": params.s,
                       "mu_bar": params.mu_bar, "L_bar": params.L_bar,
-                      "kappa_bar": params.kappa_bar, "mu_scale": cfg.check_mu_scale},
+                      "kappa_bar": params.kappa_bar},
         "reports": [
             {"assumption": r.assumption, "pairs_tested": r.pairs_tested,
              "violations": r.violations, "worst_margin": r.worst_margin}

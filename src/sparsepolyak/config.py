@@ -6,18 +6,20 @@ The format is line-oriented: one ``key = value`` assignment per line,
 keys are rejected outright so typos cannot silently fall back to
 defaults.  Integer-list values are comma separated (``250,500,1000``).
 
-Derived defaults: a zero/absent sample count becomes
-``ceil(n_factor * s_star * ln(d))``, the operator sparsity defaults to
-``2 * s_star``, and the grid defaults to ``s_star`` scaled by
-{1, 4/3, 5/3, 2, 7/3} mirroring the benchmark grid pattern.
+Derived values: the sample count is always ``ceil(n_factor * s_star *
+ln(d))``, the operator sparsity defaults to ``2 * s_star``, and the grid
+defaults to ``s_star`` scaled by {1, 4/3, 5/3, 2, 7/3} mirroring the
+benchmark grid pattern.  The fixed rule's step 1/L_hat and the stop
+tolerance 1e-12 (1 + |f_hat|) are worked out by the optimizer, and `check`
+tests its constants at the operator sparsity, so none of them is a key.
 
 Each `SCHEMA` entry states what its key accepts: a lower bound (held by
 every entry of a list) or a tuple of choices.  `resolve_config` enforces
 those in one loop, after finiteness of every float, with the entries of
-every list distinct; then the rules that tie keys together: ``s_star`` and
-each sparsity level at most ``design.d``, ``omega`` in [0, 1), ``sigma >
-0`` for the linear family, and a nonempty seed list.  Every error names
-its key.
+every list distinct; then the rules that tie keys together: ``s_star``,
+``operator.s`` and each grid sparsity at most ``design.d``, ``omega`` in
+[0, 1), ``sigma > 0`` for the linear family, and a nonempty seed list.
+Every error names its key.
 
 `schema_text` renders the shipped ``config-schema.txt``, accepted column
 included, from the same table.
@@ -46,10 +48,9 @@ _COMPARE = {">=": operator.ge, ">": operator.gt}
 # on every entry of an intlist, whose entries are also distinct; a tuple of choices;
 # or None where a spec or a cross-field rule in resolve_config checks the key.
 SCHEMA = {
-    "design.n": ("int", 0, ">= 0", "sample count; 0 derives ceil(n_factor * s_star * ln d); sweep needs 0"),
     "design.d": ("int", 1000, ">= 1", "ambient dimension"),
     "design.omega": ("float", 0.5, None, "AR(1) feature correlation in [0, 1)"),
-    "design.n_factor": ("float", 5.0, "> 0", "multiplier used when deriving n"),
+    "design.n_factor": ("float", 5.0, "> 0", "sample count n = ceil(n_factor * s_star * ln d)"),
     "truth.s_star": ("int", 20, ">= 0", "ground-truth support size, at most design.d"),
     "noise.family": ("str", LINEAR, (LINEAR, LOGISTIC), "response family"),
     "noise.sigma": ("float", 0.5, None, "additive noise scale, > 0 (linear family only)"),
@@ -57,10 +58,8 @@ SCHEMA = {
     "operator.s": ("int", 0, ">= 0", "iterate sparsity level, at most design.d; 0 derives 2 * s_star"),
     "step.kind": ("str", SPARSE_POLYAK, (SPARSE_POLYAK, CLASSIC_POLYAK, FIXED), "step-size rule"),
     "step.ht_width": ("str", "auto", ("auto", WIDTH_S, WIDTH_2S), "restriction width; auto: s, 2s if logistic"),
-    "step.fixed_gamma": ("float", 0.0, ">= 0", "fixed step size; 0 derives 1/L_hat from the design"),
     "step.f_hat": ("str", "target", None, "'target' for f(theta*), or a finite float literal"),
     "run.max_iters": ("int", 1500, ">= 1", "iteration budget for single runs"),
-    "run.stop_tol": ("float", -1.0, None, "stop when f - f_hat <= tol; negative uses 1e-12 (1 + |f_hat|)"),
     "run.seed": ("int", 0, ">= 0", "seed for single runs"),
     "grid.s_values": ("intlist", [], ">= 1", "sparsity grid, at most design.d; empty derives the scaled pattern"),
     "grid.seeds": ("intlist", list(range(11)), ">= 0", "seeds for grid / sweep medians; nonempty"),
@@ -71,8 +70,6 @@ SCHEMA = {
     "concavity.s_values": ("intlist", [1, 2, 3, 4], ">= 1", "operator sparsity levels for the oracle"),
     "concavity.trials": ("int", 100000, ">= 1", "random trials per oracle cell"),
     "check.pairs": ("int", 10000, ">= 1", "sampled pairs per assumption check"),
-    "check.mu_scale": ("float", 1.0, "> 0", "multiplier on mu, for checker power experiments; at most L/mu"),
-    "check.s": ("int", 0, ">= 0", "checker sparsity level, at most design.d; 0 derives 2 * s_star"),
 }
 
 
@@ -141,10 +138,8 @@ class ExperimentConfig:
     operator_s: int
     step_kind: str
     ht_width: str  # s or 2s; "auto" resolved against the family (the echo keeps "auto")
-    fixed_gamma: float | None
     f_hat: float | None  # None means "use the target value f(theta*)"
     max_iters: int
-    stop_tol: float | None
     seed: int
     s_grid: list[int]
     seeds: list[int]
@@ -152,13 +147,10 @@ class ExperimentConfig:
     sweep_d_values: list[int]
     sweep_max_iters: int
     n_factor: float
-    n_configured: int  # design.n as configured; 0 when n is derived
     concavity_dims: list[int]
     concavity_s_values: list[int]
     concavity_trials: int
     check_pairs: int
-    check_mu_scale: float
-    check_s: int
     echo: dict = field(default_factory=dict)
 
 
@@ -169,14 +161,6 @@ def derived_n(n_factor: float, s_star: int, d: int) -> int:
 def default_s_grid(s_star: int, d: int) -> list[int]:
     grid = sorted({min(d, max(1, round(s_star * g))) for g in _GRID_PATTERN})
     return grid
-
-
-def _sparsity(merged: dict, key: str, d: int, s_star: int) -> int:
-    """The sparsity level `key` sets, 0 deriving min(d, 2 * s_star); at most d."""
-    s = merged[key] or min(d, 2 * max(s_star, 1))
-    if s > d:
-        raise ConfigError(f"{key}: must be at most design.d = {d}, got {s}")
-    return s
 
 
 def resolve_config(values: dict) -> ExperimentConfig:
@@ -202,7 +186,7 @@ def resolve_config(values: dict) -> ExperimentConfig:
     d = merged["design.d"]
     s_star = merged["truth.s_star"]
     family = merged["noise.family"]
-    n = merged["design.n"] or derived_n(merged["design.n_factor"], s_star, d)
+    n = derived_n(merged["design.n_factor"], s_star, d)
     # n, d and the family are checked above, so what the specs reject is omega and sigma
     try:
         design = DesignSpec(n=n, d=d, omega=merged["design.omega"])
@@ -215,7 +199,9 @@ def resolve_config(values: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"noise.sigma: {exc}") from exc
 
-    operator_s = _sparsity(merged, "operator.s", d, s_star)
+    operator_s = merged["operator.s"] or min(d, 2 * max(s_star, 1))
+    if operator_s > d:
+        raise ConfigError(f"operator.s: must be at most design.d = {d}, got {operator_s}")
 
     f_hat_raw = merged["step.f_hat"]
     if f_hat_raw == "target":
@@ -235,14 +221,9 @@ def resolve_config(values: dict) -> ExperimentConfig:
     if not seeds:
         raise ConfigError("grid.seeds: seed list must be nonempty")
 
-    check_s = _sparsity(merged, "check.s", d, s_star)
-    stop_tol = merged["run.stop_tol"]
-
     echo = dict(merged)
-    echo["design.n"] = n
     echo["operator.s"] = operator_s
     echo["grid.s_values"] = list(s_grid)
-    echo["check.s"] = check_s
 
     return ExperimentConfig(
         design=design,
@@ -252,10 +233,8 @@ def resolve_config(values: dict) -> ExperimentConfig:
         operator_s=operator_s,
         step_kind=merged["step.kind"],
         ht_width=default_ht_width(family) if merged["step.ht_width"] == "auto" else merged["step.ht_width"],
-        fixed_gamma=merged["step.fixed_gamma"] or None,
         f_hat=f_hat,
         max_iters=merged["run.max_iters"],
-        stop_tol=None if stop_tol < 0 else stop_tol,
         seed=merged["run.seed"],
         s_grid=list(s_grid),
         seeds=list(seeds),
@@ -263,13 +242,10 @@ def resolve_config(values: dict) -> ExperimentConfig:
         sweep_d_values=list(merged["sweep.d_values"]),
         sweep_max_iters=merged["sweep.max_iters"] or merged["run.max_iters"],
         n_factor=merged["design.n_factor"],
-        n_configured=merged["design.n"],
         concavity_dims=list(merged["concavity.dims"]),
         concavity_s_values=list(merged["concavity.s_values"]),
         concavity_trials=merged["concavity.trials"],
         check_pairs=merged["check.pairs"],
-        check_mu_scale=merged["check.mu_scale"],
-        check_s=check_s,
         echo=echo,
     )
 

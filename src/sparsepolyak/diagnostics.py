@@ -157,11 +157,9 @@ def contraction_profile(trace: RunTrace, floor: float):
     if trace.error_sq is None:
         raise ValueError("trace has no squared-error record; run with a known truth")
     err = trace.error_sq
-    ratios = []
-    for t in range(err.size - 1):
-        if err[t] >= floor and err[t] > 0.0:
-            ratios.append(err[t + 1] / err[t])
-    ratios = np.array(ratios)
+    before = err[:-1]
+    above = (before >= floor) & (before > 0.0)
+    ratios = err[1:][above] / before[above]
     if ratios.size:
         summary = {"max": float(ratios.max()), "median": float(np.median(ratios))}
     else:
@@ -264,7 +262,6 @@ def run_instance_cells(
     max_iters: int,
     ht_width: str | None = None,
     f_hat: float | None = None,
-    stop_tol: float | None = None,
 ) -> list[tuple[RunTrace, float, int]]:
     """Zero-start runs of (operator, step kind) cells on one seed's instance.
 
@@ -272,17 +269,17 @@ def run_instance_cells(
     generated once and its cells run as one lock-step batch, so each
     cell's last bits can depend on the other cells and their order (never
     on worker count).  ht_width None means the family's default; f_hat
-    None means the target value f(theta*), computed only then; stop_tol
-    None means the run's default tolerance.  A fixed cell steps by 1/L_hat
-    of its own s.  Returns (trace, plateau level, iterations to plateau)
-    per cell, in order.
+    None means the target value f(theta*), computed only then.  Every cell
+    stops at the run's tolerance 1e-12 (1 + |f_hat|), and a fixed cell
+    steps by 1/L_hat of its own s.  Returns (trace, plateau level,
+    iterations to plateau) per cell, in order.
     """
     model, theta_star = make_instance(design, s_star, noise, seed)
     target = step_target(model, theta_star, f_hat)
     width = ht_width or default_ht_width(noise.family)
     traces = run_batch([
         RunConfig.zero_start(model, op, make_step_rule(kind, target, width, design, op.s, s_star),
-                             max_iters, theta_star, stop_tol)
+                             max_iters, theta_star)
         for op, kind in cells
     ])
     return [(trace, *plateau(trace.error_sq)) for trace in traces]

@@ -143,18 +143,17 @@ class RunConfig:
 
     @classmethod
     def zero_start(cls, model: ObjectiveModel, operator: ThresholdSpec, step_rule: StepRule,
-                   max_iters: int, theta_star: np.ndarray | None = None,
-                   stop_tol: float | None = None) -> "RunConfig":
-        """A run started from the zero vector, as every harness cell is."""
+                   max_iters: int, theta_star: np.ndarray | None = None) -> "RunConfig":
+        """A run started from the zero vector at the default tolerance, as every harness cell is."""
         return cls(model=model, operator=operator, step_rule=step_rule, max_iters=max_iters,
-                   theta0=np.zeros(model.dim), stop_tol=stop_tol, theta_star=theta_star)
+                   theta0=np.zeros(model.dim), theta_star=theta_star)
 
     def resolved_stop_tol(self) -> float | None:
-        """Default: 1e-12 relative to |f_hat| + 1; None when f_hat is unknown."""
-        if self.stop_tol is not None:
-            return self.stop_tol
+        """stop_tol, by default 1e-12 (|f_hat| + 1); None when f_hat is unknown, so no stop test."""
         if self.step_rule.f_hat is None:
             return None
+        if self.stop_tol is not None:
+            return self.stop_tol
         return 1e-12 * (abs(self.step_rule.f_hat) + 1.0)
 
 
@@ -231,14 +230,14 @@ def fixed_step_lhat(design: DesignSpec, s: int, s_star: int) -> float:
     return lhat_gamma(lam_max, s, s_star)
 
 
-def make_step_rule(kind: str, f_hat: float, ht_width: str, design: DesignSpec, s: int,
-                   s_star: int, fixed_gamma: float | None = None) -> StepRule:
+def make_step_rule(kind: str, f_hat: float, ht_width: str, design: DesignSpec, s: int, s_star: int) -> StepRule:
     """The step rule of one cell with operator sparsity s.
 
-    A fixed rule steps by fixed_gamma when it is given, else by 1/L_hat of
-    the design at sparsity s and true sparsity max(s_star, 1).
+    A fixed rule steps by 1/L_hat of the design at sparsity s and true
+    sparsity max(s_star, 1); a caller that needs another fixed step builds
+    its `StepRule` directly.
     """
-    gamma = (fixed_gamma or fixed_step_lhat(design, s, max(s_star, 1))) if kind == FIXED else None
+    gamma = fixed_step_lhat(design, s, max(s_star, 1)) if kind == FIXED else None
     return StepRule(kind=kind, f_hat=f_hat, ht_width=ht_width, fixed_gamma=gamma)
 
 
@@ -305,7 +304,7 @@ class _Cell:
 
         if stalled:
             self.status = RunStatus.STALLED_ZERO_GRADIENT
-        elif rule.f_hat is not None and self.stop_tol is not None and f_t - rule.f_hat <= self.stop_tol:
+        elif self.stop_tol is not None and f_t - rule.f_hat <= self.stop_tol:
             self.status = RunStatus.CONVERGED
         elif t == self.config.max_iters:
             self.status = RunStatus.MAX_ITERS

@@ -78,7 +78,13 @@ class TestParsing:
         ("design.sigma", "1.0"),
         ("design.column_normalize", "true"),  # a design is always exactly its Sigma
         ("out.dir", "elsewhere"),  # the output root is --out or $SPARSEPOLYAK_OUT
-    ], ids=["design.sigma", "design.column_normalize", "out.dir"])
+        ("design.n", "100"),  # n is always ceil(n_factor * s_star * ln d)
+        ("check.s", "7"),  # check tests the constants at operator.s
+        ("check.mu_scale", "0.5"),  # power experiments scale mu through the library (C09)
+        ("step.fixed_gamma", "0.1"),  # the fixed rule always steps by 1/L_hat
+        ("run.stop_tol", "1e-6"),  # the tolerance is always 1e-12 (1 + |f_hat|)
+    ], ids=["design.sigma", "design.column_normalize", "out.dir", "design.n", "check.s",
+            "check.mu_scale", "step.fixed_gamma", "run.stop_tol"])
     def test_unknown_key_rejected_by_name(self, tmp_path, capsys, key, value):
         with pytest.raises(ConfigError, match=re.escape(key)):
             parse_config_text(f"{key} = {value}\n")
@@ -144,14 +150,13 @@ class TestResolution:
         assert cfg.f_hat == 0.25
         assert resolve_config({}).f_hat is None
 
-    @pytest.mark.parametrize("key", ["design.n_factor", "noise.sigma", "step.fixed_gamma",
-                                     "run.stop_tol", "check.mu_scale"])
+    @pytest.mark.parametrize("key", ["design.n_factor", "noise.sigma"])
     def test_non_finite_float_names_the_key(self, key):
         with pytest.raises(ConfigError, match=key):
             resolve_config({key: float("nan")})
 
     @pytest.mark.parametrize("key, value", [
-        ("design.n", -5), ("design.d", 0), ("design.omega", 1.0), ("noise.sigma", 0.0),
+        ("design.d", 0), ("design.omega", 1.0), ("noise.sigma", 0.0),
         ("design.n_factor", 0.0), ("design.n_factor", -1.0),
     ])
     def test_invalid_spec_value_names_the_key(self, key, value):
@@ -191,7 +196,6 @@ class TestResolution:
 
     def test_echo_contains_derived_values(self):
         cfg = resolve_config({"design.d": 100, "truth.s_star": 4})
-        assert cfg.echo["design.n"] == cfg.design.n
         assert cfg.echo["operator.s"] == cfg.operator_s
 
     @pytest.mark.parametrize("family, width, resolved", [
@@ -206,15 +210,13 @@ class TestResolution:
         # one accepted non-default value per key, each changing a derived field; a key
         # that is parsed and echoed but read by nothing fails here
         other = {
-            "design.n": 500, "design.d": 500, "design.omega": 0.25, "design.n_factor": 6.0,
+            "design.d": 500, "design.omega": 0.25, "design.n_factor": 6.0,
             "truth.s_star": 10, "noise.family": "logistic", "noise.sigma": 1.0,
             "operator.kind": "rt", "operator.s": 30, "step.kind": "classic_polyak",
-            "step.ht_width": "2s", "step.fixed_gamma": 0.1, "step.f_hat": "0.5",
-            "run.max_iters": 100, "run.stop_tol": 1e-6, "run.seed": 3,
+            "step.ht_width": "2s", "step.f_hat": "0.5", "run.max_iters": 100, "run.seed": 3,
             "grid.s_values": [5, 10], "grid.seeds": [0, 1], "grid.max_iters": 5,
             "sweep.d_values": [100], "sweep.max_iters": 5, "concavity.dims": [6],
             "concavity.s_values": [1, 2], "concavity.trials": 10, "check.pairs": 10,
-            "check.mu_scale": 0.5, "check.s": 7,
         }
         assert sorted(other) == sorted(SCHEMA)
         base = resolve_config({})
@@ -227,6 +229,16 @@ class TestResolution:
     def test_schema_file_in_repo_matches_implementation(self):
         repo_schema = Path(__file__).resolve().parents[1] / "config-schema.txt"
         assert repo_schema.read_text() == schema_text()
+
+    def test_readme_names_only_schema_keys(self):
+        # every `section.key` in the README prose is a key the parser accepts; file
+        # names such as sweep.csv or perfbench/run.py are not keys
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        sections = {key.split(".")[0] for key in SCHEMA}
+        named = {f"{section}.{key}" for section, key in re.findall(r"(?<![\w./])([a-z_]+)\.(\w+)", readme)
+                 if section in sections and key not in ("csv", "json", "npz", "py", "txt")}
+        assert len(named) >= 10  # the README walks through most keys
+        assert sorted(named - set(SCHEMA)) == []
 
 
 class TestCliRun:
@@ -305,19 +317,11 @@ class TestCliRun:
         assert "operator.s" in capsys.readouterr().err
 
     def test_fixed_step_below_true_sparsity_names_operator_s(self, tmp_path, capsys):
-        # 1/L_hat is defined for s >= s* only; with no step.fixed_gamma this is a config error
+        # 1/L_hat is defined for s >= s* only, so this is a config error
         cfg = write_config(tmp_path, text="design.d = 60\ntruth.s_star = 20\noperator.s = 10\n"
                                           "step.kind = fixed\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "operator.s" in capsys.readouterr().err
-        cfg = write_config(tmp_path, text="design.d = 60\ntruth.s_star = 20\noperator.s = 10\n"
-                                          "step.kind = fixed\nstep.fixed_gamma = 0.1\nrun.max_iters = 5\n")
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
-
-    def test_negative_fixed_gamma_names_the_key(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, extra="step.kind = fixed\nstep.fixed_gamma = -0.5\n")
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert "step.fixed_gamma" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "grid", "sweep"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -340,25 +344,9 @@ class TestCliRun:
         assert "sweep.d_values" in err and "truth.s_star" in err
 
     def test_sweep_with_nonpositive_n_factor_names_the_key(self, tmp_path, capsys):
-        # design.n_factor is checked even with design.n set
-        cfg = write_config(tmp_path, BASE_CONFIG.replace("design.n_factor = 6",
-                                                         "design.n = 100\ndesign.n_factor = -1"))
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("design.n_factor = 6", "design.n_factor = -1"))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "design.n_factor" in capsys.readouterr().err
-
-    def test_sweep_rejects_a_configured_sample_count(self, tmp_path, capsys):
-        # the sweep derives n per dimension (103 at d = 60 and 120 at d = 120
-        # here), so it used to override design.n without a word
-        cfg = write_config(tmp_path, text="design.d = 120\ntruth.s_star = 5\ndesign.n = 100\n"
-                                          "sweep.d_values = 60,120\nrun.max_iters = 5\n")
-        out = tmp_path / "o"
-        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "design.n:" in err and "got 100" in err
-        assert not out.exists()
-        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK  # run honours design.n
-        manifest = json.loads(next(out.glob("run_*/manifest.json")).read_text())
-        assert manifest["config"]["design.n"] == 100
 
     def test_empty_sweep_dimension_list_names_the_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG.replace("sweep.d_values = 60,120", "sweep.d_values ="))
@@ -370,20 +358,15 @@ class TestCliRun:
         cfg = write_config(tmp_path, text="truth.s_star = 300\nrun.max_iters = 3\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
 
-    @pytest.mark.parametrize("check_s", [-3, 121])
-    def test_check_sparsity_outside_one_to_d_names_the_key(self, tmp_path, capsys, check_s):
-        cfg = write_config(tmp_path, extra=f"check.s = {check_s}\n")  # design.d = 120
-        assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert "check.s" in capsys.readouterr().err
-
     def test_divergent_run_is_numerical_failure(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, extra="step.kind = fixed\nstep.fixed_gamma = 1e30\n")
+        # a target of -1e300 makes the first step huge, so iteration 1 overflows
+        cfg = write_config(tmp_path, extra="step.f_hat = -1e300\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
-        assert "iteration" in capsys.readouterr().err
+        assert "evaluation failed at iteration 1" in capsys.readouterr().err
 
     def test_divergent_run_reports_without_numpy_warnings(self, tmp_path, capsys):
         # the finiteness check reports the failure; overflow on the way warns nothing
-        cfg = write_config(tmp_path, extra="step.kind = fixed\nstep.fixed_gamma = 1e30\n")
+        cfg = write_config(tmp_path, extra="step.f_hat = -1e300\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
@@ -403,13 +386,6 @@ class TestCliRun:
                                           "check.pairs = 8\n")
         assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
 
-    def test_check_mu_scale_above_l_over_mu_names_the_bound(self, tmp_path, capsys):
-        # L/mu is about 36 at the default design, so a x40 experiment has no valid constants
-        cfg = write_config(tmp_path, text="check.mu_scale = 40\ncheck.pairs = 8\n")
-        assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "check.mu_scale" in err and "L/mu = 35.9992" in err
-
     @pytest.mark.parametrize("kind", ["sparse_polyak", "classic_polyak", "fixed"])
     def test_run_matches_its_one_cell_instance_run(self, tmp_path, kind):
         # run and the grid/sweep worker build their cells with one step-rule builder
@@ -419,7 +395,7 @@ class TestCliRun:
         cfg = load_config(cfg_path)
         cell = (ThresholdSpec(kind=cfg.operator_kind, s=cfg.operator_s), kind)
         [(trace, _, hit)] = run_instance_cells(cfg.design, cfg.s_star, cfg.noise, cfg.seed, [cell],
-                                               cfg.max_iters, cfg.ht_width, cfg.f_hat, cfg.stop_tol)
+                                               cfg.max_iters, cfg.ht_width, cfg.f_hat)
         assert next(out.glob("run_*/trace.csv")).read_text() == trace_csv_text(trace)
         summary = json.loads(next(out.glob("run_*/summary.json")).read_text())
         assert summary["iters_to_floor"] == hit
@@ -517,7 +493,7 @@ class TestCliGridSweepReports:
         assert (grid_dir / "summary.txt").is_file()
 
     def test_grid_rejects_fixed_rule(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, extra="step.kind = fixed\nstep.fixed_gamma = 0.1\n")
+        cfg = write_config(tmp_path, extra="step.kind = fixed\n")
         assert main(["grid", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "step.kind" in capsys.readouterr().err
 
@@ -557,15 +533,16 @@ class TestCliGridSweepReports:
             design = replace(cfg.design, n=derived_n(cfg.n_factor, cfg.s_star, d), d=d)
             cells = [(ThresholdSpec(kind="rt", s=min(cfg.operator_s, d)), method) for method in methods]
             runs = run_instance_cells(design, cfg.s_star, cfg.noise, 0, cells,
-                                      cfg.sweep_max_iters, cfg.ht_width, cfg.f_hat, cfg.stop_tol)
+                                      cfg.sweep_max_iters, cfg.ht_width, cfg.f_hat)
             expected += [f"{d},{design.n},0,{method},{level:.12g},{hit},"
                          f"{active_median_step(trace.step_size, hit):.12g}"
                          for method, (trace, level, hit) in zip(methods, runs)]
         assert rows["rt"] == expected
 
-    def test_grid_and_sweep_honour_f_hat_and_stop_tol(self, tmp_path):
-        # f - f_hat <= 100 holds at the zero start, so every cell stops at iteration 0
-        cfg = write_config(tmp_path, extra="step.f_hat = 5.0\nrun.stop_tol = 100.0\n")
+    def test_grid_and_sweep_honour_f_hat(self, tmp_path):
+        # f(0) < 4 on every instance here, so f - f_hat < 0 at the zero start
+        # and every cell stops at iteration 0
+        cfg = write_config(tmp_path, extra="step.f_hat = 100.0\n")
         out = tmp_path / "out"
         assert main(["grid", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
@@ -584,7 +561,7 @@ class TestCliGridSweepReports:
         seed = cfg.seeds[0]
         cells = [(ThresholdSpec(kind=kind, s=s), cfg.step_kind) for kind in ("ht", "rt") for s in cfg.s_grid]
         rows = run_instance_cells(cfg.design, cfg.s_star, cfg.noise, seed, cells, cfg.grid_max_iters,
-                                  cfg.ht_width, cfg.f_hat, cfg.stop_tol)
+                                  cfg.ht_width, cfg.f_hat)
         for (op, _), (trace, _, hit) in zip(cells, rows):
             out = tmp_path / f"{op.kind}{op.s}"
             text = f"operator.kind = {op.kind}\noperator.s = {op.s}\nrun.seed = {seed}\n"

@@ -169,6 +169,21 @@ class TestContractionProfile:
         ratios, _ = contraction_profile(trace, floor=2.0)
         np.testing.assert_allclose(ratios, [0.25])
 
+    def test_matches_the_per_iteration_loop(self):
+        # the masked division keeps the bits of one division per qualifying iteration,
+        # zeros, NaN and entries below the floor included
+        errors = np.random.default_rng(3).exponential(size=200)
+        errors[[5, 17, 40]] = 0.0
+        errors[[60, 61, 120]] = np.nan
+        for floor in (0.0, 0.5, 2.0):
+            trace = trace_from_errors(errors)
+            expected = np.array([errors[t + 1] / errors[t] for t in range(errors.size - 1)
+                                 if errors[t] >= floor and errors[t] > 0.0])
+            ratios, summary = contraction_profile(trace, floor=floor)
+            np.testing.assert_array_equal(ratios, expected)
+            assert np.array_equal([summary["max"], summary["median"]],
+                                  [expected.max(), np.median(expected)], equal_nan=True)
+
     def test_single_row_trace_gives_empty_profile(self):
         ratios, summary = contraction_profile(trace_from_errors([1.0]), floor=0.0)
         assert ratios.size == 0
