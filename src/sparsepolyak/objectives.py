@@ -16,9 +16,11 @@ residual psi'(U) - y (`_loss_and_residual`, shared by every path; the
 logistic cumulant is `softplus`).  Iterates are sparse, so U needs only
 the columns in the union of the supports of the parameter rows.  While a
 `GramRows` cache holds those columns, U is one product of the parameters
-in slot order with its slots; otherwise `_forward_product` gathers them
-from the column-major design, or takes every column (the full product)
-when the union spans more than `GATHER_MAX_FRAC` of them.
+in slot order with its slots, which a column entering the union takes
+from one that left it, so the product reads no more rows than the widest
+union so far; otherwise `_forward_product` gathers the columns from the
+column-major design, or takes every column (the full product) when the
+union spans more than `GATHER_MAX_FRAC` of them.
 
 The gradient has all d entries, since selection and the step rule read
 every one: the full product X' r / n, or for the linear family, while a
@@ -167,11 +169,14 @@ def _loss_and_residual(model: ObjectiveModel, U: np.ndarray):
 class GramRows:
     """Cached design columns x_j of a run's support union, with their Gram rows x_j' X / n if linear.
 
-    A column that enters the support union fills the next free slot, and
-    ``order`` keeps each slot's column, so X theta is one product of the
-    parameters in slot order with the used slots.  A stale slot, whose
-    column has left the union, weighs exactly +0.0, as thresholding writes
-    +0.0 off the support.  For the squared-error loss the gradient is
+    A column that enters the support union takes the lowest slot whose
+    column has left the union, or, when every used slot holds a column of
+    the union, the next unused one; ``order`` keeps each slot's column, so
+    X theta is one product of the parameters in slot order with the used
+    slots.  A stale slot, whose column has left the union, weighs exactly
+    +0.0, as thresholding writes +0.0 off the support, and keeps its
+    column until another takes it: a column that re-enters before that
+    costs nothing.  For the squared-error loss the gradient is
     X'X theta / n - X'y / n, and theta is sparse, so only the Gram rows of
     its support columns are needed (the covariance update of glmnet's coordinate
     descent, Friedman, Hastie & Tibshirani 2010).  A linear slot therefore
@@ -184,14 +189,13 @@ class GramRows:
     Gram rows pay off while the support union of a batch is narrow and
     stable: one takes the flops of one row of the full product R X / n,
     and is then reused.  Every call whose union fits uses the slots.
-    There are at most `GATHER_MAX_FRAC` n slots and at most d.  When the
-    new columns do not fit, the slots restart from the current union; a
-    union wider than the slots takes the other path.  The worst case is a
-    union that drifts near the cap: each restart refills up to every
-    slot, as many flops as slots / B full products of a batch of B rows.
-    `computed` and `restarts` count the slots filled and the restarts.
-    A call given the same ``cols`` array object as the previous call
-    (the loop passes an unchanged union unchanged) skips the slot lookup.
+    There are at most `GATHER_MAX_FRAC` n slots and at most d; a union
+    wider than the slots takes the other path.  A union that fits never
+    needs more slots than its own columns, so ``used`` is the widest
+    union seen so far, a product reads no more rows than that, and the
+    slots never restart.  `computed` counts the slots filled.  A call
+    given the same ``cols`` array object as the previous call (the loop
+    passes an unchanged union unchanged) skips the slot lookup.
 
     The block is valid for one model and is not freed until the object
     is: create one per run (`optimizer.run_batch` does) rather than
@@ -204,7 +208,6 @@ class GramRows:
         self.slot = np.full(model.dim, -1, dtype=np.intp)  # column -> slot, -1 if absent
         self.used = 0
         self.computed = 0
-        self.restarts = 0
         width = model.data.n + (model.dim if model.family == LINEAR else 0)
         self.block = np.empty((self.cap, width))
         # after the block: before it, glibc's heap layout kept ~5 MB more resident on grid_logistic
@@ -226,29 +229,35 @@ class GramRows:
         return v.take(self.order[:self.used], axis=-1) @ self.block[:self.used]
 
     def _fill(self, cols: np.ndarray) -> None:
-        """Give every column of cols a slot (after a restart when the absent ones do not fit)."""
-        new = cols[self.slot[cols] < 0]
+        """Give every column of cols a slot: the lowest slots of columns not in cols, then new ones."""
         X, n = self.model.data.X, self.model.data.n
         linear = self.model.family == LINEAR
         if linear and self.xty is None:
             self.xty = self.model.data.y @ X / n
-        if self.used + new.size > self.cap:
-            new = cols
-            self.slot[:] = -1
-            self.used = 0
-            self.restarts += 1
-        if new.size:
-            end = self.used + new.size
-            cols_new = self.block[self.used:end, :n]
-            np.take(X.T, new, axis=0, out=cols_new, mode="clip")  # in place when the slots are contiguous
+        held = self.slot[cols]
+        new = cols[held < 0]
+        if not new.size:
+            return
+        live = np.zeros(self.used, dtype=bool)
+        live[held[held >= 0]] = True
+        freed = np.flatnonzero(~live)[:new.size]
+        self.slot[self.order[freed]] = -1
+        # cols fits the cap, so the appended slots stay within it
+        appended = new.size - freed.size
+        dest = np.concatenate((freed, np.arange(self.used, self.used + appended)))
+        self.slot[new] = dest
+        self.order[dest] = new
+        self.used += appended
+        self.computed += new.size
+        # each run of consecutive slots is one gather and one product, written in place
+        bounds = np.flatnonzero(np.diff(dest) != 1) + 1
+        for i, j in zip([0, *bounds], [*bounds, new.size]):
+            a, b = dest[i], dest[i] + j - i
+            np.take(X.T, new[i:j], axis=0, out=self.block[a:b, :n], mode="clip")  # no copy with "clip"
             if linear:
-                rows = self.block[self.used:end, n:]
-                np.matmul(cols_new, X, out=rows)
+                rows = self.block[a:b, n:]
+                np.matmul(self.block[a:b, :n], X, out=rows)
                 rows /= n
-            self.slot[new] = np.arange(self.used, end)
-            self.order[self.used:end] = new
-            self.used = end
-            self.computed += new.size
 
 
 def value_and_gradient(model: ObjectiveModel, theta, gram: GramRows | None = None,

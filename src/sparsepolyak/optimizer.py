@@ -186,7 +186,9 @@ def grad_ht_norm_sq(grad: np.ndarray, ht_width: int) -> float:
     if grad.size < ht_width:
         raise ValueError(f"gradient has {grad.size} entries, fewer than ht_width = {ht_width}")
     k = grad.size - ht_width
-    return float(np.partition(grad * grad, k)[k:].sum())
+    sq = grad * grad
+    sq.partition(k)  # in place: np.partition would copy the squares again
+    return float(sq[k:].sum())
 
 
 def _polyak_step(gap: float, denom: float, stalled: str) -> float:
@@ -342,15 +344,18 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
     (for a linear model, with their Gram rows, which give the gradient
     too), or, for a union wider than the cache, a forward product on that
     union; then, unless the Gram rows gave it, one gradient matrix
-    product.  The union is rebuilt only when a cell's support changes or a
-    cell leaves the batch, and the cache looks up its slots only for a
-    rebuilt union.  The slot order its sums run in depends on the order in
-    which columns entered the batch's union and on the batch size, and so
-    do the last bits of a cell.  Selection, the step rule, the stop tests
-    and the trace rows are per cell, as in `run`; a cell leaves the batch
-    when it stops.  The whole run is under one `np.errstate`.  Raises
-    OptimizerError, naming the iteration and the cell, when a cell's
-    objective, ||HT_w(grad)||^2 or step size is not finite.
+    product.  A column entering the union takes the cache slot of one that
+    left it, so the product reads no more rows than the widest union so
+    far (in a one-cell run, the widest support).  The union is rebuilt only
+    when a cell's support changes or a cell leaves the batch, and the
+    cache looks up its slots only for a rebuilt union.  The slot order its
+    sums run in depends on which columns entered and left the batch's
+    union, and when, and on the batch size, and so do the last bits of a
+    cell.  Selection, the step rule, the stop tests and the trace rows are
+    per cell, as in `run`; a cell leaves the batch when it stops.  The
+    whole run is under one `np.errstate`.  Raises OptimizerError, naming
+    the iteration and the cell, when a cell's objective, ||HT_w(grad)||^2
+    or step size is not finite.
     """
     if not configs:
         return []

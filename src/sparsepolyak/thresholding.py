@@ -147,7 +147,8 @@ def _threshold(V: np.ndarray, s: int, kind: str, support: np.ndarray | None = No
             if kind == HT:
                 out[support] = V[support]
                 return out, support
-            kept = _shrink(V[support], a_in, tau)
+            # _shrink's bits: every kept a >= t > tau leaves its clamp idle, and rounding is odd in sign
+            kept = np.copysign(0.5 * (a_in + np.sqrt(a_in * a_in - tau * tau)), V[support])
             out[support] = kept
             return out, support if kept.all() else support[kept != 0.0]
         a[support] = a_in

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsepolyak.objectives import (
     GATHER_MAX_FRAC,
@@ -351,7 +353,7 @@ class TestGramGradient:
         self.assert_matches_full(model, gram, at_cap)
         assert gram.used == 12
         self.assert_matches_full(model, gram, Theta[::-1])  # stale slots get zero weight
-        assert gram.used == 12 and gram.computed == 12 and gram.restarts == 0
+        assert gram.used == 12 and gram.computed == 12
 
     def assert_block_matches_gathered(self, model, gram, Theta):
         """f and the residual from the slot block against the gathered forward product."""
@@ -367,22 +369,41 @@ class TestGramGradient:
         assert np.asarray(f_vg).tobytes() == np.asarray(f).tobytes()
         self.assert_matches_full(model, gram, Theta)
 
-    def test_block_forward_product_matches_the_gathered_one(self):
-        model = self.model()
+    @staticmethod
+    def assert_slots_consistent(gram, cols):
+        """Every column of cols holds a slot, and slot and order are inverse maps on the used slots."""
+        assert (gram.slot[cols] >= 0).all()
+        held = np.flatnonzero(gram.slot >= 0)
+        assert held.size == gram.used <= gram.cap
+        assert np.array_equal(np.sort(gram.order[:gram.used]), held)
+        assert np.array_equal(gram.slot[gram.order[:gram.used]], np.arange(gram.used))
+
+    def assert_slot_reuse(self, model, gram):
+        """A sequence of unions whose new columns take freed slots: first contiguous ones, then scattered ones."""
         rng = np.random.default_rng(97)
-        gram = GramRows(model)
         self.assert_block_matches_gathered(model, gram, self.sparse(rng, [3, 7, 11]))
         Theta = np.zeros((4, self.d))  # the last row stays zero
         for j, cols in enumerate(([0, 1, 2], [20, 21], [55, 59])):
             Theta[j] = self.sparse(rng, cols)
-        self.assert_block_matches_gathered(model, gram, Theta)
-        assert gram.used == 10
-        self.assert_block_matches_gathered(model, gram, Theta[[1, 3]])  # 8 stale slots, zero weight
-        assert gram.used == 10 and gram.restarts == 0
-        after = np.array([self.sparse(rng, [30, 31, 32, 33]), self.sparse(rng, [7, 40])])
-        self.assert_block_matches_gathered(model, gram, after)  # 5 new columns do not fit
-        assert gram.restarts == 1 and gram.used == 6
-        self.assert_block_matches_gathered(model, gram, after[0])
+        self.assert_block_matches_gathered(model, gram, Theta)  # 0, 1, 2 take the slots of 3, 7, 11
+        assert gram.used == 7 and gram.computed == 10
+        assert np.array_equal(gram.order[:7], [0, 1, 2, 20, 21, 55, 59])
+        self.assert_block_matches_gathered(model, gram, Theta[[1, 3]])  # 5 stale slots, zero weight
+        assert gram.used == 7 and gram.computed == 10
+        self.assert_block_matches_gathered(model, gram, self.sparse(rng, [20, 21, 40]))
+        assert gram.slot[40] == 0 and gram.slot[0] == -1  # the lowest of the 5 freed slots
+        after = np.array([self.sparse(rng, [0, 2, 21, 59, 30]), self.sparse(rng, [31, 32, 33, 34])])
+        self.assert_block_matches_gathered(model, gram, after)  # slots 0, 1, 3 and 5 freed, 7 and 8 appended
+        assert gram.used == 9 and gram.computed == 17
+        assert np.array_equal(gram.order[:9], [0, 30, 2, 31, 21, 32, 59, 33, 34])
+        self.assert_slots_consistent(gram, support_union(after))
+        self.assert_block_matches_gathered(model, gram, after[1])
+
+    def test_block_forward_product_matches_the_gathered_one(self):
+        model = self.model()
+        gram = GramRows(model)
+        self.assert_slot_reuse(model, gram)
+        assert gram.block.shape == (gram.cap, self.n + self.d)
 
     def test_union_past_the_cap_takes_the_full_product(self):
         model = self.model()
@@ -397,24 +418,21 @@ class TestGramGradient:
         gram = GramRows(ObjectiveModel(family=LINEAR, data=Dataset(X=X, y=np.ones(self.n))))
         assert gram.cap == 6 and gram.block.shape == (6, self.n + 6)
 
-    def test_drifting_supports_restart_the_cache_within_the_cap(self):
+    def test_drifting_window_reuses_the_slots_it_frees(self):
         model = self.model()
         rng = np.random.default_rng(71)
         gram = GramRows(model)
-        used = []
-        # a window of 5 columns moving 2 columns per call, then back to columns a restart evicted
+        # a window of 5 columns moving 2 columns per call, then back to columns whose slots were taken
         for start in list(range(0, 40, 2)) + [0]:
-            self.assert_matches_full(model, gram, self.sparse(rng, range(start, start + 5)))
-            used.append(gram.used)
-        assert max(used) <= gram.cap
-        assert used[:5] == [5, 7, 9, 11, 5]  # the fifth window's 2 new columns restart it
-        assert gram.restarts > 1
-        assert gram.computed <= gram.cap * (gram.restarts + 1)  # each fill of the slots holds at most cap
+            theta = self.sparse(rng, range(start, start + 5))
+            self.assert_matches_full(model, gram, theta)
+            assert gram.used == 5
+            self.assert_slots_consistent(gram, np.flatnonzero(theta))
+        assert gram.computed == 5 + 19 * 2 + 5
 
-    def test_drift_near_the_cap_restarts_every_other_call(self):
-        # the worst case of a cache with no budget: an 11-column window
-        # moving one column per call fills the twelfth slot, then restarts
-        # and refills all 11 columns, the cost of 11 one-row full products
+    def test_drift_near_the_cap_fills_one_slot_per_new_column(self):
+        # an 11-column window moving one column per call, one short of the
+        # cap: each new column takes the slot of the one that left
         model = self.model()
         rng = np.random.default_rng(79)
         gram = GramRows(model)
@@ -422,25 +440,50 @@ class TestGramGradient:
             theta = self.sparse(rng, range(start, start + 11))
             assert gram.product(theta, np.flatnonzero(theta)) is not None
             self.assert_matches_full(model, gram, theta)
-        assert gram.restarts == 22 and gram.computed == 11 + 22 * (1 + 11)
+            assert gram.used == 11
+        assert gram.computed == 11 + 44
+
+    def test_reentering_column_keeps_its_slot(self):
+        model = self.model()
+        rng = np.random.default_rng(89)
+        gram = GramRows(model)
+        theta = self.sparse(rng, [3, 7, 11])
+        first = value_and_gradient(model, theta, gram)
+        self.assert_matches_full(model, gram, self.sparse(rng, [3, 7]))
+        again = value_and_gradient(model, theta, gram)  # 11 re-enters its intact slot
+        assert gram.computed == 3 and np.array_equal(gram.order[:3], [3, 7, 11])
+        for a, b in zip(first, again):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        self.assert_matches_full(model, gram, self.sparse(rng, [3, 7, 40]))  # 40 takes 11's slot
+        assert gram.computed == 4 and gram.slot[11] == -1 and gram.slot[40] == 2
+        self.assert_matches_full(model, gram, theta)  # 11 is filled again, into 40's slot
+        assert gram.computed == 5 and gram.used == 3 and gram.slot[40] == -1
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.lists(st.sets(st.integers(0, d - 1), max_size=12), min_size=1, max_size=12))
+    def test_slots_track_any_sequence_of_unions(self, unions):
+        model = self.model()
+        gram = GramRows(model)
+        widest = 0
+        for union in unions:
+            cols = np.array(sorted(union), dtype=np.intp)
+            theta = np.zeros(self.d)
+            theta[cols] = 1.0 + cols
+            widest = max(widest, cols.size)
+            assert gram.product(theta, cols) is not None
+            self.assert_slots_consistent(gram, cols)
+            assert gram.used <= widest
+        self.assert_matches_full(model, gram, theta)
 
     def test_logistic_slots_hold_columns_only(self):
-        # the same drifting unions as the linear case: X theta from the
-        # slots within 1e-13 (relative) of the gathered product, the
-        # gradient the full product R X / n
+        # the slot sequence of the linear case: X theta from the slots within
+        # 1e-13 (relative) of the gathered product, the gradient the full
+        # product R X / n
         model = self.model(LOGISTIC)
-        rng = np.random.default_rng(73)
         gram = GramRows(model)
         assert gram.block.shape == (gram.cap, self.n)
-        self.assert_block_matches_gathered(model, gram, self.sparse(rng, [3, 9]))
-        Theta = np.zeros((4, self.d))  # the last row stays zero
-        for j, cols in enumerate(([0, 1, 2], [20, 21], [55, 59])):
-            Theta[j] = self.sparse(rng, cols)
-        self.assert_block_matches_gathered(model, gram, Theta)
-        assert gram.used == 9
-        after = np.array([self.sparse(rng, [30, 31, 32, 33]), self.sparse(rng, [7, 40])])
-        self.assert_block_matches_gathered(model, gram, after)  # 6 new columns do not fit
-        assert gram.restarts == 1 and gram.used == 6 and gram.xty is None
+        self.assert_slot_reuse(model, gram)
+        assert gram.xty is None
 
     def test_logistic_repeat_call_gathers_no_columns(self):
         n, d, union = 400, 160, 40
@@ -459,7 +502,7 @@ class TestGramGradient:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert gram.computed == union and gram.restarts == 0
+        assert gram.computed == union
         assert peak < 8 * n * union  # the gathered columns alone would take that
         for a, b in zip(first, second):
             assert a.tobytes() == b.tobytes()

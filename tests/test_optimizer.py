@@ -434,6 +434,25 @@ class TestRunBatch:
         config = basic_config(model, theta_star, f_hat, s=100, kind=RT, max_iters=1500)
         assert trace_csv_text(run(config)) == trace_csv_text(vector_loop(config))
 
+    @pytest.mark.parametrize("kind,s", [(HT, 10), (RT, 25)])
+    def test_one_cell_product_reads_only_the_support_rows(self, monkeypatch, kind, s):
+        # a column entering the support takes the slot of the one that left,
+        # so the product multiplies the carried support's rows and no stale ones
+        model, theta_star, f_hat = linear_instance(200, 300, 5, 0.5, 0.5, seed=1)
+        product, calls = GramRows.product, []
+
+        def recording(gram, v, cols):
+            Y = product(gram, v, cols)
+            calls.append((gram.used, cols.copy()))
+            return Y
+
+        monkeypatch.setattr(GramRows, "product", recording)
+        trace = run(basic_config(model, theta_star, f_hat, s=s, kind=kind, max_iters=300))
+        assert len(calls) == len(trace) and calls[0][1].size == 0
+        assert all(used == cols.size for used, cols in calls)
+        supports = {cols.tobytes() for _, cols in calls[1:]}
+        assert len(supports) > 1  # the support moved after the first fill
+
     @pytest.mark.parametrize("kind,s,seed", [(RT, 100, 0), (RT, 100, 3), (HT, 40, 5)])
     def test_support_product_drifts_from_the_full_product_within_rounding(self, kind, s, seed):
         # C10's shape over 1500 iterations: gathering the support columns and
