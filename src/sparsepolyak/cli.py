@@ -101,7 +101,8 @@ def cmd_run(cfg: ExperimentConfig, out_root: Path) -> int:
     f_hat = step_target(model, theta_star, cfg.f_hat)
     rule = make_step_rule(cfg.step_kind, f_hat, cfg.ht_width, cfg.design, cfg.operator_s, cfg.s_star)
     op = ThresholdSpec(kind=cfg.operator_kind, s=cfg.operator_s)
-    trace = run(RunConfig.zero_start(model, op, rule, cfg.max_iters, theta_star))
+    trace = run(RunConfig(model=model, operator=op, step_rule=rule, max_iters=cfg.max_iters,
+                          theta_star=theta_star))
 
     out_dir = _artifact_dir(out_root, "run", cfg)
     write_trace_csv(trace, out_dir / "trace.csv")
@@ -270,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", type=str, default=None, help="config file (defaults apply if omitted)")
-        p.add_argument("--seed", type=int, default=None, help="override run.seed (run, concavity, check)")
-        p.add_argument("--out", type=str, default=None, help="output root directory")
+        p.add_argument("--out", type=str, default=None,
+                       help="output root directory (default $SPARSEPOLYAK_OUT, else ./runs)")
         p.add_argument("--workers", type=int, default=1, help="parallel workers for grid/sweep/concavity cells")
     return parser
 
@@ -281,14 +282,7 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-        if args.seed is not None and args.command in ("grid", "sweep"):
-            raise ConfigError(f"--seed: {args.command} takes its seeds from grid.seeds; set that key instead")
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = load_config(args.config) if args.config else resolve_config({})
-        if args.seed is not None:
-            cfg.seed = args.seed
-            cfg.echo["run.seed"] = args.seed
         out_root = Path(args.out or os.environ.get("SPARSEPOLYAK_OUT", "runs"))
         if args.command == "run":
             return cmd_run(cfg, out_root)

@@ -127,7 +127,7 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Validated, fully derived experiment description."""
 

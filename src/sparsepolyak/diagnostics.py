@@ -60,10 +60,6 @@ class AssumptionReport:
     violations: int
     worst_margin: float
 
-    def __post_init__(self):
-        if self.violations > self.pairs_tested:
-            raise ValueError("violations cannot exceed pairs tested")
-
 
 def _sample_pairs(dim: int, s: int, pairs: int, rng: np.random.Generator):
     """Pair mixture, 25% each: sparse far, sparse near, sparse/dense, dense near.
@@ -115,7 +111,7 @@ def _report(assumption: str, slacks: np.ndarray) -> AssumptionReport:
         assumption=assumption,
         pairs_tested=int(slacks.size),
         violations=violations,
-        worst_margin=float(slacks.min()) if slacks.size else 0.0,
+        worst_margin=float(slacks.min()),
     )
 
 
@@ -229,10 +225,6 @@ class ComparisonRow:
     final_error_sq: float
     iters_to_floor: int
 
-    def __post_init__(self):
-        if self.final_error_sq < 0:
-            raise ValueError("final squared error must be nonnegative")
-
 
 def make_instance(design: DesignSpec, s_star: int, noise: NoiseSpec, seed: int):
     """Generate (model, truth) for one seed; the truth has the design's d entries."""
@@ -278,8 +270,8 @@ def run_instance_cells(
     target = step_target(model, theta_star, f_hat)
     width = ht_width or default_ht_width(noise.family)
     traces = run_batch([
-        RunConfig.zero_start(model, op, make_step_rule(kind, target, width, design, op.s, s_star),
-                             max_iters, theta_star)
+        RunConfig(model=model, operator=op, max_iters=max_iters, theta_star=theta_star,
+                  step_rule=make_step_rule(kind, target, width, design, op.s, s_star))
         for op, kind in cells
     ])
     return [(trace, *plateau(trace.error_sq)) for trace in traces]

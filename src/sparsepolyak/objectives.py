@@ -15,12 +15,10 @@ An evaluation forms U = X theta and reduces it to the loss and the
 residual psi'(U) - y (`_loss_and_residual`, shared by every path; the
 logistic cumulant is `softplus`).  Iterates are sparse, so U needs only
 the columns in the union of the supports of the parameter rows.  While a
-`GramRows` cache holds those columns, U is one product of the parameters
-in slot order with its slots, which a column entering the union takes
-from one that left it, so the product reads no more rows than the widest
-union so far; otherwise `_forward_product` gathers the columns from the
-column-major design, or takes every column (the full product) when the
-union spans more than `GATHER_MAX_FRAC` of them.
+`GramRows` cache holds those columns, U is one product with its slots;
+otherwise `_forward_product` gathers the columns from the column-major
+design, or takes every column (the full product) when the union spans
+more than `GATHER_MAX_FRAC` of them.
 
 The gradient has all d entries, since selection and the step rule read
 every one: the full product X' r / n, or for the linear family, while a

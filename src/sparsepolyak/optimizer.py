@@ -94,7 +94,7 @@ class StepRule:
         if self.kind in (SPARSE_POLYAK, CLASSIC_POLYAK):
             if self.f_hat is None or not np.isfinite(self.f_hat):
                 raise ValueError(f"{self.kind} requires a finite target value f_hat")
-        if self.kind == SPARSE_POLYAK and self.ht_width not in (WIDTH_S, WIDTH_2S):
+        if self.ht_width not in (WIDTH_S, WIDTH_2S):
             raise ValueError(f"ht_width must be '{WIDTH_S}' or '{WIDTH_2S}'")
         if self.kind == FIXED:
             if self.fixed_gamma is None or self.fixed_gamma <= 0:
@@ -109,18 +109,19 @@ class RunStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything `run` needs: model, operator, step rule, start, budget; vectors have length d.
+    """Everything `run` needs: model, operator, step rule, budget, start; vectors have length d.
 
-    Frozen, so the checks hold for its life: derive a changed config with
-    `dataclasses.replace`, which checks it again.
+    theta0 defaults to the zero vector.  A run with a target f_hat stops
+    once f - f_hat <= 1e-12 (|f_hat| + 1).  Frozen, so the checks hold for
+    its life: derive a changed config with `dataclasses.replace`, which
+    checks it again.
     """
 
     model: ObjectiveModel
     operator: ThresholdSpec
     step_rule: StepRule
-    theta0: np.ndarray
     max_iters: int
-    stop_tol: float | None = None
+    theta0: np.ndarray | None = None
     theta_star: np.ndarray | None = None
 
     def __post_init__(self):
@@ -129,7 +130,8 @@ class RunConfig:
             raise ValueError("max_iters must be >= 0")
         if self.operator.s > d:
             raise ValueError(f"operator sparsity {self.operator.s} exceeds dimension {d}")
-        object.__setattr__(self, "theta0", np.asarray(self.theta0, dtype=float))
+        theta0 = np.zeros(d) if self.theta0 is None else np.asarray(self.theta0, dtype=float)
+        object.__setattr__(self, "theta0", theta0)
         if self.theta_star is not None:
             object.__setattr__(self, "theta_star", np.asarray(self.theta_star, dtype=float))
         for name, v in (("theta0", self.theta0), ("theta_star", self.theta_star)):
@@ -138,23 +140,6 @@ class RunConfig:
         nnz = np.count_nonzero(self.theta0)
         if nnz > self.operator.s:
             raise ValueError(f"initial point has {nnz} nonzeros, exceeding s = {self.operator.s}")
-        if self.stop_tol is not None and self.stop_tol < 0:
-            raise ValueError("stop_tol must be nonnegative")
-
-    @classmethod
-    def zero_start(cls, model: ObjectiveModel, operator: ThresholdSpec, step_rule: StepRule,
-                   max_iters: int, theta_star: np.ndarray | None = None) -> "RunConfig":
-        """A run started from the zero vector at the default tolerance, as every harness cell is."""
-        return cls(model=model, operator=operator, step_rule=step_rule, max_iters=max_iters,
-                   theta0=np.zeros(model.dim), theta_star=theta_star)
-
-    def resolved_stop_tol(self) -> float | None:
-        """stop_tol, by default 1e-12 (|f_hat| + 1); None when f_hat is unknown, so no stop test."""
-        if self.step_rule.f_hat is None:
-            return None
-        if self.stop_tol is not None:
-            return self.stop_tol
-        return 1e-12 * (abs(self.step_rule.f_hat) + 1.0)
 
 
 @dataclass
@@ -260,7 +245,8 @@ class _Cell:
     def __init__(self, config: RunConfig, keep_iterates: bool):
         self.config = config
         self.truth = config.theta_star
-        self.stop_tol = config.resolved_stop_tol()
+        f_hat = config.step_rule.f_hat
+        self.stop_tol = None if f_hat is None else 1e-12 * (abs(f_hat) + 1.0)
         s = config.operator.s
         self.width = min(s if config.step_rule.ht_width == WIDTH_S else 2 * s, config.model.dim)
         self.rows = []  # row t: (f, gamma, ||HT_w(grad)||^2, squared error, support size)
@@ -339,18 +325,12 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
     """Run configs that share one model in lock step; one trace per config, in order.
 
     The iterates of the cells still running form a B x d array, so each
-    iteration makes one evaluation for all of them: one product over the
-    design columns this call has cached for the union of their supports
-    (for a linear model, with their Gram rows, which give the gradient
-    too), or, for a union wider than the cache, a forward product on that
-    union; then, unless the Gram rows gave it, one gradient matrix
-    product.  A column entering the union takes the cache slot of one that
-    left it, so the product reads no more rows than the widest union so
-    far (in a one-cell run, the widest support).  The union is rebuilt only
-    when a cell's support changes or a cell leaves the batch, and the
-    cache looks up its slots only for a rebuilt union.  The slot order its
-    sums run in depends on which columns entered and left the batch's
-    union, and when, and on the batch size, and so do the last bits of a
+    iteration makes one evaluation for all of them, over the union of
+    their supports, through one `GramRows` cache for the call (its docstring
+    gives the slot policy).  The union is rebuilt only when a cell's
+    support changes or a cell leaves the batch, and the cache looks up its
+    slots only for a rebuilt union.  The slot order its sums run in
+    depends on how the batch's union moved, and so do the last bits of a
     cell.  Selection, the step rule, the stop tests and the trace rows are
     per cell, as in `run`; a cell leaves the batch when it stops.  The
     whole run is under one `np.errstate`.  Raises OptimizerError, naming

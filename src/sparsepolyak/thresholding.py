@@ -212,12 +212,6 @@ class ConcavityEstimate:
     theoretical_bound: float | None
     trials: int
 
-    def __post_init__(self):
-        if self.estimate < 0:
-            raise ValueError("concavity estimate must be nonnegative")
-        if not self.s_star <= self.operator.s <= self.dim:
-            raise ValueError("need s_star <= s <= dim")
-
 
 def _pair_ratios(Y: np.ndarray, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Concavity ratios for row-paired (y, z), P = Phi(Z); pairs with y = Phi(z) are dropped."""

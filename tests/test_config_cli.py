@@ -1,16 +1,17 @@
 """Config parsing/validation and end-to-end CLI contract tests."""
 
+import argparse
 import csv
 import json
 import re
 import warnings
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparsepolyak.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from sparsepolyak.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from sparsepolyak.config import (
     SCHEMA,
     ConfigError,
@@ -240,6 +241,22 @@ class TestResolution:
         assert len(named) >= 10  # the README walks through most keys
         assert sorted(named - set(SCHEMA)) == []
 
+    def test_readme_names_only_real_flags(self):
+        # every --flag in the README's command-line section is an option of some command
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        harness = readme.split("## Command-line harness", 1)[1].split("\n## ", 1)[0]
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {flag for p in sub.choices.values() for a in p._actions for flag in a.option_strings}
+        named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", harness))
+        assert {"--config", "--out", "--workers"} <= named
+        assert sorted(named - options) == []
+
+    def test_config_is_frozen(self):
+        # nothing rewrites a config after resolve_config has checked it
+        cfg = resolve_config({})
+        with pytest.raises(FrozenInstanceError):
+            cfg.seed = 7
+
 
 class TestCliRun:
     def test_run_writes_contracted_artifacts(self, tmp_path):
@@ -265,23 +282,14 @@ class TestCliRun:
         t2 = next(out2.glob("run_*/trace.csv")).read_bytes()
         assert t1 == t2
 
-    def test_negative_seed_flag_rejected_by_every_seeded_command(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        for command in ("run", "grid", "sweep", "check"):
-            argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]
-            assert main(argv) == EXIT_CONFIG
-            assert "--seed" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["run", "grid", "sweep", "concavity", "check"])
+    def test_seed_flag_is_not_an_option(self, tmp_path, capsys, command):
+        # seeds are set in the config only; argparse rejects the flag before any output
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path / "o"), "--seed", "7"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("command", ["grid", "sweep"])
-    def test_seed_flag_rejected_where_grid_seeds_apply(self, tmp_path, capsys, command):
-        # grid and sweep take their seeds from grid.seeds; --seed only renamed the output
-        cfg = write_config(tmp_path)
-        out = tmp_path / "o"
-        assert main([command, "--config", cfg, "--out", str(out), "--seed", "5"]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "--seed" in err and "grid.seeds" in err
-        assert not out.exists()
 
     @pytest.mark.parametrize("command, extra, calls", [
         ("run", "", 1), ("run", "step.f_hat = 0.1\n", 0), ("check", "", 0),
@@ -297,10 +305,10 @@ class TestCliRun:
         assert len(counted) == calls
 
     def test_seed_override_changes_trace(self, tmp_path):
-        cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main(["run", "--config", cfg, "--out", str(out1)]) == EXIT_OK
-        assert main(["run", "--config", cfg, "--out", str(out2), "--seed", "7"]) == EXIT_OK
+        assert main(["run", "--config", write_config(tmp_path), "--out", str(out1)]) == EXIT_OK
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("run.seed = 1", "run.seed = 7"))
+        assert main(["run", "--config", cfg, "--out", str(out2)]) == EXIT_OK
         t1 = next(out1.glob("run_*/trace.csv")).read_bytes()
         t2 = next(out2.glob("run_*/trace.csv")).read_bytes()
         assert t1 != t2

@@ -268,12 +268,6 @@ class TestCompareOperators:
 
 
 class TestReportValidation:
-    def test_assumption_report_invariant(self):
-        from sparsepolyak.diagnostics import AssumptionReport
-
-        with pytest.raises(ValueError):
-            AssumptionReport(assumption="rsc", pairs_tested=5, violations=6, worst_margin=-1.0)
-
     def test_pairs_must_be_positive(self, linear_checker_instance):
         model, params = linear_checker_instance
         with pytest.raises(ValueError):

@@ -58,7 +58,6 @@ def basic_config(model, theta_star, f_hat, s, kind=HT, step_kind=SPARSE_POLYAK,
         model=model,
         operator=ThresholdSpec(kind=kind, s=s),
         step_rule=rule,
-        theta0=np.zeros(model.dim),
         max_iters=max_iters,
         theta_star=theta_star,
     )
@@ -111,8 +110,11 @@ class TestStepRules:
             StepRule(kind=SPARSE_POLYAK, f_hat=None)
         with pytest.raises(ValueError):
             StepRule(kind=FIXED, fixed_gamma=0.0)
-        with pytest.raises(ValueError):
-            StepRule(kind=SPARSE_POLYAK, f_hat=0.0, ht_width="3s")
+        for kind, extra in ((SPARSE_POLYAK, {"f_hat": 0.0}), (CLASSIC_POLYAK, {"f_hat": 0.0}),
+                            (FIXED, {"fixed_gamma": 0.1})):
+            # every rule's trace records ||HT_w(grad)||^2, so every rule needs a valid width
+            with pytest.raises(ValueError, match="ht_width"):
+                StepRule(kind=kind, ht_width="3s", **extra)
 
 
 class TestFixedStep:
@@ -280,7 +282,9 @@ class TestRunLoop:
         config = basic_config(model, theta_star, f_hat, s=2)
         with pytest.raises(FrozenInstanceError):
             config.theta0 = np.ones(20)
-        assert config.theta0.dtype == float and np.count_nonzero(config.theta0) == 0
+        # theta0 defaults to the zero vector of the model's dimension
+        assert config.theta0.dtype == float and config.theta0.shape == (20,)
+        assert np.count_nonzero(config.theta0) == 0
 
 
 def vector_loop(config, full_product=False):
@@ -315,7 +319,7 @@ def vector_loop(config, full_product=False):
         gamma = sparse_polyak_step(f, rule.f_hat, ht)
         diff = theta - truth
         rows.append((f, gamma, ht, float(np.dot(diff, diff)), int(np.count_nonzero(theta))))
-        if f - rule.f_hat <= config.resolved_stop_tol():
+        if f - rule.f_hat <= 1e-12 * (abs(rule.f_hat) + 1.0):
             status = RunStatus.CONVERGED
             break
         if t == config.max_iters:
@@ -341,13 +345,13 @@ def mixed_configs(model, s_lo, s_hi):
     zero = np.zeros(d)
     gamma = model.data.n / np.linalg.norm(model.data.X, 2) ** 2
 
-    def cell(kind, s, step_kind, max_iters, f_hat=0.0, theta0=None, stop_tol=None, ht_width="s"):
+    def cell(kind, s, step_kind, max_iters, f_hat=0.0, theta0=None, ht_width="s"):
         if theta0 is None:
             theta0 = hard_threshold(start, s)
         rule = StepRule(kind=step_kind, f_hat=f_hat, ht_width=ht_width,
                         fixed_gamma=gamma if step_kind == FIXED else None)
         return RunConfig(model=model, operator=ThresholdSpec(kind=kind, s=s), step_rule=rule,
-                         theta0=theta0, max_iters=max_iters, stop_tol=stop_tol, theta_star=zero)
+                         theta0=theta0, max_iters=max_iters, theta_star=zero)
 
     return [
         cell(HT, s_hi, SPARSE_POLYAK, 400),
@@ -356,7 +360,7 @@ def mixed_configs(model, s_lo, s_hi):
         cell(RT, s_hi, CLASSIC_POLYAK, 7),
         cell(HT, s_hi, FIXED, 90),
         cell(RT, s_lo, FIXED, 300),
-        cell(RT, s_hi, SPARSE_POLYAK, 50, stop_tol=1e6),  # converges at iteration 0
+        cell(RT, s_hi, SPARSE_POLYAK, 50, f_hat=1e6),  # converges at iteration 0
         cell(HT, s_lo, SPARSE_POLYAK, 50, f_hat=-1.0, theta0=zero),  # stalls at iteration 0
     ]
 
@@ -483,7 +487,8 @@ def desk_traces(label):
     model, theta_star = make_instance(cfg.design, cfg.s_star, cfg.noise, 0)
     f_hat = step_target(model, theta_star, None)
     rule = make_step_rule(step, f_hat, cfg.ht_width, cfg.design, s, 20)
-    return [run(RunConfig.zero_start(model, ThresholdSpec(kind=kind, s=s), rule, 1500, theta_star))]
+    return [run(RunConfig(model=model, operator=ThresholdSpec(kind=kind, s=s), step_rule=rule, max_iters=1500,
+                          theta_star=theta_star))]
 
 
 def logistic_grid_traces():
