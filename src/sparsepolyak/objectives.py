@@ -152,11 +152,11 @@ def _loss_and_residual(model: ObjectiveModel, U: np.ndarray):
     and a B x n residual.  Each loss is reduced over its own row
     (`np.vecdot`, which keeps the bits of `np.dot` on each row, where
     `np.einsum` does not), so a one-row batch has the bits of the vector
-    call.
+    call.  U is a product's own output: the linear residual overwrites it.
     """
     y, n = model.data.y, model.data.n
     if model.family == LINEAR:
-        R = U - y
+        R = np.subtract(U, y, out=U)
         f = 0.5 * np.vecdot(R, R) / n
     else:
         f = np.mean(softplus(U) - y * U, axis=-1)
@@ -269,6 +269,8 @@ def value_and_gradient(model: ObjectiveModel, theta, gram: GramRows | None = Non
     fits them, and for a linear model that product gives the gradient too;
     otherwise, and without `gram`, X theta is the forward product on the
     support union.  Every other gradient is the full product X' r / n.
+    The linear Gram path returns its residual and gradient in the
+    product's own output, so a gradient row is a view of it.
     """
     v = _as_params(model, theta)
     if cols is None:
@@ -278,7 +280,9 @@ def value_and_gradient(model: ObjectiveModel, theta, gram: GramRows | None = Non
     f, R = _loss_and_residual(model, _forward_product(model, v, cols) if Y is None else Y[..., :n])
     if Y is None or model.family != LINEAR:
         return f, R @ model.data.X / n
-    return f, Y[..., n:] - gram.xty
+    G = Y[..., n:]
+    G -= gram.xty
+    return f, G
 
 
 def objective_value(model: ObjectiveModel, theta):

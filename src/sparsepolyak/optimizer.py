@@ -24,11 +24,14 @@ size (a positive gap over a subnormal denominator, which would put
 inf * 0 = NaN into z), as an `OptimizerError` naming the iteration and
 the cell.
 
-Each cell carries the support of its iterate and hands it to the
-operator as the guess of the next top-s set (see `thresholding`), which
-returns the new support; late in a run the support rarely moves, and a
-certified guess skips the partition.  The trace's support size is the
-carried support's length.
+Each cell carries the support of its iterate and hands the operator the
+gradient step, `ThresholdSpec.step` (see `thresholding`), which returns
+the next iterate and its support.  Late in a run the support rarely
+moves, and a step the carried support certifies writes the s new values
+into the iterate's row of the batch in place, without forming the d
+entries of z or partitioning them.  A cell reuses its d-vectors for the
+squared gradient, |g| and theta - theta*.  The trace's support size is
+the carried support's length.
 
 Parameters are float arrays: a start point, a truth and a final
 estimate are length-d vectors.  `run_batch` is the one iteration loop:
@@ -97,8 +100,8 @@ class StepRule:
         if self.ht_width not in (WIDTH_S, WIDTH_2S):
             raise ValueError(f"ht_width must be '{WIDTH_S}' or '{WIDTH_2S}'")
         if self.kind == FIXED:
-            if self.fixed_gamma is None or self.fixed_gamma <= 0:
-                raise ValueError("fixed rule requires fixed_gamma > 0")
+            if self.fixed_gamma is None or not 0 < self.fixed_gamma < math.inf:
+                raise ValueError("fixed rule requires a finite fixed_gamma > 0")
 
 
 class RunStatus(enum.Enum):
@@ -160,18 +163,19 @@ class RunTrace:
         return self.f_value.size
 
 
-def grad_ht_norm_sq(grad: np.ndarray, ht_width: int) -> float:
+def grad_ht_norm_sq(grad: np.ndarray, ht_width: int, out: np.ndarray | None = None) -> float:
     """Squared norm of the top-``ht_width`` gradient entries, ||HT_w(grad)||^2.
 
     The sum of the ``ht_width`` largest entries of grad * grad; entries
     tied at the boundary have equal squares, so which of them HT keeps
-    does not change the value.
+    does not change the value.  ``out``, a float array of grad's shape,
+    receives the squares in place of a new one.
     """
     grad = np.asarray(grad, dtype=float)
     if grad.size < ht_width:
         raise ValueError(f"gradient has {grad.size} entries, fewer than ht_width = {ht_width}")
     k = grad.size - ht_width
-    sq = grad * grad
+    sq = np.multiply(grad, grad, out=out)
     sq.partition(k)  # in place: np.partition would copy the squares again
     return float(sq[k:].sum())
 
@@ -251,6 +255,9 @@ class _Cell:
         self.width = min(s if config.step_rule.ht_width == WIDTH_S else 2 * s, config.model.dim)
         self.rows = []  # row t: (f, gamma, ||HT_w(grad)||^2, squared error, support size)
         self.support = np.flatnonzero(config.theta0)  # of the current iterate, ascending
+        d = config.model.dim
+        self.sq, self.abs_g = np.empty(d), np.empty(d)  # g * g for the norm, |g| for the step
+        self.diff = None if self.truth is None else np.empty(d)
         self.iterates = [config.theta0.copy()] if keep_iterates else None
         self.pre_threshold = [] if keep_iterates else None
         self.status = None
@@ -259,11 +266,12 @@ class _Cell:
     def step(self, t: int, theta: np.ndarray, f_t: float, g_t: np.ndarray) -> np.ndarray | None:
         """Record row t at theta; return the next iterate, or None when the cell stops at t.
 
-        `support` becomes the next iterate's; it is the same array while the
-        certified selection keeps it.
+        The next iterate is theta itself, updated in place, when the carried
+        support certifies the step.  `support` becomes the next iterate's;
+        it is the same array while the certified step keeps it.
         """
         op, rule = self.config.operator, self.config.step_rule
-        ht_norm_sq = grad_ht_norm_sq(g_t, self.width)
+        ht_norm_sq = grad_ht_norm_sq(g_t, self.width, self.sq)
         # a NaN or inf anywhere in g, or a square that overflows, makes the norm non-finite
         if not (math.isfinite(f_t) and math.isfinite(ht_norm_sq)):
             raise OptimizerError(f"evaluation failed at iteration {t} (operator {op.kind}, "
@@ -286,7 +294,7 @@ class _Cell:
 
         err_sq = None
         if self.truth is not None:
-            diff = theta - self.truth
+            diff = np.subtract(theta, self.truth, out=self.diff)
             err_sq = float(np.dot(diff, diff))
         self.rows.append((f_t, gamma, ht_norm_sq, err_sq, self.support.size))
 
@@ -297,11 +305,11 @@ class _Cell:
         elif t == self.config.max_iters:
             self.status = RunStatus.MAX_ITERS
         else:
-            z = theta - gamma * g_t
-            nxt, self.support = op.apply(z, self.support)
             if self.iterates is not None:
-                self.pre_threshold.append(z)
-                self.iterates.append(nxt)
+                self.pre_threshold.append(theta - gamma * g_t)
+            nxt, self.support = op.step(theta, gamma, g_t, self.support, self.abs_g)
+            if self.iterates is not None:
+                self.iterates.append(nxt.copy())
             return nxt
         self.final_theta = theta.copy()  # theta is a row of the batch buffer
         return None
@@ -332,7 +340,8 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
     slots only for a rebuilt union.  The slot order its sums run in
     depends on how the batch's union moved, and so do the last bits of a
     cell.  Selection, the step rule, the stop tests and the trace rows are
-    per cell, as in `run`; a cell leaves the batch when it stops.  The
+    per cell, as in `run`; a cell leaves the batch when it stops, and a
+    certified step updates its row in place.  The
     whole run is under one `np.errstate`.  Raises OptimizerError, naming
     the iteration and the cell, when a cell's objective, ||HT_w(grad)||^2
     or step size is not finite.
@@ -344,7 +353,9 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
         raise ValueError("run_batch needs configs that share one ObjectiveModel")
     cells = [_Cell(c, keep_iterates) for c in configs]
     active = cells
-    Theta = np.array([c.theta0 for c in configs])
+    # a certified step leaves the zeros off its support as they are: + 0.0 makes a start's
+    # -0.0 the +0.0 that the operator writes there
+    Theta = np.array([c.theta0 for c in configs]) + 0.0
     gram = GramRows(model)
     cols = None  # the support union of the rows of Theta; None when it must be rebuilt
     t = 0
@@ -358,11 +369,13 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
             except Exception as exc:
                 raise OptimizerError(f"evaluation failed at iteration {t}: {exc}") from exc
             keep = []
+            F = F.tolist()
             for j, cell in enumerate(active):
-                before = cell.support
-                nxt = cell.step(t, Theta[j], F[j], G[j])
+                before, row = cell.support, Theta[j]
+                nxt = cell.step(t, row, F[j], G[j])
                 if nxt is not None:
-                    Theta[j] = nxt
+                    if nxt is not row:
+                        row[:] = nxt
                     keep.append(j)
                     if cell.support is not before:
                         cols = None

@@ -24,16 +24,20 @@ at t fill the remaining slots in index order.  The result equals the
 first s positions of a stable descending sort (see Blumensath & Davies
 2009 for the operator).
 
-A vector may come with a guess of its support, in the descent loop the
-support of the previous iterate.  When the guess S has s entries and
-min_{i in S} |v_i| > max_{j not in S} |v_j|, S is exactly the top-s set,
-with t and tau those two numbers, so the output is written on S without
-a partition (the guess-then-verify active set of glmnet, Friedman,
-Hastie & Tibshirani 2010, and the strong rules of Tibshirani et al.
-2012).  The test is strict, so a tie at the boundary or a NaN (whose
-maximum or minimum is NaN) falls back to the partition on the same
-magnitudes, as does a changed support; the certified output has the
-partition's bits.  A guessed call also returns the output's support.
+The descent loop hands the operator its gradient step:
+`ThresholdSpec.step` returns Phi_s(theta - gamma g) for an iterate theta
+that is zero off a carried support S, in the loop the support of the
+previous step.  Off S, z = theta - gamma g has |z_j| = fl(gamma |g_j|),
+and rounding is monotone, so the largest of them is fl(gamma max |g_j|).
+When S has s < d entries and min_S |z_S| > gamma max_{j not in S} |g_j|,
+S is exactly the top-s set of z, with t and tau those two numbers: the
+step writes z_S, or RT's values, into theta on S and returns theta,
+without forming z or partitioning (the guess-then-verify active set of
+glmnet, Friedman, Hastie & Tibshirani 2010, and the strong rules of
+Tibshirani et al. 2012).  The test is strict, so a tie at the boundary
+or a NaN (whose maximum or minimum is NaN) falls back to forming z and
+the partition, as does a changed support; the certified output has the
+partition's bits.
 
 ``empirical_relative_concavity`` lower-bounds the worst-case ratio
 
@@ -71,10 +75,46 @@ class ThresholdSpec:
         if self.s < 1:
             raise ValueError(f"sparsity level must be >= 1, got {self.s}")
 
-    def apply(self, v: np.ndarray, support: np.ndarray | None = None):
-        """HT or RT of ``v``; with ``support``, as in `hard_threshold`, also the output's support."""
-        fn = hard_threshold if self.kind == HT else reciprocal_threshold
-        return fn(v, self.s) if support is None else fn(v, self.s, support)
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """HT or RT of ``v``, or of each row of a batch."""
+        return (hard_threshold if self.kind == HT else reciprocal_threshold)(v, self.s)
+
+    def step(self, theta: np.ndarray, gamma: float, g: np.ndarray, support: np.ndarray,
+             scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Phi_s(theta - gamma g) and its support, ``np.flatnonzero`` of it.
+
+        ``theta`` is a float vector that is zero off ``support``, ascending
+        distinct indices such as the support a previous step returned (as
+        with `np.searchsorted`'s sorted input this is not checked), and
+        ``gamma`` a finite step size >= 0.  When the certificate of the
+        module docstring holds, the result is written into theta on
+        ``support``, theta's zeros off it stay as they are (the operator
+        writes +0.0 there), and theta itself comes back with ``support``
+        itself, unless RT halved a subnormal kept value to 0.  Otherwise
+        the result is a new vector, and theta is left alone.  ``scratch``,
+        a float vector of theta's length, saves the certificate's |g|
+        allocation.  A NaN in z raises ValueError when s is below d.
+        """
+        if theta.ndim != 1:
+            raise ValueError("a step needs a vector")
+        s = self.s
+        if support.size == s < theta.size:
+            # argmax and argmin (which find a NaN first) cost a third of max and min at desk scale
+            a = np.abs(g, out=scratch)
+            a[support] = 0.0
+            tau = gamma * a[a.argmax()]  # the largest |z_j| off the support
+            z_in = theta[support] - gamma * g[support]
+            a_in = np.abs(z_in)
+            if a_in[a_in.argmin()] > tau:
+                if self.kind == HT:
+                    theta[support] = z_in
+                    return theta, support
+                # _shrink's bits: every kept a >= t > tau leaves its clamp idle, and rounding is odd in sign
+                kept = np.copysign(0.5 * (a_in + np.sqrt(a_in * a_in - tau * tau)), z_in)
+                theta[support] = kept
+                return theta, support if np.count_nonzero(kept) == s else support[kept != 0.0]
+        out = self.apply(theta - gamma * g)
+        return out, np.flatnonzero(out)
 
 
 def _check_input(v: np.ndarray, s: int) -> np.ndarray:
@@ -123,64 +163,31 @@ def _shrink(v: np.ndarray, a: np.ndarray, tau) -> np.ndarray:
     return np.sign(v) * 0.5 * (a + np.sqrt(np.maximum(a * a - tau * tau, 0.0)))
 
 
-def _threshold(V: np.ndarray, s: int, kind: str, support: np.ndarray | None = None):
-    """HT or RT of a vector, or of each row of a batch, and the output's support for a guess.
-
-    ``support`` guesses a vector's top-s support (ascending distinct
-    indices).  With it, the second value is ``np.flatnonzero`` of the
-    output: the guess itself when the certificate holds and every kept
-    value is nonzero (RT halves a subnormal to 0).  Without it, None.
-    """
-    if support is not None and V.ndim != 1:
-        raise ValueError("a support guess needs a vector")
+def _threshold(V: np.ndarray, s: int, kind: str) -> np.ndarray:
+    """HT or RT of a vector, or of each row of a batch."""
     if s >= V.shape[-1]:
-        out = V.copy()
-        return out, None if support is None else np.flatnonzero(out)
+        return V.copy()
     a = np.abs(V)
-    if support is not None and support.size == s:
-        a_in = a[support]
-        t = a_in.min()
-        a[support] = 0.0
-        tau = a.max()  # magnitudes are >= 0, so the zeroed guess does not raise it
-        if t > tau:
-            out = np.zeros(V.shape)
-            if kind == HT:
-                out[support] = V[support]
-                return out, support
-            # _shrink's bits: every kept a >= t > tau leaves its clamp idle, and rounding is odd in sign
-            kept = np.copysign(0.5 * (a_in + np.sqrt(a_in * a_in - tau * tau)), V[support])
-            out[support] = kept
-            return out, support if kept.all() else support[kept != 0.0]
-        a[support] = a_in
     keep, t, tau = _top_s_mask(a, s)
-    out = np.where(keep, V if kind == HT else _shrink(V, a, tau), 0.0)
-    return out, None if support is None else np.flatnonzero(out)
+    return np.where(keep, V if kind == HT else _shrink(V, a, tau), 0.0)
 
 
-def hard_threshold(v: np.ndarray, s: int, support: np.ndarray | None = None):
+def hard_threshold(v: np.ndarray, s: int) -> np.ndarray:
     """Keep the ``s`` largest-magnitude entries of ``v``, or of each row of a batch, zero the rest.
 
     A row that holds a NaN, when ``s`` is below its length, raises
-    ValueError.  ``support`` guesses the top-s support of a vector; the
-    output is the same, and the call returns it with its support,
-    ``np.flatnonzero`` of the output.  The guess must be ascending
-    distinct indices, such as the support a previous call returned; as
-    with `np.searchsorted`'s sorted input this is not checked, and a guess
-    that repeats an index gives an undefined result.
+    ValueError.
     """
-    out, kept = _threshold(_check_input(v, s), s, HT, support)
-    return out if support is None else (out, kept)
+    return _threshold(_check_input(v, s), s, HT)
 
 
-def reciprocal_threshold(v: np.ndarray, s: int, support: np.ndarray | None = None):
+def reciprocal_threshold(v: np.ndarray, s: int) -> np.ndarray:
     """Keep the top-``s`` support of ``v``, or of each row of a batch, with reciprocal shrinkage.
 
     When ``s`` is at least the row length the boundary magnitude is 0 and
-    the operator is the identity; a NaN is rejected and ``support`` is
-    taken as in `hard_threshold`.
+    the operator is the identity; otherwise a NaN is rejected.
     """
-    out, kept = _threshold(_check_input(v, s), s, RT, support)
-    return out if support is None else (out, kept)
+    return _threshold(_check_input(v, s), s, RT)
 
 
 def relative_concavity_bound(kind: str, s_star: int, s: int) -> float | None:

@@ -5,7 +5,9 @@ skips a name that no longer exists, so renaming a traced function would
 silently read 0 for its per-layer metrics.  The benchmark also wraps
 `optimizer.run` to record each `sparsepolyak run` outcome, and hands the
 CLI the configs of `perfbench/workloads.py`, so a schema change that
-rejects one would read as `cells_ok_frac` 0.
+rejects one would read as `cells_ok_frac` 0.  Its output check compares
+each cell with `perfbench/reference.json`, so a trajectory that drifts
+past that check's tolerance reads as a failed cell.
 """
 
 import importlib.util
@@ -70,3 +72,24 @@ def test_cli_run_calls_optimizer_run_once(tmp_path, monkeypatch):
     cfg.write_text("design.d = 60\ntruth.s_star = 3\nrun.max_iters = 20\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 6, 7])
+def test_desk_runs_match_the_benchmark_reference(tmp_path, seed):
+    # seeds 6 and 7 end their default run at max_iters after 1501 rows: a few
+    # ulps of drift could flip that status, which the benchmark counts as failed
+    compare = perfbench_table("check", "compare")
+    reference = perfbench_table("check", "load_reference")()
+    workload = perfbench_table("workloads", "WORKLOADS")["cli_run_desk"]
+    mismatches = []
+    for inv in workload.invocations(seed):
+        cfg, out = tmp_path / f"{inv.label}.cfg", tmp_path / inv.label
+        cfg.write_text(inv.config)
+        assert main([inv.command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        cells = workload.read_cells(inv, out, [])
+        assert sorted(cells) == sorted(inv.cells)
+        for key, cell in cells.items():
+            ok, reason, _ = compare(cell, reference.get(key))
+            if not ok:
+                mismatches.append(f"{key}: {reason}")
+    assert mismatches == []

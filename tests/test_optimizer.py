@@ -108,8 +108,9 @@ class TestStepRules:
     def test_step_rule_validation(self):
         with pytest.raises(ValueError):
             StepRule(kind=SPARSE_POLYAK, f_hat=None)
-        with pytest.raises(ValueError):
-            StepRule(kind=FIXED, fixed_gamma=0.0)
+        for gamma in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="fixed_gamma"):
+                StepRule(kind=FIXED, fixed_gamma=gamma)
         for kind, extra in ((SPARSE_POLYAK, {"f_hat": 0.0}), (CLASSIC_POLYAK, {"f_hat": 0.0}),
                             (FIXED, {"fixed_gamma": 0.1})):
             # every rule's trace records ||HT_w(grad)||^2, so every rule needs a valid width
@@ -502,28 +503,27 @@ def logistic_grid_traces():
 
 
 class TestCarriedSupport:
-    """A cell's support guess (the previous top-s set) changes no bit of a run, and is used."""
+    """A cell's carried support, the step's guess of the next top-s set, changes no bit of a run, and is used."""
 
     @staticmethod
-    def count_selections(monkeypatch, guess):
-        """Patch the operator to count guessed calls and partitions; without `guess`, guess nothing."""
+    def count_steps(monkeypatch, guess):
+        """Patch the operator to count steps and partitions; without `guess`, never certify."""
         from sparsepolyak import thresholding
 
-        counts = {"guessed": 0, "partitioned": 0}
-        threshold, top_s_mask = thresholding._threshold, thresholding._top_s_mask
+        counts = {"steps": 0, "partitioned": 0}
+        step, top_s_mask = ThresholdSpec.step, thresholding._top_s_mask
 
-        def counted_threshold(V, s, kind, support=None):
-            if support is not None:
-                counts["guessed"] += 1
-                if not guess:
-                    support = support[:0]  # a guess shorter than s is never certified
-            return threshold(V, s, kind, support)
+        def counted_step(op, theta, gamma, g, support, scratch=None):
+            counts["steps"] += 1
+            if not guess:
+                support = support[:0]  # a support shorter than s is never certified
+            return step(op, theta, gamma, g, support, scratch)
 
         def counted_top_s_mask(a, s):
             counts["partitioned"] += 1
             return top_s_mask(a, s)
 
-        monkeypatch.setattr(thresholding, "_threshold", counted_threshold)
+        monkeypatch.setattr(ThresholdSpec, "step", counted_step)
         monkeypatch.setattr(thresholding, "_top_s_mask", counted_top_s_mask)
         return counts
 
@@ -531,20 +531,51 @@ class TestCarriedSupport:
     def test_guess_keeps_the_bits(self, monkeypatch, label):
         make = logistic_grid_traces if label == "logistic_grid" else lambda: desk_traces(label)
         with monkeypatch.context() as patch:
-            off = self.count_selections(patch, guess=False)
+            off = self.count_steps(patch, guess=False)
             unguessed = make()
-        on = self.count_selections(monkeypatch, guess=True)
+        on = self.count_steps(monkeypatch, guess=True)
         guessed = make()
         selections = sum(len(trace) - 1 for trace in guessed)
-        assert on["guessed"] == off["guessed"] == off["partitioned"] == selections
+        assert on["steps"] == off["steps"] == off["partitioned"] == selections
         for a, b in zip(guessed, unguessed):
             assert a.status is b.status
             for name in ("f_value", "step_size", "grad_ht_norm_sq", "error_sq",
                          "support_size", "final_theta"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
         if label == "default":
-            # the certified branch must serve most selections, or the guess does nothing
+            # the certified step must serve most selections, or the carried support does nothing
             assert on["partitioned"] <= 0.1 * selections
+
+    def test_negative_zero_start_ends_with_positive_zeros(self):
+        # certified steps leave the zeros off the support alone, and the operator writes +0.0 there
+        model, theta_star, f_hat = linear_instance(200, 300, 5, 0.5, 0.1, seed=2)
+        theta0 = np.where(theta_star != 0.0, theta_star, -0.0)
+        config = replace(basic_config(model, theta_star, f_hat, s=5, max_iters=5), theta0=theta0)
+        final = run(config).final_theta
+        assert np.count_nonzero(final) == 5 and not np.signbit(final[final == 0.0]).any()
+
+    def test_certified_step_returns_the_batch_row(self, monkeypatch):
+        # a certified step writes the row of the batch buffer, which the loop then leaves alone
+        from sparsepolyak import optimizer
+
+        real_vg, real_step = optimizer.value_and_gradient, ThresholdSpec.step
+        buffers, rows = [], []
+
+        def recording_vg(model, Theta, gram, cols):
+            buffers.append(Theta)
+            return real_vg(model, Theta, gram, cols)
+
+        def recording_step(op, theta, gamma, g, support, scratch=None):
+            nxt, kept = real_step(op, theta, gamma, g, support, scratch)
+            rows.append((nxt is theta, np.shares_memory(theta, buffers[-1]), kept is support))
+            return nxt, kept
+
+        monkeypatch.setattr(optimizer, "value_and_gradient", recording_vg)
+        monkeypatch.setattr(ThresholdSpec, "step", recording_step)
+        desk_traces("default")
+        assert all(in_buffer for _, in_buffer, _ in rows)
+        certified = [same_support for is_row, _, same_support in rows if is_row]
+        assert all(certified) and len(certified) >= 0.9 * len(rows)
 
 
 class TestNoiselessRecovery:

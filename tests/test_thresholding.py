@@ -239,52 +239,97 @@ def support_guesses(v, s, seed):
     return out
 
 
+def step_cases(z, s, seed, gamma):
+    """(guess, theta, g, S) per guess S of z's top-s set: theta is +0.0 off S and theta - gamma g aims at z.
+
+    Off S, g is -z / gamma when gamma > 0 and any small integer
+    otherwise; on S it is any small integer, and theta_S = z_S + gamma g_S.
+    """
+    rng = np.random.default_rng(seed)
+    for name, S in support_guesses(z, s, seed).items():
+        off = np.setdiff1d(np.arange(z.size), S)
+        g = rng.choice([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0], size=z.size)
+        if gamma > 0.0:
+            g[off] = -z[off] / gamma
+        theta = np.zeros(z.size)
+        theta[S] = z[S] + gamma * g[S]
+        yield name, theta, g, S
+
+
+GAMMAS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(0.0, 1e3))
+
+
 class TestGuessedSupport:
-    """A support guess leaves the output's bits alone and returns the output's support."""
+    """A step guesses its top-s set from the carried support: same bits as the partition, and its support."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-    @given(guessed_vectors())
+    @given(guessed_vectors(), GAMMAS)
     # RT halves a kept subnormal to (signed) zero: the certified support must drop it
-    @example((np.array([5e-324, 0.0, 0.0]), 1, 0))
-    @example((np.array([0.0, -5e-324, 1.0, 0.0]), 2, 1))
-    def test_guessed_selection_matches_reference(self, case):
-        v, s, seed = case
-        before = v.tobytes()
-        for name, guess in support_guesses(v, s, seed).items():
-            for kind, fn in ((HT, hard_threshold), (RT, reciprocal_threshold)):
-                out, support = fn(v, s, guess)
-                assert out.tobytes() == reference_threshold(v, s, kind).tobytes(), (name, kind)
-                assert out.tobytes() == fn(v, s).tobytes(), (name, kind)
-                assert support.tolist() == np.flatnonzero(out).tolist(), (name, kind)
-                out_spec, support_spec = ThresholdSpec(kind=kind, s=s).apply(v, guess)
-                assert out_spec.tobytes() == out.tobytes()
-                assert support_spec.tolist() == support.tolist()
-        assert v.tobytes() == before
+    @example((np.array([5e-324, 0.0, 0.0]), 1, 0), 0.0)
+    @example((np.array([0.0, -5e-324, 1.0, 0.0]), 2, 1), 0.0)
+    def test_guessed_selection_matches_reference(self, case, gamma):
+        z, s, seed = case
+        for name, theta, g, S in step_cases(z, s, seed, gamma):
+            off = np.setdiff1d(np.arange(z.size), S)
+            g_before = g.tobytes()
+            for signed in (False, True):
+                theta[off] = -0.0 if signed else 0.0
+                before = theta.copy()
+                for kind in (HT, RT):
+                    ref = reference_threshold(before - gamma * g, s, kind)
+                    out, support = ThresholdSpec(kind=kind, s=s).step(theta, gamma, g, S)
+                    assert support.tolist() == np.flatnonzero(ref).tolist(), (name, kind)
+                    if out is theta:
+                        # certified: written on S, where the top-s set is; the zeros off S stay
+                        assert out[S].tobytes() == ref[S].tobytes(), (name, kind)
+                        assert out[off].tobytes() == before[off].tobytes() and not ref[off].any()
+                    else:
+                        assert theta.tobytes() == before.tobytes(), (name, kind)
+                    if not signed:
+                        assert out.tobytes() == ref.tobytes(), (name, kind)
+                    theta[:] = before
+            assert g.tobytes() == g_before
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-    @given(guessed_vectors(), st.integers(0, 11))
-    def test_nan_rejected_with_any_guess(self, case, where):
-        v, s, seed = case
-        if s >= v.size:
+    @given(guessed_vectors(), GAMMAS, st.integers(0, 11))
+    def test_nan_rejected_with_any_guess(self, case, gamma, where):
+        z, s, seed = case
+        if s >= z.size:
             return
-        v[where % v.size] = np.nan
-        for guess in support_guesses(np.nan_to_num(v), s, seed).values():
-            for fn in (hard_threshold, reciprocal_threshold):
-                with pytest.raises(ValueError, match="NaN"):
-                    fn(v, s, guess)
+        for _, theta, g, S in step_cases(np.nan_to_num(z), s, seed, gamma):
+            bad_g = g.copy()
+            bad_g[where % z.size] = np.nan
+            bad_theta = theta.copy()
+            if S.size:
+                bad_theta[S[where % S.size]] = np.nan
+            for kind in (HT, RT):
+                op = ThresholdSpec(kind=kind, s=s)
+                for t, grad in ((theta, bad_g), (bad_theta, g)):
+                    if t is bad_theta and not S.size:
+                        continue
+                    with pytest.raises(ValueError, match="NaN"):
+                        op.step(t.copy(), gamma, grad, S)
 
     def test_certified_guess_is_returned_unchanged(self):
-        v = np.array([0.1, -4.0, 0.2, 3.0, -0.3, 2.0])
+        # z = theta - g = [-0.1, -4.0, 0.2, 3.0, -0.3, 2.0]: S is its top-3 set
+        theta = np.array([0.0, -4.0, 0.0, 3.0, 0.0, 2.5])
+        g = np.array([0.1, 0.0, -0.2, 0.0, 0.3, 0.5])
         guess = np.array([1, 3, 5])
-        for fn in (hard_threshold, reciprocal_threshold):
-            assert fn(v, 3, guess)[1] is guess
-        tied = np.array([1.0, 3.0, 2.0, -2.0])  # entries 2 and 3 tie at the boundary
-        out, support = hard_threshold(tied, 2, np.array([1, 3]))
+        for kind in (HT, RT):
+            row = theta.copy()
+            out, support = ThresholdSpec(kind=kind, s=3).step(row, 1.0, g, guess)
+            assert out is row and support is guess
+            assert out.tobytes() == reference_threshold(theta - g, 3, kind).tobytes()
+        # z = [1.0, 3.0, 2.0, -2.0]: entries 2 and 3 tie at the boundary, and the lower index wins
+        tied = np.array([0.0, 3.0, 0.0, -2.0])
+        out, support = ThresholdSpec(kind=HT, s=2).step(tied, 1.0, np.array([-1.0, 0.0, -2.0, 0.0]),
+                                                         np.array([1, 3]))
         assert support.tolist() == [1, 2] and out.tolist() == [0.0, 3.0, 2.0, 0.0]
+        assert out is not tied and tied.tolist() == [0.0, 3.0, 0.0, -2.0]
 
     def test_guess_needs_a_vector(self):
         with pytest.raises(ValueError, match="vector"):
-            hard_threshold(np.ones((2, 3)), 1, np.array([0]))
+            ThresholdSpec(kind=HT, s=1).step(np.ones((2, 3)), 1.0, np.ones((2, 3)), np.array([0]))
 
 
 class TestThresholdSpec:
