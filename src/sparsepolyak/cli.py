@@ -61,6 +61,7 @@ from .optimizer import (
     OptimizerError,
     RunConfig,
     RunStatus,
+    RunTrace,
     make_step_rule,
     run,
 )
@@ -132,6 +133,11 @@ def _pmap(task, items, workers: int):
         return list(pool.map(task, *zip(*items)))
 
 
+def _outcome(trace: RunTrace) -> str:
+    """The ``status,iterations`` fields of a grid or sweep row, as `summary.json` counts them."""
+    return f"{trace.status.value},{len(trace) - 1}"
+
+
 def cmd_grid(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     if cfg.step_kind == FIXED:
         raise ConfigError("step.kind: the grid comparison needs an adaptive rule "
@@ -139,14 +145,16 @@ def cmd_grid(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     cells = [(ThresholdSpec(kind=kind, s=s), cfg.step_kind) for kind in (HT, RT) for s in cfg.s_grid]
     items = [(cfg.design, cfg.s_star, cfg.noise, seed, cells, cfg.grid_max_iters,
               cfg.ht_width, cfg.f_hat) for seed in cfg.seeds]
-    detail = [(op.kind, op.s, seed, float(trace.error_sq[-1]), hit)
-              for seed, runs in zip(cfg.seeds, _pmap(run_instance_cells, items, workers))
-              for (op, _), (trace, _, hit) in zip(cells, runs)]
+    detail, outcomes = [], []
+    for seed, runs in zip(cfg.seeds, _pmap(run_instance_cells, items, workers)):
+        for (op, _), (trace, _, hit) in zip(cells, runs):
+            detail.append((op.kind, op.s, seed, float(trace.error_sq[-1]), hit))
+            outcomes.append(_outcome(trace))
     rows = summarize_comparison(detail, cfg.s_grid)
 
-    csv_lines = ["operator,s,seed,final_error_sq,iters_to_floor"]
-    for kind, s, seed, err, itf in detail:
-        csv_lines.append(f"{kind},{s},{seed},{err:.12g},{itf}")
+    csv_lines = ["operator,s,seed,status,iterations,final_error_sq,iters_to_floor"]
+    for (kind, s, seed, err, itf), outcome in zip(detail, outcomes):
+        csv_lines.append(f"{kind},{s},{seed},{outcome},{err:.12g},{itf}")
     lines = [
         f"{'operator':<10} {'best s':>8} {'median final error^2':>22} {'iters to floor':>16}",
     ]
@@ -172,13 +180,14 @@ def cmd_sweep(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
         cells = [(ThresholdSpec(kind=cfg.operator_kind, s=min(cfg.operator_s, d)), method) for method in methods]
         items += [(design, cfg.s_star, cfg.noise, seed, cells, cfg.sweep_max_iters,
                    cfg.ht_width, cfg.f_hat) for seed in cfg.seeds]
-    detail = [(design.d, design.n, seed, method, level, hit, active_median_step(trace.step_size, hit))
+    detail = [(design.d, design.n, seed, method, level, hit, active_median_step(trace.step_size, hit),
+               _outcome(trace))
               for (design, _, _, seed, *_), runs in zip(items, _pmap(run_instance_cells, items, workers))
               for method, (trace, level, hit) in zip(methods, runs)]
 
-    csv_lines = ["d,n,seed,method,plateau_error_sq,iters_to_plateau,median_active_step"]
-    for d, n, seed, method, level, hit, step in detail:
-        csv_lines.append(f"{d},{n},{seed},{method},{level:.12g},{hit},{step:.12g}")
+    csv_lines = ["d,n,seed,method,status,iterations,plateau_error_sq,iters_to_plateau,median_active_step"]
+    for d, n, seed, method, level, hit, step, outcome in detail:
+        csv_lines.append(f"{d},{n},{seed},{method},{outcome},{level:.12g},{hit},{step:.12g}")
     lines = [f"{'d':>6} {'n':>6} {'method':<16} {'median plateau':>15} {'median iters':>13} {'median step':>12}"]
     report = {}
     for d in cfg.sweep_d_values:

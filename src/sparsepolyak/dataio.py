@@ -1,7 +1,11 @@
 """File formats: the dataset container, run traces, summaries, manifests.
 
 A dataset is written as NPZ: binary arrays X, y plus a JSON metadata header
-(n, d, family, seed, schema version) for exact replay.
+(n, d, family, seed, schema version) for exact replay.  The container is the
+one `np.savez` builds, byte for byte (a stored zip64 archive with ZipFile's
+fixed 1980 timestamps), but each `.npy` member is streamed from its array's
+own buffer, so writing it holds no copy of X.  Schema version 2 added the
+``status`` and ``iterations`` columns of the grid and sweep CSVs.
 
 Run traces are CSV with the fixed header
 ``iter,f_value,step_size,grad_ht_norm_sq,error_sq,support_size`` and 12
@@ -16,6 +20,7 @@ import json
 import math
 import os
 import secrets
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -25,7 +30,7 @@ from . import __version__
 from .objectives import Dataset
 from .optimizer import RunTrace
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TRACE_HEADER = "iter,f_value,step_size,grad_ht_norm_sq,error_sq,support_size"
 _TRACE_ROW = "%d,%.12g,%.12g,%.12g,%.12g,%d\n"
@@ -129,6 +134,19 @@ def write_manifest(path, echo: dict, seeds: list[int]) -> None:
     atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _write_npy(archive: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
+    """The `.npy` member `np.savez` writes for ``array``, from the array's own buffer.
+
+    A column-major array goes out as the rows of its transpose, the order
+    `np.save` writes it in.  The array must be C- or F-contiguous: a strided
+    one raises BufferError.
+    """
+    header = np.lib.format.header_data_from_array_1_0(array)
+    with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+        np.lib.format.write_array_header_1_0(member, header)
+        member.write(memoryview(array.T if header["fortran_order"] else array))
+
+
 def dataset_to_npz(data: Dataset, path, family: str, seed: int) -> None:
     meta = {
         "schema_version": SCHEMA_VERSION,
@@ -137,5 +155,7 @@ def dataset_to_npz(data: Dataset, path, family: str, seed: int) -> None:
         "family": family,
         "seed": int(seed),
     }
-    with _atomic_file(path) as fh:
-        np.savez(fh, X=data.X, y=data.y, meta=json.dumps(meta, sort_keys=True))
+    arrays = {"X": data.X, "y": data.y, "meta": np.array(json.dumps(meta, sort_keys=True))}
+    with _atomic_file(path) as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+        for name, array in arrays.items():
+            _write_npy(archive, name, array)

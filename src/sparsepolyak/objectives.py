@@ -71,7 +71,8 @@ class Dataset:
     """Design matrix (n samples x d features) and length-n response vector.
 
     X is stored column-major (a no-op for a generated design), so the
-    columns a forward product gathers are contiguous.
+    columns a forward product gathers are contiguous, and y contiguous, so
+    `dataio` can write each array from its own buffer.
     """
 
     X: np.ndarray
@@ -79,7 +80,7 @@ class Dataset:
 
     def __post_init__(self):
         X = np.asfortranarray(self.X, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        y = np.asarray(self.y, dtype=float, order="C")
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise ValueError("X must be a nonempty n x d matrix")
         if y.ndim != 1 or y.shape[0] != X.shape[0]:

@@ -23,8 +23,10 @@ import numpy as np
 from .objectives import LINEAR, LOGISTIC, sigmoid
 from .rng import STREAM_DESIGN, STREAM_NOISE, STREAM_TRUTH, substream, substreams
 
-# Bytes of the row-major block that `_draw_rows` draws the design's rows into.
+# Bytes of the row-major block that `_draw_rows` draws the design's rows
+# into; the block holds at least `DESIGN_BLOCK_MIN_ROWS` rows.
 DESIGN_BLOCK_BYTES = 1 << 20
+DESIGN_BLOCK_MIN_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -141,10 +143,13 @@ def _draw_rows(X: np.ndarray, seed: int) -> None:
     """Fill X with the rows' standard normals, one `substreams` stream per row.
 
     Rows are drawn into a row-major block of about `DESIGN_BLOCK_BYTES`,
-    which is copied into X and freed on return.
+    which is copied into X and freed on return.  The block holds at least
+    `DESIGN_BLOCK_MIN_ROWS` rows (6.4 MB at d = 1e5): the copy of a block
+    of a few rows into the column-major X is a scattered write, which at
+    d = 1e5 cost more than the draws themselves.
     """
     n, d = X.shape
-    block = np.empty((min(n, max(1, DESIGN_BLOCK_BYTES // (8 * d))), d))
+    block = np.empty((min(n, max(DESIGN_BLOCK_MIN_ROWS, DESIGN_BLOCK_BYTES // (8 * d))), d))
     rows = substreams(seed, STREAM_DESIGN)
     for start in range(0, n, block.shape[0]):
         part = block[:n - start]
@@ -160,7 +165,7 @@ def generate_design(spec: DesignSpec, seed: int) -> np.ndarray:
     columns and `Dataset` stores it without a copy.  The row streams come
     from `substreams`, whose per-row seeding costs a few microseconds next
     to the row's d normals.  Each row's normals are drawn into a row-major
-    block of about `DESIGN_BLOCK_BYTES` and the block is copied into X; the
+    block (see `_draw_rows`) and the block is copied into X; the
     recursion runs in place.  So generation holds X plus about one block,
     never a second n x d buffer.  The columns are not rescaled: X's
     population covariance is `ar1_covariance(d, omega)`, the Sigma that

@@ -270,7 +270,7 @@ class TestCliRun:
         assert (run_dirs[0] / "summary.json").is_file()
         manifest = json.loads((run_dirs[0] / "manifest.json").read_text())
         assert manifest["seeds"] == [1]
-        assert manifest["schema_version"] == 1
+        assert manifest["schema_version"] == 2
         assert (run_dirs[0] / "dataset.npz").is_file()
 
     def test_replay_is_byte_identical(self, tmp_path):
@@ -495,7 +495,7 @@ class TestCliGridSweepReports:
         assert main(["grid", "--config", cfg, "--out", str(out)]) == EXIT_OK
         grid_dir = next(out.glob("grid_*"))
         lines = (grid_dir / "comparison.csv").read_text().splitlines()
-        assert lines[0] == "operator,s,seed,final_error_sq,iters_to_floor"
+        assert lines[0] == "operator,s,seed,status,iterations,final_error_sq,iters_to_floor"
         # 2 operators x 2 grid values x 3 seeds
         assert len(lines) == 1 + 12
         assert (grid_dir / "summary.txt").is_file()
@@ -520,7 +520,8 @@ class TestCliGridSweepReports:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
         sweep_dir = next(out.glob("sweep_*"))
         lines = (sweep_dir / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "d,n,seed,method,plateau_error_sq,iters_to_plateau,median_active_step"
+        assert lines[0] == ("d,n,seed,method,status,iterations,plateau_error_sq,iters_to_plateau,"
+                            "median_active_step")
         # 2 dimensions x 3 seeds x 2 methods
         assert len(lines) == 1 + 12
 
@@ -542,8 +543,8 @@ class TestCliGridSweepReports:
             cells = [(ThresholdSpec(kind="rt", s=min(cfg.operator_s, d)), method) for method in methods]
             runs = run_instance_cells(design, cfg.s_star, cfg.noise, 0, cells,
                                       cfg.sweep_max_iters, cfg.ht_width, cfg.f_hat)
-            expected += [f"{d},{design.n},0,{method},{level:.12g},{hit},"
-                         f"{active_median_step(trace.step_size, hit):.12g}"
+            expected += [f"{d},{design.n},0,{method},{trace.status.value},{len(trace) - 1},{level:.12g},"
+                         f"{hit},{active_median_step(trace.step_size, hit):.12g}"
                          for method, (trace, level, hit) in zip(methods, runs)]
         assert rows["rt"] == expected
 
@@ -557,8 +558,48 @@ class TestCliGridSweepReports:
         grid_rows = next(out.glob("grid_*/comparison.csv")).read_text().splitlines()[1:]
         sweep_rows = next(out.glob("sweep_*/sweep.csv")).read_text().splitlines()[1:]
         assert len(grid_rows) == 12 and len(sweep_rows) == 12
-        assert all(row.split(",")[4] == "0" for row in grid_rows)
-        assert all(row.split(",")[5] == "0" for row in sweep_rows)
+        assert all(row.split(",")[3:5] == ["converged", "0"] and row.split(",")[6] == "0" for row in grid_rows)
+        assert all(row.split(",")[4:6] == ["converged", "0"] and row.split(",")[7] == "0" for row in sweep_rows)
+
+    def test_rows_say_why_each_cell_stopped(self, tmp_path):
+        # at a budget of 1000 this small instance has converged and
+        # max_iters cells in both files; iterations counts like summary.json
+        text = (BASE_CONFIG.replace("grid.seeds = 0,1,2", "grid.seeds = 0,1")
+                .replace("grid.max_iters = 150", "grid.max_iters = 1000")
+                .replace("sweep.max_iters = 150", "sweep.max_iters = 1000"))
+        cfg_path = write_config(tmp_path, text=text)
+        out = tmp_path / "out"
+        assert main(["grid", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        cfg = load_config(cfg_path)
+
+        def outcomes(pattern, key):
+            with open(next(out.glob(pattern)), newline="") as fh:
+                return {key(row): (row["status"], int(row["iterations"])) for row in csv.DictReader(fh)}
+
+        grid = outcomes("grid_*/comparison.csv", lambda row: (row["operator"], int(row["s"]), int(row["seed"])))
+        sweep = outcomes("sweep_*/sweep.csv", lambda row: (int(row["d"]), int(row["seed"]), row["method"]))
+        grid_cells = [(ThresholdSpec(kind=kind, s=s), cfg.step_kind) for kind in ("ht", "rt") for s in cfg.s_grid]
+        methods = ("sparse_polyak", "classic_polyak")
+        want_grid, want_sweep = {}, {}
+        for seed in cfg.seeds:
+            runs = run_instance_cells(cfg.design, cfg.s_star, cfg.noise, seed, grid_cells,
+                                      cfg.grid_max_iters, cfg.ht_width, cfg.f_hat)
+            for (op, _), (trace, _, _) in zip(grid_cells, runs):
+                want_grid[(op.kind, op.s, seed)] = (trace.status.value, len(trace) - 1)
+            for d in cfg.sweep_d_values:
+                design = replace(cfg.design, n=derived_n(cfg.n_factor, cfg.s_star, d), d=d)
+                cells = [(ThresholdSpec(kind=cfg.operator_kind, s=min(cfg.operator_s, d)), m) for m in methods]
+                runs = run_instance_cells(design, cfg.s_star, cfg.noise, seed, cells,
+                                          cfg.sweep_max_iters, cfg.ht_width, cfg.f_hat)
+                for method, (trace, _, _) in zip(methods, runs):
+                    want_sweep[(d, seed, method)] = (trace.status.value, len(trace) - 1)
+        assert grid == want_grid
+        assert sweep == want_sweep
+        for rows in (grid, sweep):
+            assert {status for status, _ in rows.values()} == {"converged", "max_iters"}
+            assert all(iters == 1000 for status, iters in rows.values() if status == "max_iters")
+            assert all(iters < 1000 for status, iters in rows.values() if status == "converged")
 
     def test_grid_rows_replay_as_one_cell_runs(self, tmp_path):
         # every cell of the default grid's seed-0 instance, rerun alone with

@@ -1,14 +1,18 @@
 """Serialization tests: exact round-trips, trace format, atomic writes, hashing."""
 
+import io
 import json
 import os
 import stat
+import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
 
 import sparsepolyak
 from sparsepolyak.dataio import (
+    SCHEMA_VERSION,
     TRACE_HEADER,
     atomic_write_text,
     config_hash,
@@ -20,6 +24,7 @@ from sparsepolyak.dataio import (
 )
 from sparsepolyak.objectives import Dataset, LINEAR
 from sparsepolyak.optimizer import RunStatus, RunTrace
+from sparsepolyak.synthdata import DesignSpec, generate_design
 
 
 def small_trace():
@@ -114,6 +119,31 @@ class TestDatasetContainers:
         assert meta["n"] == 5 and meta["d"] == 4
         assert meta["family"] == LINEAR and meta["seed"] == 17
 
+    @pytest.mark.parametrize("shape", [(60, 50), (1, 7), (9, 1)], ids=["generated", "one_row", "one_column"])
+    def test_npz_bytes_equal_numpy_savez(self, tmp_path, shape):
+        # a 1 x d or n x 1 design is both C- and F-contiguous; the y given is strided
+        n, d = shape
+        X = generate_design(DesignSpec(n=n, d=d, omega=0.5), seed=3)
+        y = np.random.default_rng(2).standard_normal(2 * n)[::2]
+        path = tmp_path / "data.npz"
+        dataset_to_npz(Dataset(X=X, y=y), path, family=LINEAR, seed=5)
+        meta = {"schema_version": SCHEMA_VERSION, "n": n, "d": d, "family": LINEAR, "seed": 5}
+        expected = io.BytesIO()
+        np.savez(expected, X=X, y=y, meta=json.dumps(meta, sort_keys=True))
+        assert path.read_bytes() == expected.getvalue()
+
+    def test_npz_write_holds_no_copy_of_the_design(self, tmp_path):
+        # np.savez copies X into bytes objects before writing (5.5 MB here)
+        X = generate_design(DesignSpec(n=691, d=1000, omega=0.5), seed=0)
+        data = Dataset(X=X, y=np.ones(691))
+        tracemalloc.start()
+        try:
+            dataset_to_npz(data, tmp_path / "data.npz", family=LINEAR, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 4
+
 
 class TestSummaryAndHash:
     def test_summary_contents(self, tmp_path):
@@ -169,7 +199,7 @@ class TestSummaryAndHash:
         def fail(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez", fail)
+        monkeypatch.setattr(zipfile.ZipFile, "open", fail)
         with pytest.raises(OSError, match="disk full"):
             dataset_to_npz(Dataset(X=np.ones((2, 2)), y=np.ones(2)), tmp_path / "d.npz",
                            family=LINEAR, seed=0)

@@ -9,6 +9,7 @@ from sparsepolyak.objectives import LINEAR, LOGISTIC
 from sparsepolyak.rng import CHUNK_ROWS, STREAM_DESIGN, substream
 from sparsepolyak.synthdata import (
     DESIGN_BLOCK_BYTES,
+    DESIGN_BLOCK_MIN_ROWS,
     DesignSpec,
     NoiseSpec,
     RegularityParams,
@@ -34,7 +35,7 @@ def two_buffer_design(spec, seed):
 
 
 def block_rows(d):
-    return DESIGN_BLOCK_BYTES // (8 * d)
+    return max(DESIGN_BLOCK_MIN_ROWS, DESIGN_BLOCK_BYTES // (8 * d))
 
 
 def design_and_block_bytes(spec):
@@ -66,6 +67,13 @@ class TestGenerateDesign:
 
     def test_generation_holds_one_design_and_one_block(self):
         spec = DesignSpec(n=2000, d=200, omega=0.5)  # X 3.2 MB, block 655 rows (1.05 MB)
+        assert traced_peak(spec) < design_and_block_bytes(spec)
+
+    def test_wide_design_blocks_hold_the_minimum_rows(self):
+        spec = DesignSpec(n=20, d=20000, omega=0.5)  # 6 rows fit the bytes; blocks of 8, 8 and 4
+        assert DESIGN_BLOCK_BYTES // (8 * spec.d) < block_rows(spec.d) == DESIGN_BLOCK_MIN_ROWS
+        X = generate_design(spec, seed=11)
+        assert X.tobytes(order="F") == two_buffer_design(spec, seed=11).tobytes(order="F")
         assert traced_peak(spec) < design_and_block_bytes(spec)
 
     def test_iid_case_matches_identity_covariance(self):
