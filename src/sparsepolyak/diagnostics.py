@@ -15,6 +15,11 @@ gives both.
 design's dimension; only a step rule reads f(theta*), so `step_target`
 computes it, and only when no f_hat is given.
 
+`decomposition_margins` checks the paper's per-step thresholding-deviation
+inequality by replaying a one-cell run from its config and its trace's
+step sizes, so runs keep no iterates; the replay has the run's bits and
+checks every f against the trace.
+
 `run_instance_cells` is the one cell worker of the grid and sweep
 commands: it generates a seed's instance once, builds each (operator,
 step kind) cell's rule with `optimizer.make_step_rule`, advances all the
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import Dataset, ObjectiveModel, bregman_batch, target_value
+from .objectives import Dataset, GramRows, ObjectiveModel, bregman_batch, target_value, value_and_gradient
 from .optimizer import OptimizerError, RunConfig, RunTrace, default_ht_width, make_step_rule, run_batch
 from .rng import STREAM_CHECK, substream
 from .synthdata import (
@@ -203,26 +208,41 @@ def active_median_step(step_size: np.ndarray, plateau_iter: int) -> float:
     return float(np.median(active))
 
 
-def decomposition_margins(trace: RunTrace, theta_hat: np.ndarray, eta_bound: float) -> np.ndarray:
-    """Slack of the per-iteration thresholding-deviation inequality.
+def decomposition_margins(config: RunConfig, trace: RunTrace, theta_hat: np.ndarray,
+                          eta_bound: float) -> np.ndarray:
+    """Slack of the per-iteration thresholding-deviation inequality along a replayed run.
 
-    For each update, with union support S = supp(theta_{t+1}) | supp(theta_hat)
-    and pre-threshold point z = theta_t - gamma_t g_t, checks
+    Replays the one-cell `run(config)` that recorded ``trace``: from
+    theta_0 = config.theta0 + 0.0 (as the loop starts), f_t and g_t come
+    from `value_and_gradient` on the one-row batch with one `GramRows` for
+    the replay, and theta_{t+1} = Phi_s(z) at z = theta_t - gamma_t g_t,
+    with gamma_t the trace's step size.  For each update, with union
+    support S = supp(theta_{t+1}) | supp(theta_hat), it checks
 
         ||theta_{t+1} - theta_hat||^2 <= (1 + 4 eta) ||z|_S - theta_hat||^2
 
-    returning rhs - lhs per iteration (meaningful for eta <= 1/4).  Requires
-    a trace recorded with keep_iterates.
+    returning rhs - lhs per iteration (meaningful for eta <= 1/4).  Every
+    replayed f_t must equal the trace's bit for bit, or ValueError names
+    the first iteration that differs: another config's trace fails, and a
+    batch cell's (whose last bits depend on its batch) may.
     """
-    if trace.iterates is None or trace.pre_threshold is None:
-        raise ValueError("trace was not recorded with keep_iterates=True")
     hat = np.asarray(theta_hat, dtype=float)
+    gram = GramRows(config.model)
+    theta = config.theta0 + 0.0
     margins = []
-    for z, nxt in zip(trace.pre_threshold, trace.iterates[1:]):
-        union = np.union1d(np.flatnonzero(nxt), np.flatnonzero(hat))
+    for t, (f_rec, gamma) in enumerate(zip(trace.f_value.tolist(), trace.step_size.tolist())):
+        F, G = value_and_gradient(config.model, theta[None], gram)
+        if F[0] != f_rec:
+            raise ValueError(f"replay differs from the trace at iteration {t}: f = {F[0]:.17g}, "
+                             f"trace f = {f_rec:.17g}; the trace is not a one-cell run of this config")
+        if t == len(trace) - 1:
+            break
+        z = theta - gamma * G[0]
+        theta = config.operator.apply(z)
+        union = np.union1d(np.flatnonzero(theta), np.flatnonzero(hat))
         z_restricted = np.zeros_like(z)
         z_restricted[union] = z[union]
-        lhs = float(np.sum((nxt - hat) ** 2))
+        lhs = float(np.sum((theta - hat) ** 2))
         rhs = (1.0 + 4.0 * eta_bound) * float(np.sum((z_restricted - hat) ** 2))
         margins.append(rhs - lhs)
     return np.array(margins)

@@ -85,8 +85,10 @@ class Dataset:
             raise ValueError("X must be a nonempty n x d matrix")
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise ValueError(f"y must have length n = {X.shape[0]}, got shape {y.shape}")
-        # min and max propagate NaN and show +-inf, without an n x d mask
-        if not all(np.isfinite(a.min()) and np.isfinite(a.max()) for a in (X, y)):
+        # one pass over column blocks of about 1 MB of the column-major X, without an n x d mask
+        width = max(1, 2**20 // X[:, 0].nbytes)
+        if not (np.isfinite(y).all()
+                and all(np.isfinite(X[:, j:j + width]).all() for j in range(0, X.shape[1], width))):
             raise ValueError("dataset entries must be finite")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)

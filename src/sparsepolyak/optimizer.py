@@ -38,7 +38,8 @@ estimate are length-d vectors.  `run_batch` is the one iteration loop:
 it moves the iterates of configs that share a model as the rows of a
 B x d array, with one evaluation per iteration for all cells still
 running and per-cell selection, step rule, stop tests and trace rows.
-`run` is its one-cell case.
+`run` is its one-cell case.  A trace keeps no iterate but the last; a
+one-cell run replays bit for bit from its config and step sizes.
 
 A fixed-step baseline gamma = 1/L_hat with
 L_hat = lambda_max(Sigma) (3/4 + (2s + s*)/(10 s)) is included for
@@ -147,7 +148,12 @@ class RunConfig:
 
 @dataclass
 class RunTrace:
-    """Per-iteration record of a run, including the starting point; row t is iteration t."""
+    """Per-iteration record of a run, including the starting point; row t is iteration t.
+
+    A trace keeps the rows and the last iterate, not the iterates: a
+    one-cell run replays bit for bit from its config and ``step_size``
+    (see `diagnostics.decomposition_margins`).
+    """
 
     f_value: np.ndarray
     step_size: np.ndarray
@@ -156,8 +162,6 @@ class RunTrace:
     support_size: np.ndarray
     status: RunStatus
     final_theta: np.ndarray
-    iterates: list[np.ndarray] | None = None
-    pre_threshold: list[np.ndarray] | None = None
 
     def __len__(self):
         return self.f_value.size
@@ -246,7 +250,7 @@ def theoretical_floor(regularity: RegularityParams, grad_at_truth_ht_norm: float
 class _Cell:
     """One config's state in the lock-step loop: its rule, stop tests and trace rows."""
 
-    def __init__(self, config: RunConfig, keep_iterates: bool):
+    def __init__(self, config: RunConfig):
         self.config = config
         self.truth = config.theta_star
         f_hat = config.step_rule.f_hat
@@ -258,8 +262,6 @@ class _Cell:
         d = config.model.dim
         self.sq, self.abs_g = np.empty(d), np.empty(d)  # g * g for the norm, |g| for the step
         self.diff = None if self.truth is None else np.empty(d)
-        self.iterates = [config.theta0.copy()] if keep_iterates else None
-        self.pre_threshold = [] if keep_iterates else None
         self.status = None
         self.final_theta = None
 
@@ -305,11 +307,7 @@ class _Cell:
         elif t == self.config.max_iters:
             self.status = RunStatus.MAX_ITERS
         else:
-            if self.iterates is not None:
-                self.pre_threshold.append(theta - gamma * g_t)
             nxt, self.support = op.step(theta, gamma, g_t, self.support, self.abs_g)
-            if self.iterates is not None:
-                self.iterates.append(nxt.copy())
             return nxt
         self.final_theta = theta.copy()  # theta is a row of the batch buffer
         return None
@@ -324,12 +322,10 @@ class _Cell:
             support_size=np.array(nnz, dtype=int),
             status=self.status,
             final_theta=self.final_theta,
-            iterates=self.iterates,
-            pre_threshold=self.pre_threshold,
         )
 
 
-def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[RunTrace]:
+def run_batch(configs: list[RunConfig]) -> list[RunTrace]:
     """Run configs that share one model in lock step; one trace per config, in order.
 
     The iterates of the cells still running form a B x d array, so each
@@ -341,8 +337,10 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
     depends on how the batch's union moved, and so do the last bits of a
     cell.  Selection, the step rule, the stop tests and the trace rows are
     per cell, as in `run`; a cell leaves the batch when it stops, and a
-    certified step updates its row in place.  The
-    whole run is under one `np.errstate`.  Raises OptimizerError, naming
+    certified step updates its row in place.  A cell keeps its trace rows
+    and final iterate only; since a batch cell's last bits depend on its
+    batch, only a one-cell trace replays exactly (see `run`).  The whole
+    run is under one `np.errstate`.  Raises OptimizerError, naming
     the iteration and the cell, when a cell's objective, ||HT_w(grad)||^2
     or step size is not finite.
     """
@@ -351,7 +349,7 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
     model = configs[0].model
     if any(c.model is not model for c in configs):
         raise ValueError("run_batch needs configs that share one ObjectiveModel")
-    cells = [_Cell(c, keep_iterates) for c in configs]
+    cells = [_Cell(c) for c in configs]
     active = cells
     # a certified step leaves the zeros off its support as they are: + 0.0 makes a start's
     # -0.0 the +0.0 that the operator writes there
@@ -387,7 +385,7 @@ def run_batch(configs: list[RunConfig], keep_iterates: bool = False) -> list[Run
     return [cell.trace() for cell in cells]
 
 
-def run(config: RunConfig, keep_iterates: bool = False) -> RunTrace:
+def run(config: RunConfig) -> RunTrace:
     """Execute the thresholded descent loop and record every iteration.
 
     The trace row at t describes theta_t before the t-th update; the loop
@@ -395,9 +393,9 @@ def run(config: RunConfig, keep_iterates: bool = False) -> RunTrace:
     gap falls to the stop tolerance (CONVERGED) or the step rule stalls
     (STALLED_ZERO_GRADIENT); a stalled row records step size 0.
 
-    With keep_iterates, every iterate and every pre-threshold gradient step
-    is retained for invariant checks.  This is the one-cell case of
-    `run_batch`, whose products on a one-row batch have the bits of the
-    vector products.
+    This is the one-cell case of `run_batch`, whose products on a one-row
+    batch have the bits of the vector products.  Its iterates are not
+    kept: `diagnostics.decomposition_margins` replays them bit for bit
+    from the config and the trace's step sizes, and checks every f.
     """
-    return run_batch([config], keep_iterates)[0]
+    return run_batch([config])[0]

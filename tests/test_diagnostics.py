@@ -1,5 +1,7 @@
 """Diagnostics tests: checker soundness, power and slacks, profiles, operator comparison."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,21 @@ from sparsepolyak.diagnostics import (
     make_instance,
     plateau_level,
     run_instance_cells,
+    step_target,
     summarize_comparison,
 )
 from sparsepolyak.objectives import LINEAR, LOGISTIC, bregman_batch
-from sparsepolyak.optimizer import SPARSE_POLYAK, RunStatus, RunTrace
+from sparsepolyak.optimizer import (
+    CLASSIC_POLYAK,
+    FIXED,
+    SPARSE_POLYAK,
+    RunConfig,
+    RunStatus,
+    RunTrace,
+    default_ht_width,
+    make_step_rule,
+    run,
+)
 from sparsepolyak.rng import STREAM_CHECK, substream
 from sparsepolyak.synthdata import (
     DesignSpec,
@@ -25,7 +38,7 @@ from sparsepolyak.synthdata import (
     RegularityParams,
     compute_regularity,
 )
-from sparsepolyak.thresholding import HT, RT, ThresholdSpec
+from sparsepolyak.thresholding import HT, RT, ThresholdSpec, hard_threshold, relative_concavity_bound
 
 
 def trace_from_errors(errors, status=RunStatus.MAX_ITERS):
@@ -211,11 +224,58 @@ class TestPlateauDetection:
         assert active_median_step(steps, 0) == pytest.approx(4.0)
 
 
+def replay_config(family, kind, start, step_kind=SPARSE_POLYAK, max_iters=150):
+    """A one-cell config at s = 4 s* on a d = 300 instance, its truth, and its operator's eta <= 1/4."""
+    d, s_star = 300, 8
+    s = 4 * s_star
+    n = int(np.ceil(5 * s_star * np.log(d))) * (3 if family == LOGISTIC else 1)
+    design = DesignSpec(n=n, d=d, omega=0.5)
+    noise = NoiseSpec(family=family, sigma=0.5) if family == LINEAR else NoiseSpec(family=family)
+    model, theta_star = make_instance(design, s_star, noise, seed=7)
+    theta0 = None
+    if start == "negative_zeros":
+        # s nonzeros away from the truth, -0.0 everywhere else
+        drawn = hard_threshold(np.random.default_rng(1).standard_normal(d), s)
+        theta0 = np.where(drawn != 0.0, drawn, -0.0)
+    target = step_target(model, theta_star, None)
+    rule = make_step_rule(step_kind, target, default_ht_width(family), design, s, s_star)
+    config = RunConfig(model=model, operator=ThresholdSpec(kind=kind, s=s), step_rule=rule,
+                       max_iters=max_iters, theta0=theta0, theta_star=theta_star)
+    return config, theta_star, relative_concavity_bound(kind, s_star, s)
+
+
 class TestDecompositionMargins:
-    def test_requires_kept_iterates(self):
-        trace = trace_from_errors([1.0, 0.5])
-        with pytest.raises(ValueError):
-            decomposition_margins(trace, np.zeros(2), 0.25)
+    @pytest.mark.parametrize("family,kind,start,step_kind", [
+        (LINEAR, HT, "zero", SPARSE_POLYAK),
+        (LINEAR, RT, "negative_zeros", SPARSE_POLYAK),
+        (LINEAR, HT, "negative_zeros", CLASSIC_POLYAK),
+        (LINEAR, RT, "zero", FIXED),
+        (LOGISTIC, HT, "negative_zeros", SPARSE_POLYAK),
+        (LOGISTIC, RT, "zero", SPARSE_POLYAK),
+    ])
+    def test_replays_one_cell_runs(self, family, kind, start, step_kind):
+        config, theta_star, eta = replay_config(family, kind, start, step_kind)
+        if start == "negative_zeros":
+            assert np.signbit(config.theta0[config.theta0 == 0.0]).all()
+        trace = run(config)
+        assert np.count_nonzero(trace.step_size) > 0
+        assert eta <= 0.25
+        # the replay checks each f against the trace bit for bit and raises otherwise
+        margins = decomposition_margins(config, trace, theta_star, eta)
+        assert margins.size == len(trace) - 1
+        assert np.all(margins >= -1e-9)
+
+    def test_names_the_first_iteration_that_differs(self):
+        config, theta_star, _ = replay_config(LINEAR, HT, "negative_zeros", max_iters=20)
+        trace = run(config)
+        moved = replace(trace, f_value=trace.f_value.copy())
+        moved.f_value[5] = np.nextafter(moved.f_value[5], np.inf)
+        with pytest.raises(ValueError, match="at iteration 5:"):
+            decomposition_margins(config, moved, theta_star, 0.25)
+        # another config's trace: the same start, so its rows part at the first step
+        other = replace(config, operator=ThresholdSpec(kind=RT, s=config.operator.s))
+        with pytest.raises(ValueError, match="at iteration 1:"):
+            decomposition_margins(other, trace, theta_star, 0.25)
 
 
 class TestCompareOperators:

@@ -524,6 +524,21 @@ class TestDomainTypes:
         (X if where == "X" else y)[1] = bad
         with pytest.raises(ValueError, match="must be finite"):
             Dataset(X=X, y=y)
+        # 1000 x 400 is four column blocks of the finiteness pass (131, 131, 131 and 7
+        # columns); the bad entry sits in the last one
+        X, y = np.ones((1000, 400), order="F"), np.zeros(1000)
+        if where == "X":
+            X[-1, -1] = bad
+        else:
+            y[-1] = bad
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="must be finite"):
+                Dataset(X=X, y=y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.size // 2  # an n x d mask of X would take X.size bytes
 
     def test_logistic_responses_validated(self):
         with pytest.raises(ValueError):

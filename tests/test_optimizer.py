@@ -379,12 +379,10 @@ class TestRunBatch:
     def test_mixed_batch_matches_one_cell_runs(self, kind):
         model, (s_lo, s_hi) = zero_response_model(kind)
         configs = mixed_configs(model, s_lo, s_hi)
-        batch = run_batch(configs, keep_iterates=True)
+        batch = run_batch(configs)
         singles = [run(c) for c in configs]
         for b, single in zip(batch, singles):
             assert_same_cell(b, single)
-            assert len(b.iterates) == len(b) and len(b.pre_threshold) == len(b) - 1
-            np.testing.assert_array_equal(b.iterates[-1], b.final_theta)
         statuses = [b.status for b in batch]
         assert statuses[6:] == [RunStatus.CONVERGED, RunStatus.STALLED_ZERO_GRADIENT]
         assert len(batch[6]) == len(batch[7]) == 1
@@ -687,7 +685,7 @@ class TestContractionInvariants:
             assert eta <= 0.25
             model, theta_star, f_hat = linear_instance(n, d, s_star, 0.5, 0.5, seed=7)
             config = basic_config(model, theta_star, f_hat, s=s, kind=kind, max_iters=150)
-            trace = run(config, keep_iterates=True)
-            margins = decomposition_margins(trace, theta_star, eta)
+            trace = run(config)
+            margins = decomposition_margins(config, trace, theta_star, eta)
             assert margins.size == len(trace) - 1
             assert np.all(margins >= -1e-9)
