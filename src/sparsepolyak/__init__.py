@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .objectives import (
     LINEAR,
     LOGISTIC,
-    Dataset,
     ObjectiveModel,
     objective_value,
     target_value,
@@ -62,7 +61,7 @@ from .thresholding import (
 
 __all__ = [
     "__version__",
-    "LINEAR", "LOGISTIC", "Dataset", "ObjectiveModel", "objective_value", "target_value",
+    "LINEAR", "LOGISTIC", "ObjectiveModel", "objective_value", "target_value",
     "CLASSIC_POLYAK", "FIXED", "SPARSE_POLYAK",
     "OptimizerError", "RunConfig", "RunStatus", "RunTrace",
     "StalledZeroGradientError", "StepRule",

@@ -109,7 +109,7 @@ def cmd_run(cfg: ExperimentConfig, out_root: Path) -> int:
     write_trace_csv(trace, out_dir / "trace.csv")
     _, hit = plateau(trace.error_sq)
     write_summary_json(out_dir / "summary.json", trace, cfg.echo, iters_to_floor=hit)
-    dataset_to_npz(model.data, out_dir / "dataset.npz", cfg.noise.family, cfg.seed)
+    dataset_to_npz(model, out_dir / "dataset.npz", cfg.seed)
     _publish(out_root, "run", cfg, [cfg.seed], {},
              f"run: status={trace.status.value} iters={len(trace) - 1} "
              f"final_f={trace.f_value[-1]:.6g} final_error_sq={trace.error_sq[-1]:.6g}\n")

@@ -1,11 +1,12 @@
 """File formats: the dataset container, run traces, summaries, manifests.
 
-A dataset is written as NPZ: binary arrays X, y plus a JSON metadata header
-(n, d, family, seed, schema version) for exact replay.  The container is the
-one `np.savez` builds, byte for byte (a stored zip64 archive with ZipFile's
-fixed 1980 timestamps), but each `.npy` member is streamed from its array's
-own buffer, so writing it holds no copy of X.  Schema version 2 added the
-``status`` and ``iterations`` columns of the grid and sweep CSVs.
+A problem record `ObjectiveModel(family, X, y)` is written as a dataset NPZ:
+binary arrays X, y plus a JSON metadata header (n, d, the model's family,
+seed, schema version) for exact replay.  The container is the one
+`np.savez` builds, byte for byte (a stored zip64 archive with ZipFile's
+fixed 1980 timestamps), but each `.npy` member is streamed from its
+array's own buffer, so writing it holds no copy of X.  Schema version 2
+added the ``status`` and ``iterations`` columns of the grid and sweep CSVs.
 
 Run traces are CSV with the fixed header
 ``iter,f_value,step_size,grad_ht_norm_sq,error_sq,support_size`` and 12
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .objectives import Dataset
+from .objectives import ObjectiveModel
 from .optimizer import RunTrace
 
 SCHEMA_VERSION = 2
@@ -147,15 +148,16 @@ def _write_npy(archive: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
         member.write(memoryview(array.T if header["fortran_order"] else array))
 
 
-def dataset_to_npz(data: Dataset, path, family: str, seed: int) -> None:
+def dataset_to_npz(model: ObjectiveModel, path, seed: int) -> None:
+    """Write the model's X and y, with its family and the generating seed, as a dataset NPZ."""
     meta = {
         "schema_version": SCHEMA_VERSION,
-        "n": data.n,
-        "d": data.d,
-        "family": family,
+        "n": model.n,
+        "d": model.d,
+        "family": model.family,
         "seed": int(seed),
     }
-    arrays = {"X": data.X, "y": data.y, "meta": np.array(json.dumps(meta, sort_keys=True))}
+    arrays = {"X": model.X, "y": model.y, "meta": np.array(json.dumps(meta, sort_keys=True))}
     with _atomic_file(path) as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
         for name, array in arrays.items():
             _write_npy(archive, name, array)

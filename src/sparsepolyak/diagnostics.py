@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import Dataset, GramRows, ObjectiveModel, bregman_batch, target_value, value_and_gradient
+from .objectives import GramRows, ObjectiveModel, bregman_batch, target_value, value_and_gradient
 from .optimizer import OptimizerError, RunConfig, RunTrace, default_ht_width, make_step_rule, run_batch
 from .rng import STREAM_CHECK, substream
 from .synthdata import (
@@ -142,7 +142,7 @@ def check_assumptions(
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
     rng = substream(seed, STREAM_CHECK)
-    Theta1, Theta2 = _sample_pairs(model.dim, params.s, pairs, rng)
+    Theta1, Theta2 = _sample_pairs(model.d, params.s, pairs, rng)
     breg, n2, n1_sq = np.empty(pairs), np.empty(pairs), np.empty(pairs)
     for i in range(0, pairs, CHECK_CHUNK):
         rows = slice(i, i + CHECK_CHUNK)
@@ -262,7 +262,7 @@ def make_instance(design: DesignSpec, s_star: int, noise: NoiseSpec, seed: int):
     X = generate_design(design, seed)
     theta_star = generate_truth(design.d, s_star, seed)
     y = generate_responses(X, theta_star, noise, seed)
-    return ObjectiveModel(family=noise.family, data=Dataset(X=X, y=y)), theta_star
+    return ObjectiveModel(family=noise.family, X=X, y=y), theta_star
 
 
 def step_target(model: ObjectiveModel, theta_star: np.ndarray, f_hat: float | None) -> float:

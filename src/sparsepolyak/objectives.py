@@ -1,6 +1,8 @@
 """GLM objectives: squared-error and logistic losses with a shared cumulant form.
 
-The loss of a parameter vector theta on data (X, y) is the 1/n-averaged
+One problem is one `ObjectiveModel(family, X, y)`: a GLM family, an n x d
+design and n responses.  The loss of a parameter vector theta is the
+1/n-averaged
 
     f(theta) = (1/n) sum_i [ psi(x_i' theta) - y_i x_i' theta ]
 
@@ -67,18 +69,22 @@ def softplus(t):
 
 
 @dataclass(frozen=True)
-class Dataset:
-    """Design matrix (n samples x d features) and length-n response vector.
+class ObjectiveModel:
+    """One M-estimation problem: a GLM family, an n x d design X and a length-n response y.
 
     X is stored column-major (a no-op for a generated design), so the
     columns a forward product gathers are contiguous, and y contiguous, so
-    `dataio` can write each array from its own buffer.
+    `dataio` can write each array from its own buffer.  The family is
+    checked first, then the data, then that logistic responses are 0 or 1.
     """
 
+    family: str
     X: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}; expected one of {_FAMILIES}")
         X = np.asfortranarray(self.X, dtype=float)
         y = np.asarray(self.y, dtype=float, order="C")
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
@@ -90,6 +96,8 @@ class Dataset:
         if not (np.isfinite(y).all()
                 and all(np.isfinite(X[:, j:j + width]).all() for j in range(0, X.shape[1], width))):
             raise ValueError("dataset entries must be finite")
+        if self.family == LOGISTIC and not np.all((y == 0.0) | (y == 1.0)):
+            raise ValueError("logistic responses must be in {0, 1}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
@@ -102,33 +110,13 @@ class Dataset:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
-class ObjectiveModel:
-    """A GLM family bound to a dataset."""
-
-    family: str
-    data: Dataset
-
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {_FAMILIES}")
-        if self.family == LOGISTIC:
-            y = self.data.y
-            if not np.all((y == 0.0) | (y == 1.0)):
-                raise ValueError("logistic responses must be in {0, 1}")
-
-    @property
-    def dim(self) -> int:
-        return self.data.d
-
-
 def _as_params(model: ObjectiveModel, theta) -> np.ndarray:
     """A 1-d vector or a B x d batch of row vectors, checked against the model."""
     v = np.asarray(theta, dtype=float)
     if v.ndim not in (1, 2):
         raise ValueError("parameter must be a 1-d vector or a B x d batch")
-    if v.shape[-1] != model.dim:
-        raise ValueError(f"parameter has dimension {v.shape[-1]}, expected {model.dim}")
+    if v.shape[-1] != model.d:
+        raise ValueError(f"parameter has dimension {v.shape[-1]}, expected {model.d}")
     return v
 
 
@@ -143,9 +131,9 @@ def _forward_product(model: ObjectiveModel, v: np.ndarray, cols: np.ndarray) -> 
     Multiplies the columns cols, or all columns when they span more than
     `GATHER_MAX_FRAC` of them.
     """
-    if cols.size > GATHER_MAX_FRAC * model.dim:
+    if cols.size > GATHER_MAX_FRAC * model.d:
         cols = slice(None)
-    return v[..., cols] @ model.data.X.T[cols]
+    return v[..., cols] @ model.X.T[cols]
 
 
 def _loss_and_residual(model: ObjectiveModel, U: np.ndarray):
@@ -157,7 +145,7 @@ def _loss_and_residual(model: ObjectiveModel, U: np.ndarray):
     `np.einsum` does not), so a one-row batch has the bits of the vector
     call.  U is a product's own output: the linear residual overwrites it.
     """
-    y, n = model.data.y, model.data.n
+    y, n = model.y, model.n
     if model.family == LINEAR:
         R = np.subtract(U, y, out=U)
         f = 0.5 * np.vecdot(R, R) / n
@@ -168,7 +156,7 @@ def _loss_and_residual(model: ObjectiveModel, U: np.ndarray):
 
 
 class GramRows:
-    """Cached design columns x_j of a run's support union, with their Gram rows x_j' X / n if linear.
+    """Cached columns x_j of the model's X in a run's support union, with Gram rows x_j' X / n if linear.
 
     A column that enters the support union takes the lowest slot whose
     column has left the union, or, when every used slot holds a column of
@@ -198,18 +186,18 @@ class GramRows:
     given the same ``cols`` array object as the previous call (the loop
     passes an unchanged union unchanged) skips the slot lookup.
 
-    The block is valid for one model and is not freed until the object
-    is: create one per run (`optimizer.run_batch` does) rather than
-    keeping it on the model.
+    The block is valid for one model, whose X and y it reads, and is not
+    freed until the object is: create one per run (`optimizer.run_batch`
+    does) rather than keeping it on the model.
     """
 
     def __init__(self, model: ObjectiveModel):
         self.model = model
-        self.cap = min(int(GATHER_MAX_FRAC * model.data.n), model.dim)
-        self.slot = np.full(model.dim, -1, dtype=np.intp)  # column -> slot, -1 if absent
+        self.cap = min(int(GATHER_MAX_FRAC * model.n), model.d)
+        self.slot = np.full(model.d, -1, dtype=np.intp)  # column -> slot, -1 if absent
         self.used = 0
         self.computed = 0
-        width = model.data.n + (model.dim if model.family == LINEAR else 0)
+        width = model.n + (model.d if model.family == LINEAR else 0)
         self.block = np.empty((self.cap, width))
         # after the block: before it, glibc's heap layout kept ~5 MB more resident on grid_logistic
         self.order = np.empty(self.cap, dtype=np.intp)  # slot -> column
@@ -231,10 +219,10 @@ class GramRows:
 
     def _fill(self, cols: np.ndarray) -> None:
         """Give every column of cols a slot: the lowest slots of columns not in cols, then new ones."""
-        X, n = self.model.data.X, self.model.data.n
+        X, n = self.model.X, self.model.n
         linear = self.model.family == LINEAR
         if linear and self.xty is None:
-            self.xty = self.model.data.y @ X / n
+            self.xty = self.model.y @ X / n
         held = self.slot[cols]
         new = cols[held < 0]
         if not new.size:
@@ -279,10 +267,10 @@ def value_and_gradient(model: ObjectiveModel, theta, gram: GramRows | None = Non
     if cols is None:
         cols = support_union(v)
     Y = None if gram is None else gram.product(v, cols)
-    n = model.data.n
+    n = model.n
     f, R = _loss_and_residual(model, _forward_product(model, v, cols) if Y is None else Y[..., :n])
     if Y is None or model.family != LINEAR:
-        return f, R @ model.data.X / n
+        return f, R @ model.X / n
     G = Y[..., n:]
     G -= gram.xty
     return f, G
@@ -308,13 +296,13 @@ def bregman_batch(model: ObjectiveModel, Theta1: np.ndarray, Theta2: np.ndarray)
     """
     Theta1 = np.asarray(Theta1, dtype=float)
     Theta2 = np.asarray(Theta2, dtype=float)
-    if Theta1.shape != Theta2.shape or Theta1.ndim != 2 or Theta1.shape[1] != model.dim:
+    if Theta1.shape != Theta2.shape or Theta1.ndim != 2 or Theta1.shape[1] != model.d:
         raise ValueError("batches must be equal-shape B x d")
-    X = model.data.X
+    X = model.X
     U1 = X @ Theta1.T
     U2 = X @ Theta2.T
     if model.family == LINEAR:
         D = U1 - U2
-        return 0.5 * np.einsum("ij,ij->j", D, D) / model.data.n
+        return 0.5 * np.einsum("ij,ij->j", D, D) / model.n
     vals = softplus(U1) - softplus(U2) - sigmoid(U2) * (U1 - U2)
     return np.mean(vals, axis=0)

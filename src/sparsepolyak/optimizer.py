@@ -129,7 +129,7 @@ class RunConfig:
     theta_star: np.ndarray | None = None
 
     def __post_init__(self):
-        d = self.model.dim
+        d = self.model.d
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         if self.operator.s > d:
@@ -256,10 +256,10 @@ class _Cell:
         f_hat = config.step_rule.f_hat
         self.stop_tol = None if f_hat is None else 1e-12 * (abs(f_hat) + 1.0)
         s = config.operator.s
-        self.width = min(s if config.step_rule.ht_width == WIDTH_S else 2 * s, config.model.dim)
+        self.width = min(s if config.step_rule.ht_width == WIDTH_S else 2 * s, config.model.d)
         self.rows = []  # row t: (f, gamma, ||HT_w(grad)||^2, squared error, support size)
         self.support = np.flatnonzero(config.theta0)  # of the current iterate, ascending
-        d = config.model.dim
+        d = config.model.d
         self.sq, self.abs_g = np.empty(d), np.empty(d)  # g * g for the norm, |g| for the step
         self.diff = None if self.truth is None else np.empty(d)
         self.status = None

@@ -162,9 +162,9 @@ def generate_design(spec: DesignSpec, seed: int) -> np.ndarray:
     """Draw the n x d design; one RNG substream per sample row.
 
     X is column-major, so the column recursion runs in place on contiguous
-    columns and `Dataset` stores it without a copy.  The row streams come
-    from `substreams`, whose per-row seeding costs a few microseconds next
-    to the row's d normals.  Each row's normals are drawn into a row-major
+    columns and `ObjectiveModel` stores it without a copy.  The row streams
+    come from `substreams`, whose per-row seeding costs a few microseconds
+    next to the row's d normals.  Each row's normals are drawn into a row-major
     block (see `_draw_rows`) and the block is copied into X; the
     recursion runs in place.  So generation holds X plus about one block,
     never a second n x d buffer.  The columns are not rescaled: X's

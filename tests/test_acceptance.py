@@ -33,7 +33,6 @@ from sparsepolyak.diagnostics import (
 from sparsepolyak.objectives import (
     LINEAR,
     LOGISTIC,
-    Dataset,
     ObjectiveModel,
     objective_value,
     value_and_gradient,
@@ -150,7 +149,7 @@ class TestC03GradientCorrectness:
                 d = int(rng.integers(2, 21))
                 X = rng.standard_normal((n, d))
                 y = rng.standard_normal(n) if family == LINEAR else rng.integers(0, 2, n).astype(float)
-                model = ObjectiveModel(family=family, data=Dataset(X=X, y=y))
+                model = ObjectiveModel(family=family, X=X, y=y)
                 theta = rng.standard_normal(d)
                 g = value_and_gradient(model, theta)[1]
                 fd = np.empty(d)
@@ -180,7 +179,7 @@ class TestC04NoiselessExactRecovery:
             design = DesignSpec(n=n, d=d, omega=omega)
             X = generate_design(design, seed)
             theta_star = generate_truth(d, s_star, seed)
-            model = ObjectiveModel(family=LINEAR, data=Dataset(X=X, y=X @ theta_star))
+            model = ObjectiveModel(family=LINEAR, X=X, y=X @ theta_star)
             config = RunConfig(
                 model=model,
                 operator=ThresholdSpec(kind=HT, s=s_star),

@@ -22,7 +22,7 @@ from sparsepolyak.dataio import (
     write_summary_json,
     write_trace_csv,
 )
-from sparsepolyak.objectives import Dataset, LINEAR
+from sparsepolyak.objectives import LINEAR, LOGISTIC, ObjectiveModel
 from sparsepolyak.optimizer import RunStatus, RunTrace
 from sparsepolyak.synthdata import DesignSpec, generate_design
 
@@ -109,13 +109,13 @@ class TestTraceCsv:
 class TestDatasetContainers:
     def test_npz_round_trip_with_metadata(self, tmp_path):
         rng = np.random.default_rng(1)
-        data = Dataset(X=rng.standard_normal((5, 4)), y=rng.standard_normal(5))
+        model = ObjectiveModel(family=LINEAR, X=rng.standard_normal((5, 4)), y=rng.standard_normal(5))
         path = tmp_path / "data.npz"
-        dataset_to_npz(data, path, family=LINEAR, seed=17)
+        dataset_to_npz(model, path, seed=17)
         with np.load(path, allow_pickle=False) as archive:
             X, y, meta = archive["X"], archive["y"], json.loads(str(archive["meta"]))
-        assert X.tobytes() == data.X.tobytes()
-        assert y.tobytes() == data.y.tobytes()
+        assert X.tobytes() == model.X.tobytes()
+        assert y.tobytes() == model.y.tobytes()
         assert meta["n"] == 5 and meta["d"] == 4
         assert meta["family"] == LINEAR and meta["seed"] == 17
 
@@ -126,8 +126,20 @@ class TestDatasetContainers:
         X = generate_design(DesignSpec(n=n, d=d, omega=0.5), seed=3)
         y = np.random.default_rng(2).standard_normal(2 * n)[::2]
         path = tmp_path / "data.npz"
-        dataset_to_npz(Dataset(X=X, y=y), path, family=LINEAR, seed=5)
+        dataset_to_npz(ObjectiveModel(family=LINEAR, X=X, y=y), path, seed=5)
         meta = {"schema_version": SCHEMA_VERSION, "n": n, "d": d, "family": LINEAR, "seed": 5}
+        expected = io.BytesIO()
+        np.savez(expected, X=X, y=y, meta=json.dumps(meta, sort_keys=True))
+        assert path.read_bytes() == expected.getvalue()
+
+    def test_logistic_npz_takes_the_family_from_the_model(self, tmp_path):
+        X = generate_design(DesignSpec(n=20, d=6, omega=0.5), seed=1)
+        y = (np.random.default_rng(4).random(20) < 0.5).astype(float)
+        path = tmp_path / "data.npz"
+        dataset_to_npz(ObjectiveModel(family=LOGISTIC, X=X, y=y), path, seed=9)
+        with np.load(path, allow_pickle=False) as archive:
+            assert json.loads(str(archive["meta"]))["family"] == LOGISTIC
+        meta = {"schema_version": SCHEMA_VERSION, "n": 20, "d": 6, "family": LOGISTIC, "seed": 9}
         expected = io.BytesIO()
         np.savez(expected, X=X, y=y, meta=json.dumps(meta, sort_keys=True))
         assert path.read_bytes() == expected.getvalue()
@@ -135,10 +147,10 @@ class TestDatasetContainers:
     def test_npz_write_holds_no_copy_of_the_design(self, tmp_path):
         # np.savez copies X into bytes objects before writing (5.5 MB here)
         X = generate_design(DesignSpec(n=691, d=1000, omega=0.5), seed=0)
-        data = Dataset(X=X, y=np.ones(691))
+        model = ObjectiveModel(family=LINEAR, X=X, y=np.ones(691))
         tracemalloc.start()
         try:
-            dataset_to_npz(data, tmp_path / "data.npz", family=LINEAR, seed=0)
+            dataset_to_npz(model, tmp_path / "data.npz", seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -187,8 +199,8 @@ class TestSummaryAndHash:
         old = os.umask(0o027)
         try:
             atomic_write_text(tmp_path / "a.txt", "payload")
-            dataset_to_npz(Dataset(X=np.ones((2, 2)), y=np.ones(2)), tmp_path / "d.npz",
-                           family=LINEAR, seed=0)
+            dataset_to_npz(ObjectiveModel(family=LINEAR, X=np.ones((2, 2)), y=np.ones(2)),
+                           tmp_path / "d.npz", seed=0)
             (tmp_path / "plain.txt").write_text("payload")
         finally:
             os.umask(old)
@@ -201,6 +213,6 @@ class TestSummaryAndHash:
 
         monkeypatch.setattr(zipfile.ZipFile, "open", fail)
         with pytest.raises(OSError, match="disk full"):
-            dataset_to_npz(Dataset(X=np.ones((2, 2)), y=np.ones(2)), tmp_path / "d.npz",
-                           family=LINEAR, seed=0)
+            dataset_to_npz(ObjectiveModel(family=LINEAR, X=np.ones((2, 2)), y=np.ones(2)),
+                           tmp_path / "d.npz", seed=0)
         assert list(tmp_path.iterdir()) == []

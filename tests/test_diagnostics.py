@@ -137,7 +137,7 @@ class TestCheckerSlacks:
 
     @staticmethod
     def expected(model, params, pairs, seed):
-        Theta1, Theta2 = _sample_pairs(model.dim, params.s, pairs, substream(seed, STREAM_CHECK))
+        Theta1, Theta2 = _sample_pairs(model.d, params.s, pairs, substream(seed, STREAM_CHECK))
         breg = bregman_batch(model, Theta1, Theta2)
         diff = Theta1 - Theta2
         n2 = np.einsum("ij,ij->i", diff, diff)

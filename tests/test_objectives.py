@@ -13,7 +13,6 @@ from sparsepolyak.objectives import (
     GATHER_MAX_FRAC,
     LINEAR,
     LOGISTIC,
-    Dataset,
     GramRows,
     ObjectiveModel,
     _as_params,
@@ -56,12 +55,12 @@ def random_model(rng, family):
         y = rng.standard_normal(n)
     else:
         y = rng.integers(0, 2, size=n).astype(float)
-    return ObjectiveModel(family=family, data=Dataset(X=X, y=y))
+    return ObjectiveModel(family=family, X=X, y=y)
 
 
 def one_sample(family):
     """A one-sample, one-feature model with x = 1 and y = 0: U = theta, f = psi(theta)."""
-    return ObjectiveModel(family=family, data=Dataset(X=[[1.0]], y=[0.0]))
+    return ObjectiveModel(family=family, X=[[1.0]], y=[0.0])
 
 
 class TestCumulant:
@@ -99,26 +98,29 @@ class TestCumulant:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             one_sample("poisson")
+        # the family is checked before the data
+        with pytest.raises(ValueError, match="unknown family 'poisson'"):
+            ObjectiveModel(family="poisson", X=[[1.0, np.nan]], y=[1.0])
 
 
 class TestObjectiveValue:
     def test_linear_single_sample(self):
-        model = ObjectiveModel(family=LINEAR, data=Dataset(X=[[1.0, 0.0]], y=[1.0]))
+        model = ObjectiveModel(family=LINEAR, X=[[1.0, 0.0]], y=[1.0])
         assert objective_value(model, [0.0, 0.0]) == pytest.approx(0.5)
 
     def test_logistic_at_zero_is_log_two(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((7, 3))
         y = rng.integers(0, 2, size=7).astype(float)
-        model = ObjectiveModel(family=LOGISTIC, data=Dataset(X=X, y=y))
+        model = ObjectiveModel(family=LOGISTIC, X=X, y=y)
         assert objective_value(model, np.zeros(3)) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_linear_interpolation_is_zero(self):
-        model = ObjectiveModel(family=LINEAR, data=Dataset(X=[[1.0, 0.0], [0.0, 1.0]], y=[2.0, 4.0]))
+        model = ObjectiveModel(family=LINEAR, X=[[1.0, 0.0], [0.0, 1.0]], y=[2.0, 4.0])
         assert objective_value(model, [2.0, 4.0]) == 0.0
 
     def test_dimension_mismatch(self):
-        model = ObjectiveModel(family=LINEAR, data=Dataset(X=[[1.0, 0.0]], y=[1.0]))
+        model = ObjectiveModel(family=LINEAR, X=[[1.0, 0.0]], y=[1.0])
         with pytest.raises(ValueError):
             objective_value(model, [1.0, 2.0, 3.0])
 
@@ -126,17 +128,17 @@ class TestObjectiveValue:
         rng = np.random.default_rng(1)
         for _ in range(50):
             model = random_model(rng, LOGISTIC)
-            theta = rng.standard_normal(model.dim)
+            theta = rng.standard_normal(model.d)
             assert objective_value(model, theta) >= -1e-12
 
 
 class TestGradient:
     def test_linear_single_sample(self):
-        model = ObjectiveModel(family=LINEAR, data=Dataset(X=[[1.0, 0.0]], y=[1.0]))
+        model = ObjectiveModel(family=LINEAR, X=[[1.0, 0.0]], y=[1.0])
         np.testing.assert_allclose(value_and_gradient(model, [0.0, 0.0])[1], [-1.0, 0.0])
 
     def test_logistic_single_sample(self):
-        model = ObjectiveModel(family=LOGISTIC, data=Dataset(X=[[2.0, 0.0]], y=[1.0]))
+        model = ObjectiveModel(family=LOGISTIC, X=[[2.0, 0.0]], y=[1.0])
         np.testing.assert_allclose(value_and_gradient(model, [0.0, 0.0])[1], [-1.0, 0.0])
 
     @pytest.mark.parametrize("family", [LINEAR, LOGISTIC])
@@ -144,7 +146,7 @@ class TestGradient:
         rng = np.random.default_rng(42)
         for _ in range(100):
             model = random_model(rng, family)
-            theta = rng.standard_normal(model.dim)
+            theta = rng.standard_normal(model.d)
             g = value_and_gradient(model, theta)[1]
             fd = finite_difference_gradient(model, theta)
             scale = np.maximum(np.abs(fd), 1e-3)
@@ -154,13 +156,13 @@ class TestGradient:
         rng = np.random.default_rng(9)
         for _ in range(30):
             model = random_model(rng, LINEAR)
-            theta = rng.standard_normal(model.dim)
-            X, y = model.data.X, model.data.y
-            expected = X.T @ (X @ theta - y) / model.data.n
+            theta = rng.standard_normal(model.d)
+            X, y = model.X, model.y
+            expected = X.T @ (X @ theta - y) / model.n
             np.testing.assert_allclose(value_and_gradient(model, theta)[1], expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        model = ObjectiveModel(family=LINEAR, data=Dataset(X=[[1.0, 0.0]], y=[1.0]))
+        model = ObjectiveModel(family=LINEAR, X=[[1.0, 0.0]], y=[1.0])
         with pytest.raises(ValueError):
             value_and_gradient(model, [1.0])[1]
 
@@ -171,8 +173,8 @@ class TestConvexity:
         rng = np.random.default_rng(23)
         for _ in range(100):
             model = random_model(rng, family)
-            t1 = rng.standard_normal(model.dim)
-            t2 = rng.standard_normal(model.dim)
+            t1 = rng.standard_normal(model.d)
+            t2 = rng.standard_normal(model.d)
             lam = rng.uniform(0.01, 0.99)
             mid = objective_value(model, lam * t1 + (1 - lam) * t2)
             chord = lam * objective_value(model, t1) + (1 - lam) * objective_value(model, t2)
@@ -184,17 +186,17 @@ class TestTargetValue:
         rng = np.random.default_rng(4)
         X = rng.standard_normal((12, 5))
         theta = rng.standard_normal(5)
-        model = ObjectiveModel(family=LINEAR, data=Dataset(X=X, y=X @ theta))
+        model = ObjectiveModel(family=LINEAR, X=X, y=X @ theta)
         assert target_value(model, theta) <= 1e-28
 
     def test_single_point(self):
-        model = ObjectiveModel(family=LINEAR, data=Dataset(X=[[1.0]], y=[2.0]))
+        model = ObjectiveModel(family=LINEAR, X=[[1.0]], y=[2.0])
         assert target_value(model, [1.0]) == pytest.approx(0.5)
 
     def test_logistic_zero_truth(self):
         rng = np.random.default_rng(5)
         model = random_model(rng, LOGISTIC)
-        assert target_value(model, np.zeros(model.dim)) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert target_value(model, np.zeros(model.d)) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 class TestFusedEvaluation:
@@ -203,7 +205,7 @@ class TestFusedEvaluation:
         rng = np.random.default_rng(19)
         for _ in range(25):
             model = random_model(rng, family)
-            theta = rng.standard_normal(model.dim)
+            theta = rng.standard_normal(model.d)
             f, g = value_and_gradient(model, theta)
             assert f == objective_value(model, theta)
             assert g.tobytes() == value_and_gradient(model, theta)[1].tobytes()
@@ -214,7 +216,7 @@ class TestBatchEvaluation:
     def test_batch_matches_scalar(self, family):
         rng = np.random.default_rng(31)
         model = random_model(rng, family)
-        Thetas = rng.standard_normal((16, model.dim))
+        Thetas = rng.standard_normal((16, model.d))
         batch_f, batch_g = value_and_gradient(model, Thetas)
         singles = [objective_value(model, row) for row in Thetas]
         np.testing.assert_allclose(batch_f, singles, rtol=1e-12, atol=1e-14)
@@ -226,8 +228,8 @@ class TestBatchEvaluation:
     def test_bregman_matches_definition(self, family):
         rng = np.random.default_rng(37)
         model = random_model(rng, family)
-        T1 = rng.standard_normal((8, model.dim))
-        T2 = rng.standard_normal((8, model.dim))
+        T1 = rng.standard_normal((8, model.d))
+        T2 = rng.standard_normal((8, model.d))
         batch = bregman_batch(model, T1, T2)
         direct = [
             objective_value(model, a) - objective_value(model, b) - value_and_gradient(model, b)[1] @ (a - b)
@@ -246,12 +248,12 @@ class TestSupportForwardProduct:
         rng = np.random.default_rng(43)
         X = rng.standard_normal((self.n, self.d))  # row-major, as a caller may pass it
         y = rng.standard_normal(self.n) if family == LINEAR else (rng.random(self.n) < 0.5).astype(float)
-        return ObjectiveModel(family=family, data=Dataset(X=X, y=y)), X
+        return ObjectiveModel(family=family, X=X, y=y), X
 
     @staticmethod
     def assert_matches_dense(model, X, Theta):
         f, R = loss_and_residual(model, Theta)
-        y, n = model.data.y, model.data.n
+        y, n = model.y, model.n
         for j, theta in enumerate(np.atleast_2d(Theta)):
             u = X @ theta
             if model.family == LINEAR:
@@ -272,9 +274,9 @@ class TestSupportForwardProduct:
         zero = np.zeros(self.d)
         _, R = loss_and_residual(model, zero)
         if family == LINEAR:
-            assert np.array_equal(R, -model.data.y)
+            assert np.array_equal(R, -model.y)
         else:
-            assert np.array_equal(R, 0.5 - model.data.y)
+            assert np.array_equal(R, 0.5 - model.y)
         self.assert_matches_dense(model, X, zero)
         k = int(GATHER_MAX_FRAC * self.d)  # the widest union still gathered
         sparse = np.zeros(self.d)
@@ -296,11 +298,11 @@ class TestSupportForwardProduct:
 
     def test_design_is_stored_column_major_without_a_copy(self):
         model, X = self.model(LINEAR)
-        assert X.flags.c_contiguous and model.data.X.flags.f_contiguous
-        assert np.array_equal(model.data.X, X)
+        assert X.flags.c_contiguous and model.X.flags.f_contiguous
+        assert np.array_equal(model.X, X)
         design = generate_design(DesignSpec(n=30, d=12, omega=0.5), seed=0)
         assert design.flags.f_contiguous
-        assert np.shares_memory(design, Dataset(X=design, y=np.zeros(30)).X)
+        assert np.shares_memory(design, ObjectiveModel(family=LINEAR, X=design, y=np.zeros(30)).X)
 
 
 class TestGramGradient:
@@ -312,16 +314,16 @@ class TestGramGradient:
         rng = np.random.default_rng(59)
         X = rng.standard_normal((self.n, self.d))
         y = rng.standard_normal(self.n) if family == LINEAR else (rng.random(self.n) < 0.5).astype(float)
-        return ObjectiveModel(family=family, data=Dataset(X=X, y=y))
+        return ObjectiveModel(family=family, X=X, y=y)
 
     @staticmethod
     def full_gradient(model, Theta):
         _, R = loss_and_residual(model, Theta)
-        return R @ model.data.X / model.data.n
+        return R @ model.X / model.n
 
     def assert_matches_full(self, model, gram, Theta):
         _, G = value_and_gradient(model, Theta, gram)
-        scale = np.abs(model.data.y @ model.data.X / model.data.n).max()
+        scale = np.abs(model.y @ model.X / model.n).max()
         np.testing.assert_allclose(G, self.full_gradient(model, Theta), rtol=0.0, atol=1e-13 * scale)
         assert gram.used <= gram.cap
 
@@ -332,7 +334,7 @@ class TestGramGradient:
 
     def test_zero_theta_gives_minus_xty(self):
         model = self.model()
-        xty = model.data.y @ model.data.X / model.data.n
+        xty = model.y @ model.X / model.n
         gram = GramRows(model)
         assert np.array_equal(value_and_gradient(model, np.zeros(self.d), gram)[1], -xty)
         assert np.array_equal(value_and_gradient(model, np.zeros((3, self.d)), gram)[1], -np.tile(xty, (3, 1)))
@@ -415,7 +417,7 @@ class TestGramGradient:
 
     def test_cap_is_at_most_the_dimension(self):
         X = np.random.default_rng(83).standard_normal((self.n, 6))
-        gram = GramRows(ObjectiveModel(family=LINEAR, data=Dataset(X=X, y=np.ones(self.n))))
+        gram = GramRows(ObjectiveModel(family=LINEAR, X=X, y=np.ones(self.n)))
         assert gram.cap == 6 and gram.block.shape == (6, self.n + 6)
 
     def test_drifting_window_reuses_the_slots_it_frees(self):
@@ -489,7 +491,7 @@ class TestGramGradient:
         n, d, union = 400, 160, 40
         rng = np.random.default_rng(101)
         X = rng.standard_normal((n, d))
-        model = ObjectiveModel(family=LOGISTIC, data=Dataset(X=X, y=(rng.random(n) < 0.5).astype(float)))
+        model = ObjectiveModel(family=LOGISTIC, X=X, y=(rng.random(n) < 0.5).astype(float))
         gram = GramRows(model)
         Theta = np.zeros((2, d))
         Theta[0, :union // 2] = rng.standard_normal(union // 2)
@@ -511,11 +513,11 @@ class TestGramGradient:
 class TestDomainTypes:
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
-            Dataset(X=[[1.0, np.nan]], y=[1.0])
+            ObjectiveModel(family=LINEAR, X=[[1.0, np.nan]], y=[1.0])
         with pytest.raises(ValueError):
-            Dataset(X=[[1.0, 2.0]], y=[1.0, 2.0])
+            ObjectiveModel(family=LINEAR, X=[[1.0, 2.0]], y=[1.0, 2.0])
         with pytest.raises(ValueError):
-            Dataset(X=np.zeros((0, 2)), y=np.zeros(0))
+            ObjectiveModel(family=LINEAR, X=np.zeros((0, 2)), y=np.zeros(0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "pos_inf", "neg_inf"])
     @pytest.mark.parametrize("where", ["X", "y"])
@@ -523,7 +525,7 @@ class TestDomainTypes:
         X, y = np.ones((3, 4)), np.zeros(3)
         (X if where == "X" else y)[1] = bad
         with pytest.raises(ValueError, match="must be finite"):
-            Dataset(X=X, y=y)
+            ObjectiveModel(family=LINEAR, X=X, y=y)
         # 1000 x 400 is four column blocks of the finiteness pass (131, 131, 131 and 7
         # columns); the bad entry sits in the last one
         X, y = np.ones((1000, 400), order="F"), np.zeros(1000)
@@ -534,7 +536,7 @@ class TestDomainTypes:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="must be finite"):
-                Dataset(X=X, y=y)
+                ObjectiveModel(family=LINEAR, X=X, y=y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -542,4 +544,4 @@ class TestDomainTypes:
 
     def test_logistic_responses_validated(self):
         with pytest.raises(ValueError):
-            ObjectiveModel(family=LOGISTIC, data=Dataset(X=[[1.0]], y=[0.5]))
+            ObjectiveModel(family=LOGISTIC, X=[[1.0]], y=[0.5])

@@ -10,7 +10,6 @@ from sparsepolyak.dataio import trace_csv_text
 from sparsepolyak.diagnostics import decomposition_margins, make_instance, step_target
 from sparsepolyak.objectives import (
     LINEAR,
-    Dataset,
     GramRows,
     ObjectiveModel,
     value_and_gradient,
@@ -193,8 +192,7 @@ class TestRunLoop:
 
     def test_stall_terminates_with_distinct_status(self):
         # zero parameter is already stationary, but the target is unattainable
-        data = Dataset(X=[[1.0, 0.0], [0.0, 1.0]], y=[0.0, 0.0])
-        model = ObjectiveModel(family=LINEAR, data=data)
+        model = ObjectiveModel(family=LINEAR, X=[[1.0, 0.0], [0.0, 1.0]], y=[0.0, 0.0])
         rule = StepRule(kind=SPARSE_POLYAK, f_hat=-1.0)
         config = RunConfig(
             model=model,
@@ -299,11 +297,11 @@ def vector_loop(config, full_product=False):
     gather no columns (the drift reference).
     """
     model, op, rule = config.model, config.operator, config.step_rule
-    X = np.ascontiguousarray(model.data.X) if full_product else model.data.X
-    y, n = model.data.y, model.data.n
+    X = np.ascontiguousarray(model.X) if full_product else model.X
+    y, n = model.y, model.n
     gram = GramRows(model)
     theta, truth = config.theta0.copy(), config.theta_star
-    width = min(op.s if rule.ht_width == "s" else 2 * op.s, model.dim)
+    width = min(op.s if rule.ht_width == "s" else 2 * op.s, model.d)
     rows, status = [], RunStatus.MAX_ITERS
     for t in range(config.max_iters + 1):
         cols = np.flatnonzero(theta)
@@ -334,17 +332,17 @@ def vector_loop(config, full_product=False):
 def zero_response_model(kind):
     """A model whose zero parameter is exactly stationary: the 2 x 2 identity, or a 60 x 40 design."""
     if kind == "identity":
-        return ObjectiveModel(family=LINEAR, data=Dataset(X=np.eye(2), y=np.zeros(2))), (1, 2)
+        return ObjectiveModel(family=LINEAR, X=np.eye(2), y=np.zeros(2)), (1, 2)
     X = np.random.default_rng(11).standard_normal((60, 40))
-    return ObjectiveModel(family=LINEAR, data=Dataset(X=X, y=np.zeros(60))), (3, 6)
+    return ObjectiveModel(family=LINEAR, X=X, y=np.zeros(60)), (3, 6)
 
 
 def mixed_configs(model, s_lo, s_hi):
     """HT/RT cells at two sparsities under all three rules, plus an instant and a stalled cell."""
-    d = model.dim
+    d = model.d
     start = np.random.default_rng(12).standard_normal(d)
     zero = np.zeros(d)
-    gamma = model.data.n / np.linalg.norm(model.data.X, 2) ** 2
+    gamma = model.n / np.linalg.norm(model.X, 2) ** 2
 
     def cell(kind, s, step_kind, max_iters, f_hat=0.0, theta0=None, ht_width="s"):
         if theta0 is None:
@@ -584,8 +582,7 @@ class TestNoiselessRecovery:
         for seed in range(3):
             model, theta_star, _ = linear_instance(n, d, s_star, 0.0, 1.0, seed=seed)
             # rebuild with exact responses to make the target value 0
-            data = Dataset(X=model.data.X, y=model.data.X @ theta_star)
-            model = ObjectiveModel(family=LINEAR, data=data)
+            model = ObjectiveModel(family=LINEAR, X=model.X, y=model.X @ theta_star)
             trace = run(basic_config(model, theta_star, 0.0, s=s_star, max_iters=500))
             assert trace.f_value[-1] < 1e-10
             assert trace.error_sq[-1] < 1e-8
@@ -595,8 +592,7 @@ class TestNoiselessRecovery:
         d, s_star = 400, 10
         n = int(np.ceil(8 * s_star * np.log(d)))
         model, theta_star, _ = linear_instance(n, d, s_star, 0.5, 1.0, seed=0)
-        data = Dataset(X=model.data.X, y=model.data.X @ theta_star)
-        model = ObjectiveModel(family=LINEAR, data=data)
+        model = ObjectiveModel(family=LINEAR, X=model.X, y=model.X @ theta_star)
         trace = run(basic_config(model, theta_star, 0.0, s=2 * s_star, max_iters=500))
         assert trace.status is RunStatus.CONVERGED
         assert trace.error_sq[-1] < 1e-8
