@@ -29,7 +29,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -124,11 +123,14 @@ def _pmap(task, items, workers: int):
     """``task(*item)`` for each item, in order.
 
     Runs in a process pool of at most one worker per item and per CPU, or
-    in this process when that leaves one worker.
+    in this process when that leaves one worker; the pool modules are
+    imported only in the first case.
     """
     workers = min(workers, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [task(*item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, *zip(*items)))
 

@@ -62,6 +62,10 @@ PLATEAU_REL_MARGIN = 0.05
 # tail of its design product.
 CHECK_CHUNK = 1024
 
+# Bytes of uniform keys or dense rows `_sample_pairs` draws at once; with
+# the keys' argpartition indices, all it holds beside the pairs.
+_KEY_CHUNK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class AssumptionReport:
@@ -80,39 +84,39 @@ def _sample_pairs(dim: int, s: int, pairs: int, rng: np.random.Generator):
     Regime 1: s-sparse point plus a small sparse perturbation (small separation).
     Regime 2: one s-sparse point against a dense one (large separation).
     Regime 3: dense point plus a small dense perturbation.
+
+    Pair i is in regime i % 4, and each regime's draws go straight into its
+    rows: uniform keys and dense rows through one buffer of about
+    `_KEY_CHUNK_BYTES`, keeping only each sparse row's s key indices until
+    its s normals are drawn.  The draws come in one fixed order (regime by
+    regime, Theta2's rows before Theta1's; within a sparse block all keys,
+    then all normals), so a seed's pairs do not depend on the chunk size.
     """
     Theta1 = np.zeros((pairs, dim))
     Theta2 = np.zeros((pairs, dim))
     s = min(s, dim)
+    chunk = max(1, _KEY_CHUNK_BYTES // (8 * dim))
+    buf = np.empty((min(chunk, -(-pairs // 4)), dim))
 
-    def sparse_rows(k):
-        keys = rng.random((k, dim))
-        idx = np.argpartition(keys, kth=s - 1, axis=1)[:, :s]
-        out = np.zeros((k, dim))
-        out[np.arange(k)[:, None], idx] = rng.standard_normal((k, s))
-        return out
+    def sparse(rows):
+        k = rows.shape[0]
+        idx = np.empty((k, s), dtype=np.intp)
+        for i in range(0, k, chunk):
+            keys = rng.random(out=buf[:min(chunk, k - i)])
+            idx[i:i + chunk] = np.argpartition(keys, kth=s - 1, axis=1)[:, :s]
+        rows[np.arange(k)[:, None], idx] = rng.standard_normal((k, s))
 
-    regime = np.arange(pairs) % 4
-    for r in range(4):
-        rows = np.flatnonzero(regime == r)
-        k = rows.size
-        if k == 0:
-            continue
-        if r == 0:
-            Theta2[rows] = sparse_rows(k)
-            Theta1[rows] = sparse_rows(k)
-        elif r == 1:
-            base = sparse_rows(k)
-            Theta2[rows] = base
-            pert = sparse_rows(k) * 0.05
-            Theta1[rows] = base + pert
-        elif r == 2:
-            Theta2[rows] = sparse_rows(k)
-            Theta1[rows] = rng.standard_normal((k, dim))
-        else:
-            base = rng.standard_normal((k, dim))
-            Theta2[rows] = base
-            Theta1[rows] = base + 0.05 * rng.standard_normal((k, dim))
+    def dense(rows):
+        for i in range(0, rows.shape[0], chunk):
+            rows[i:i + chunk] = rng.standard_normal(out=buf[:min(chunk, rows.shape[0] - i)])
+
+    for r, (draw2, draw1) in enumerate([(sparse, sparse), (sparse, sparse), (sparse, dense), (dense, dense)]):
+        T1, T2 = Theta1[r::4], Theta2[r::4]
+        draw2(T2)
+        draw1(T1)
+        if r in (1, 3):  # Theta1 = Theta2 + 0.05 * perturbation
+            T1 *= 0.05
+            T1 += T2
     return Theta1, Theta2
 
 
@@ -144,12 +148,14 @@ def check_assumptions(
     rng = substream(seed, STREAM_CHECK)
     Theta1, Theta2 = _sample_pairs(model.d, params.s, pairs, rng)
     breg, n2, n1_sq = np.empty(pairs), np.empty(pairs), np.empty(pairs)
+    buf = np.empty((min(pairs, CHECK_CHUNK), model.d))
     for i in range(0, pairs, CHECK_CHUNK):
         rows = slice(i, i + CHECK_CHUNK)
-        breg[rows] = bregman_batch(model, Theta1[rows], Theta2[rows])
-        diff = Theta1[rows] - Theta2[rows]
+        T1, T2 = Theta1[rows], Theta2[rows]
+        breg[rows] = bregman_batch(model, T1, T2)
+        diff = np.subtract(T1, T2, out=buf[:len(T1)])
         n2[rows] = np.einsum("ij,ij->i", diff, diff)
-        n1_sq[rows] = np.sum(np.abs(diff), axis=1) ** 2
+        n1_sq[rows] = np.sum(np.abs(diff, out=diff), axis=1) ** 2
 
     quad = 0.5 * params.mu * n2 - 0.5 * params.tau * n1_sq
     upper = 0.5 * params.L * n2 + 0.5 * params.tau * n1_sq

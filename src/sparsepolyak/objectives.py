@@ -302,7 +302,10 @@ def bregman_batch(model: ObjectiveModel, Theta1: np.ndarray, Theta2: np.ndarray)
     U1 = X @ Theta1.T
     U2 = X @ Theta2.T
     if model.family == LINEAR:
-        D = U1 - U2
-        return 0.5 * np.einsum("ij,ij->j", D, D) / model.n
-    vals = softplus(U1) - softplus(U2) - sigmoid(U2) * (U1 - U2)
+        U1 -= U2
+        return 0.5 * np.einsum("ij,ij->j", U1, U1) / model.n
+    vals = softplus(U1) - softplus(U2)
+    U1 -= U2
+    U1 *= sigmoid(U2)
+    vals -= U1
     return np.mean(vals, axis=0)

@@ -1,9 +1,13 @@
 """Config parsing/validation and end-to-end CLI contract tests."""
 
 import argparse
+import concurrent.futures
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -11,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sparsepolyak
 from sparsepolyak.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from sparsepolyak.config import (
     SCHEMA,
@@ -460,8 +465,26 @@ class TestWorkers:
             assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_pool_modules_not_loaded_without_a_pool(self, tmp_path):
+        # a fresh interpreter, so that modules other tests loaded do not count
+        cfg = write_config(tmp_path)
+        out = str(tmp_path / "out")
+        code = (
+            "import sys\n"
+            "from sparsepolyak.cli import main\n"
+            f"assert main(['run', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
+            f"assert main(['grid', '--config', {cfg!r}, '--out', {out!r}, '--workers', '1']) == 0\n"
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))\n"
+        )
+        src = str(Path(sparsepolyak.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
     def test_pool_capped_at_items_and_cpus(self, monkeypatch):
-        # records the requested pool size instead of starting processes
+        # records the requested pool size instead of starting processes;
+        # `_pmap` imports the pool class from concurrent.futures when it runs one
         from sparsepolyak import cli
 
         sizes = []
@@ -479,7 +502,7 @@ class TestWorkers:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         items = [(2, 1), (2, 2), (2, 3)]
         assert cli._pmap(pow, items, 5000) == [2, 4, 8]

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sparsepolyak import diagnostics
 from sparsepolyak.diagnostics import (
     _VIOLATION_RTOL,
     _sample_pairs,
@@ -130,6 +131,66 @@ class TestLogisticWeakRsc:
         # the linear family must be rejected by the two-branch checker
         model, base = logistic_checker_instance
         assert check(model, base, pairs=10000, seed=7)["rsc"].violations > 0
+
+
+def reference_sample_pairs(dim, s, pairs, rng):
+    """The whole-array sampler `_sample_pairs` replaced, kept as its reference."""
+    Theta1 = np.zeros((pairs, dim))
+    Theta2 = np.zeros((pairs, dim))
+    s = min(s, dim)
+
+    def sparse_rows(k):
+        keys = rng.random((k, dim))
+        idx = np.argpartition(keys, kth=s - 1, axis=1)[:, :s]
+        out = np.zeros((k, dim))
+        out[np.arange(k)[:, None], idx] = rng.standard_normal((k, s))
+        return out
+
+    regime = np.arange(pairs) % 4
+    for r in range(4):
+        rows = np.flatnonzero(regime == r)
+        k = rows.size
+        if k == 0:
+            continue
+        if r == 0:
+            Theta2[rows] = sparse_rows(k)
+            Theta1[rows] = sparse_rows(k)
+        elif r == 1:
+            base = sparse_rows(k)
+            Theta2[rows] = base
+            pert = sparse_rows(k) * 0.05
+            Theta1[rows] = base + pert
+        elif r == 2:
+            Theta2[rows] = sparse_rows(k)
+            Theta1[rows] = rng.standard_normal((k, dim))
+        else:
+            base = rng.standard_normal((k, dim))
+            Theta2[rows] = base
+            Theta1[rows] = base + 0.05 * rng.standard_normal((k, dim))
+    return Theta1, Theta2
+
+
+class TestPairSampler:
+    """`_sample_pairs` draws into its rows in chunks and keeps every bit of the whole-array sampler."""
+
+    # (dim, s, pairs): many key chunks with a short last one; one chunk;
+    # empty regimes; s >= dim; dim = 1
+    SHAPES = [(1000, 40, 9999), (7, 3, 10), (5, 2, 3), (9, 2, 1), (6, 9, 13), (6, 6, 8), (1, 1, 9), (1, 3, 2)]
+
+    @pytest.mark.parametrize("dim, s, pairs", SHAPES)
+    def test_equals_the_whole_array_sampler(self, dim, s, pairs):
+        seed = dim + s + pairs
+        got = _sample_pairs(dim, s, pairs, substream(seed, STREAM_CHECK))
+        want = reference_sample_pairs(dim, s, pairs, substream(seed, STREAM_CHECK))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("dim, s, pairs", SHAPES[1:])
+    @pytest.mark.parametrize("chunk_rows", [1, 2])
+    def test_chunk_size_keeps_the_pairs(self, monkeypatch, dim, s, pairs, chunk_rows):
+        monkeypatch.setattr(diagnostics, "_KEY_CHUNK_BYTES", 8 * dim * chunk_rows)
+        got = _sample_pairs(dim, s, pairs, substream(5, STREAM_CHECK))
+        want = reference_sample_pairs(dim, s, pairs, substream(5, STREAM_CHECK))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestCheckerSlacks:
