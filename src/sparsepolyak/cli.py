@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, synthdata
 from .config import ConfigError, ExperimentConfig, derived_n, load_config, resolve_config
 from .dataio import (
     atomic_write_text,
@@ -64,6 +64,7 @@ from .optimizer import (
     make_step_rule,
     run,
 )
+from .rng import usable_cpus
 from .synthdata import compute_regularity
 from .thresholding import HT, RT, ThresholdSpec, empirical_relative_concavity
 
@@ -119,19 +120,32 @@ def cmd_run(cfg: ExperimentConfig, out_root: Path) -> int:
     return EXIT_OK
 
 
+def _share_cpus(share: int) -> None:
+    """Pool-worker initializer: draw design rows on at most ``share`` threads.
+
+    With ``share`` = CPUs // workers, the pool's draw threads do not
+    outnumber the CPUs; more would only wait for a CPU and for each other's
+    turn at the interpreter.
+    """
+    synthdata.DESIGN_THREADS_MAX = share
+
+
 def _pmap(task, items, workers: int):
     """``task(*item)`` for each item, in order.
 
-    Runs in a process pool of at most one worker per item and per CPU, or
-    in this process when that leaves one worker; the pool modules are
-    imported only in the first case.
+    Runs in a process pool of at most one worker per item and per CPU this
+    process may use (`usable_cpus`), or in this process when that leaves
+    one worker; the pool modules are imported only in the first case.  Each
+    worker draws designs on at most its share of the CPUs (`_share_cpus`).
     """
-    workers = min(workers, len(items), os.cpu_count() or 1)
+    cpus = usable_cpus()
+    workers = min(workers, len(items), cpus)
     if workers <= 1:
         return [task(*item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_share_cpus,
+                             initargs=(cpus // workers,)) as pool:
         return list(pool.map(task, *zip(*items)))
 
 

@@ -15,21 +15,28 @@ PCG64 output is platform independent, so identical (seed, key) pairs
 reproduce identical data everywhere.
 
 `substream` builds one generator through NumPy.  `substreams` serves the
-per-row streams ``key + (i,)`` at the cost of their draws: NumPy's
-SeedSequence hash (O'Neill's entropy mixing, then ``generate_state(4,
-uint64)``) uses constants that do not depend on the data, so it runs on
-uint32 arrays across a chunk of `CHUNK_ROWS` rows at once; only PCG64's
-``srandom`` step (two 128-bit multiply-adds) runs per row, on Python ints,
-and each row re-seeds one reused Generator.  The 64-bit state words are
-composed arithmetically as ``lo | hi << 32`` from the hash's 32-bit words,
-NumPy's own little-endian order, so nothing depends on the host's byte
-order; all wrapping arithmetic is on uint32 arrays, never on numpy
-scalars.  A guard compares the first row of every chunk with NumPy's own
-`substream` and raises `RuntimeError` on a mismatch, so a NumPy whose
-seeding differs fails loudly instead of changing the data.
+per-row streams ``key + (i,)``, over any range of rows, at the cost of
+their draws: NumPy's SeedSequence hash (O'Neill's entropy mixing, then
+``generate_state(4, uint64)``) uses constants that do not depend on the
+data, so it runs on uint32 arrays across a chunk of `CHUNK_ROWS` rows at
+once; only PCG64's ``srandom`` step (two 128-bit multiply-adds) runs per
+row, on Python ints, and each row re-seeds one reused Generator.  The
+64-bit state words are composed arithmetically as ``lo | hi << 32`` from
+the hash's 32-bit words, NumPy's own little-endian order, so nothing
+depends on the host's byte order; all wrapping arithmetic is on uint32
+arrays, never on numpy scalars.  A guard compares the first row of every
+chunk with NumPy's own `substream` and raises `RuntimeError` on a
+mismatch, so a NumPy whose seeding differs fails loudly instead of
+changing the data.
+
+A row's draws depend only on (seed, key, row), never on which other rows
+were drawn before it or by whom, so disjoint row ranges may be drawn on
+separate threads (see `synthdata._draw_rows`); `usable_cpus` is the one
+count of CPUs that such threads and the CLI's process pool are sized by.
 """
 
 import itertools
+import os
 
 import numpy as np
 
@@ -41,6 +48,9 @@ STREAM_CHECK = 4
 
 # Rows whose states `substreams` derives in one vectorised pass.
 CHUNK_ROWS = 256
+# Rows whose hash words are held as Python ints at once: about 6 KB, where a
+# whole chunk's would be about 45 KB in each drawing thread.
+STATE_ROWS = 32
 
 # NumPy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64
 # (pcg_setseq_128_srandom_r with PCG_DEFAULT_MULTIPLIER_128).
@@ -92,12 +102,13 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> XSHIFT)
 
 
-def _seed_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
+def _seed_words(entropy: list[np.ndarray]) -> np.ndarray:
     """SeedSequence.generate_state(4, uint64) for each column of the entropy words.
 
     ``entropy`` holds one uint32 array per entropy word, one entry per row,
-    and at least `POOL_SIZE` words.  Returns the four uint64 state words,
-    ``lo | hi << 32`` of the hash's consecutive uint32 outputs.
+    and at least `POOL_SIZE` words; the last word has every row's entry.
+    Returns a rows x 4 uint64 array of the state words, ``lo | hi << 32`` of
+    the hash's consecutive uint32 outputs.
     """
     consts = _hash_consts(INIT_A, MULT_A)
     pool = [_hashmix(entropy[i], consts) for i in range(POOL_SIZE)]
@@ -109,8 +120,11 @@ def _seed_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
         for dst in range(POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hashmix(word, consts))
     consts = _hash_consts(INIT_B, MULT_B)
-    out = [_hashmix(pool[i % POOL_SIZE], consts).astype(np.uint64) for i in range(8)]
-    return [out[2 * j] | out[2 * j + 1] << np.uint64(32) for j in range(4)]
+    out = np.empty((entropy[-1].size, 4), dtype=np.uint64)
+    for j in range(4):
+        out[:, j] = _hashmix(pool[2 * j % POOL_SIZE], consts)
+        out[:, j] |= _hashmix(pool[(2 * j + 1) % POOL_SIZE], consts).astype(np.uint64) << np.uint64(32)
+    return out
 
 
 def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> tuple[int, int]:
@@ -123,7 +137,9 @@ def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> tuple[int, int]:
 def _row_states(seed: int, key: tuple[int, ...], start: int, stop: int):
     """PCG64 (state, inc) of the streams ``key + (i,)`` for i in [start, stop), stop <= 2**32.
 
-    The hash runs once over the chunk; each state is formed as it is read.
+    The hash runs once over the chunk and keeps its words as uint64 arrays;
+    they become Python ints `STATE_ROWS` rows at a time, and each state is
+    formed as it is read.
     """
     run = _words(seed)
     # A SeedSequence with a spawn key pads its run entropy to the pool size,
@@ -132,8 +148,9 @@ def _row_states(seed: int, key: tuple[int, ...], start: int, stop: int):
     prefix = run + [w for k in key for w in _words(k)]
     rows = np.arange(start, stop, dtype=np.uint32)
     entropy = [np.array([w], dtype=np.uint32) for w in prefix] + [rows]
-    words = [w.tolist() for w in _seed_words(entropy)]
-    return (_pcg64_state(*row) for row in zip(*words))
+    words = _seed_words(entropy)
+    for lo in range(0, len(words), STATE_ROWS):
+        yield from (_pcg64_state(*row) for row in words[lo:lo + STATE_ROWS].tolist())
 
 
 def _check_against_numpy(seed: int, key: tuple[int, ...], state: tuple[int, int]) -> None:
@@ -144,24 +161,35 @@ def _check_against_numpy(seed: int, key: tuple[int, ...], state: tuple[int, int]
             f"{np.__version__}'s SeedSequence; its seeding algorithm has changed")
 
 
-def substreams(seed: int, *key: int):
-    """Generators for the streams ``key + (i,)``, i = 0, 1, 2, ..., in order.
+def substreams(seed: int, *key: int, start: int = 0, stop: int | None = None):
+    """Generators for the streams ``key + (i,)``, i = start, start + 1, ..., in order.
 
-    The i-th draws what ``substream(seed, *key, i)`` draws.  One Generator
-    is re-seeded for each row, so a yielded generator is valid only until
-    the next one is requested.  States are derived `CHUNK_ROWS` rows at a
-    time; the first row of each chunk is checked against `substream`.
+    The one for row i draws what ``substream(seed, *key, i)`` draws.  One
+    Generator is re-seeded for each row, so a yielded generator is valid
+    only until the next one is requested.  States are derived `CHUNK_ROWS`
+    rows at a time from ``start``, and only rows below ``stop`` are hashed;
+    the first row of each chunk is checked against `substream`.  Iteration
+    ends after row ``stop - 1``; reaching row 2**32 raises `ValueError`.
     """
     seed, key = int(seed), tuple(int(k) for k in key)
+    end = 1 << 32 if stop is None else min(int(stop), 1 << 32)
     gen = np.random.Generator(np.random.PCG64(0))  # every row re-seeds it
     bit_gen = gen.bit_generator
     reseed = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    for start in range(0, 1 << 32, CHUNK_ROWS):
-        states = _row_states(seed, key, start, min(start + CHUNK_ROWS, 1 << 32))
+    for lo in range(int(start), end, CHUNK_ROWS):
+        states = _row_states(seed, key, lo, min(lo + CHUNK_ROWS, end))
         first = next(states)
-        _check_against_numpy(seed, key + (start,), first)
+        _check_against_numpy(seed, key + (lo,), first)
         for state, inc in itertools.chain([first], states):
             reseed["state"] = {"state": state, "inc": inc}
             bit_gen.state = reseed
             yield gen
-    raise ValueError("row indices beyond 2**32 - 1 are not supported")
+    if stop is None or stop > 1 << 32:
+        raise ValueError("row indices beyond 2**32 - 1 are not supported")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one, else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

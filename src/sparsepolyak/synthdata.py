@@ -16,17 +16,21 @@ design's d, which `generate_truth` takes as an argument.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .objectives import LINEAR, LOGISTIC, sigmoid
-from .rng import STREAM_DESIGN, STREAM_NOISE, STREAM_TRUTH, substream, substreams
+from .rng import STREAM_DESIGN, STREAM_NOISE, STREAM_TRUTH, substream, substreams, usable_cpus
 
 # Bytes of the row-major block that `_draw_rows` draws the design's rows
 # into; the block holds at least `DESIGN_BLOCK_MIN_ROWS` rows.
 DESIGN_BLOCK_BYTES = 1 << 20
 DESIGN_BLOCK_MIN_ROWS = 8
+# Most threads that draw the design's rows.  Each holds its own stream
+# state, about 20 KB, so more threads would outgrow X plus about one block.
+DESIGN_THREADS_MAX = 4
 
 
 @dataclass(frozen=True)
@@ -147,15 +151,43 @@ def _draw_rows(X: np.ndarray, seed: int) -> None:
     `DESIGN_BLOCK_MIN_ROWS` rows (6.4 MB at d = 1e5): the copy of a block
     of a few rows into the column-major X is a scattered write, which at
     d = 1e5 cost more than the draws themselves.
+
+    The n rows are split into k contiguous ranges, k = `usable_cpus()`
+    capped by `DESIGN_THREADS_MAX` and the block's rows, and the block into
+    k slices.  This thread draws range 0 and one `threading.Thread` each of
+    the others, each range through its own `substreams` into its own slice
+    and from there into its rows of X.  Every row is its own stream, so
+    X's bytes do not depend on k.  An exception in any range is re-raised,
+    the lowest range's first, once every thread has been joined.
     """
     n, d = X.shape
     block = np.empty((min(n, max(DESIGN_BLOCK_MIN_ROWS, DESIGN_BLOCK_BYTES // (8 * d))), d))
-    rows = substreams(seed, STREAM_DESIGN)
-    for start in range(0, n, block.shape[0]):
-        part = block[:n - start]
-        for row in part:
-            next(rows).standard_normal(out=row)
-        X[start:start + part.shape[0]] = part
+    k = min(usable_cpus(), DESIGN_THREADS_MAX, block.shape[0])
+    rows = [i * n // k for i in range(k + 1)]
+    slots = [i * block.shape[0] // k for i in range(k + 1)]
+    errors = [None] * k
+
+    def draw(i):
+        try:
+            part, stop = block[slots[i]:slots[i + 1]], rows[i + 1]
+            streams = substreams(seed, STREAM_DESIGN, start=rows[i], stop=stop)
+            for start in range(rows[i], stop, part.shape[0]):
+                chunk = part[:stop - start]
+                for row in chunk:
+                    next(streams).standard_normal(out=row)
+                X[start:start + chunk.shape[0]] = chunk
+        except BaseException as exc:
+            errors[i] = exc
+
+    helpers = [threading.Thread(target=draw, args=(i,)) for i in range(1, k)]
+    for thread in helpers:
+        thread.start()
+    draw(0)
+    for thread in helpers:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def generate_design(spec: DesignSpec, seed: int) -> np.ndarray:
@@ -164,9 +196,11 @@ def generate_design(spec: DesignSpec, seed: int) -> np.ndarray:
     X is column-major, so the column recursion runs in place on contiguous
     columns and `ObjectiveModel` stores it without a copy.  The row streams
     come from `substreams`, whose per-row seeding costs a few microseconds
-    next to the row's d normals.  Each row's normals are drawn into a row-major
-    block (see `_draw_rows`) and the block is copied into X; the
-    recursion runs in place.  So generation holds X plus about one block,
+    next to the row's d normals.  Each row's normals are drawn into a
+    row-major block and the block is copied into X, on one thread per
+    usable CPU, at most `DESIGN_THREADS_MAX` (see `_draw_rows`); X's bytes
+    are the same on any number of threads.  The recursion then runs in
+    place on this thread.  So generation holds X plus about one block,
     never a second n x d buffer.  The columns are not rescaled: X's
     population covariance is `ar1_covariance(d, omega)`, the Sigma that
     `compute_regularity` takes every constant from.

@@ -485,13 +485,15 @@ class TestWorkers:
     def test_pool_capped_at_items_and_cpus(self, monkeypatch):
         # records the requested pool size instead of starting processes;
         # `_pmap` imports the pool class from concurrent.futures when it runs one
-        from sparsepolyak import cli
+        from sparsepolyak import cli, synthdata
 
-        sizes = []
+        sizes, shares = [], []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 sizes.append(max_workers)
+                initializer(*initargs)  # as each worker process would
+                shares.append(synthdata.DESIGN_THREADS_MAX)
 
             def __enter__(self):
                 return self
@@ -503,12 +505,15 @@ class TestWorkers:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(synthdata, "DESIGN_THREADS_MAX", synthdata.DESIGN_THREADS_MAX)
         items = [(2, 1), (2, 2), (2, 3)]
         assert cli._pmap(pow, items, 5000) == [2, 4, 8]
         assert cli._pmap(pow, items * 3, 5000) == [2, 4, 8] * 3
         assert cli._pmap(pow, items, 1) == [2, 4, 8]
         assert sizes == [3, 4]
+        assert cli._pmap(pow, items, 2) == [2, 4, 8]
+        assert shares == [1, 1, 2]  # each worker's draw threads: the 4 CPUs over the pool
 
 
 class TestCliGridSweepReports:

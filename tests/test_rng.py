@@ -1,5 +1,7 @@
 """Row-stream seeding: the vectorised PCG64 states against NumPy's own SeedSequence."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,37 @@ def test_guard_raises_on_a_wrong_mixing_constant(monkeypatch):
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         next(substreams(-1, STREAM_DESIGN))
+
+
+@pytest.mark.parametrize("start", [0, 100, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1],
+                         ids=["zero", "mid_chunk", "chunk_minus_1", "chunk", "chunk_plus_1"])
+def test_row_range_draws_each_row_stream_and_stops(start):
+    stop = start + CHUNK_ROWS + 3  # crosses one chunk boundary of the range
+    got = [g.standard_normal(5).tobytes() for g in substreams(5, STREAM_DESIGN, start=start, stop=stop)]
+    assert got == [substream(5, STREAM_DESIGN, i).standard_normal(5).tobytes() for i in range(start, stop)]
+
+
+def test_row_range_ends_at_2_32_and_only_later_rows_raise():
+    last = substream(3, STREAM_DESIGN, 2**32 - 1).standard_normal(4).tobytes()
+    rows = substreams(3, STREAM_DESIGN, start=2**32 - 1, stop=2**32)
+    assert [g.standard_normal(4).tobytes() for g in rows] == [last]
+    rows = substreams(3, STREAM_DESIGN, start=2**32 - 1)
+    assert next(rows).standard_normal(4).tobytes() == last
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        next(rows)
+
+
+def test_guard_raises_for_a_range_that_starts_mid_chunk(monkeypatch):
+    monkeypatch.setattr(rng, "MIX_MULT_L", rng.MIX_MULT_L ^ 1)
+    with pytest.raises(RuntimeError, match="SeedSequence"):
+        next(substreams(0, STREAM_DESIGN, start=CHUNK_ROWS + 100, stop=CHUNK_ROWS + 200))
+
+
+def test_usable_cpus_counts_the_affinity_mask(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert rng.usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert rng.usable_cpus() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert rng.usable_cpus() == 6

@@ -1,10 +1,14 @@
 """Generator tests: moments against closed forms, support exactness, regularity constants."""
 
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from sparsepolyak import rng, synthdata
 from sparsepolyak.objectives import LINEAR, LOGISTIC
 from sparsepolyak.rng import CHUNK_ROWS, STREAM_DESIGN, substream
 from sparsepolyak.synthdata import (
@@ -69,12 +73,61 @@ class TestGenerateDesign:
         spec = DesignSpec(n=2000, d=200, omega=0.5)  # X 3.2 MB, block 655 rows (1.05 MB)
         assert traced_peak(spec) < design_and_block_bytes(spec)
 
+    def test_many_cpus_draw_on_a_bounded_number_of_threads(self, monkeypatch):
+        monkeypatch.setattr(synthdata, "usable_cpus", lambda: 64)
+        spec = DesignSpec(n=2000, d=200, omega=0.5)  # 64 threads would hold about 200 KB of stream state
+        assert traced_peak(spec) < design_and_block_bytes(spec)
+
     def test_wide_design_blocks_hold_the_minimum_rows(self):
         spec = DesignSpec(n=20, d=20000, omega=0.5)  # 6 rows fit the bytes; blocks of 8, 8 and 4
         assert DESIGN_BLOCK_BYTES // (8 * spec.d) < block_rows(spec.d) == DESIGN_BLOCK_MIN_ROWS
         X = generate_design(spec, seed=11)
         assert X.tobytes(order="F") == two_buffer_design(spec, seed=11).tobytes(order="F")
         assert traced_peak(spec) < design_and_block_bytes(spec)
+
+    @pytest.mark.parametrize("spec", [
+        DesignSpec(n=300, d=1000, omega=0.5),
+        DesignSpec(n=50, d=200, omega=0.3),
+        DesignSpec(n=1, d=1, omega=0.5),
+        DesignSpec(n=2 * CHUNK_ROWS + 3, d=40, omega=0.4),
+        DesignSpec(n=20, d=20000, omega=0.5),  # its 8-row block split 4/4 on two threads
+        DesignSpec(n=2, d=30, omega=0.5),  # fewer rows than three threads
+    ], ids=["partial_last_block", "below_one_block", "one_by_one", "crosses_chunks",
+            "wide_min_block", "fewer_rows_than_threads"])
+    def test_bytes_do_not_depend_on_the_thread_count(self, spec, monkeypatch):
+        expected = two_buffer_design(spec, seed=11).tobytes(order="F")
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(synthdata, "usable_cpus", lambda: cpus)
+            assert generate_design(spec, seed=11).tobytes(order="F") == expected, cpus
+
+    def test_eight_threads_with_a_short_switch_interval_keep_the_bytes(self, monkeypatch):
+        spec = DesignSpec(n=2 * CHUNK_ROWS + 3, d=40, omega=0.4)  # eight ranges of 64-65 rows
+        monkeypatch.setattr(synthdata, "usable_cpus", lambda: 8)
+        monkeypatch.setattr(synthdata, "DESIGN_THREADS_MAX", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            X = generate_design(spec, seed=11)
+        finally:
+            sys.setswitchinterval(interval)
+        assert X.tobytes(order="F") == two_buffer_design(spec, seed=11).tobytes(order="F")
+
+    def test_guard_failure_in_a_helper_range_raises_after_the_join(self, monkeypatch):
+        spec = DesignSpec(n=600, d=40, omega=0.5)  # one 600-row block; ranges [0, 300) and [300, 600)
+        check = rng._check_against_numpy
+
+        def fail_in_second_range(seed, key, state):
+            if key[-1] >= 300:
+                time.sleep(0.1)  # fails after range 0 is drawn, so only a join sees it
+                raise RuntimeError("seeding differs")
+            check(seed, key, state)
+
+        monkeypatch.setattr(synthdata, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(rng, "_check_against_numpy", fail_in_second_range)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="seeding differs"):
+            generate_design(spec, seed=0)
+        assert threading.active_count() == threads
 
     def test_iid_case_matches_identity_covariance(self):
         X = generate_design(DesignSpec(n=1000, d=5, omega=0.0), seed=0)
