@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, synthdata
+from . import __version__
 from .config import ConfigError, ExperimentConfig, derived_n, load_config, resolve_config
 from .dataio import (
     atomic_write_text,
@@ -120,32 +120,20 @@ def cmd_run(cfg: ExperimentConfig, out_root: Path) -> int:
     return EXIT_OK
 
 
-def _share_cpus(share: int) -> None:
-    """Pool-worker initializer: draw design rows on at most ``share`` threads.
-
-    With ``share`` = CPUs // workers, the pool's draw threads do not
-    outnumber the CPUs; more would only wait for a CPU and for each other's
-    turn at the interpreter.
-    """
-    synthdata.DESIGN_THREADS_MAX = share
-
-
 def _pmap(task, items, workers: int):
     """``task(*item)`` for each item, in order.
 
     Runs in a process pool of at most one worker per item and per CPU this
     process may use (`usable_cpus`), or in this process when that leaves
-    one worker; the pool modules are imported only in the first case.  Each
-    worker draws designs on at most its share of the CPUs (`_share_cpus`).
+    one worker; the pool modules are imported only in the first case.  A
+    pool worker draws its designs on one thread (`synthdata._draw_threads`).
     """
-    cpus = usable_cpus()
-    workers = min(workers, len(items), cpus)
+    workers = min(workers, len(items), usable_cpus())
     if workers <= 1:
         return [task(*item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers, initializer=_share_cpus,
-                             initargs=(cpus // workers,)) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, *zip(*items)))
 
 

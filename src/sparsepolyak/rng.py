@@ -14,31 +14,33 @@ never share state and generation order cannot leak between them:
 PCG64 output is platform independent, so identical (seed, key) pairs
 reproduce identical data everywhere.
 
-`substream` builds one generator through NumPy.  `substreams` serves the
-per-row streams ``key + (i,)``, over any range of rows, at the cost of
-their draws: NumPy's SeedSequence hash (O'Neill's entropy mixing, then
-``generate_state(4, uint64)``) uses constants that do not depend on the
-data, so it runs on uint32 arrays across a chunk of `CHUNK_ROWS` rows at
-once; only PCG64's ``srandom`` step (two 128-bit multiply-adds) runs per
-row, on Python ints, and each row re-seeds one reused Generator.  The
-64-bit state words are composed arithmetically as ``lo | hi << 32`` from
-the hash's 32-bit words, NumPy's own little-endian order, so nothing
-depends on the host's byte order; all wrapping arithmetic is on uint32
-arrays, never on numpy scalars.  A guard compares the first row of every
-chunk with NumPy's own `substream` and raises `RuntimeError` on a
-mismatch, so a NumPy whose seeding differs fails loudly instead of
-changing the data.
+`substream` builds one generator through NumPy.  `row_words` serves the
+per-row streams ``key + (i,)`` at the cost of their draws.  NumPy's
+SeedSequence hash (O'Neill's entropy mixing, then ``generate_state(4,
+uint64)``) uses constants that do not depend on the data: the words of
+(seed, key), the same for every row, are hashed once per chunk of
+`CHUNK_ROWS` rows on Python ints masked to 32 bits, and only the row word
+and the output run on uint32 arrays across the chunk, never on numpy
+scalars.  The result is four uint64 words per row; `row_generator` builds
+the row's PCG64 from them by NumPy's own seeding step, through
+`_StateWords`, a seed sequence that only hands those words over.  The
+64-bit words are composed arithmetically as ``lo | hi << 32`` from the
+hash's 32-bit words, NumPy's own little-endian order, so nothing depends
+on the host's byte order.  A guard compares the first row of every chunk
+with NumPy's own `substream` and raises `RuntimeError` on a mismatch, so a
+NumPy whose seeding differs fails loudly instead of changing the data.
+`substreams` yields the same generators lazily, for any number of rows.
 
 A row's draws depend only on (seed, key, row), never on which other rows
-were drawn before it or by whom, so disjoint row ranges may be drawn on
-separate threads (see `synthdata._draw_rows`); `usable_cpus` is the one
-count of CPUs that such threads and the CLI's process pool are sized by.
+were drawn before it or by whom, so rows may be drawn on separate threads
+(see `synthdata._draw_rows`); `usable_cpus` is the one count of CPUs that
+such threads and the CLI's process pool are sized by.
 """
 
-import itertools
 import os
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 STREAM_DESIGN = 0
 STREAM_TRUTH = 1
@@ -46,14 +48,10 @@ STREAM_NOISE = 2
 STREAM_CONCAVITY = 3
 STREAM_CHECK = 4
 
-# Rows whose states `substreams` derives in one vectorised pass.
+# Rows whose seed words are hashed in one vectorised pass.
 CHUNK_ROWS = 256
-# Rows whose hash words are held as Python ints at once: about 6 KB, where a
-# whole chunk's would be about 45 KB in each drawing thread.
-STATE_ROWS = 32
 
-# NumPy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64
-# (pcg_setseq_128_srandom_r with PCG_DEFAULT_MULTIPLIER_128).
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx).
 POOL_SIZE = 4
 INIT_A = 0x43B0D7E5
 MULT_A = 0x931E8875
@@ -62,9 +60,7 @@ MULT_B = 0x58F38DED
 MIX_MULT_L = 0xCA01F9DD
 MIX_MULT_R = 0x4973F715
 XSHIFT = 16
-PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 MASK32 = (1 << 32) - 1
-MASK128 = (1 << 128) - 1
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -91,101 +87,117 @@ def _hash_consts(init: int, mult: int):
         h = nxt
 
 
-def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+def _hashmix(value, consts):
     xor, mult = next(consts)
-    value = (value ^ xor) * mult
+    value = (value ^ xor) * mult & MASK32
     return value ^ (value >> XSHIFT)
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * MIX_MULT_L - y * MIX_MULT_R
+def _mix(x, y):
+    result = (x * MIX_MULT_L - y * MIX_MULT_R) & MASK32
     return result ^ (result >> XSHIFT)
 
 
-def _seed_words(entropy: list[np.ndarray]) -> np.ndarray:
-    """SeedSequence.generate_state(4, uint64) for each column of the entropy words.
+def _seed_words(prefix: list[int], rows: np.ndarray) -> np.ndarray:
+    """SeedSequence.generate_state(4, uint64) of the entropy words ``prefix + [row]``, for each row.
 
-    ``entropy`` holds one uint32 array per entropy word, one entry per row,
-    and at least `POOL_SIZE` words; the last word has every row's entry.
-    Returns a rows x 4 uint64 array of the state words, ``lo | hi << 32`` of
-    the hash's consecutive uint32 outputs.
+    ``prefix`` holds at least `POOL_SIZE` uint32 words, the same for every
+    row, so they are hashed once, on Python ints; only the last word, the
+    uint32 array ``rows``, is mixed in per row.  Returns a rows x 4 uint64
+    array of the state words, ``lo | hi << 32`` of the hash's consecutive
+    uint32 outputs.
     """
     consts = _hash_consts(INIT_A, MULT_A)
-    pool = [_hashmix(entropy[i], consts) for i in range(POOL_SIZE)]
+    pool = [_hashmix(prefix[i], consts) for i in range(POOL_SIZE)]
     for src in range(POOL_SIZE):
         for dst in range(POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
-    for word in entropy[POOL_SIZE:]:
+    for word in prefix[POOL_SIZE:]:
         for dst in range(POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    pool = [np.array([word], dtype=np.uint32) for word in pool]
+    for dst in range(POOL_SIZE):
+        pool[dst] = _mix(pool[dst], _hashmix(rows, consts))
     consts = _hash_consts(INIT_B, MULT_B)
-    out = np.empty((entropy[-1].size, 4), dtype=np.uint64)
+    out = np.empty((rows.size, 4), dtype=np.uint64)
     for j in range(4):
         out[:, j] = _hashmix(pool[2 * j % POOL_SIZE], consts)
         out[:, j] |= _hashmix(pool[(2 * j + 1) % POOL_SIZE], consts).astype(np.uint64) << np.uint64(32)
     return out
 
 
-def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> tuple[int, int]:
-    """PCG64's (state, inc) after seeding with the generate_state words (w0, w1, w2, w3)."""
-    inc = ((w2 << 64 | w3) << 1 | 1) & MASK128
-    state = ((inc + (w0 << 64 | w1)) * PCG64_MULT + inc) & MASK128
-    return state, inc
+class _StateWords(ISeedSequence):
+    """A seed sequence whose ``generate_state(4, uint64)`` is already known.
+
+    PCG64 seeds itself from ``generate_state(4, uint64)`` alone, so
+    ``PCG64(_StateWords(w))`` is the generator that a SeedSequence whose
+    hash gives the four uint64 words ``w`` seeds; the arguments are not
+    read.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
-def _row_states(seed: int, key: tuple[int, ...], start: int, stop: int):
-    """PCG64 (state, inc) of the streams ``key + (i,)`` for i in [start, stop), stop <= 2**32.
+def _chunk_words(seed: int, key: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+    """State words of the streams ``key + (i,)`` for i in [start, stop), stop <= 2**32.
 
-    The hash runs once over the chunk and keeps its words as uint64 arrays;
-    they become Python ints `STATE_ROWS` rows at a time, and each state is
-    formed as it is read.
+    The first row is checked against `substream`.
     """
     run = _words(seed)
     # A SeedSequence with a spawn key pads its run entropy to the pool size,
     # so the entropy has more than POOL_SIZE words.
     run += [0] * (POOL_SIZE - len(run))
     prefix = run + [w for k in key for w in _words(k)]
-    rows = np.arange(start, stop, dtype=np.uint32)
-    entropy = [np.array([w], dtype=np.uint32) for w in prefix] + [rows]
-    words = _seed_words(entropy)
-    for lo in range(0, len(words), STATE_ROWS):
-        yield from (_pcg64_state(*row) for row in words[lo:lo + STATE_ROWS].tolist())
-
-
-def _check_against_numpy(seed: int, key: tuple[int, ...], state: tuple[int, int]) -> None:
-    expected = substream(seed, *key).bit_generator.state["state"]
-    if (expected["state"], expected["inc"]) != state:
+    words = _seed_words(prefix, np.arange(start, stop, dtype=np.uint32))
+    first = row_generator(words[0])
+    if first.bit_generator.state != substream(seed, *key, start).bit_generator.state:
         raise RuntimeError(
-            f"derived PCG64 state of stream {key} under seed {seed} differs from NumPy "
+            f"derived PCG64 state of stream {key + (start,)} under seed {seed} differs from NumPy "
             f"{np.__version__}'s SeedSequence; its seeding algorithm has changed")
+    return words
 
 
-def substreams(seed: int, *key: int, start: int = 0, stop: int | None = None):
-    """Generators for the streams ``key + (i,)``, i = start, start + 1, ..., in order.
+def row_generator(words: np.ndarray) -> np.random.Generator:
+    """The generator seeded with one row of `row_words`."""
+    return np.random.Generator(np.random.PCG64(_StateWords(words)))
 
-    The one for row i draws what ``substream(seed, *key, i)`` draws.  One
-    Generator is re-seeded for each row, so a yielded generator is valid
-    only until the next one is requested.  States are derived `CHUNK_ROWS`
-    rows at a time from ``start``, and only rows below ``stop`` are hashed;
-    the first row of each chunk is checked against `substream`.  Iteration
-    ends after row ``stop - 1``; reaching row 2**32 raises `ValueError`.
+
+def row_words(seed: int, *key: int, rows: int) -> np.ndarray:
+    """Seed words of the streams ``key + (i,)``, i < rows: a rows x 4 uint64 array.
+
+    ``row_generator(words[i])`` draws what ``substream(seed, *key, i)``
+    draws.  The words are hashed `CHUNK_ROWS` rows at a time into the one
+    array, 32 bytes per row, and the first row of each chunk is checked
+    against `substream`.  More than 2**32 rows raise `ValueError`.
+    """
+    if rows > 1 << 32:
+        raise ValueError("row indices beyond 2**32 - 1 are not supported")
+    seed, key = int(seed), tuple(int(k) for k in key)
+    words = np.empty((rows, 4), dtype=np.uint64)
+    for start in range(0, rows, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, rows)
+        words[start:stop] = _chunk_words(seed, key, start, stop)
+    return words
+
+
+def substreams(seed: int, *key: int):
+    """Generators for the streams ``key + (i,)``, i = 0, 1, 2, ..., in order.
+
+    The i-th draws what ``substream(seed, *key, i)`` draws; the words are
+    hashed and checked a chunk at a time, as in `row_words`.
     """
     seed, key = int(seed), tuple(int(k) for k in key)
-    end = 1 << 32 if stop is None else min(int(stop), 1 << 32)
-    gen = np.random.Generator(np.random.PCG64(0))  # every row re-seeds it
-    bit_gen = gen.bit_generator
-    reseed = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    for lo in range(int(start), end, CHUNK_ROWS):
-        states = _row_states(seed, key, lo, min(lo + CHUNK_ROWS, end))
-        first = next(states)
-        _check_against_numpy(seed, key + (lo,), first)
-        for state, inc in itertools.chain([first], states):
-            reseed["state"] = {"state": state, "inc": inc}
-            bit_gen.state = reseed
-            yield gen
-    if stop is None or stop > 1 << 32:
-        raise ValueError("row indices beyond 2**32 - 1 are not supported")
+    for start in range(0, 1 << 32, CHUNK_ROWS):
+        for words in _chunk_words(seed, key, start, min(start + CHUNK_ROWS, 1 << 32)):
+            yield row_generator(words)
+    raise ValueError("row indices beyond 2**32 - 1 are not supported")
 
 
 def usable_cpus() -> int:

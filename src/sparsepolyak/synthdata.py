@@ -16,21 +16,29 @@ design's d, which `generate_truth` takes as an argument.
 """
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .objectives import LINEAR, LOGISTIC, sigmoid
-from .rng import STREAM_DESIGN, STREAM_NOISE, STREAM_TRUTH, substream, substreams, usable_cpus
+from .rng import (
+    STREAM_DESIGN,
+    STREAM_NOISE,
+    STREAM_TRUTH,
+    row_generator,
+    row_words,
+    substream,
+    usable_cpus,
+)
 
 # Bytes of the row-major block that `_draw_rows` draws the design's rows
 # into; the block holds at least `DESIGN_BLOCK_MIN_ROWS` rows.
 DESIGN_BLOCK_BYTES = 1 << 20
 DESIGN_BLOCK_MIN_ROWS = 8
-# Most threads that draw the design's rows.  Each holds its own stream
-# state, about 20 KB, so more threads would outgrow X plus about one block.
-DESIGN_THREADS_MAX = 4
+# Most threads that draw the design's rows: the most that have been timed.
+DESIGN_THREADS_MAX = 2
 
 
 @dataclass(frozen=True)
@@ -144,7 +152,7 @@ def design_spectrum(omega: float, d: int) -> tuple[float, float]:
 
 
 def _draw_rows(X: np.ndarray, seed: int) -> None:
-    """Fill X with the rows' standard normals, one `substreams` stream per row.
+    """Fill X with the rows' standard normals, one `row_words` stream per row.
 
     Rows are drawn into a row-major block of about `DESIGN_BLOCK_BYTES`,
     which is copied into X and freed on return.  The block holds at least
@@ -152,42 +160,73 @@ def _draw_rows(X: np.ndarray, seed: int) -> None:
     of a few rows into the column-major X is a scattered write, which at
     d = 1e5 cost more than the draws themselves.
 
-    The n rows are split into k contiguous ranges, k = `usable_cpus()`
-    capped by `DESIGN_THREADS_MAX` and the block's rows, and the block into
-    k slices.  This thread draws range 0 and one `threading.Thread` each of
-    the others, each range through its own `substreams` into its own slice
-    and from there into its rows of X.  Every row is its own stream, so
-    X's bytes do not depend on k.  An exception in any range is re-raised,
-    the lowest range's first, once every thread has been joined.
+    The rows' seed words are hashed first, on this thread (32 bytes per
+    row).  On k = `_draw_threads` threads, each owns one of k slices of
+    the block and repeatedly takes the next slice-sized run of rows, draws
+    it into its slice and copies it into X, so a thread on a slower CPU
+    simply draws fewer runs.  This thread is one of the k; the others are
+    `threading.Thread`s.  Every row is its own stream, so X's bytes do not
+    depend on k or on which thread drew which rows.  A failure in any
+    thread, or an interrupt while joining, stops the others at their next
+    run; it is re-raised, the first thread's first, once every thread has
+    been joined.
     """
     n, d = X.shape
+    words = row_words(seed, STREAM_DESIGN, rows=n)
     block = np.empty((min(n, max(DESIGN_BLOCK_MIN_ROWS, DESIGN_BLOCK_BYTES // (8 * d))), d))
-    k = min(usable_cpus(), DESIGN_THREADS_MAX, block.shape[0])
-    rows = [i * n // k for i in range(k + 1)]
-    slots = [i * block.shape[0] // k for i in range(k + 1)]
+    k = _draw_threads(block.shape[0])
+    step = block.shape[0] // k
+    starts, taking = iter(range(0, n, step)), threading.Lock()
     errors = [None] * k
+    failed = threading.Event()
 
     def draw(i):
         try:
-            part, stop = block[slots[i]:slots[i + 1]], rows[i + 1]
-            streams = substreams(seed, STREAM_DESIGN, start=rows[i], stop=stop)
-            for start in range(rows[i], stop, part.shape[0]):
-                chunk = part[:stop - start]
-                for row in chunk:
-                    next(streams).standard_normal(out=row)
-                X[start:start + chunk.shape[0]] = chunk
+            part = block[i * step:(i + 1) * step]
+            while not failed.is_set():
+                with taking:
+                    start = next(starts, None)
+                if start is None:
+                    return
+                run = part[:n - start]
+                for row, row_seed in zip(run, words[start:start + run.shape[0]]):
+                    row_generator(row_seed).standard_normal(out=row)
+                X[start:start + run.shape[0]] = run
         except BaseException as exc:
             errors[i] = exc
+            failed.set()
 
     helpers = [threading.Thread(target=draw, args=(i,)) for i in range(1, k)]
-    for thread in helpers:
-        thread.start()
-    draw(0)
-    for thread in helpers:
-        thread.join()
+    try:
+        for thread in helpers:
+            thread.start()
+        draw(0)
+        for thread in helpers:
+            thread.join()
+    except BaseException:  # a thread that would not start, or an interrupt while joining
+        failed.set()
+        for thread in helpers:
+            if thread.ident is not None:
+                thread.join()
+        raise
     for exc in errors:
         if exc is not None:
             raise exc
+
+
+def _draw_threads(block_rows: int) -> int:
+    """Threads that `_draw_rows` draws on.
+
+    One per usable CPU, at most `DESIGN_THREADS_MAX` and ``block_rows``.
+    A process started by `multiprocessing`, such as a ``--workers`` pool
+    worker, draws on one: its parent already spreads the work over the
+    CPUs.  The check reads `sys.modules`, so a process that never loaded
+    `multiprocessing` does not load it here.
+    """
+    process = sys.modules.get("multiprocessing.process")
+    if process is not None and process.parent_process() is not None:
+        return 1
+    return min(usable_cpus(), DESIGN_THREADS_MAX, block_rows)
 
 
 def generate_design(spec: DesignSpec, seed: int) -> np.ndarray:
@@ -195,13 +234,13 @@ def generate_design(spec: DesignSpec, seed: int) -> np.ndarray:
 
     X is column-major, so the column recursion runs in place on contiguous
     columns and `ObjectiveModel` stores it without a copy.  The row streams
-    come from `substreams`, whose per-row seeding costs a few microseconds
+    come from `row_words`, whose per-row seeding costs a few microseconds
     next to the row's d normals.  Each row's normals are drawn into a
-    row-major block and the block is copied into X, on one thread per
-    usable CPU, at most `DESIGN_THREADS_MAX` (see `_draw_rows`); X's bytes
-    are the same on any number of threads.  The recursion then runs in
-    place on this thread.  So generation holds X plus about one block,
-    never a second n x d buffer.  The columns are not rescaled: X's
+    row-major block and the block is copied into X, on up to
+    `DESIGN_THREADS_MAX` threads (see `_draw_rows`); X's bytes are the
+    same on any number of threads.  The recursion then runs in place on
+    this thread.  So generation holds X plus about one block and 32 bytes
+    of seed words per row, never a second n x d buffer.  The columns are not rescaled: X's
     population covariance is `ar1_covariance(d, omega)`, the Sigma that
     `compute_regularity` takes every constant from.
     """

@@ -485,15 +485,13 @@ class TestWorkers:
     def test_pool_capped_at_items_and_cpus(self, monkeypatch):
         # records the requested pool size instead of starting processes;
         # `_pmap` imports the pool class from concurrent.futures when it runs one
-        from sparsepolyak import cli, synthdata
+        from sparsepolyak import cli
 
-        sizes, shares = [], []
+        sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 sizes.append(max_workers)
-                initializer(*initargs)  # as each worker process would
-                shares.append(synthdata.DESIGN_THREADS_MAX)
 
             def __enter__(self):
                 return self
@@ -506,14 +504,17 @@ class TestWorkers:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
-        monkeypatch.setattr(synthdata, "DESIGN_THREADS_MAX", synthdata.DESIGN_THREADS_MAX)
         items = [(2, 1), (2, 2), (2, 3)]
         assert cli._pmap(pow, items, 5000) == [2, 4, 8]
         assert cli._pmap(pow, items * 3, 5000) == [2, 4, 8] * 3
         assert cli._pmap(pow, items, 1) == [2, 4, 8]
         assert sizes == [3, 4]
-        assert cli._pmap(pow, items, 2) == [2, 4, 8]
-        assert shares == [1, 1, 2]  # each worker's draw threads: the 4 CPUs over the pool
+
+    def test_pool_workers_draw_designs_on_one_thread(self, monkeypatch):
+        from sparsepolyak import cli, synthdata
+
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)  # a two-worker pool on any host
+        assert cli._pmap(synthdata._draw_threads, [(64,), (64,)], 2) == [1, 1]
 
 
 class TestCliGridSweepReports:

@@ -47,28 +47,32 @@ def test_negative_seed_rejected():
         next(substreams(-1, STREAM_DESIGN))
 
 
-@pytest.mark.parametrize("start", [0, 100, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1],
-                         ids=["zero", "mid_chunk", "chunk_minus_1", "chunk", "chunk_plus_1"])
-def test_row_range_draws_each_row_stream_and_stops(start):
-    stop = start + CHUNK_ROWS + 3  # crosses one chunk boundary of the range
-    got = [g.standard_normal(5).tobytes() for g in substreams(5, STREAM_DESIGN, start=start, stop=stop)]
-    assert got == [substream(5, STREAM_DESIGN, i).standard_normal(5).tobytes() for i in range(start, stop)]
+@pytest.mark.parametrize("key", KEYS, ids=["design_key", "multi_word_key"])
+def test_row_words_seed_each_row_stream(key):
+    words = rng.row_words(5, *key, rows=2 * CHUNK_ROWS + 3)
+    assert words.shape == (2 * CHUNK_ROWS + 3, 4) and words.dtype == np.uint64
+    for i in ROWS + [2 * CHUNK_ROWS + 2]:
+        got = rng.row_generator(words[i])
+        assert got.bit_generator.state == numpy_state(5, key, i), i
+        assert got.standard_normal(5).tobytes() == substream(5, *key, i).standard_normal(5).tobytes(), i
+    assert rng.row_words(5, *key, rows=0).shape == (0, 4)
 
 
-def test_row_range_ends_at_2_32_and_only_later_rows_raise():
-    last = substream(3, STREAM_DESIGN, 2**32 - 1).standard_normal(4).tobytes()
-    rows = substreams(3, STREAM_DESIGN, start=2**32 - 1, stop=2**32)
-    assert [g.standard_normal(4).tobytes() for g in rows] == [last]
-    rows = substreams(3, STREAM_DESIGN, start=2**32 - 1)
-    assert next(rows).standard_normal(4).tobytes() == last
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        next(rows)
+def test_row_words_guard_checks_every_chunk(monkeypatch):
+    real = rng.substream
 
+    def wrong_from_the_second_chunk(seed, *key):
+        return real(seed + (key[-1] >= CHUNK_ROWS), *key)
 
-def test_guard_raises_for_a_range_that_starts_mid_chunk(monkeypatch):
-    monkeypatch.setattr(rng, "MIX_MULT_L", rng.MIX_MULT_L ^ 1)
+    monkeypatch.setattr(rng, "substream", wrong_from_the_second_chunk)
+    rng.row_words(0, STREAM_DESIGN, rows=CHUNK_ROWS)
     with pytest.raises(RuntimeError, match="SeedSequence"):
-        next(substreams(0, STREAM_DESIGN, start=CHUNK_ROWS + 100, stop=CHUNK_ROWS + 200))
+        rng.row_words(0, STREAM_DESIGN, rows=CHUNK_ROWS + 1)
+
+
+def test_row_words_beyond_2_32_rows_rejected_before_any_work():
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        rng.row_words(0, STREAM_DESIGN, rows=2**32 + 1)
 
 
 def test_usable_cpus_counts_the_affinity_mask(monkeypatch):

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sparsepolyak import rng, synthdata
+from sparsepolyak import synthdata
 from sparsepolyak.objectives import LINEAR, LOGISTIC
 from sparsepolyak.rng import CHUNK_ROWS, STREAM_DESIGN, substream
 from sparsepolyak.synthdata import (
@@ -75,7 +75,7 @@ class TestGenerateDesign:
 
     def test_many_cpus_draw_on_a_bounded_number_of_threads(self, monkeypatch):
         monkeypatch.setattr(synthdata, "usable_cpus", lambda: 64)
-        spec = DesignSpec(n=2000, d=200, omega=0.5)  # 64 threads would hold about 200 KB of stream state
+        spec = DesignSpec(n=2000, d=200, omega=0.5)  # drawn on DESIGN_THREADS_MAX threads, not 64
         assert traced_peak(spec) < design_and_block_bytes(spec)
 
     def test_wide_design_blocks_hold_the_minimum_rows(self):
@@ -101,7 +101,7 @@ class TestGenerateDesign:
             assert generate_design(spec, seed=11).tobytes(order="F") == expected, cpus
 
     def test_eight_threads_with_a_short_switch_interval_keep_the_bytes(self, monkeypatch):
-        spec = DesignSpec(n=2 * CHUNK_ROWS + 3, d=40, omega=0.4)  # eight ranges of 64-65 rows
+        spec = DesignSpec(n=2 * CHUNK_ROWS + 3, d=40, omega=0.4)  # eight threads taking 64-row runs
         monkeypatch.setattr(synthdata, "usable_cpus", lambda: 8)
         monkeypatch.setattr(synthdata, "DESIGN_THREADS_MAX", 8)
         interval = sys.getswitchinterval()
@@ -112,22 +112,74 @@ class TestGenerateDesign:
             sys.setswitchinterval(interval)
         assert X.tobytes(order="F") == two_buffer_design(spec, seed=11).tobytes(order="F")
 
-    def test_guard_failure_in_a_helper_range_raises_after_the_join(self, monkeypatch):
-        spec = DesignSpec(n=600, d=40, omega=0.5)  # one 600-row block; ranges [0, 300) and [300, 600)
-        check = rng._check_against_numpy
+    def test_a_failed_helper_stops_this_thread_at_its_next_run(self, monkeypatch):
+        spec = DesignSpec(n=80, d=20000, omega=0.5)  # an 8-row block: runs of 4 rows per thread
+        real, threads, drawn = synthdata.row_generator, threading.active_count(), []
+        started = threading.Event()
 
-        def fail_in_second_range(seed, key, state):
-            if key[-1] >= 300:
-                time.sleep(0.1)  # fails after range 0 is drawn, so only a join sees it
-                raise RuntimeError("seeding differs")
-            check(seed, key, state)
+        def generator(words):
+            if threading.current_thread() is not threading.main_thread():
+                started.wait(10)  # fails once this thread is inside its first run
+                raise RuntimeError("drawing failed")
+            started.set()
+            deadline = time.monotonic() + 10
+            while threading.active_count() > threads and time.monotonic() < deadline:
+                time.sleep(0.001)  # until the helper has failed
+            drawn.append(words)
+            return real(words)
 
         monkeypatch.setattr(synthdata, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(rng, "_check_against_numpy", fail_in_second_range)
-        threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="seeding differs"):
+        monkeypatch.setattr(synthdata, "row_generator", generator)
+        with pytest.raises(RuntimeError, match="drawing failed"):
             generate_design(spec, seed=0)
         assert threading.active_count() == threads
+        assert len(drawn) == 4  # its first run, not the 80 rows
+
+    def test_an_interrupt_while_joining_stops_the_helper(self, monkeypatch):
+        spec = DesignSpec(n=80, d=20000, omega=0.5)
+        real, threads, helper_rows = synthdata.row_generator, threading.active_count(), []
+        join = threading.Thread.join
+
+        def generator(words):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.01)  # still drawing when this thread joins it
+                helper_rows.append(words)
+            return real(words)
+
+        def interrupted_join(thread, timeout=None):
+            monkeypatch.setattr(threading.Thread, "join", join)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(synthdata, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(synthdata, "row_generator", generator)
+        monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+        with pytest.raises(KeyboardInterrupt):
+            generate_design(spec, seed=0)
+        assert threading.active_count() == threads
+        assert len(helper_rows) < 40
+
+    def test_a_slow_thread_draws_fewer_rows(self, monkeypatch):
+        spec = DesignSpec(n=80, d=20000, omega=0.5)
+        real, helper_rows = synthdata.row_generator, []
+
+        def generator(words):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.01)
+                helper_rows.append(words)
+            return real(words)
+
+        monkeypatch.setattr(synthdata, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(synthdata, "row_generator", generator)
+        X = generate_design(spec, seed=11)
+        assert X.tobytes(order="F") == two_buffer_design(spec, seed=11).tobytes(order="F")
+        assert 0 < len(helper_rows) < 40
+
+    def test_threads_are_the_usable_cpus_capped(self, monkeypatch):
+        monkeypatch.setattr(synthdata, "usable_cpus", lambda: 64)
+        assert synthdata._draw_threads(100) == synthdata.DESIGN_THREADS_MAX
+        assert synthdata._draw_threads(1) == 1
+        monkeypatch.setattr(synthdata, "usable_cpus", lambda: 1)
+        assert synthdata._draw_threads(100) == 1
 
     def test_iid_case_matches_identity_covariance(self):
         X = generate_design(DesignSpec(n=1000, d=5, omega=0.0), seed=0)
