@@ -108,7 +108,7 @@ def cmd_run(cfg: ExperimentConfig, out_root: Path) -> int:
     out_dir = _artifact_dir(out_root, "run", cfg)
     write_trace_csv(trace, out_dir / "trace.csv")
     _, hit = plateau(trace.error_sq)
-    write_summary_json(out_dir / "summary.json", trace, cfg.echo, iters_to_floor=hit)
+    write_summary_json(out_dir / "summary.json", trace, hit)
     dataset_to_npz(model, out_dir / "dataset.npz", cfg.seed)
     _publish(out_root, "run", cfg, [cfg.seed], {},
              f"run: status={trace.status.value} iters={len(trace) - 1} "

@@ -6,7 +6,10 @@ seed, schema version) for exact replay.  The container is the one
 `np.savez` builds, byte for byte (a stored zip64 archive with ZipFile's
 fixed 1980 timestamps), but each `.npy` member is streamed from its
 array's own buffer, so writing it holds no copy of X.  Schema version 2
-added the ``status`` and ``iterations`` columns of the grid and sweep CSVs.
+added the ``status`` and ``iterations`` columns of the grid and sweep CSVs;
+version 3 drops ``config`` and ``config_hash`` from ``summary.json``
+(the manifest beside it holds both), and `check` draws its pairs from one
+stream per chunk.
 
 Run traces are CSV with the fixed header
 ``iter,f_value,step_size,grad_ht_norm_sq,error_sq,support_size`` and 12
@@ -31,7 +34,7 @@ from . import __version__
 from .objectives import ObjectiveModel
 from .optimizer import RunTrace
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TRACE_HEADER = "iter,f_value,step_size,grad_ht_norm_sq,error_sq,support_size"
 _TRACE_ROW = "%d,%.12g,%.12g,%.12g,%.12g,%d\n"
@@ -89,8 +92,8 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     atomic_write_text(path, trace_csv_text(trace))
 
 
-def write_summary_json(path, trace: RunTrace, echo: dict, iters_to_floor: int | None = None) -> None:
-    """Final error, floor timing, status, and a hashed config echo."""
+def write_summary_json(path, trace: RunTrace, iters_to_floor: int | None) -> None:
+    """Status, iterations, final values and floor timing; the config is in the manifest beside it."""
     summary = {
         "status": trace.status.value,
         "iterations": len(trace) - 1,
@@ -98,8 +101,6 @@ def write_summary_json(path, trace: RunTrace, echo: dict, iters_to_floor: int | 
         "final_error_sq": None if trace.error_sq is None else float(trace.error_sq[-1]),
         "final_support_size": int(trace.support_size[-1]),
         "iters_to_floor": iters_to_floor,
-        "config": echo,
-        "config_hash": config_hash(echo),
     }
     atomic_write_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 

@@ -55,16 +55,11 @@ _VIOLATION_RTOL = 1e-9
 # Relative band above the plateau level that counts as reaching it.
 PLATEAU_REL_MARGIN = 0.05
 
-# Pairs whose divergences and norms `check_assumptions` computes at once.
-# With 1 OpenBLAS thread, widths 512, 1000, 1024 and 4096 kept every
-# `bregman_batch` bit of the unchunked call for 10,000, 9,999 and 777 pairs
-# in both families; 2500 did not for 10,000 and 9,999, through the column
-# tail of its design product.
+# Pairs that `check_assumptions` draws, evaluates and frees together.  Chunk
+# c is drawn from its own stream, (STREAM_CHECK, c), so this value defines
+# which pairs a seed samples.  It stays a multiple of 4, so that pair i is
+# in regime i % 4.
 CHECK_CHUNK = 1024
-
-# Bytes of uniform keys or dense rows `_sample_pairs` draws at once; with
-# the keys' argpartition indices, all it holds beside the pairs.
-_KEY_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -85,30 +80,22 @@ def _sample_pairs(dim: int, s: int, pairs: int, rng: np.random.Generator):
     Regime 2: one s-sparse point against a dense one (large separation).
     Regime 3: dense point plus a small dense perturbation.
 
-    Pair i is in regime i % 4, and each regime's draws go straight into its
-    rows: uniform keys and dense rows through one buffer of about
-    `_KEY_CHUNK_BYTES`, keeping only each sparse row's s key indices until
-    its s normals are drawn.  The draws come in one fixed order (regime by
-    regime, Theta2's rows before Theta1's; within a sparse block all keys,
-    then all normals), so a seed's pairs do not depend on the chunk size.
+    Pair i is in regime i % 4.  Each regime draws straight into its strided
+    rows, in one order: regime by regime, Theta2's rows before Theta1's;
+    a sparse block draws all its uniform keys, keeps each row's s smallest
+    by one argpartition, then draws its normals.
     """
     Theta1 = np.zeros((pairs, dim))
     Theta2 = np.zeros((pairs, dim))
     s = min(s, dim)
-    chunk = max(1, _KEY_CHUNK_BYTES // (8 * dim))
-    buf = np.empty((min(chunk, -(-pairs // 4)), dim))
 
     def sparse(rows):
         k = rows.shape[0]
-        idx = np.empty((k, s), dtype=np.intp)
-        for i in range(0, k, chunk):
-            keys = rng.random(out=buf[:min(chunk, k - i)])
-            idx[i:i + chunk] = np.argpartition(keys, kth=s - 1, axis=1)[:, :s]
+        idx = np.argpartition(rng.random((k, dim)), kth=s - 1, axis=1)[:, :s]
         rows[np.arange(k)[:, None], idx] = rng.standard_normal((k, s))
 
     def dense(rows):
-        for i in range(0, rows.shape[0], chunk):
-            rows[i:i + chunk] = rng.standard_normal(out=buf[:min(chunk, rows.shape[0] - i)])
+        rows[:] = rng.standard_normal(rows.shape)
 
     for r, (draw2, draw1) in enumerate([(sparse, sparse), (sparse, sparse), (sparse, dense), (dense, dense)]):
         T1, T2 = Theta1[r::4], Theta2[r::4]
@@ -140,20 +127,19 @@ def check_assumptions(
     rsc: D - (mu/2 ||delta||^2 - tau/2 ||delta||_1^2); rss: (L/2 ||delta||^2
     + tau/2 ||delta||_1^2) - D; weak_rsc: the rsc slack for ||delta|| <= 1,
     else D - ||delta|| (mu/2 - tau/2 ||delta||_1^2 / ||delta||^2).  The pairs
-    are drawn once, and their divergences and norms computed once, over
-    chunks of `CHECK_CHUNK` pairs; reports come in that order.
+    come in chunks of `CHECK_CHUNK`: chunk c is drawn from the stream
+    (STREAM_CHECK, c), so it depends only on the seed and c, and its
+    divergences and norms are computed before the next chunk is drawn.
+    Reports come in that order.
     """
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
-    rng = substream(seed, STREAM_CHECK)
-    Theta1, Theta2 = _sample_pairs(model.d, params.s, pairs, rng)
     breg, n2, n1_sq = np.empty(pairs), np.empty(pairs), np.empty(pairs)
-    buf = np.empty((min(pairs, CHECK_CHUNK), model.d))
-    for i in range(0, pairs, CHECK_CHUNK):
+    for c, i in enumerate(range(0, pairs, CHECK_CHUNK)):
         rows = slice(i, i + CHECK_CHUNK)
-        T1, T2 = Theta1[rows], Theta2[rows]
+        T1, T2 = _sample_pairs(model.d, params.s, min(CHECK_CHUNK, pairs - i), substream(seed, STREAM_CHECK, c))
         breg[rows] = bregman_batch(model, T1, T2)
-        diff = np.subtract(T1, T2, out=buf[:len(T1)])
+        diff = np.subtract(T1, T2, out=T1)
         n2[rows] = np.einsum("ij,ij->i", diff, diff)
         n1_sq[rows] = np.sum(np.abs(diff, out=diff), axis=1) ** 2
 

@@ -9,7 +9,7 @@ never share state and generation order cannot leak between them:
 * ground-truth coefficient vector -> ``(STREAM_TRUTH,)``
 * response noise / label draws    -> ``(STREAM_NOISE,)``
 * concavity-oracle trial batches  -> ``(STREAM_CONCAVITY,)``
-* assumption-checker pair batches -> ``(STREAM_CHECK,)``
+* assumption-checker chunk ``c``   -> ``(STREAM_CHECK, c)``
 
 PCG64 output is platform independent, so identical (seed, key) pairs
 reproduce identical data everywhere.
@@ -29,7 +29,6 @@ hash's 32-bit words, NumPy's own little-endian order, so nothing depends
 on the host's byte order.  A guard compares the first row of every chunk
 with NumPy's own `substream` and raises `RuntimeError` on a mismatch, so a
 NumPy whose seeding differs fails loudly instead of changing the data.
-`substreams` yields the same generators lazily, for any number of rows.
 
 A row's draws depend only on (seed, key, row), never on which other rows
 were drawn before it or by whom, so rows may be drawn on separate threads
@@ -145,25 +144,6 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-def _chunk_words(seed: int, key: tuple[int, ...], start: int, stop: int) -> np.ndarray:
-    """State words of the streams ``key + (i,)`` for i in [start, stop), stop <= 2**32.
-
-    The first row is checked against `substream`.
-    """
-    run = _words(seed)
-    # A SeedSequence with a spawn key pads its run entropy to the pool size,
-    # so the entropy has more than POOL_SIZE words.
-    run += [0] * (POOL_SIZE - len(run))
-    prefix = run + [w for k in key for w in _words(k)]
-    words = _seed_words(prefix, np.arange(start, stop, dtype=np.uint32))
-    first = row_generator(words[0])
-    if first.bit_generator.state != substream(seed, *key, start).bit_generator.state:
-        raise RuntimeError(
-            f"derived PCG64 state of stream {key + (start,)} under seed {seed} differs from NumPy "
-            f"{np.__version__}'s SeedSequence; its seeding algorithm has changed")
-    return words
-
-
 def row_generator(words: np.ndarray) -> np.random.Generator:
     """The generator seeded with one row of `row_words`."""
     return np.random.Generator(np.random.PCG64(_StateWords(words)))
@@ -180,24 +160,21 @@ def row_words(seed: int, *key: int, rows: int) -> np.ndarray:
     if rows > 1 << 32:
         raise ValueError("row indices beyond 2**32 - 1 are not supported")
     seed, key = int(seed), tuple(int(k) for k in key)
+    run = _words(seed)
+    # A SeedSequence with a spawn key pads its run entropy to the pool size,
+    # so the entropy has more than POOL_SIZE words.
+    run += [0] * (POOL_SIZE - len(run))
+    prefix = run + [w for k in key for w in _words(k)]
     words = np.empty((rows, 4), dtype=np.uint64)
     for start in range(0, rows, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, rows)
-        words[start:stop] = _chunk_words(seed, key, start, stop)
+        words[start:stop] = _seed_words(prefix, np.arange(start, stop, dtype=np.uint32))
+        first = row_generator(words[start])
+        if first.bit_generator.state != substream(seed, *key, start).bit_generator.state:
+            raise RuntimeError(
+                f"derived PCG64 state of stream {key + (start,)} under seed {seed} differs from NumPy "
+                f"{np.__version__}'s SeedSequence; its seeding algorithm has changed")
     return words
-
-
-def substreams(seed: int, *key: int):
-    """Generators for the streams ``key + (i,)``, i = 0, 1, 2, ..., in order.
-
-    The i-th draws what ``substream(seed, *key, i)`` draws; the words are
-    hashed and checked a chunk at a time, as in `row_words`.
-    """
-    seed, key = int(seed), tuple(int(k) for k in key)
-    for start in range(0, 1 << 32, CHUNK_ROWS):
-        for words in _chunk_words(seed, key, start, min(start + CHUNK_ROWS, 1 << 32)):
-            yield row_generator(words)
-    raise ValueError("row indices beyond 2**32 - 1 are not supported")
 
 
 def usable_cpus() -> int:

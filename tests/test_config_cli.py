@@ -275,7 +275,7 @@ class TestCliRun:
         assert (run_dirs[0] / "summary.json").is_file()
         manifest = json.loads((run_dirs[0] / "manifest.json").read_text())
         assert manifest["seeds"] == [1]
-        assert manifest["schema_version"] == 2
+        assert manifest["schema_version"] == 3
         assert (run_dirs[0] / "dataset.npz").is_file()
 
     def test_replay_is_byte_identical(self, tmp_path):

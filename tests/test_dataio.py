@@ -160,13 +160,13 @@ class TestDatasetContainers:
 class TestSummaryAndHash:
     def test_summary_contents(self, tmp_path):
         path = tmp_path / "summary.json"
-        write_summary_json(path, small_trace(), {"design.d": 2}, iters_to_floor=1)
+        write_summary_json(path, small_trace(), 1)
         payload = json.loads(path.read_text())
         assert payload["status"] == "converged"
         assert payload["final_error_sq"] == pytest.approx(1e-12)
         assert payload["iters_to_floor"] == 1
-        assert payload["config"] == {"design.d": 2}
-        assert payload["config_hash"] == config_hash({"design.d": 2})
+        assert set(payload) == {"status", "iterations", "final_f_value", "final_error_sq",
+                                "final_support_size", "iters_to_floor"}
 
     def test_manifest_records_the_numeric_build(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")

@@ -1,5 +1,6 @@
 """Diagnostics tests: checker soundness, power and slacks, profiles, operator comparison."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from sparsepolyak import diagnostics
 from sparsepolyak.diagnostics import (
     _VIOLATION_RTOL,
+    CHECK_CHUNK,
     _sample_pairs,
     active_median_step,
     check_assumptions,
@@ -20,7 +22,7 @@ from sparsepolyak.diagnostics import (
     step_target,
     summarize_comparison,
 )
-from sparsepolyak.objectives import LINEAR, LOGISTIC, bregman_batch
+from sparsepolyak.objectives import LINEAR, LOGISTIC, ObjectiveModel, bregman_batch
 from sparsepolyak.optimizer import (
     CLASSIC_POLYAK,
     FIXED,
@@ -170,11 +172,31 @@ def reference_sample_pairs(dim, s, pairs, rng):
     return Theta1, Theta2
 
 
-class TestPairSampler:
-    """`_sample_pairs` draws into its rows in chunks and keeps every bit of the whole-array sampler."""
+def checker_pairs(model, s, pairs, seed):
+    """The pairs `check_assumptions` samples: chunk c of `CHECK_CHUNK` from stream (STREAM_CHECK, c)."""
+    chunks = [_sample_pairs(model.d, s, min(CHECK_CHUNK, pairs - i), substream(seed, STREAM_CHECK, c))
+              for c, i in enumerate(range(0, pairs, CHECK_CHUNK))]
+    return np.concatenate([T1 for T1, _ in chunks]), np.concatenate([T2 for _, T2 in chunks])
 
-    # (dim, s, pairs): many key chunks with a short last one; one chunk;
-    # empty regimes; s >= dim; dim = 1
+
+def recording_sampler(monkeypatch):
+    """Patch `_sample_pairs` to keep a copy of every (Theta1, Theta2) it returns; returns that list."""
+    drawn, real = [], diagnostics._sample_pairs
+
+    def recording(*args):
+        pairs = real(*args)
+        drawn.append(tuple(T.copy() for T in pairs))
+        return pairs
+
+    monkeypatch.setattr(diagnostics, "_sample_pairs", recording)
+    return drawn
+
+
+class TestPairSampler:
+    """`_sample_pairs` keeps every bit of the whole-array sampler; `check_assumptions` draws chunk by chunk."""
+
+    # (dim, s, pairs): the desk width with regimes of unequal size; a few
+    # pairs; empty regimes; s >= dim; dim = 1
     SHAPES = [(1000, 40, 9999), (7, 3, 10), (5, 2, 3), (9, 2, 1), (6, 9, 13), (6, 6, 8), (1, 1, 9), (1, 3, 2)]
 
     @pytest.mark.parametrize("dim, s, pairs", SHAPES)
@@ -186,11 +208,42 @@ class TestPairSampler:
 
     @pytest.mark.parametrize("dim, s, pairs", SHAPES[1:])
     @pytest.mark.parametrize("chunk_rows", [1, 2])
-    def test_chunk_size_keeps_the_pairs(self, monkeypatch, dim, s, pairs, chunk_rows):
-        monkeypatch.setattr(diagnostics, "_KEY_CHUNK_BYTES", 8 * dim * chunk_rows)
-        got = _sample_pairs(dim, s, pairs, substream(5, STREAM_CHECK))
-        want = reference_sample_pairs(dim, s, pairs, substream(5, STREAM_CHECK))
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    def test_each_chunk_draws_from_its_own_stream(self, monkeypatch, dim, s, pairs, chunk_rows):
+        # chunks of 4 and 8 pairs: many chunks, a short last one, or one
+        chunk = 4 * chunk_rows
+        monkeypatch.setattr(diagnostics, "CHECK_CHUNK", chunk)
+        drawn = recording_sampler(monkeypatch)
+        X = np.asfortranarray(np.random.default_rng(dim).standard_normal((3, dim)))
+        model = ObjectiveModel(family=LINEAR, X=X, y=np.zeros(3))
+        check_assumptions(model, RegularityParams(mu=1.0, L=1.0, tau=0.0, s=s), pairs, seed=5)
+        starts = range(0, pairs, chunk)
+        assert len(drawn) == len(starts)
+        for c, (i, got) in enumerate(zip(starts, drawn)):
+            want = _sample_pairs(dim, s, min(chunk, pairs - i), substream(5, STREAM_CHECK, c))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), c
+
+    def test_a_chunk_does_not_depend_on_the_pair_count(self, monkeypatch, linear_checker_instance):
+        model, params = linear_checker_instance
+        drawn = recording_sampler(monkeypatch)
+        check_assumptions(model, params, CHECK_CHUNK, seed=3)
+        check_assumptions(model, params, 3000, seed=3)
+        assert [T1.shape[0] for T1, _ in drawn] == [CHECK_CHUNK, CHECK_CHUNK, CHECK_CHUNK, 3000 - 2 * CHECK_CHUNK]
+        assert all(np.array_equal(a, b) for a, b in zip(drawn[0], drawn[1]))
+        assert not np.array_equal(drawn[1][1], drawn[2][1])
+
+    def test_holds_about_one_chunk(self):
+        # 10,000 pairs at d = 1000 are 160 MB as two whole arrays; one
+        # chunk's pairs are 16 MB
+        design = DesignSpec(n=200, d=1000, omega=0.5)
+        model, _ = make_instance(design, 10, NoiseSpec(family=LINEAR, sigma=0.5), seed=0)
+        params = compute_regularity(design, 40)
+        tracemalloc.start()
+        try:
+            check_assumptions(model, params, 10000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6, peak
 
 
 class TestCheckerSlacks:
@@ -198,7 +251,7 @@ class TestCheckerSlacks:
 
     @staticmethod
     def expected(model, params, pairs, seed):
-        Theta1, Theta2 = _sample_pairs(model.d, params.s, pairs, substream(seed, STREAM_CHECK))
+        Theta1, Theta2 = checker_pairs(model, params.s, pairs, seed)
         breg = bregman_batch(model, Theta1, Theta2)
         diff = Theta1 - Theta2
         n2 = np.einsum("ij,ij->i", diff, diff)
