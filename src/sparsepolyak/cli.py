@@ -8,10 +8,10 @@ Subcommands
     concavity  thresholding-operator concavity certification; writes concavity.json
     check      curvature-assumption sampling report; writes assumptions.json
 
-Every cell (one instance run with one operator and one step rule) gets its
-rule from `optimizer.make_step_rule`.  `grid` and `sweep` build their cell
-list and one argument tuple per instance and map
-`diagnostics.run_instance_cells` over the instances; `run` calls
+Every cell (one instance run with one operator and one step rule) is built
+by `diagnostics.instance_cells`.  `grid` and `sweep` build their cell list
+and one argument tuple per instance and map `diagnostics.run_instance_cells`
+over the instances; `run` builds its one cell the same way, calls
 `optimizer.run` and measures the plateau with the same `diagnostics.plateau`.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (a stalled
@@ -47,23 +47,13 @@ from .dataio import (
 from .diagnostics import (
     active_median_step,
     check_assumptions,
+    instance_cells,
     make_instance,
     plateau,
     run_instance_cells,
-    step_target,
     summarize_comparison,
 )
-from .optimizer import (
-    CLASSIC_POLYAK,
-    FIXED,
-    SPARSE_POLYAK,
-    OptimizerError,
-    RunConfig,
-    RunStatus,
-    RunTrace,
-    make_step_rule,
-    run,
-)
+from .optimizer import CLASSIC_POLYAK, FIXED, SPARSE_POLYAK, OptimizerError, RunStatus, RunTrace, run
 from .rng import usable_cpus
 from .synthdata import compute_regularity
 from .thresholding import HT, RT, ThresholdSpec, empirical_relative_concavity
@@ -98,12 +88,10 @@ def cmd_run(cfg: ExperimentConfig, out_root: Path) -> int:
     if cfg.step_kind == FIXED and cfg.operator_s < s_star:
         raise ConfigError(f"operator.s: the fixed step 1/L_hat needs operator.s >= truth.s_star "
                           f"= {s_star}, got {cfg.operator_s}")
-    model, theta_star = make_instance(cfg.design, cfg.s_star, cfg.noise, cfg.seed)
-    f_hat = step_target(model, theta_star, cfg.f_hat)
-    rule = make_step_rule(cfg.step_kind, f_hat, cfg.ht_width, cfg.design, cfg.operator_s, cfg.s_star)
-    op = ThresholdSpec(kind=cfg.operator_kind, s=cfg.operator_s)
-    trace = run(RunConfig(model=model, operator=op, step_rule=rule, max_iters=cfg.max_iters,
-                          theta_star=theta_star))
+    cell = (ThresholdSpec(kind=cfg.operator_kind, s=cfg.operator_s), cfg.step_kind)
+    model, (config,) = instance_cells(cfg.design, cfg.s_star, cfg.noise, cfg.seed, [cell], cfg.max_iters,
+                                      cfg.ht_width, cfg.f_hat)
+    trace = run(config)
 
     out_dir = _artifact_dir(out_root, "run", cfg)
     write_trace_csv(trace, out_dir / "trace.csv")

@@ -20,11 +20,12 @@ inequality by replaying a one-cell run from its config and its trace's
 step sizes, so runs keep no iterates; the replay has the run's bits and
 checks every f against the trace.
 
-`run_instance_cells` is the one cell worker of the grid and sweep
-commands: it generates a seed's instance once, builds each (operator,
-step kind) cell's rule with `optimizer.make_step_rule`, advances all the
-cells from zero in one lock-step batch (`optimizer.run_batch`), then
-measures each cell's plateau.
+`instance_cells` is the one builder of every command's cells, `run`'s,
+`grid`'s and `sweep`'s: it generates a seed's instance once and builds
+each (operator, step kind) cell's zero-start `RunConfig`, its rule from
+`optimizer.make_step_rule`.  `run_instance_cells`, the one cell worker of
+the grid and sweep commands, advances those cells in one lock-step batch
+(`optimizer.run_batch`), then measures each cell's plateau.
 """
 
 from dataclasses import dataclass
@@ -268,6 +269,27 @@ def step_target(model: ObjectiveModel, theta_star: np.ndarray, f_hat: float | No
     return f_target
 
 
+def instance_cells(design: DesignSpec, s_star: int, noise: NoiseSpec, seed: int,
+                   cells: list[tuple[ThresholdSpec, str]], max_iters: int, ht_width: str | None,
+                   f_hat: float | None) -> tuple[ObjectiveModel, list[RunConfig]]:
+    """One seed's model and a zero-start `RunConfig` per (operator, step kind) cell.
+
+    The instance (design of d features, truth of s_star of them) is
+    generated once and shared by every config.  ht_width None means the
+    family's default; f_hat None means the target value f(theta*),
+    computed only then.  Every cell stops at the run's tolerance
+    1e-12 (1 + |f_hat|), and a fixed cell steps by 1/L_hat of its own s.
+    """
+    model, theta_star = make_instance(design, s_star, noise, seed)
+    target = step_target(model, theta_star, f_hat)
+    width = ht_width or default_ht_width(noise.family)
+    return model, [
+        RunConfig(model=model, operator=op, max_iters=max_iters, theta_star=theta_star,
+                  step_rule=make_step_rule(kind, target, width, design, op.s, s_star))
+        for op, kind in cells
+    ]
+
+
 def run_instance_cells(
     design: DesignSpec,
     s_star: int,
@@ -280,24 +302,13 @@ def run_instance_cells(
 ) -> list[tuple[RunTrace, float, int]]:
     """Zero-start runs of (operator, step kind) cells on one seed's instance.
 
-    The instance (design of d features, truth of s_star of them) is
-    generated once and its cells run as one lock-step batch, so each
-    cell's last bits can depend on the other cells and their order (never
-    on worker count).  ht_width None means the family's default; f_hat
-    None means the target value f(theta*), computed only then.  Every cell
-    stops at the run's tolerance 1e-12 (1 + |f_hat|), and a fixed cell
-    steps by 1/L_hat of its own s.  Returns (trace, plateau level,
+    The cells come from `instance_cells` and run as one lock-step batch,
+    so each cell's last bits can depend on the other cells and their
+    order (never on worker count).  Returns (trace, plateau level,
     iterations to plateau) per cell, in order.
     """
-    model, theta_star = make_instance(design, s_star, noise, seed)
-    target = step_target(model, theta_star, f_hat)
-    width = ht_width or default_ht_width(noise.family)
-    traces = run_batch([
-        RunConfig(model=model, operator=op, max_iters=max_iters, theta_star=theta_star,
-                  step_rule=make_step_rule(kind, target, width, design, op.s, s_star))
-        for op, kind in cells
-    ])
-    return [(trace, *plateau(trace.error_sq)) for trace in traces]
+    _, configs = instance_cells(design, s_star, noise, seed, cells, max_iters, ht_width, f_hat)
+    return [(trace, *plateau(trace.error_sq)) for trace in run_batch(configs)]
 
 
 def summarize_comparison(detail, s_grid: list[int]) -> dict[str, ComparisonRow]:

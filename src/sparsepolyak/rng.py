@@ -18,17 +18,17 @@ reproduce identical data everywhere.
 per-row streams ``key + (i,)`` at the cost of their draws.  NumPy's
 SeedSequence hash (O'Neill's entropy mixing, then ``generate_state(4,
 uint64)``) uses constants that do not depend on the data: the words of
-(seed, key), the same for every row, are hashed once per chunk of
-`CHUNK_ROWS` rows on Python ints masked to 32 bits, and only the row word
-and the output run on uint32 arrays across the chunk, never on numpy
-scalars.  The result is four uint64 words per row; `row_generator` builds
-the row's PCG64 from them by NumPy's own seeding step, through
-`_StateWords`, a seed sequence that only hands those words over.  The
-64-bit words are composed arithmetically as ``lo | hi << 32`` from the
-hash's 32-bit words, NumPy's own little-endian order, so nothing depends
-on the host's byte order.  A guard compares the first row of every chunk
-with NumPy's own `substream` and raises `RuntimeError` on a mismatch, so a
-NumPy whose seeding differs fails loudly instead of changing the data.
+(seed, key), the same for every row, are hashed once on Python ints masked
+to 32 bits, and only the row word and the output run on uint32 arrays, in
+one pass over all the rows, never on numpy scalars.  The result is four
+uint64 words per row; `row_generator` builds the row's PCG64 from them by
+NumPy's own seeding step, through `_StateWords`, a seed sequence that only
+hands those words over.  The 64-bit words are composed arithmetically as
+``lo | hi << 32`` from the hash's 32-bit words, NumPy's own little-endian
+order, so nothing depends on the host's byte order.  A guard compares
+every `CHUNK_ROWS`-th row with NumPy's own `substream` and raises
+`RuntimeError` on a mismatch, so a NumPy whose seeding differs fails
+loudly instead of changing the data.
 
 A row's draws depend only on (seed, key, row), never on which other rows
 were drawn before it or by whom, so rows may be drawn on separate threads
@@ -47,7 +47,8 @@ STREAM_NOISE = 2
 STREAM_CONCAVITY = 3
 STREAM_CHECK = 4
 
-# Rows whose seed words are hashed in one vectorised pass.
+# The guard's stride: `row_words` checks rows 0, CHUNK_ROWS, 2 CHUNK_ROWS, ...
+# against `substream`.
 CHUNK_ROWS = 256
 
 # NumPy's SeedSequence (numpy/random/bit_generator.pyx).
@@ -153,9 +154,9 @@ def row_words(seed: int, *key: int, rows: int) -> np.ndarray:
     """Seed words of the streams ``key + (i,)``, i < rows: a rows x 4 uint64 array.
 
     ``row_generator(words[i])`` draws what ``substream(seed, *key, i)``
-    draws.  The words are hashed `CHUNK_ROWS` rows at a time into the one
-    array, 32 bytes per row, and the first row of each chunk is checked
-    against `substream`.  More than 2**32 rows raise `ValueError`.
+    draws.  All rows are hashed in one vectorised pass, 32 bytes per row,
+    and every `CHUNK_ROWS`-th row, from row 0, is checked against
+    `substream`.  More than 2**32 rows raise `ValueError`.
     """
     if rows > 1 << 32:
         raise ValueError("row indices beyond 2**32 - 1 are not supported")
@@ -165,10 +166,8 @@ def row_words(seed: int, *key: int, rows: int) -> np.ndarray:
     # so the entropy has more than POOL_SIZE words.
     run += [0] * (POOL_SIZE - len(run))
     prefix = run + [w for k in key for w in _words(k)]
-    words = np.empty((rows, 4), dtype=np.uint64)
+    words = _seed_words(prefix, np.arange(rows, dtype=np.uint32))
     for start in range(0, rows, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, rows)
-        words[start:stop] = _seed_words(prefix, np.arange(start, stop, dtype=np.uint32))
         first = row_generator(words[start])
         if first.bit_generator.state != substream(seed, *key, start).bit_generator.state:
             raise RuntimeError(

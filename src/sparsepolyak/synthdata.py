@@ -112,12 +112,6 @@ class RegularityParams:
         return self.L_bar / self.mu_bar
 
 
-def ar1_covariance(d: int, omega: float) -> np.ndarray:
-    """Exact stationary covariance Sigma_ij = omega^|i-j| / (1 - omega^2)."""
-    idx = np.arange(d)
-    return omega ** np.abs(idx[:, None] - idx[None, :]) / (1.0 - omega**2)
-
-
 def _kms_extreme(w: float, d: int, lo: float, hi: float) -> float:
     """1 / ((1 - w)^2 + 4 w sin^2(t/2)) at the root t of h in (lo, hi)."""
     def h(t):
@@ -247,8 +241,9 @@ def generate_design(spec: DesignSpec, seed: int) -> np.ndarray:
     `DESIGN_THREADS_MAX` threads (see `_draw_rows`); X's bytes are the
     same on any number of threads.  The recursion then runs in place on
     this thread.  So generation holds X plus about one block and 32 bytes
-    of seed words per row, never a second n x d buffer.  The columns are not rescaled: X's
-    population covariance is `ar1_covariance(d, omega)`, the Sigma that
+    of seed words per row, never a second n x d buffer.  The columns are
+    not rescaled: X's population covariance is the stationary AR(1)
+    Sigma_ij = omega^|i-j| / (1 - omega^2), the Sigma that
     `compute_regularity` takes every constant from.
     """
     n, d = spec.n, spec.d

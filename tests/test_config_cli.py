@@ -65,6 +65,15 @@ INTLISTS = [key for key, (tag, *_) in SCHEMA.items() if tag == "intlist"]
 CHOICES = [(key, accepted) for key, (_, _, accepted, _) in SCHEMA.items() if isinstance(accepted, tuple)]
 
 
+def fresh_python(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this package; fails on a nonzero exit."""
+    src = str(Path(sparsepolyak.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def bound_values(tag: str, accepted: str) -> tuple:
     """The least value a SCHEMA lower bound accepts and the greatest it rejects."""
     op, bound = accepted.split()
@@ -476,11 +485,7 @@ class TestWorkers:
             f"assert main(['grid', '--config', {cfg!r}, '--out', {out!r}, '--workers', '1']) == 0\n"
             "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))\n"
         )
-        src = str(Path(sparsepolyak.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        assert fresh_python(code).splitlines()[-1] == "[]"
 
     def test_pool_capped_at_items_and_cpus(self, monkeypatch):
         # records the requested pool size instead of starting processes;
@@ -680,9 +685,16 @@ class TestCliGridSweepReports:
         assert all(r["violations"] == 0 for r in payload["reports"])
 
 
-class TestPackageExports:
-    def test_every_exported_name_resolves(self):
-        import sparsepolyak
+class TestPackageLayout:
+    """Names are imported from their modules; the package itself binds only its version."""
 
-        missing = [name for name in sparsepolyak.__all__ if not hasattr(sparsepolyak, name)]
-        assert missing == []
+    @pytest.mark.parametrize("module", sorted(p.stem for p in Path(sparsepolyak.__file__).parent.glob("*.py")
+                                              if p.stem != "__init__"))
+    def test_each_module_imports_alone(self, module):
+        fresh_python(f"import sparsepolyak.{module}")
+
+    def test_package_binds_only_its_version(self):
+        out = fresh_python("import sparsepolyak\n"
+                           "print(sparsepolyak.__version__)\n"
+                           "print(sorted(n for n in vars(sparsepolyak) if not n.startswith('_')))\n")
+        assert out.splitlines() == [sparsepolyak.__version__, "[]"]

@@ -195,9 +195,10 @@ def recording_sampler(monkeypatch):
 class TestPairSampler:
     """`_sample_pairs` keeps every bit of the whole-array sampler; `check_assumptions` draws chunk by chunk."""
 
-    # (dim, s, pairs): the desk width with regimes of unequal size; a few
-    # pairs; empty regimes; s >= dim; dim = 1
-    SHAPES = [(1000, 40, 9999), (7, 3, 10), (5, 2, 3), (9, 2, 1), (6, 9, 13), (6, 6, 8), (1, 1, 9), (1, 3, 2)]
+    # (dim, s, pairs): the desk width at the most pairs `check_assumptions`
+    # hands the sampler, CHECK_CHUNK - 1, with regimes of unequal size; a
+    # few pairs; empty regimes; s >= dim; dim = 1
+    SHAPES = [(1000, 40, 1023), (7, 3, 10), (5, 2, 3), (9, 2, 1), (6, 9, 13), (6, 6, 8), (1, 1, 9), (1, 3, 2)]
 
     @pytest.mark.parametrize("dim, s, pairs", SHAPES)
     def test_equals_the_whole_array_sampler(self, dim, s, pairs):

@@ -37,7 +37,6 @@ from sparsepolyak.synthdata import (
     DesignSpec,
     NoiseSpec,
     RegularityParams,
-    ar1_covariance,
     compute_regularity,
 )
 from sparsepolyak.thresholding import HT, RT, ThresholdSpec, hard_threshold, relative_concavity_bound
@@ -128,7 +127,7 @@ class TestFixedStep:
         with pytest.raises(ValueError):
             lhat_gamma(1.0, 3, 5)
 
-    def test_design_spectrum_matches_dense_eigensolve(self):
+    def test_design_spectrum_matches_dense_eigensolve(self, ar1_covariance):
         design = DesignSpec(n=100, d=200, omega=0.5)
         gamma = fixed_step_lhat(design, 20, 10)
         lam_max = np.linalg.eigvalsh(ar1_covariance(200, 0.5))[-1]

@@ -17,7 +17,6 @@ from sparsepolyak.synthdata import (
     DesignSpec,
     NoiseSpec,
     RegularityParams,
-    ar1_covariance,
     compute_regularity,
     design_spectrum,
     generate_design,
@@ -195,7 +194,7 @@ class TestGenerateDesign:
             corr = np.corrcoef(X[:, t], X[:, t + 1])[0, 1]
             assert abs(corr - 0.5) < 0.05
 
-    def test_covariance_matches_closed_form_entrywise(self):
+    def test_covariance_matches_closed_form_entrywise(self, ar1_covariance):
         spec = DesignSpec(n=10000, d=8, omega=0.5)
         X = generate_design(spec, seed=2)
         emp = X.T @ X / spec.n
@@ -296,13 +295,13 @@ class TestRegularity:
         assert params.L == pytest.approx(2.0)
         assert params.tau == pytest.approx(np.log(100) / 500)
 
-    def test_spectrum_matches_dense_eigensolve(self):
+    def test_spectrum_matches_dense_eigensolve(self, ar1_covariance):
         lmin, lmax = design_spectrum(0.5, 100)
         vals = np.linalg.eigvalsh(ar1_covariance(100, 0.5))
         assert lmin == pytest.approx(vals[0], abs=1e-10)
         assert lmax == pytest.approx(vals[-1], abs=1e-10)
 
-    def test_symbol_bounds_bracket_dense_spectrum(self):
+    def test_symbol_bounds_bracket_dense_spectrum(self, ar1_covariance):
         # the Toeplitz symbol range brackets the exact eigenvalues and is approached as d grows
         omega = 0.5
         vals = np.linalg.eigvalsh(ar1_covariance(400, omega))
@@ -313,7 +312,7 @@ class TestRegularity:
 
     @pytest.mark.parametrize("omega", [0.0, 0.1, 0.5, 0.9])
     @pytest.mark.parametrize("d", [1, 2, 3, 100, 1000])
-    def test_spectrum_matches_eigvalsh(self, d, omega):
+    def test_spectrum_matches_eigvalsh(self, d, omega, ar1_covariance):
         lmin, lmax = design_spectrum(omega, d)
         vals = np.linalg.eigvalsh(ar1_covariance(d, omega))
         assert lmin == pytest.approx(vals[0], rel=1e-12, abs=0.0)
