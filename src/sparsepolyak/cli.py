@@ -29,7 +29,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -181,16 +181,16 @@ def cmd_sweep(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     for d, n, seed, method, level, hit, step, outcome in detail:
         csv_lines.append(f"{d},{n},{seed},{method},{outcome},{level:.12g},{hit},{step:.12g}")
     lines = [f"{'d':>6} {'n':>6} {'method':<16} {'median plateau':>15} {'median iters':>13} {'median step':>12}"]
-    report = {}
+    sparse_hits = []
     for d in cfg.sweep_d_values:
         for method in methods:
             rows = [r for r in detail if r[0] == d and r[3] == method]
             med_level = float(np.median([r[4] for r in rows]))
             med_hit = float(np.median([r[5] for r in rows]))
             med_step = float(np.median([r[6] for r in rows]))
-            report[(d, method)] = (med_level, med_hit, med_step)
+            if method == SPARSE_POLYAK:
+                sparse_hits.append(med_hit)
             lines.append(f"{d:>6} {rows[0][1]:>6} {method:<16} {med_level:>15.6g} {med_hit:>13.0f} {med_step:>12.6g}")
-    sparse_hits = [report[(d, SPARSE_POLYAK)][1] for d in cfg.sweep_d_values]
     if min(sparse_hits) > 0:
         lines.append(f"sparse polyak iters-to-plateau spread (max/min): {max(sparse_hits) / min(sparse_hits):.3f}")
     summary = "\n".join(lines) + "\n"
@@ -243,11 +243,7 @@ def cmd_check(cfg: ExperimentConfig, out_root: Path) -> int:
         "constants": {"mu": params.mu, "L": params.L, "tau": params.tau, "s": params.s,
                       "mu_bar": params.mu_bar, "L_bar": params.L_bar,
                       "kappa_bar": params.kappa_bar},
-        "reports": [
-            {"assumption": r.assumption, "pairs_tested": r.pairs_tested,
-             "violations": r.violations, "worst_margin": r.worst_margin}
-            for r in reports
-        ],
+        "reports": [asdict(r) for r in reports],
     }
     report = "".join(f"{r.assumption}: {r.violations}/{r.pairs_tested} violations, "
                      f"worst margin {r.worst_margin:.3g}\n" for r in reports)

@@ -14,12 +14,12 @@ tolerance 1e-12 (1 + |f_hat|) are worked out by the optimizer, and `check`
 tests its constants at the operator sparsity, so none of them is a key.
 
 Each `SCHEMA` entry states what its key accepts: a lower bound (held by
-every entry of a list) or a tuple of choices.  `resolve_config` enforces
-those in one loop, after finiteness of every float, with the entries of
-every list distinct; then the rules that tie keys together: ``s_star``,
-``operator.s`` and each grid sparsity at most ``design.d``, ``omega`` in
-[0, 1), ``sigma > 0`` for the linear family, and a nonempty seed list.
-Every error names its key.
+every entry of a list) or a tuple of choices.  `resolve_config` rejects a
+key that is not in `SCHEMA`, then enforces those in one loop, after
+finiteness of every float, with the entries of every list distinct; then
+the rules that tie keys together: ``s_star``, ``operator.s`` and each grid
+sparsity at most ``design.d``, ``omega`` in [0, 1), ``sigma > 0`` for the
+linear family, and a nonempty seed list.  Every error names its key.
 
 `schema_text` renders the shipped ``config-schema.txt``, accepted column
 included, from the same table.
@@ -164,8 +164,11 @@ def default_s_grid(s_star: int, d: int) -> list[int]:
 
 
 def resolve_config(values: dict) -> ExperimentConfig:
-    """Apply defaults, enforce each key's accepted values, derive dependent values
-    and validate cross-field constraints."""
+    """Reject unknown keys, apply defaults, enforce each key's accepted values,
+    derive dependent values and validate cross-field constraints."""
+    for key in values:
+        if key not in SCHEMA:
+            raise ConfigError(f"unknown key {key!r}")
     merged = {key: spec[1] for key, spec in SCHEMA.items()}
     merged.update(values)
     for key, (tag, _, accepted, _) in SCHEMA.items():

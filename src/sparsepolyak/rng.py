@@ -17,18 +17,19 @@ reproduce identical data everywhere.
 `substream` builds one generator through NumPy.  `row_words` serves the
 per-row streams ``key + (i,)`` at the cost of their draws.  NumPy's
 SeedSequence hash (O'Neill's entropy mixing, then ``generate_state(4,
-uint64)``) uses constants that do not depend on the data: the words of
-(seed, key), the same for every row, are hashed once on Python ints masked
-to 32 bits, and only the row word and the output run on uint32 arrays, in
-one pass over all the rows, never on numpy scalars.  The result is four
-uint64 words per row; `row_generator` builds the row's PCG64 from them by
-NumPy's own seeding step, through `_StateWords`, a seed sequence that only
-hands those words over.  The 64-bit words are composed arithmetically as
-``lo | hi << 32`` from the hash's 32-bit words, NumPy's own little-endian
-order, so nothing depends on the host's byte order.  A guard compares
-every `CHUNK_ROWS`-th row with NumPy's own `substream` and raises
-`RuntimeError` on a mismatch, so a NumPy whose seeding differs fails
-loudly instead of changing the data.
+uint64)``) uses constants that do not depend on the data, and the words of
+(seed, key) come before the row word and are the same for every row, so
+the pool they leave is NumPy's own: ``SeedSequence(seed,
+spawn_key=key).pool``.  Only the row word's mixing and the output hash are
+written out here, on uint32 arrays in one pass over all the rows, never on
+numpy scalars.  The result is four uint64 words per row; `row_generator`
+builds the row's PCG64 from them by NumPy's own seeding step, through
+`_StateWords`, a seed sequence that only hands those words over.  The
+64-bit words are composed arithmetically as ``lo | hi << 32`` from the
+hash's 32-bit words, NumPy's own little-endian order, so nothing depends
+on the host's byte order.  A guard compares every `CHUNK_ROWS`-th row with
+NumPy's own `substream` and raises `RuntimeError` on a mismatch, so a
+NumPy whose seeding differs fails loudly instead of changing the data.
 
 A row's draws depend only on (seed, key, row), never on which other rows
 were drawn before it or by whom, so rows may be drawn on separate threads
@@ -69,15 +70,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _words(value: int) -> list[int]:
-    """SeedSequence's uint32 words of a nonnegative int, least significant first."""
-    words = [value & MASK32]
-    while value > MASK32:
-        value >>= 32
-        words.append(value & MASK32)
-    return words
-
-
 def _hash_consts(init: int, mult: int):
     """The (xor, multiplier) pairs of successive hash calls: h_k, h_{k+1}."""
     h = init
@@ -98,27 +90,27 @@ def _mix(x, y):
     return result ^ (result >> XSHIFT)
 
 
-def _seed_words(prefix: list[int], rows: np.ndarray) -> np.ndarray:
-    """SeedSequence.generate_state(4, uint64) of the entropy words ``prefix + [row]``, for each row.
+def _seed_words(seed: int, key: tuple, rows: np.ndarray) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=key + (row,)).generate_state(4, uint64), for each row.
 
-    ``prefix`` holds at least `POOL_SIZE` uint32 words, the same for every
-    row, so they are hashed once, on Python ints; only the last word, the
-    uint32 array ``rows``, is mixed in per row.  Returns a rows x 4 uint64
-    array of the state words, ``lo | hi << 32`` of the hash's consecutive
-    uint32 outputs.
+    The entropy of each row's SeedSequence is the words of (seed, key), the
+    same for every row, then the row word.  NumPy's ``SeedSequence(seed,
+    spawn_key=key).pool`` is the pool after those L words, where L = max(
+    `POOL_SIZE`, words of seed) + words of key: a SeedSequence with a spawn
+    key pads the seed's words to `POOL_SIZE` with zeros, and one without
+    hashes a 0 into each empty slot, which leaves the same pool.  Every one
+    of the L words took `POOL_SIZE` hash calls (filling and cross-mixing the
+    pool, or mixing a later word into each slot), so the row word's hash
+    constants start at ``INIT_A * MULT_A**(POOL_SIZE * L)``.  Only the row
+    word, the uint32 array ``rows``, and the output hash run here.  Returns a
+    rows x 4 uint64 array of the state words, ``lo | hi << 32`` of the
+    hash's consecutive uint32 outputs.
     """
-    consts = _hash_consts(INIT_A, MULT_A)
-    pool = [_hashmix(prefix[i], consts) for i in range(POOL_SIZE)]
-    for src in range(POOL_SIZE):
-        for dst in range(POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
-    for word in prefix[POOL_SIZE:]:
-        for dst in range(POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
-    pool = [np.array([word], dtype=np.uint32) for word in pool]
-    for dst in range(POOL_SIZE):
-        pool[dst] = _mix(pool[dst], _hashmix(rows, consts))
+    pool = np.random.SeedSequence(seed, spawn_key=key).pool
+    prefix_len = (max(POOL_SIZE, (seed.bit_length() + 31) // 32)
+                  + sum((k.bit_length() + 31) // 32 or 1 for k in key))
+    consts = _hash_consts(INIT_A * pow(MULT_A, POOL_SIZE * prefix_len, 1 << 32) & MASK32, MULT_A)
+    pool = [_mix(pool[dst:dst + 1], _hashmix(rows, consts)) for dst in range(POOL_SIZE)]
     consts = _hash_consts(INIT_B, MULT_B)
     out = np.empty((rows.size, 4), dtype=np.uint64)
     for j in range(4):
@@ -154,19 +146,17 @@ def row_words(seed: int, *key: int, rows: int) -> np.ndarray:
     """Seed words of the streams ``key + (i,)``, i < rows: a rows x 4 uint64 array.
 
     ``row_generator(words[i])`` draws what ``substream(seed, *key, i)``
-    draws.  All rows are hashed in one vectorised pass, 32 bytes per row,
-    and every `CHUNK_ROWS`-th row, from row 0, is checked against
-    `substream`.  More than 2**32 rows raise `ValueError`.
+    draws.  The (seed, key) part of every row's hash is NumPy's own
+    ``SeedSequence(seed, spawn_key=key).pool``, made once; the row words
+    are mixed into it and hashed out in one vectorised pass, 32 bytes per
+    row (`_seed_words` says where their hash constants start).  Every
+    `CHUNK_ROWS`-th row, from row 0, is checked against `substream`.  More
+    than 2**32 rows, or a negative seed, raise `ValueError`.
     """
     if rows > 1 << 32:
         raise ValueError("row indices beyond 2**32 - 1 are not supported")
     seed, key = int(seed), tuple(int(k) for k in key)
-    run = _words(seed)
-    # A SeedSequence with a spawn key pads its run entropy to the pool size,
-    # so the entropy has more than POOL_SIZE words.
-    run += [0] * (POOL_SIZE - len(run))
-    prefix = run + [w for k in key for w in _words(k)]
-    words = _seed_words(prefix, np.arange(rows, dtype=np.uint32))
+    words = _seed_words(seed, key, np.arange(rows, dtype=np.uint32))
     for start in range(0, rows, CHUNK_ROWS):
         first = row_generator(words[start])
         if first.bit_generator.state != substream(seed, *key, start).bit_generator.state:

@@ -316,8 +316,7 @@ def empirical_relative_concavity(
     rng = substream(seed, STREAM_CONCAVITY)
     best = 0.0
     total = 0
-    done = 0
-    while done < trials:
+    for done in range(0, trials, CONCAVITY_BATCH):
         b = min(CONCAVITY_BATCH, trials - done)
         Z = rng.standard_normal((b, dim))
         keys = rng.random((b, dim))
@@ -329,7 +328,6 @@ def empirical_relative_concavity(
         batch_best, pairs = _batch_max_ratio(Y, Z, op, s_star)
         best = max(best, batch_best)
         total += pairs
-        done += b
 
     Ys, Zs = _structured_pairs(s, s_star, dim)
     if Zs.size:

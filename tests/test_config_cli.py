@@ -103,6 +103,8 @@ class TestParsing:
     def test_unknown_key_rejected_by_name(self, tmp_path, capsys, key, value):
         with pytest.raises(ConfigError, match=re.escape(key)):
             parse_config_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=re.escape(repr(key))):
+            resolve_config({key: value})
         cfg = write_config(tmp_path, extra=f"{key} = {value}\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert repr(key) in capsys.readouterr().err

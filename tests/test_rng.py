@@ -9,7 +9,10 @@ from sparsepolyak import rng
 from sparsepolyak.rng import CHUNK_ROWS, STREAM_DESIGN, substream
 
 SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 7, 2**200 + 3]  # 1, 1, 2, 3 and 7 uint32 words
-KEYS = [(STREAM_DESIGN,), (3, 2**40 + 5)]  # the second key spans three uint32 words
+# The second key spans three uint32 words; with the empty key, the (seed, key)
+# SeedSequence has no spawn key and so does not pad the seed's words.
+KEYS = [(STREAM_DESIGN,), (3, 2**40 + 5), ()]
+KEY_IDS = ["design_key", "multi_word_key", "empty_key"]
 ROWS = [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS]
 
 
@@ -17,7 +20,7 @@ def numpy_state(seed, key, i):
     return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key + (i,))).state
 
 
-@pytest.mark.parametrize("key", KEYS, ids=["design_key", "multi_word_key"])
+@pytest.mark.parametrize("key", KEYS, ids=KEY_IDS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_row_states_match_seedsequence(seed, key):
     words = rng.row_words(seed, *key, rows=max(ROWS) + 1)
@@ -33,19 +36,22 @@ def test_reused_generator_draws_each_row_stream():
         assert got.random(3).tobytes() == ref.random(3).tobytes()
 
 
-def test_guard_raises_on_a_wrong_mixing_constant(monkeypatch):
-    monkeypatch.setattr(rng, "MIX_MULT_L", rng.MIX_MULT_L ^ 1)
+@pytest.mark.parametrize("name", ["INIT_A", "MULT_A", "INIT_B", "MULT_B", "MIX_MULT_L", "MIX_MULT_R", "XSHIFT"])
+def test_guard_raises_on_a_wrong_mixing_constant(monkeypatch, name):
+    # every constant the row word's mixing and the output hash read; INIT_A
+    # and MULT_A also set where the row word's hash constants start
+    monkeypatch.setattr(rng, name, getattr(rng, name) ^ 1)
     with pytest.raises(RuntimeError, match="SeedSequence"):
         rng.row_words(0, STREAM_DESIGN, rows=1)
 
 
 def test_negative_seed_rejected():
-    # the words hash; the guard's NumPy SeedSequence rejects the seed
+    # NumPy's SeedSequence, which gives the (seed, key) pool, rejects the seed
     with pytest.raises(ValueError):
         rng.row_words(-1, STREAM_DESIGN, rows=1)
 
 
-@pytest.mark.parametrize("key", KEYS, ids=["design_key", "multi_word_key"])
+@pytest.mark.parametrize("key", KEYS, ids=KEY_IDS)
 def test_row_words_seed_each_row_stream(key):
     words = rng.row_words(5, *key, rows=2 * CHUNK_ROWS + 3)
     assert words.shape == (2 * CHUNK_ROWS + 3, 4) and words.dtype == np.uint64
