@@ -15,8 +15,9 @@ tests its constants at the operator sparsity, so none of them is a key.
 
 Each `SCHEMA` entry states what its key accepts: a lower bound (held by
 every entry of a list) or a tuple of choices.  `resolve_config` rejects a
-key that is not in `SCHEMA`, then enforces those in one loop, after
-finiteness of every float, with the entries of every list distinct; then
+key that is not in `SCHEMA`, then enforces those in one loop, after the
+type its tag names (`_TYPES`: a bool is no number) and finiteness of
+every float, with the entries of every list distinct; then
 the rules that tie keys together: ``s_star``, ``operator.s`` and each grid
 sparsity at most ``design.d``, ``omega`` in [0, 1), ``sigma > 0`` for the
 linear family, and a nonempty seed list.  Every error names its key.
@@ -43,6 +44,8 @@ class ConfigError(ValueError):
 
 _GRID_PATTERN = (1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0, 7.0 / 3.0)
 _COMPARE = {">=": operator.ge, ">": operator.gt}
+# tag -> the type `parse_config_text` makes for a value, or for each intlist entry; a float also takes an int
+_TYPES = {"int": int, "float": (int, float), "str": str, "intlist": int}
 
 # key -> (type tag, default, accepted, help).  accepted is a lower bound ("> 0", ">= 1"),
 # on every entry of an intlist, whose entries are also distinct; a tuple of choices;
@@ -173,13 +176,16 @@ def resolve_config(values: dict) -> ExperimentConfig:
     merged.update(values)
     for key, (tag, _, accepted, _) in SCHEMA.items():
         value = merged[key]
+        entries = value if tag == "intlist" else [value]
+        if (tag == "intlist") != isinstance(value, list) or not all(
+                isinstance(v, _TYPES[tag]) and not isinstance(v, bool) for v in entries):
+            raise ConfigError(f"{key}: expected {tag}, got {value!r}")
         if tag == "float" and not np.isfinite(value):
             raise ConfigError(f"{key}: must be finite, got {value!r}")
         if isinstance(accepted, tuple) and value not in accepted:
             raise ConfigError(f"{key}: must be one of {' | '.join(accepted)}, got {value!r}")
         if isinstance(accepted, str):
             op, bound = accepted.split()
-            entries = value if tag == "intlist" else [value]
             if not all(_COMPARE[op](v, float(bound)) for v in entries):
                 raise ConfigError(f"{key}: {'every entry ' if tag == 'intlist' else ''}must be {accepted}, "
                                   f"got {value!r}")

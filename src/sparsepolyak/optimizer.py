@@ -25,13 +25,13 @@ inf * 0 = NaN into z), as an `OptimizerError` naming the iteration and
 the cell.
 
 Each cell carries the support of its iterate and hands the operator the
-gradient step, `ThresholdSpec.step` (see `thresholding`), which returns
-the next iterate and its support.  Late in a run the support rarely
-moves, and a step the carried support certifies writes the s new values
-into the iterate's row of the batch in place, without forming the d
-entries of z or partitioning them.  A cell reuses its d-vectors for the
-squared gradient, |g| and theta - theta*.  The trace's support size is
-the carried support's length.
+gradient step, `ThresholdSpec.step` (see `thresholding`), which writes
+the next iterate into the iterate's row of the batch in place and
+returns its support.  Late in a run the support rarely moves, and a step
+the carried support certifies writes only the s new values, without
+forming the d entries of z or partitioning them.  A cell reuses its
+d-vectors for the squared gradient, |g| and theta - theta*.  The trace's
+support size is the carried support's length.
 
 Parameters are float arrays: a start point, a truth and a final
 estimate are length-d vectors.  `run_batch` is the one iteration loop:
@@ -265,12 +265,11 @@ class _Cell:
         self.status = None
         self.final_theta = None
 
-    def step(self, t: int, theta: np.ndarray, f_t: float, g_t: np.ndarray) -> np.ndarray | None:
-        """Record row t at theta; return the next iterate, or None when the cell stops at t.
+    def step(self, t: int, theta: np.ndarray, f_t: float, g_t: np.ndarray) -> bool:
+        """Record row t at theta, then step theta in place (True) or stop the cell at t (False).
 
-        The next iterate is theta itself, updated in place, when the carried
-        support certifies the step.  `support` becomes the next iterate's;
-        it is the same array while the certified step keeps it.
+        `support` becomes the next iterate's; it is the same array while
+        the certified step keeps it.
         """
         op, rule = self.config.operator, self.config.step_rule
         ht_norm_sq = grad_ht_norm_sq(g_t, self.width, self.sq)
@@ -307,10 +306,10 @@ class _Cell:
         elif t == self.config.max_iters:
             self.status = RunStatus.MAX_ITERS
         else:
-            nxt, self.support = op.step(theta, gamma, g_t, self.support, self.abs_g)
-            return nxt
+            self.support = op.step(theta, gamma, g_t, self.support, self.abs_g)
+            return True
         self.final_theta = theta.copy()  # theta is a row of the batch buffer
-        return None
+        return False
 
     def trace(self) -> RunTrace:
         f, gamma, ht_norm_sq, err_sq, nnz = zip(*self.rows)
@@ -336,8 +335,8 @@ def run_batch(configs: list[RunConfig]) -> list[RunTrace]:
     slots only for a rebuilt union.  The slot order its sums run in
     depends on how the batch's union moved, and so do the last bits of a
     cell.  Selection, the step rule, the stop tests and the trace rows are
-    per cell, as in `run`; a cell leaves the batch when it stops, and a
-    certified step updates its row in place.  A cell keeps its trace rows
+    per cell, as in `run`; a cell leaves the batch when it stops, and
+    every step writes its row in place.  A cell keeps its trace rows
     and final iterate only; since a batch cell's last bits depend on its
     batch, only a one-cell trace replays exactly (see `run`).  The whole
     run is under one `np.errstate`.  Raises OptimizerError, naming
@@ -369,11 +368,8 @@ def run_batch(configs: list[RunConfig]) -> list[RunTrace]:
             keep = []
             F = F.tolist()
             for j, cell in enumerate(active):
-                before, row = cell.support, Theta[j]
-                nxt = cell.step(t, row, F[j], G[j])
-                if nxt is not None:
-                    if nxt is not row:
-                        row[:] = nxt
+                before = cell.support
+                if cell.step(t, Theta[j], F[j], G[j]):
                     keep.append(j)
                     if cell.support is not before:
                         cols = None

@@ -25,19 +25,20 @@ first s positions of a stable descending sort (see Blumensath & Davies
 2009 for the operator).
 
 The descent loop hands the operator its gradient step:
-`ThresholdSpec.step` returns Phi_s(theta - gamma g) for an iterate theta
+`ThresholdSpec.step` writes Phi_s(theta - gamma g) into an iterate theta
 that is zero off a carried support S, in the loop the support of the
-previous step.  Off S, z = theta - gamma g has |z_j| = fl(gamma |g_j|),
-and rounding is monotone, so the largest of them is fl(gamma max |g_j|).
-When S has s < d entries and min_S |z_S| > gamma max_{j not in S} |g_j|,
-S is exactly the top-s set of z, with t and tau those two numbers: the
-step writes z_S, or RT's values, into theta on S and returns theta,
-without forming z or partitioning (the guess-then-verify active set of
-glmnet, Friedman, Hastie & Tibshirani 2010, and the strong rules of
-Tibshirani et al. 2012).  The test is strict, so a tie at the boundary
-or a NaN (whose maximum or minimum is NaN) falls back to forming z and
-the partition, as does a changed support; the certified output has the
-partition's bits.
+previous step, and returns the new support.  Off S, z = theta - gamma g
+has |z_j| = fl(gamma |g_j|), and rounding is monotone, so the largest of
+them is fl(gamma max |g_j|).  When S has s < d entries and
+min_S |z_S| > gamma max_{j not in S} |g_j|, S is exactly the top-s set
+of z, with t and tau those two numbers: the step writes z_S, or RT's
+values, into theta on S only, without forming z or partitioning (the
+guess-then-verify active set of glmnet, Friedman, Hastie & Tibshirani
+2010, and the strong rules of Tibshirani et al. 2012).  The test is
+strict, so a tie at the boundary or a NaN (whose maximum or minimum is
+NaN) falls back to forming z, partitioning it and writing all of theta,
+as does a changed support; the certified output has the partition's
+bits.
 
 ``empirical_relative_concavity`` lower-bounds the worst-case ratio
 
@@ -80,25 +81,24 @@ class ThresholdSpec:
         return (hard_threshold if self.kind == HT else reciprocal_threshold)(v, self.s)
 
     def step(self, theta: np.ndarray, gamma: float, g: np.ndarray, support: np.ndarray,
-             scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Phi_s(theta - gamma g) and its support, ``np.flatnonzero`` of it.
+             scratch: np.ndarray | None = None) -> np.ndarray:
+        """Write Phi_s(theta - gamma g) into theta; return its support, ``np.flatnonzero`` of it.
 
         ``theta`` is a float vector that is zero off ``support``, ascending
         distinct indices such as the support a previous step returned (as
         with `np.searchsorted`'s sorted input this is not checked), and
         ``gamma`` a finite step size >= 0.  When the certificate of the
-        module docstring holds, the result is written into theta on
-        ``support``, theta's zeros off it stay as they are (the operator
-        writes +0.0 there), and theta itself comes back with ``support``
-        itself, unless RT halved a subnormal kept value to 0.  Otherwise
-        the result is a new vector, and theta is left alone.  ``scratch``,
-        a float vector of theta's length, saves the certificate's |g|
-        allocation.  A NaN in z raises ValueError when s is below d.
+        module docstring holds, only theta's entries on ``support`` are
+        written, its zeros off it stay as they are (the operator writes
+        +0.0 there), and ``support`` itself comes back unless RT halved a
+        subnormal kept value to 0.  Otherwise the operator's output is
+        copied into all of theta.  ``scratch``, a float vector of theta's
+        length, saves the certificate's |g| allocation.  A NaN in z
+        raises ValueError when s is below d, and leaves theta as it was.
         """
         if theta.ndim != 1:
             raise ValueError("a step needs a vector")
-        s = self.s
-        if support.size == s < theta.size:
+        if support.size == self.s < theta.size:
             # argmax and argmin (which find a NaN first) cost a third of max and min at desk scale
             a = np.abs(g, out=scratch)
             a[support] = 0.0
@@ -106,15 +106,12 @@ class ThresholdSpec:
             z_in = theta[support] - gamma * g[support]
             a_in = np.abs(z_in)
             if a_in[a_in.argmin()] > tau:
-                if self.kind == HT:
-                    theta[support] = z_in
-                    return theta, support
-                # _shrink's bits: every kept a >= t > tau leaves its clamp idle, and rounding is odd in sign
-                kept = np.copysign(0.5 * (a_in + np.sqrt(a_in * a_in - tau * tau)), z_in)
+                kept = z_in if self.kind == HT else _shrink(z_in, a_in, tau)
                 theta[support] = kept
-                return theta, support if np.count_nonzero(kept) == s else support[kept != 0.0]
-        out = self.apply(theta - gamma * g)
-        return out, np.flatnonzero(out)
+                # RT halves a kept subnormal to 0, which leaves the support
+                return support if np.count_nonzero(kept) == self.s else support[kept != 0.0]
+        theta[:] = self.apply(theta - gamma * g)
+        return np.flatnonzero(theta)
 
 
 def _check_input(v: np.ndarray, s: int) -> np.ndarray:
@@ -158,9 +155,10 @@ def _shrink(v: np.ndarray, a: np.ndarray, tau) -> np.ndarray:
     """RT's kept value sign(v) (|v| + sqrt(v^2 - tau^2)) / 2 at entries v with magnitudes a.
 
     A kept magnitude is at least t >= tau, so the clamp at 0 acts only off
-    the support.
+    the support.  The value takes v's sign bit, so a kept zero keeps its
+    sign; a subnormal v whose half rounds to 0 gives a zero of v's sign.
     """
-    return np.sign(v) * 0.5 * (a + np.sqrt(np.maximum(a * a - tau * tau, 0.0)))
+    return np.copysign(0.5 * (a + np.sqrt(np.maximum(a * a - tau * tau, 0.0))), v)
 
 
 def _threshold(V: np.ndarray, s: int, kind: str) -> np.ndarray:
@@ -169,7 +167,8 @@ def _threshold(V: np.ndarray, s: int, kind: str) -> np.ndarray:
         return V.copy()
     a = np.abs(V)
     keep, t, tau = _top_s_mask(a, s)
-    return np.where(keep, V if kind == HT else _shrink(V, a, tau), 0.0)
+    # RT writes +0.0 for a kept zero of either sign; + 0.0 turns -0.0 into +0.0 and nothing else
+    return np.where(keep, V if kind == HT else _shrink(V + 0.0, a, tau), 0.0)
 
 
 def hard_threshold(v: np.ndarray, s: int) -> np.ndarray:

@@ -180,6 +180,15 @@ class TestResolution:
         with pytest.raises(ConfigError, match=key):
             resolve_config({key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("design.d", "1000"), ("grid.seeds", 3), ("check.pairs", None), ("run.max_iters", 2.5),
+        ("design.d", True),
+    ], ids=["int-as-str", "intlist-as-int", "int-as-none", "int-as-float", "int-as-bool"])
+    def test_mistyped_value_names_the_key(self, key, value):
+        # parse_config_text never makes these; a dict handed to resolve_config can
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: expected "):
+            resolve_config({key: value})
+
     @pytest.mark.parametrize("key, tag, accepted", BOUNDED)
     def test_every_bound_is_enforced_by_name(self, key, tag, accepted):
         ok, bad = bound_values(tag, accepted)

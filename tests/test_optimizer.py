@@ -549,8 +549,8 @@ class TestCarriedSupport:
         final = run(config).final_theta
         assert np.count_nonzero(final) == 5 and not np.signbit(final[final == 0.0]).any()
 
-    def test_certified_step_returns_the_batch_row(self, monkeypatch):
-        # a certified step writes the row of the batch buffer, which the loop then leaves alone
+    def test_every_step_writes_the_batch_row(self, monkeypatch):
+        # each step writes its row of the batch buffer in place, and most keep the carried support
         from sparsepolyak import optimizer
 
         real_vg, real_step = optimizer.value_and_gradient, ThresholdSpec.step
@@ -561,16 +561,15 @@ class TestCarriedSupport:
             return real_vg(model, Theta, gram, cols)
 
         def recording_step(op, theta, gamma, g, support, scratch=None):
-            nxt, kept = real_step(op, theta, gamma, g, support, scratch)
-            rows.append((nxt is theta, np.shares_memory(theta, buffers[-1]), kept is support))
-            return nxt, kept
+            kept = real_step(op, theta, gamma, g, support, scratch)
+            rows.append((np.shares_memory(theta, buffers[-1]), kept is support))
+            return kept
 
         monkeypatch.setattr(optimizer, "value_and_gradient", recording_vg)
         monkeypatch.setattr(ThresholdSpec, "step", recording_step)
         desk_traces("default")
-        assert all(in_buffer for _, in_buffer, _ in rows)
-        certified = [same_support for is_row, _, same_support in rows if is_row]
-        assert all(certified) and len(certified) >= 0.9 * len(rows)
+        assert rows and all(in_buffer for in_buffer, _ in rows)
+        assert sum(same_support for _, same_support in rows) >= 0.9 * len(rows)
 
 
 class TestNoiselessRecovery:

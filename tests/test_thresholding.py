@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparsepolyak.thresholding import (
@@ -244,16 +244,28 @@ def step_cases(z, s, seed, gamma):
 
     Off S, g is -z / gamma when gamma > 0 and any small integer
     otherwise; on S it is any small integer, and theta_S = z_S + gamma g_S.
+    A subnormal gamma can leave no finite -z / gamma; the example is then
+    rejected, inside a hypothesis test.
     """
     rng = np.random.default_rng(seed)
     for name, S in support_guesses(z, s, seed).items():
         off = np.setdiff1d(np.arange(z.size), S)
         g = rng.choice([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0], size=z.size)
         if gamma > 0.0:
-            g[off] = -z[off] / gamma
+            with np.errstate(over="ignore"):
+                g[off] = -z[off] / gamma
+            assume(np.isfinite(g).all())
         theta = np.zeros(z.size)
         theta[S] = z[S] + gamma * g[S]
         yield name, theta, g, S
+
+
+def certifies(theta, gamma, g, S, s):
+    """The step's certificate: S has s < d entries and min_S |z_S| > gamma max_{j not in S} |g_j|."""
+    if not S.size == s < theta.size:
+        return False
+    off = np.setdiff1d(np.arange(theta.size), S)
+    return bool(np.abs(theta[S] - gamma * g[S]).min() > gamma * np.abs(g[off]).max())
 
 
 GAMMAS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(0.0, 1e3))
@@ -276,17 +288,22 @@ class TestGuessedSupport:
                 theta[off] = -0.0 if signed else 0.0
                 before = theta.copy()
                 for kind in (HT, RT):
+                    op = ThresholdSpec(kind=kind, s=s)
                     ref = reference_threshold(before - gamma * g, s, kind)
-                    out, support = ThresholdSpec(kind=kind, s=s).step(theta, gamma, g, S)
+                    support = op.step(theta, gamma, g, S)
                     assert support.tolist() == np.flatnonzero(ref).tolist(), (name, kind)
-                    if out is theta:
-                        # certified: written on S, where the top-s set is; the zeros off S stay
-                        assert out[S].tobytes() == ref[S].tobytes(), (name, kind)
-                        assert out[off].tobytes() == before[off].tobytes() and not ref[off].any()
+                    certified = certifies(before, gamma, g, S, s)
+                    # the carried support comes back itself exactly while a certified step keeps it
+                    assert (support is S) == (certified and support.size == s), (name, kind)
+                    if certified:
+                        # written on S, where the top-s set is; the zeros off S stay
+                        assert theta[S].tobytes() == ref[S].tobytes(), (name, kind)
+                        assert theta[off].tobytes() == before[off].tobytes() and not ref[off].any()
                     else:
-                        assert theta.tobytes() == before.tobytes(), (name, kind)
+                        # the fallback writes the operator's output over all of theta
+                        assert theta.tobytes() == op.apply(before - gamma * g).tobytes(), (name, kind)
                     if not signed:
-                        assert out.tobytes() == ref.tobytes(), (name, kind)
+                        assert theta.tobytes() == ref.tobytes(), (name, kind)
                     theta[:] = before
             assert g.tobytes() == g_before
 
@@ -307,8 +324,10 @@ class TestGuessedSupport:
                 for t, grad in ((theta, bad_g), (bad_theta, g)):
                     if t is bad_theta and not S.size:
                         continue
+                    stepped = t.copy()
                     with pytest.raises(ValueError, match="NaN"):
-                        op.step(t.copy(), gamma, grad, S)
+                        op.step(stepped, gamma, grad, S)
+                    assert stepped.tobytes() == t.tobytes()  # raised before writing theta
 
     def test_certified_guess_is_returned_unchanged(self):
         # z = theta - g = [-0.1, -4.0, 0.2, 3.0, -0.3, 2.0]: S is its top-3 set
@@ -317,15 +336,16 @@ class TestGuessedSupport:
         guess = np.array([1, 3, 5])
         for kind in (HT, RT):
             row = theta.copy()
-            out, support = ThresholdSpec(kind=kind, s=3).step(row, 1.0, g, guess)
-            assert out is row and support is guess
-            assert out.tobytes() == reference_threshold(theta - g, 3, kind).tobytes()
+            assert ThresholdSpec(kind=kind, s=3).step(row, 1.0, g, guess) is guess
+            assert row.tobytes() == reference_threshold(theta - g, 3, kind).tobytes()
         # z = [1.0, 3.0, 2.0, -2.0]: entries 2 and 3 tie at the boundary, and the lower index wins
-        tied = np.array([0.0, 3.0, 0.0, -2.0])
-        out, support = ThresholdSpec(kind=HT, s=2).step(tied, 1.0, np.array([-1.0, 0.0, -2.0, 0.0]),
-                                                         np.array([1, 3]))
-        assert support.tolist() == [1, 2] and out.tolist() == [0.0, 3.0, 2.0, 0.0]
-        assert out is not tied and tied.tolist() == [0.0, 3.0, 0.0, -2.0]
+        op = ThresholdSpec(kind=HT, s=2)
+        tied, g = np.array([0.0, 3.0, 0.0, -2.0]), np.array([-1.0, 0.0, -2.0, 0.0])
+        z = tied - g
+        support = op.step(tied, 1.0, g, np.array([1, 3]))
+        # the fallback writes the operator's output over all of theta
+        assert support.tolist() == [1, 2] and tied.tobytes() == op.apply(z).tobytes()
+        assert tied.tolist() == [0.0, 3.0, 2.0, 0.0]
 
     def test_guess_needs_a_vector(self):
         with pytest.raises(ValueError, match="vector"):
