@@ -16,7 +16,7 @@ tests its constants at the operator sparsity, so none of them is a key.
 Each `SCHEMA` entry states what its key accepts: a lower bound (held by
 every entry of a list) or a tuple of choices.  `resolve_config` rejects a
 key that is not in `SCHEMA`, then enforces those in one loop, after the
-type its tag names (`_TYPES`: a bool is no number) and finiteness of
+type its tag names (`_TAGS`: a bool is no number) and finiteness of
 every float, with the entries of every list distinct; then
 the rules that tie keys together: ``s_star``, ``operator.s`` and each grid
 sparsity at most ``design.d``, ``omega`` in [0, 1), ``sigma > 0`` for the
@@ -44,8 +44,17 @@ class ConfigError(ValueError):
 
 _GRID_PATTERN = (1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0, 7.0 / 3.0)
 _COMPARE = {">=": operator.ge, ">": operator.gt}
-# tag -> the type `parse_config_text` makes for a value, or for each intlist entry; a float also takes an int
-_TYPES = {"int": int, "float": (int, float), "str": str, "intlist": int}
+
+
+def _intlist(raw: str) -> list[int]:
+    """Comma-separated ints; an empty value is the empty list."""
+    if not raw:
+        return []
+    return [int(part) for part in raw.split(",")]
+
+
+# tag -> (parser of a file value, type of a value or of each intlist entry); a float also takes an int
+_TAGS = {"int": (int, int), "float": (float, (int, float)), "str": (str, str), "intlist": (_intlist, int)}
 
 # key -> (type tag, default, accepted, help).  accepted is a lower bound ("> 0", ">= 1"),
 # on every entry of an intlist, whose entries are also distinct; a tuple of choices;
@@ -99,15 +108,7 @@ def _parse_value(key: str, raw: str):
     tag = SCHEMA[key][0]
     raw = raw.strip()
     try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
-        if tag == "intlist":
-            if not raw:
-                return []
-            return [int(part) for part in raw.split(",")]
-        return raw
+        return _TAGS[tag][0](raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {tag}") from exc
 
@@ -178,7 +179,7 @@ def resolve_config(values: dict) -> ExperimentConfig:
         value = merged[key]
         entries = value if tag == "intlist" else [value]
         if (tag == "intlist") != isinstance(value, list) or not all(
-                isinstance(v, _TYPES[tag]) and not isinstance(v, bool) for v in entries):
+                isinstance(v, _TAGS[tag][1]) and not isinstance(v, bool) for v in entries):
             raise ConfigError(f"{key}: expected {tag}, got {value!r}")
         if tag == "float" and not np.isfinite(value):
             raise ConfigError(f"{key}: must be finite, got {value!r}")

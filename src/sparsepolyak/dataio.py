@@ -21,7 +21,6 @@ default mode, as with a plain ``open``.
 
 import hashlib
 import json
-import math
 import os
 import secrets
 import zipfile
@@ -81,10 +80,9 @@ def config_hash(echo: dict) -> str:
 
 
 def trace_csv_text(trace: RunTrace) -> str:
-    """The header and one row per iteration; error_sq reads nan when the run had no truth."""
-    err = [math.nan] * len(trace) if trace.error_sq is None else trace.error_sq.tolist()
+    """The header and one row per iteration."""
     rows = zip(range(len(trace)), trace.f_value.tolist(), trace.step_size.tolist(),
-               trace.grad_ht_norm_sq.tolist(), err, trace.support_size.tolist())
+               trace.grad_ht_norm_sq.tolist(), trace.error_sq.tolist(), trace.support_size.tolist())
     return TRACE_HEADER + "\n" + "".join([_TRACE_ROW % row for row in rows])
 
 
@@ -98,7 +96,7 @@ def write_summary_json(path, trace: RunTrace, iters_to_floor: int | None) -> Non
         "status": trace.status.value,
         "iterations": len(trace) - 1,
         "final_f_value": float(trace.f_value[-1]),
-        "final_error_sq": None if trace.error_sq is None else float(trace.error_sq[-1]),
+        "final_error_sq": float(trace.error_sq[-1]),
         "final_support_size": int(trace.support_size[-1]),
         "iters_to_floor": iters_to_floor,
     }

@@ -159,8 +159,6 @@ def contraction_profile(trace: RunTrace, floor: float):
     Returns (ratios, summary) where summary holds the max and median ratio;
     both are NaN when no iteration qualifies.
     """
-    if trace.error_sq is None:
-        raise ValueError("trace has no squared-error record; run with a known truth")
     err = trace.error_sq
     before = err[:-1]
     above = (before >= floor) & (before > 0.0)
@@ -232,9 +230,7 @@ def decomposition_margins(config: RunConfig, trace: RunTrace, theta_hat: np.ndar
             break
         z = theta - gamma * G[0]
         theta = config.operator.apply(z)
-        union = np.union1d(np.flatnonzero(theta), np.flatnonzero(hat))
-        z_restricted = np.zeros_like(z)
-        z_restricted[union] = z[union]
+        z_restricted = np.where((theta != 0.0) | (hat != 0.0), z, 0.0)
         lhs = float(np.sum((theta - hat) ** 2))
         rhs = (1.0 + 4.0 * eta_bound) * float(np.sum((z_restricted - hat) ** 2))
         margins.append(rhs - lhs)

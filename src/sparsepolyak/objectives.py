@@ -171,9 +171,10 @@ class GramRows:
     descent, Friedman, Hastie & Tibshirani 2010).  A linear slot therefore
     holds a column and its Gram row side by side, [x_j' | x_j' X / n], in a
     cap x (n + d) block, and the same product gives X theta in its first n
-    entries and X'X theta / n in the rest; X'y / n is computed on the first
-    call that uses the slots.  A logistic slot holds the column alone, in a
-    cap x n block, and its gradient stays the full product R X / n.
+    entries and X'X theta / n in the rest; X'y / n, ``xty``, is computed
+    when the cache is made (None for a logistic model).  A logistic slot
+    holds the column alone, in a cap x n block, and its gradient stays the
+    full product R X / n.
 
     Gram rows pay off while the support union of a batch is narrow and
     stable: one takes the flops of one row of the full product R X / n,
@@ -201,7 +202,7 @@ class GramRows:
         self.block = np.empty((self.cap, width))
         # after the block: before it, glibc's heap layout kept ~5 MB more resident on grid_logistic
         self.order = np.empty(self.cap, dtype=np.intp)  # slot -> column
-        self.xty = None
+        self.xty = model.y @ model.X / model.n if model.family == LINEAR else None
         self._cols = None  # the previous call's cols, whose columns all hold slots
 
     def product(self, v: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
@@ -221,8 +222,6 @@ class GramRows:
         """Give every column of cols a slot: the lowest slots of columns not in cols, then new ones."""
         X, n = self.model.X, self.model.n
         linear = self.model.family == LINEAR
-        if linear and self.xty is None:
-            self.xty = self.model.y @ X / n
         held = self.slot[cols]
         new = cols[held < 0]
         if not new.size:

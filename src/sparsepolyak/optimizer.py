@@ -29,12 +29,14 @@ gradient step, `ThresholdSpec.step` (see `thresholding`), which writes
 the next iterate into the iterate's row of the batch in place and
 returns its support.  Late in a run the support rarely moves, and a step
 the carried support certifies writes only the s new values, without
-forming the d entries of z or partitioning them.  A cell reuses its
-d-vectors for the squared gradient, |g| and theta - theta*.  The trace's
-support size is the carried support's length.
+forming the d entries of z or partitioning them.  A batch lends one
+scratch d-vector to each cell in turn, for the squared gradient, then
+theta - theta*, then the operator's |g|.  The trace's support size is the
+carried support's length.
 
 Parameters are float arrays: a start point, a truth and a final
-estimate are length-d vectors.  `run_batch` is the one iteration loop:
+estimate are length-d vectors.  Every run has a truth, and every trace
+row its squared error.  `run_batch` is the one iteration loop:
 it moves the iterates of configs that share a model as the rows of a
 B x d array, with one evaluation per iteration for all cells still
 running and per-cell selection, step rule, stop tests and trace rows.
@@ -113,20 +115,21 @@ class RunStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything `run` needs: model, operator, step rule, budget, start; vectors have length d.
+    """Everything `run` needs: model, operator, step rule, budget, truth, start; vectors have length d.
 
-    theta0 defaults to the zero vector.  A run with a target f_hat stops
-    once f - f_hat <= 1e-12 (|f_hat| + 1).  Frozen, so the checks hold for
-    its life: derive a changed config with `dataclasses.replace`, which
-    checks it again.
+    The truth theta_star is required: every trace row records the squared
+    error to it.  theta0 defaults to the zero vector.  A run with a target
+    f_hat stops once f - f_hat <= 1e-12 (|f_hat| + 1).  Frozen, so the
+    checks hold for its life: derive a changed config with
+    `dataclasses.replace`, which checks it again.
     """
 
     model: ObjectiveModel
     operator: ThresholdSpec
     step_rule: StepRule
     max_iters: int
+    theta_star: np.ndarray
     theta0: np.ndarray | None = None
-    theta_star: np.ndarray | None = None
 
     def __post_init__(self):
         d = self.model.d
@@ -136,10 +139,9 @@ class RunConfig:
             raise ValueError(f"operator sparsity {self.operator.s} exceeds dimension {d}")
         theta0 = np.zeros(d) if self.theta0 is None else np.asarray(self.theta0, dtype=float)
         object.__setattr__(self, "theta0", theta0)
-        if self.theta_star is not None:
-            object.__setattr__(self, "theta_star", np.asarray(self.theta_star, dtype=float))
+        object.__setattr__(self, "theta_star", np.asarray(self.theta_star, dtype=float))
         for name, v in (("theta0", self.theta0), ("theta_star", self.theta_star)):
-            if v is not None and v.shape != (d,):
+            if v.shape != (d,):
                 raise ValueError(f"{name} has shape {v.shape}, expected ({d},)")
         nnz = np.count_nonzero(self.theta0)
         if nnz > self.operator.s:
@@ -158,7 +160,7 @@ class RunTrace:
     f_value: np.ndarray
     step_size: np.ndarray
     grad_ht_norm_sq: np.ndarray
-    error_sq: np.ndarray | None
+    error_sq: np.ndarray
     support_size: np.ndarray
     status: RunStatus
     final_theta: np.ndarray
@@ -259,20 +261,20 @@ class _Cell:
         self.width = min(s if config.step_rule.ht_width == WIDTH_S else 2 * s, config.model.d)
         self.rows = []  # row t: (f, gamma, ||HT_w(grad)||^2, squared error, support size)
         self.support = np.flatnonzero(config.theta0)  # of the current iterate, ascending
-        d = config.model.d
-        self.sq, self.abs_g = np.empty(d), np.empty(d)  # g * g for the norm, |g| for the step
-        self.diff = None if self.truth is None else np.empty(d)
         self.status = None
         self.final_theta = None
 
-    def step(self, t: int, theta: np.ndarray, f_t: float, g_t: np.ndarray) -> bool:
+    def step(self, t: int, theta: np.ndarray, f_t: float, g_t: np.ndarray, scratch: np.ndarray) -> bool:
         """Record row t at theta, then step theta in place (True) or stop the cell at t (False).
 
-        `support` becomes the next iterate's; it is the same array while
-        the certified step keeps it.
+        Row t holds the squared error to the truth.  ``scratch``, a float
+        d-vector, takes g * g for the norm, then theta - theta*, then the
+        operator's |g|, each use ending before the next.  `support` becomes
+        the next iterate's; it is the same array while the certified step
+        keeps it.
         """
         op, rule = self.config.operator, self.config.step_rule
-        ht_norm_sq = grad_ht_norm_sq(g_t, self.width, self.sq)
+        ht_norm_sq = grad_ht_norm_sq(g_t, self.width, scratch)
         # a NaN or inf anywhere in g, or a square that overflows, makes the norm non-finite
         if not (math.isfinite(f_t) and math.isfinite(ht_norm_sq)):
             raise OptimizerError(f"evaluation failed at iteration {t} (operator {op.kind}, "
@@ -293,10 +295,8 @@ class _Cell:
             raise OptimizerError(f"non-finite step size {gamma} at iteration {t} (operator {op.kind}, "
                                  f"s = {op.s}): positive gap over a vanishing denominator")
 
-        err_sq = None
-        if self.truth is not None:
-            diff = np.subtract(theta, self.truth, out=self.diff)
-            err_sq = float(np.dot(diff, diff))
+        diff = np.subtract(theta, self.truth, out=scratch)
+        err_sq = float(np.dot(diff, diff))
         self.rows.append((f_t, gamma, ht_norm_sq, err_sq, self.support.size))
 
         if stalled:
@@ -306,7 +306,7 @@ class _Cell:
         elif t == self.config.max_iters:
             self.status = RunStatus.MAX_ITERS
         else:
-            self.support = op.step(theta, gamma, g_t, self.support, self.abs_g)
+            self.support = op.step(theta, gamma, g_t, self.support, scratch)
             return True
         self.final_theta = theta.copy()  # theta is a row of the batch buffer
         return False
@@ -317,7 +317,7 @@ class _Cell:
             f_value=np.array(f),
             step_size=np.array(gamma),
             grad_ht_norm_sq=np.array(ht_norm_sq),
-            error_sq=None if self.truth is None else np.array(err_sq),
+            error_sq=np.array(err_sq),
             support_size=np.array(nnz, dtype=int),
             status=self.status,
             final_theta=self.final_theta,
@@ -330,18 +330,20 @@ def run_batch(configs: list[RunConfig]) -> list[RunTrace]:
     The iterates of the cells still running form a B x d array, so each
     iteration makes one evaluation for all of them, over the union of
     their supports, through one `GramRows` cache for the call (its docstring
-    gives the slot policy).  The union is rebuilt only when a cell's
-    support changes or a cell leaves the batch, and the cache looks up its
-    slots only for a rebuilt union.  The slot order its sums run in
-    depends on how the batch's union moved, and so do the last bits of a
-    cell.  Selection, the step rule, the stop tests and the trace rows are
-    per cell, as in `run`; a cell leaves the batch when it stops, and
-    every step writes its row in place.  A cell keeps its trace rows
-    and final iterate only; since a batch cell's last bits depend on its
-    batch, only a one-cell trace replays exactly (see `run`).  The whole
-    run is under one `np.errstate`.  Raises OptimizerError, naming
-    the iteration and the cell, when a cell's objective, ||HT_w(grad)||^2
-    or step size is not finite.
+    gives the slot policy).  The union is always `support_union` of the
+    iterates, one cell's or many; it is rebuilt only when a cell's support
+    changes or a cell leaves the batch, and the cache looks up its slots
+    only for a rebuilt union.  The slot order its sums run in depends on
+    how the batch's union moved, and so do the last bits of a cell.
+    Selection, the step rule, the stop tests and the trace rows are per
+    cell, as in `run`, and the cells' steps share one scratch d-vector; a
+    cell leaves the batch when it stops, and every step writes its row in
+    place.  A cell keeps its trace rows, with the squared error to its
+    truth, and its final iterate only; since a batch cell's last bits
+    depend on its batch, only a one-cell trace replays exactly (see `run`).
+    The whole run is under one `np.errstate`.  Raises OptimizerError,
+    naming the iteration and the cell, when a cell's objective,
+    ||HT_w(grad)||^2 or step size is not finite.
     """
     if not configs:
         return []
@@ -354,13 +356,14 @@ def run_batch(configs: list[RunConfig]) -> list[RunTrace]:
     # -0.0 the +0.0 that the operator writes there
     Theta = np.array([c.theta0 for c in configs]) + 0.0
     gram = GramRows(model)
+    scratch = np.empty(model.d)  # lent to each cell's step in turn
     cols = None  # the support union of the rows of Theta; None when it must be rebuilt
     t = 0
     # overflow shows as a non-finite f or gradient norm, which `_Cell.step` reports
     with np.errstate(over="ignore", invalid="ignore"):
         while active:
             if cols is None:
-                cols = active[0].support if len(active) == 1 else support_union(Theta)
+                cols = support_union(Theta)
             try:
                 F, G = value_and_gradient(model, Theta, gram, cols)
             except Exception as exc:
@@ -369,7 +372,7 @@ def run_batch(configs: list[RunConfig]) -> list[RunTrace]:
             F = F.tolist()
             for j, cell in enumerate(active):
                 before = cell.support
-                if cell.step(t, Theta[j], F[j], G[j]):
+                if cell.step(t, Theta[j], F[j], G[j], scratch):
                     keep.append(j)
                     if cell.support is not before:
                         cols = None

@@ -42,12 +42,10 @@ def small_trace():
 def fstring_trace_csv(trace):
     """The per-row f-string formatter that the trace writer must match byte for byte."""
     lines = [TRACE_HEADER]
-    has_err = trace.error_sq is not None
     for i in range(len(trace)):
-        err = f"{trace.error_sq[i]:.12g}" if has_err else "nan"
         lines.append(
             f"{i},{trace.f_value[i]:.12g},{trace.step_size[i]:.12g},"
-            f"{trace.grad_ht_norm_sq[i]:.12g},{err},{trace.support_size[i]}"
+            f"{trace.grad_ht_norm_sq[i]:.12g},{trace.error_sq[i]:.12g},{trace.support_size[i]}"
         )
     return "\n".join(lines) + "\n"
 
@@ -77,9 +75,7 @@ class TestTraceCsv:
         one_row = small_trace()
         for name in ("f_value", "step_size", "grad_ht_norm_sq", "error_sq", "support_size"):
             setattr(one_row, name, getattr(one_row, name)[:1])
-        no_truth = long_trace()
-        no_truth.error_sq = None
-        for trace in (long_trace(), one_row, no_truth, small_trace()):
+        for trace in (long_trace(), one_row, small_trace()):
             assert trace_csv_text(trace) == fstring_trace_csv(trace)
 
     def test_header_contract(self):
@@ -98,12 +94,6 @@ class TestTraceCsv:
         write_trace_csv(small_trace(), a)
         write_trace_csv(small_trace(), b)
         assert a.read_bytes() == b.read_bytes()
-
-    def test_no_truth_writes_nan_column(self):
-        trace = small_trace()
-        trace.error_sq = None
-        rows = trace_csv_text(trace).splitlines()[1:]
-        assert all(row.split(",")[4] == "nan" for row in rows)
 
 
 class TestDatasetContainers:

@@ -317,12 +317,6 @@ class TestContractionProfile:
         assert ratios.size == 0
         assert np.isnan(summary["max"])
 
-    def test_missing_errors_rejected(self):
-        trace = trace_from_errors([1.0, 0.5])
-        trace.error_sq = None
-        with pytest.raises(ValueError):
-            contraction_profile(trace, floor=0.0)
-
 
 class TestPlateauDetection:
     def test_plateau_level_is_tail_median(self):

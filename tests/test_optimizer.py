@@ -199,6 +199,7 @@ class TestRunLoop:
             step_rule=rule,
             theta0=np.zeros(2),
             max_iters=50,
+            theta_star=np.zeros(2),
         )
         trace = run(config)
         assert trace.status is RunStatus.STALLED_ZERO_GRADIENT
