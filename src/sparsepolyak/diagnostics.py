@@ -206,8 +206,9 @@ def decomposition_margins(config: RunConfig, trace: RunTrace, theta_hat: np.ndar
     Replays the one-cell `run(config)` that recorded ``trace``: from
     theta_0 = config.theta0 + 0.0 (as the loop starts), f_t and g_t come
     from `value_and_gradient` on the one-row batch with one `GramRows` for
-    the replay, and theta_{t+1} = Phi_s(z) at z = theta_t - gamma_t g_t,
-    with gamma_t the trace's step size.  For each update, with union
+    the replay, anchored at the config's truth as the run's is, and
+    theta_{t+1} = Phi_s(z) at z = theta_t - gamma_t g_t, with gamma_t the
+    trace's step size.  For each update, with union
     support S = supp(theta_{t+1}) | supp(theta_hat), it checks
 
         ||theta_{t+1} - theta_hat||^2 <= (1 + 4 eta) ||z|_S - theta_hat||^2
@@ -218,7 +219,7 @@ def decomposition_margins(config: RunConfig, trace: RunTrace, theta_hat: np.ndar
     batch cell's (whose last bits depend on its batch) may.
     """
     hat = np.asarray(theta_hat, dtype=float)
-    gram = GramRows(config.model)
+    gram = GramRows(config.model, config.theta_star)
     theta = config.theta0 + 0.0
     margins = []
     for t, (f_rec, gamma) in enumerate(zip(trace.f_value.tolist(), trace.step_size.tolist())):

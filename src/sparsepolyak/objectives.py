@@ -10,22 +10,31 @@ up to a theta-independent constant, where psi is the family's cumulant
 function (t^2 / 2 linear, log(1 + e^t) logistic).  For the linear family
 we evaluate the equivalent squared-error form f(theta) = ||y - X theta||^2
 / (2n) instead; the two differ by ||y||^2 / (2n) only, so target values
-used in step-size gaps must come from `target_value` (same form) and
-never be mixed across forms.
+used in step-size gaps come from `target_value`, in the same form.
 
 An evaluation forms U = X theta and reduces it to the loss and the
-residual psi'(U) - y (`_loss_and_residual`, shared by every path; the
-logistic cumulant is `softplus`).  Iterates are sparse, so U needs only
-the columns in the union of the supports of the parameter rows.  While a
-`GramRows` cache holds those columns, U is one product with its slots;
-otherwise `_forward_product` gathers the columns from the column-major
-design, or takes every column (the full product) when the union spans
-more than `GATHER_MAX_FRAC` of them.
+residual psi'(U) - y (`_loss_and_residual`; the logistic cumulant is
+`softplus`).  Iterates are sparse, so U needs only the columns in the
+union of the supports of the parameter rows: `_forward_product` gathers
+them from the column-major design, or takes every column (the full
+product) when the union spans more than `GATHER_MAX_FRAC` of them.  The
+gradient has all d entries, since selection and the step rule read
+every one: the full product X' r / n.
 
-The gradient has all d entries, since selection and the step rule read
-every one: the full product X' r / n, or for the linear family, while a
-`GramRows` cache covers the support union, X'X theta / n - X'y / n from
-the Gram rows of the support columns.  Parameters are float arrays: a
+While a `GramRows` cache covers the support union, a logistic model
+takes U from the cached columns, and a linear model forms no U at all:
+its gradient is X'X theta / n - X'y / n from the Gram rows of the
+support columns, and its loss comes from the gradient by the exact
+identity for a quadratic,
+
+    f(theta) = f(a) + (1/2) (theta - a) . (grad f(theta) + grad f(a)),
+
+at an anchor a where f(a) and grad f(a) are computed once, by the
+residual form.  Its rounding is about eps (f(a) + |theta - a| (|grad
+f(theta)| + |grad f(a)|)), so an anchor near the iterates keeps it small
+where the residual form is small too: a run anchors at its truth, where
+the zero anchor would cancel terms of size ||y||^2 / (2n).  At theta = a
+the identity gives f(a) bit for bit.  Parameters are float arrays: a
 1-d vector or a B x d batch of rows.
 """
 
@@ -44,9 +53,9 @@ _FAMILIES = (LINEAR, LOGISTIC)
 # rows, 2675 x 1250) and 0.32 d (one row, 922 x 10000); below 0.25 d it was
 # never slower.  The gathered block is then at most a quarter of X's bytes
 # (1.4 MB at 691 x 1000, 6.7 MB at 2675 x 1250), a temporary per product.
-# The same share of n bounds the slots of a `GramRows` cache, so its
-# block, cap x (n + d) (linear) or cap x n (logistic), is at most half of
-# X's bytes when n <= d; its pages are touched only as slots fill.
+# The same share of n bounds the slots of a `GramRows` cache, so a linear
+# block, cap x d, is at most a quarter of X's bytes, and a logistic one,
+# cap x n, a quarter of n x n; its pages are touched only as slots fill.
 GATHER_MAX_FRAC = 0.25
 
 
@@ -156,25 +165,27 @@ def _loss_and_residual(model: ObjectiveModel, U: np.ndarray):
 
 
 class GramRows:
-    """Cached columns x_j of the model's X in a run's support union, with Gram rows x_j' X / n if linear.
+    """Cached Gram rows x_j' X / n (linear) or columns x_j (logistic) of the model's X in a run's support union.
 
     A column that enters the support union takes the lowest slot whose
     column has left the union, or, when every used slot holds a column of
     the union, the next unused one; ``order`` keeps each slot's column, so
-    X theta is one product of the parameters in slot order with the used
-    slots.  A stale slot, whose column has left the union, weighs exactly
-    +0.0, as thresholding writes +0.0 off the support, and keeps its
-    column until another takes it: a column that re-enters before that
-    costs nothing.  For the squared-error loss the gradient is
+    one product of the parameters in slot order with the used slots gives
+    X'X theta / n (linear, a cap x d block) or X theta (logistic, a cap x
+    n block).  A stale slot, whose column has left the union, weighs
+    exactly +0.0, as thresholding writes +0.0 off the support, and keeps
+    its row until another column takes it: a column that re-enters before
+    that costs nothing.  For the squared-error loss the gradient is
     X'X theta / n - X'y / n, and theta is sparse, so only the Gram rows of
-    its support columns are needed (the covariance update of glmnet's coordinate
-    descent, Friedman, Hastie & Tibshirani 2010).  A linear slot therefore
-    holds a column and its Gram row side by side, [x_j' | x_j' X / n], in a
-    cap x (n + d) block, and the same product gives X theta in its first n
-    entries and X'X theta / n in the rest; X'y / n, ``xty``, is computed
-    when the cache is made (None for a logistic model).  A logistic slot
-    holds the column alone, in a cap x n block, and its gradient stays the
-    full product R X / n.
+    its support columns are needed (the covariance update of glmnet's
+    coordinate descent, Friedman, Hastie & Tibshirani 2010); the loss
+    comes from the gradient by the anchored identity of the module
+    docstring (`value`).  ``anchor`` is a: a run passes its truth, and a
+    logistic model ignores it.  One 2-row product, which reads X once,
+    gives ``xty`` = X'y / n and ``anchor_grad`` = grad f(a) when the cache
+    is made; ``anchor_value`` is f(a) as `objective_value` computes it.
+    ``xty`` is None for a logistic model, whose gradient stays the full
+    product R X / n.
 
     Gram rows pay off while the support union of a batch is narrow and
     stable: one takes the flops of one row of the full product R X / n,
@@ -185,38 +196,61 @@ class GramRows:
     union seen so far, a product reads no more rows than that, and the
     slots never restart.  `computed` counts the slots filled.  A call
     given the same ``cols`` array object as the previous call (the loop
-    passes an unchanged union unchanged) skips the slot lookup.
+    passes an unchanged union unchanged) skips the slot lookup, and with
+    it the rebuild of the columns the loss's dot reads (the union with the
+    anchor's support).
 
     The block is valid for one model, whose X and y it reads, and is not
     freed until the object is: create one per run (`optimizer.run_batch`
     does) rather than keeping it on the model.
     """
 
-    def __init__(self, model: ObjectiveModel):
+    def __init__(self, model: ObjectiveModel, anchor):
         self.model = model
+        linear = model.family == LINEAR
         self.cap = min(int(GATHER_MAX_FRAC * model.n), model.d)
         self.slot = np.full(model.d, -1, dtype=np.intp)  # column -> slot, -1 if absent
         self.used = 0
         self.computed = 0
-        width = model.n + (model.d if model.family == LINEAR else 0)
-        self.block = np.empty((self.cap, width))
+        self.block = np.empty((self.cap, model.d if linear else model.n))
         # after the block: before it, glibc's heap layout kept ~5 MB more resident on grid_logistic
         self.order = np.empty(self.cap, dtype=np.intp)  # slot -> column
-        self.xty = model.y @ model.X / model.n if model.family == LINEAR else None
+        self.xty = None
+        if linear:
+            a = _as_params(model, anchor)
+            self.anchor = a
+            self._anchor_cols = support_union(a)
+            self.anchor_value, r = _loss_and_residual(model, _forward_product(model, a, self._anchor_cols))
+            self.xty, self.anchor_grad = np.stack((model.y, r)) @ model.X / model.n
         self._cols = None  # the previous call's cols, whose columns all hold slots
+        self._idx = None  # the previous call's cols with the anchor's support, ascending; a and grad f(a) there
 
     def product(self, v: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
         """v in slot order @ the used slots, at a checked vector or B x d batch v with support union cols.
 
-        [X theta | X'X theta / n] for a linear model, X theta for a
-        logistic one; None when cols has more columns than the slots.
+        X'X theta / n for a linear model, X theta for a logistic one; None
+        when cols has more columns than the slots.
         """
         if cols.size > self.cap:
             return None
         if cols is not self._cols:
             self._fill(cols)
             self._cols = cols
+            if self.model.family == LINEAR:
+                idx = np.union1d(cols, self._anchor_cols)
+                self._idx = idx, self.anchor[idx], self.anchor_grad[idx]
         return v.take(self.order[:self.used], axis=-1) @ self.block[:self.used]
+
+    def value(self, v: np.ndarray, G: np.ndarray):
+        """Linear loss at v from its gradient G, f(a) + (1/2) (v - a) . (G + grad f(a)).
+
+        v and G are the last `product` call's parameters and the gradient
+        from its output; the dot runs over the columns where v or the
+        anchor is nonzero, row by row (`np.vecdot`, as `_loss_and_residual`).
+        """
+        idx, a, grad_a = self._idx
+        f = self.anchor_value + 0.5 * np.vecdot(v[..., idx] - a, G[..., idx] + grad_a)
+        return float(f) if v.ndim == 1 else f
 
     def _fill(self, cols: np.ndarray) -> None:
         """Give every column of cols a slot: the lowest slots of columns not in cols, then new ones."""
@@ -237,15 +271,15 @@ class GramRows:
         self.order[dest] = new
         self.used += appended
         self.computed += new.size
-        # each run of consecutive slots is one gather and one product, written in place
+        # each run of consecutive slots is one gather, and for a linear model one product, written in place
         bounds = np.flatnonzero(np.diff(dest) != 1) + 1
         for i, j in zip([0, *bounds], [*bounds, new.size]):
-            a, b = dest[i], dest[i] + j - i
-            np.take(X.T, new[i:j], axis=0, out=self.block[a:b, :n], mode="clip")  # no copy with "clip"
+            rows = self.block[dest[i]:dest[i] + j - i]
             if linear:
-                rows = self.block[a:b, n:]
-                np.matmul(self.block[a:b, :n], X, out=rows)
+                np.matmul(X.T[new[i:j]], X, out=rows)
                 rows /= n
+            else:
+                np.take(X.T, new[i:j], axis=0, out=rows, mode="clip")  # no copy with "clip"
 
 
 def value_and_gradient(model: ObjectiveModel, theta, gram: GramRows | None = None,
@@ -255,24 +289,24 @@ def value_and_gradient(model: ObjectiveModel, theta, gram: GramRows | None = Non
     For a B x d batch: B losses and the B x d gradient rows.  ``cols`` is
     the support union of theta's rows, ascending, when the caller keeps
     it (it is computed otherwise).  With `gram`, the `GramRows` of this
-    model, X theta comes from one product over its slots when the union
-    fits them, and for a linear model that product gives the gradient too;
-    otherwise, and without `gram`, X theta is the forward product on the
-    support union.  Every other gradient is the full product X' r / n.
-    The linear Gram path returns its residual and gradient in the
-    product's own output, so a gradient row is a view of it.
+    model, when the union fits its slots: a linear model's gradient is
+    the product with its Gram rows less X'y / n, written in the product's
+    own output, and its loss comes from that gradient by the anchored
+    identity (`GramRows.value`); a logistic model's X theta is the product
+    with its columns.  Otherwise, and without `gram`, X theta is the
+    forward product on the support union, and the loss is the residual
+    form.  Every gradient but the linear Gram one is the full product
+    X' r / n.
     """
     v = _as_params(model, theta)
     if cols is None:
         cols = support_union(v)
     Y = None if gram is None else gram.product(v, cols)
-    n = model.n
-    f, R = _loss_and_residual(model, _forward_product(model, v, cols) if Y is None else Y[..., :n])
-    if Y is None or model.family != LINEAR:
-        return f, R @ model.X / n
-    G = Y[..., n:]
-    G -= gram.xty
-    return f, G
+    if Y is not None and model.family == LINEAR:
+        Y -= gram.xty
+        return gram.value(v, Y), Y
+    f, R = _loss_and_residual(model, _forward_product(model, v, cols) if Y is None else Y)
+    return f, R @ model.X / model.n
 
 
 def objective_value(model: ObjectiveModel, theta):

@@ -330,11 +330,13 @@ def run_batch(configs: list[RunConfig]) -> list[RunTrace]:
     The iterates of the cells still running form a B x d array, so each
     iteration makes one evaluation for all of them, over the union of
     their supports, through one `GramRows` cache for the call (its docstring
-    gives the slot policy).  The union is always `support_union` of the
-    iterates, one cell's or many; it is rebuilt only when a cell's support
-    changes or a cell leaves the batch, and the cache looks up its slots
-    only for a rebuilt union.  The slot order its sums run in depends on
-    how the batch's union moved, and so do the last bits of a cell.
+    gives the slot policy), anchored at the first config's truth: the
+    cells of one instance share it, and a one-cell replay anchors at the
+    same one.  The union is always `support_union` of the iterates, one
+    cell's or many; it is rebuilt only when a cell's support changes or a
+    cell leaves the batch, and the cache looks up its slots only for a
+    rebuilt union.  The slot order its sums run in depends on how the
+    batch's union moved, and so do the last bits of a cell.
     Selection, the step rule, the stop tests and the trace rows are per
     cell, as in `run`, and the cells' steps share one scratch d-vector; a
     cell leaves the batch when it stops, and every step writes its row in
@@ -355,12 +357,12 @@ def run_batch(configs: list[RunConfig]) -> list[RunTrace]:
     # a certified step leaves the zeros off its support as they are: + 0.0 makes a start's
     # -0.0 the +0.0 that the operator writes there
     Theta = np.array([c.theta0 for c in configs]) + 0.0
-    gram = GramRows(model)
     scratch = np.empty(model.d)  # lent to each cell's step in turn
     cols = None  # the support union of the rows of Theta; None when it must be rebuilt
     t = 0
     # overflow shows as a non-finite f or gradient norm, which `_Cell.step` reports
     with np.errstate(over="ignore", invalid="ignore"):
+        gram = GramRows(model, configs[0].theta_star)
         while active:
             if cols is None:
                 cols = support_union(Theta)

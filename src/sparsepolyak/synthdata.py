@@ -272,8 +272,16 @@ def generate_truth(d: int, s_star: int, seed: int) -> np.ndarray:
 
 
 def generate_responses(X: np.ndarray, theta_star, noise: NoiseSpec, seed: int) -> np.ndarray:
-    """Linear: y = X theta* + sigma eps.  Logistic: y ~ Bernoulli(sigmoid(X theta*))."""
-    u = X @ np.asarray(theta_star, dtype=float)
+    """Linear: y = X theta* + sigma eps.  Logistic: y ~ Bernoulli(sigmoid(X theta*)).
+
+    X theta* is a sum of axpys u += theta*_j x_j over the truth's support,
+    ascending, and uses no BLAS, so y's bytes do not depend on the BLAS
+    library or its thread count.
+    """
+    theta_star = np.asarray(theta_star, dtype=float)
+    u = np.zeros(X.shape[0])
+    for j in np.flatnonzero(theta_star):
+        u += theta_star[j] * X[:, j]
     rng = substream(seed, STREAM_NOISE)
     if noise.family == LINEAR:
         return u + noise.sigma * rng.standard_normal(X.shape[0])

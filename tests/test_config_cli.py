@@ -4,10 +4,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
-import os
 import re
-import subprocess
-import sys
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -63,15 +60,6 @@ def write_config(tmp_path, text=BASE_CONFIG, extra=""):
 BOUNDED = [(key, tag, accepted) for key, (tag, _, accepted, _) in SCHEMA.items() if isinstance(accepted, str)]
 INTLISTS = [key for key, (tag, *_) in SCHEMA.items() if tag == "intlist"]
 CHOICES = [(key, accepted) for key, (_, _, accepted, _) in SCHEMA.items() if isinstance(accepted, tuple)]
-
-
-def fresh_python(code: str) -> str:
-    """Stdout of ``code`` run in a fresh interpreter that imports this package; fails on a nonzero exit."""
-    src = str(Path(sparsepolyak.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
 
 
 def bound_values(tag: str, accepted: str) -> tuple:
@@ -485,7 +473,7 @@ class TestWorkers:
             assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_pool_modules_not_loaded_without_a_pool(self, tmp_path):
+    def test_pool_modules_not_loaded_without_a_pool(self, tmp_path, fresh_python):
         # a fresh interpreter, so that modules other tests loaded do not count
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")
@@ -701,10 +689,10 @@ class TestPackageLayout:
 
     @pytest.mark.parametrize("module", sorted(p.stem for p in Path(sparsepolyak.__file__).parent.glob("*.py")
                                               if p.stem != "__init__"))
-    def test_each_module_imports_alone(self, module):
+    def test_each_module_imports_alone(self, module, fresh_python):
         fresh_python(f"import sparsepolyak.{module}")
 
-    def test_package_binds_only_its_version(self):
+    def test_package_binds_only_its_version(self, fresh_python):
         out = fresh_python("import sparsepolyak\n"
                            "print(sparsepolyak.__version__)\n"
                            "print(sorted(n for n in vars(sparsepolyak) if not n.startswith('_')))\n")

@@ -334,8 +334,9 @@ class TestGramGradient:
 
     def test_zero_theta_gives_minus_xty(self):
         model = self.model()
-        xty = model.y @ model.X / model.n
-        gram = GramRows(model)
+        # X'y / n is the first row of the cache's one read of X, with the zero anchor's residual -y
+        xty = (np.stack((model.y, -model.y)) @ model.X / model.n)[0]
+        gram = GramRows(model, np.zeros(self.d))
         assert np.array_equal(value_and_gradient(model, np.zeros(self.d), gram)[1], -xty)
         assert np.array_equal(value_and_gradient(model, np.zeros((3, self.d)), gram)[1], -np.tile(xty, (3, 1)))
         assert gram.used == 0
@@ -343,7 +344,7 @@ class TestGramGradient:
     def test_sparse_batches_match_the_full_product(self):
         model = self.model()
         rng = np.random.default_rng(61)
-        gram = GramRows(model)
+        gram = GramRows(model, np.zeros(self.d))
         assert gram.cap == int(GATHER_MAX_FRAC * self.n) == 12
         Theta = np.zeros((4, self.d))  # the last row stays zero
         for j, cols in enumerate(([0, 1, 2], [20, 21], [55, 59])):
@@ -358,17 +359,21 @@ class TestGramGradient:
         assert gram.used == 12 and gram.computed == 12
 
     def assert_block_matches_gathered(self, model, gram, Theta):
-        """f and the residual from the slot block against the gathered forward product."""
+        """The slot block's product against X'X theta / n (linear), or its X theta, f and residual as gathered (logistic)."""
         v = _as_params(model, Theta)
         cols = support_union(v)
         Y = gram.product(v, cols)
         assert Y is not None and Y.shape == v.shape[:-1] + gram.block.shape[1:]
-        f, R = _loss_and_residual(model, Y[..., :self.n])
-        f_ref, R_ref = _loss_and_residual(model, _forward_product(model, v, cols))
-        np.testing.assert_allclose(f, f_ref, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(R, R_ref, rtol=1e-13, atol=1e-13 * np.abs(R_ref).max())
-        f_vg, _ = value_and_gradient(model, Theta, gram)
-        assert np.asarray(f_vg).tobytes() == np.asarray(f).tobytes()
+        if model.family == LINEAR:
+            ref = v @ model.X.T @ model.X / model.n
+            np.testing.assert_allclose(Y, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+        else:
+            f, R = _loss_and_residual(model, Y)
+            f_ref, R_ref = _loss_and_residual(model, _forward_product(model, v, cols))
+            np.testing.assert_allclose(f, f_ref, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(R, R_ref, rtol=1e-13, atol=1e-13 * np.abs(R_ref).max())
+            f_vg, _ = value_and_gradient(model, Theta, gram)
+            assert np.asarray(f_vg).tobytes() == np.asarray(f).tobytes()
         self.assert_matches_full(model, gram, Theta)
 
     @staticmethod
@@ -403,27 +408,27 @@ class TestGramGradient:
 
     def test_block_forward_product_matches_the_gathered_one(self):
         model = self.model()
-        gram = GramRows(model)
+        gram = GramRows(model, np.zeros(self.d))
         self.assert_slot_reuse(model, gram)
-        assert gram.block.shape == (gram.cap, self.n + self.d)
+        assert gram.block.shape == (gram.cap, self.d)
 
     def test_union_past_the_cap_takes_the_full_product(self):
         model = self.model()
         rng = np.random.default_rng(67)
-        gram = GramRows(model)
+        gram = GramRows(model, np.zeros(self.d))
         Theta = np.array([self.sparse(rng, range(0, 7)), self.sparse(rng, range(7, 13))])
         assert np.array_equal(value_and_gradient(model, Theta, gram)[1], self.full_gradient(model, Theta))
         assert gram.used == 0
 
     def test_cap_is_at_most_the_dimension(self):
         X = np.random.default_rng(83).standard_normal((self.n, 6))
-        gram = GramRows(ObjectiveModel(family=LINEAR, X=X, y=np.ones(self.n)))
-        assert gram.cap == 6 and gram.block.shape == (6, self.n + 6)
+        gram = GramRows(ObjectiveModel(family=LINEAR, X=X, y=np.ones(self.n)), np.zeros(6))
+        assert gram.cap == 6 and gram.block.shape == (6, 6)
 
     def test_drifting_window_reuses_the_slots_it_frees(self):
         model = self.model()
         rng = np.random.default_rng(71)
-        gram = GramRows(model)
+        gram = GramRows(model, np.zeros(self.d))
         # a window of 5 columns moving 2 columns per call, then back to columns whose slots were taken
         for start in list(range(0, 40, 2)) + [0]:
             theta = self.sparse(rng, range(start, start + 5))
@@ -437,7 +442,7 @@ class TestGramGradient:
         # cap: each new column takes the slot of the one that left
         model = self.model()
         rng = np.random.default_rng(79)
-        gram = GramRows(model)
+        gram = GramRows(model, np.zeros(self.d))
         for start in range(45):
             theta = self.sparse(rng, range(start, start + 11))
             assert gram.product(theta, np.flatnonzero(theta)) is not None
@@ -448,7 +453,7 @@ class TestGramGradient:
     def test_reentering_column_keeps_its_slot(self):
         model = self.model()
         rng = np.random.default_rng(89)
-        gram = GramRows(model)
+        gram = GramRows(model, np.zeros(self.d))
         theta = self.sparse(rng, [3, 7, 11])
         first = value_and_gradient(model, theta, gram)
         self.assert_matches_full(model, gram, self.sparse(rng, [3, 7]))
@@ -465,7 +470,7 @@ class TestGramGradient:
     @given(st.lists(st.sets(st.integers(0, d - 1), max_size=12), min_size=1, max_size=12))
     def test_slots_track_any_sequence_of_unions(self, unions):
         model = self.model()
-        gram = GramRows(model)
+        gram = GramRows(model, np.zeros(self.d))
         widest = 0
         for union in unions:
             cols = np.array(sorted(union), dtype=np.intp)
@@ -482,7 +487,7 @@ class TestGramGradient:
         # 1e-13 (relative) of the gathered product, the gradient the full
         # product R X / n
         model = self.model(LOGISTIC)
-        gram = GramRows(model)
+        gram = GramRows(model, np.zeros(self.d))
         assert gram.block.shape == (gram.cap, self.n)
         self.assert_slot_reuse(model, gram)
         assert gram.xty is None
@@ -492,7 +497,7 @@ class TestGramGradient:
         rng = np.random.default_rng(101)
         X = rng.standard_normal((n, d))
         model = ObjectiveModel(family=LOGISTIC, X=X, y=(rng.random(n) < 0.5).astype(float))
-        gram = GramRows(model)
+        gram = GramRows(model, np.zeros(d))
         Theta = np.zeros((2, d))
         Theta[0, :union // 2] = rng.standard_normal(union // 2)
         Theta[1, d - union // 2:] = rng.standard_normal(union // 2)
@@ -508,6 +513,64 @@ class TestGramGradient:
         assert peak < 8 * n * union  # the gathered columns alone would take that
         for a, b in zip(first, second):
             assert a.tobytes() == b.tobytes()
+
+
+class TestAnchoredLoss:
+    """The linear Gram path's loss, f(a) + (1/2) (theta - a) . (grad f(theta) + grad f(a)), against the residual form.
+
+    The two forms round differently; they must agree within
+
+        16 eps (f(a) + f + ||theta - a|| (||grad f(theta)|| + ||grad f(a)||)),
+
+    f the residual form's value: the anchored form's rounding scale (see the
+    `objectives` docstring) plus the residual form's own.
+    """
+
+    n, d = 48, 60  # the cache holds GATHER_MAX_FRAC * n = 12 rows
+
+    def model(self, anchor):
+        rng = np.random.default_rng(103)
+        X = rng.standard_normal((self.n, self.d))
+        return ObjectiveModel(family=LINEAR, X=X, y=X @ anchor + rng.standard_normal(self.n))
+
+    def anchor(self):
+        a = np.zeros(self.d)
+        a[[4, 17, 33]] = [30.0, -20.0, 10.0]
+        return a
+
+    def assert_matches_residual_form(self, model, gram, Theta):
+        f, G = value_and_gradient(model, Theta, gram)
+        assert gram.used > 0  # the Gram path
+        f_ref = loss_and_residual(model, Theta)[0]
+        a = gram.anchor
+        dist = np.linalg.norm(np.atleast_2d(Theta) - a, axis=-1)
+        scale = gram.anchor_value + f_ref + dist * (np.linalg.norm(G, axis=-1) + np.linalg.norm(gram.anchor_grad))
+        assert np.all(np.abs(f - f_ref) <= 16 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("zero_anchor", [False, True], ids=["truth", "zero"])
+    def test_vector_batch_and_stale_slots(self, zero_anchor):
+        a = self.anchor()
+        model = self.model(a)
+        gram = GramRows(model, np.zeros(self.d) if zero_anchor else a)
+        rng = np.random.default_rng(107)
+        near = a + np.where(a != 0.0, 1e-3 * rng.standard_normal(self.d), 0.0)
+        self.assert_matches_residual_form(model, gram, near)
+        Theta = np.zeros((3, self.d))
+        Theta[0] = near
+        Theta[1, [4, 17, 40, 41]] = rng.standard_normal(4)
+        Theta[2, [5, 50]] = [30.0, 1.0]
+        self.assert_matches_residual_form(model, gram, Theta)
+        assert gram.used == 7
+        self.assert_matches_residual_form(model, gram, Theta[2])  # 5 stale slots, zero weight
+        assert gram.used == 7
+
+    def test_anchor_value_is_the_target_bit_for_bit(self):
+        a = self.anchor()
+        model = self.model(a)
+        gram = GramRows(model, a)
+        assert gram.anchor_value == target_value(model, a)
+        f, _ = value_and_gradient(model, np.array([a, a]), gram)
+        assert f.tolist() == [target_value(model, a)] * 2
 
 
 class TestDomainTypes:

@@ -12,6 +12,7 @@ from sparsepolyak.objectives import (
     LINEAR,
     GramRows,
     ObjectiveModel,
+    objective_value,
     value_and_gradient,
 )
 from sparsepolyak.optimizer import (
@@ -38,6 +39,8 @@ from sparsepolyak.synthdata import (
     NoiseSpec,
     RegularityParams,
     compute_regularity,
+    generate_design,
+    generate_truth,
 )
 from sparsepolyak.thresholding import HT, RT, ThresholdSpec, hard_threshold, relative_concavity_bound
 
@@ -276,6 +279,37 @@ class TestRunLoop:
         with pytest.raises(ValueError, match=message):
             replace(config, **{field: value})
 
+    @pytest.mark.parametrize("seed, updates", [(1, 291), (2, 320), (4, 308)])
+    def test_noiseless_high_signal_run_keeps_its_stop(self, seed, updates, fresh_python):
+        # y = X theta* with theta* scaled by 30, so ||y||^2 / 2n is 1e4 to 2e4
+        # while the run stops at f <= 1e-12: the loss must not cancel terms
+        # of the size of ||y||^2 / 2n (the zero anchor stops these runs
+        # early, one at f = -3.6e-12).  The run's last bits depend on the
+        # BLAS thread count, read when numpy loads its BLAS, so the counts
+        # are pinned in a fresh interpreter at 1 thread.
+        code = (
+            "import numpy as np\n"
+            "from sparsepolyak.config import derived_n\n"
+            "from sparsepolyak.objectives import LINEAR, ObjectiveModel, objective_value\n"
+            "from sparsepolyak.optimizer import RunConfig, StepRule, run\n"
+            "from sparsepolyak.synthdata import DesignSpec, generate_design, generate_truth\n"
+            "from sparsepolyak.thresholding import ThresholdSpec\n"
+            f"d, s_star, seed = 1000, 20, {seed}\n"
+            "X = generate_design(DesignSpec(n=derived_n(5.0, s_star, d), d=d, omega=0.5), seed)\n"
+            "theta_star = 30.0 * generate_truth(d, s_star, seed)\n"
+            "model = ObjectiveModel(family=LINEAR, X=X, y=X @ theta_star)\n"
+            "trace = run(RunConfig(model=model, operator=ThresholdSpec(kind='ht', s=40),\n"
+            "                      step_rule=StepRule(kind='sparse_polyak', f_hat=0.0), max_iters=1500,\n"
+            "                      theta_star=theta_star))\n"
+            "print(trace.status.name, len(trace), float(trace.f_value[-1]),\n"
+            "      float(objective_value(model, trace.final_theta)))\n"
+        )
+        one = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+        status, length, f_last, f_residual = fresh_python(code, one).split()
+        assert status == RunStatus.CONVERGED.name
+        assert int(length) == updates + 1
+        assert abs(float(f_last) - float(f_residual)) <= 1e-3 * float(f_residual)
+
     def test_config_is_frozen(self):
         model, theta_star, f_hat = linear_instance(50, 20, 3, 0.0, 0.5, seed=6)
         config = basic_config(model, theta_star, f_hat, s=2)
@@ -289,18 +323,20 @@ class TestRunLoop:
 def vector_loop(config, full_product=False):
     """The per-cell loop on GEMV products, for linear sparse Polyak cells; the reference for `run`.
 
-    X theta and the gradient come from one product over the cached columns
-    and Gram rows of the columns the supports have used, when the support
-    fits the cache, else from X[:, S] theta[S] on the iterate's support S
-    and X' r / n, as `run` computes them; with full_product, they are the
+    The gradient comes from one product over the cached Gram rows of the
+    columns the supports have used, when the support fits the cache, and
+    f from it by the identity f(a) + (theta - a) . (g + g_a) / 2 at the
+    truth a, over the columns where theta or a is nonzero; else f and the
+    gradient come from X[:, S] theta[S] on the iterate's support S and
+    X' r / n, as `run` computes them.  With full_product, they are the
     full X theta and X' r / n on a row-major copy of X, kernels that
     gather no columns (the drift reference).
     """
     model, op, rule = config.model, config.operator, config.step_rule
     X = np.ascontiguousarray(model.X) if full_product else model.X
     y, n = model.y, model.n
-    gram = GramRows(model)
     theta, truth = config.theta0.copy(), config.theta_star
+    gram = GramRows(model, truth)
     width = min(op.s if rule.ht_width == "s" else 2 * op.s, model.d)
     rows, status = [], RunStatus.MAX_ITERS
     for t in range(config.max_iters + 1):
@@ -310,10 +346,11 @@ def vector_loop(config, full_product=False):
             S = slice(None) if full_product else cols
             r = X[:, S] @ theta[S] - y
             g = X.T @ r / n
+            f = float(0.5 * np.dot(r, r) / n)
         else:
-            r = Y[:n] - y
-            g = Y[n:] - gram.xty
-        f = float(0.5 * np.dot(r, r) / n)
+            g = Y - gram.xty
+            idx = np.union1d(cols, np.flatnonzero(truth))
+            f = float(gram.anchor_value + 0.5 * np.dot(theta[idx] - truth[idx], g[idx] + gram.anchor_grad[idx]))
         ht = grad_ht_norm_sq(g, width)
         gamma = sparse_polyak_step(f, rule.f_hat, ht)
         diff = theta - truth

@@ -269,6 +269,20 @@ class TestGenerateResponses:
         y = generate_responses(X, theta, NoiseSpec(family=LINEAR, sigma=1e-12), seed=0)
         assert np.max(np.abs(y - X @ theta)) < 1e-9
 
+    def test_responses_do_not_depend_on_blas_threads(self, fresh_python):
+        # the thread count is read when numpy loads its BLAS, so each count needs a fresh interpreter
+        code = (
+            "import hashlib\n"
+            "from sparsepolyak.diagnostics import make_instance\n"
+            "from sparsepolyak.synthdata import DesignSpec, NoiseSpec\n"
+            "for seed in range(3):\n"
+            "    model, _ = make_instance(DesignSpec(n=691, d=1000, omega=0.5), 20,\n"
+            "                             NoiseSpec(family='linear', sigma=0.5), seed)\n"
+            "    print(hashlib.sha256(model.y.tobytes()).hexdigest())\n"
+        )
+        one, two = (fresh_python(code, {"OPENBLAS_NUM_THREADS": k, "OMP_NUM_THREADS": k}) for k in ("1", "2"))
+        assert len(one.split()) == 3 and one == two
+
     def test_logistic_zero_truth_balanced(self):
         spec = DesignSpec(n=10000, d=4, omega=0.0)
         X = generate_design(spec, seed=1)
