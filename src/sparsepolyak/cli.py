@@ -32,8 +32,6 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import ConfigError, ExperimentConfig, derived_n, load_config, resolve_config
 from .dataio import (
@@ -49,6 +47,7 @@ from .diagnostics import (
     check_assumptions,
     instance_cells,
     make_instance,
+    median,
     plateau,
     run_instance_cells,
     summarize_comparison,
@@ -185,9 +184,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_root: Path, workers: int) -> int:
     for d in cfg.sweep_d_values:
         for method in methods:
             rows = [r for r in detail if r[0] == d and r[3] == method]
-            med_level = float(np.median([r[4] for r in rows]))
-            med_hit = float(np.median([r[5] for r in rows]))
-            med_step = float(np.median([r[6] for r in rows]))
+            med_level = median([r[4] for r in rows])
+            med_hit = median([r[5] for r in rows])
+            med_step = median([r[6] for r in rows])
             if method == SPARSE_POLYAK:
                 sparse_hits.append(med_hit)
             lines.append(f"{d:>6} {rows[0][1]:>6} {method:<16} {med_level:>15.6g} {med_hit:>13.0f} {med_step:>12.6g}")

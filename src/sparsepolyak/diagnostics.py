@@ -11,6 +11,10 @@ of the last 10% of recorded squared errors, and iterations-to-floor is the
 first time the error enters a small band above that level; `plateau`
 gives both.
 
+Every median of the package, here and in the CLI's reports, comes from
+`median`: `np.median`'s value from one `np.sort`, without `np.median`'s
+NaN check, whose first call imports `numpy.ma`.
+
 `make_instance` generates one seed's (model, truth), the truth of the
 design's dimension; only a step rule reads f(theta*), so `step_target`
 computes it, and only when no f_hat is given.
@@ -153,6 +157,19 @@ def check_assumptions(
     return [_report(RSC, breg - quad), _report(RSS, upper - breg), _report(WEAK_RSC, breg - weak)]
 
 
+def median(values) -> float:
+    """The value `np.median` gives for a 1-d sequence: NaN if an entry is NaN.
+
+    NaN sorts last, so the last sorted entry tells.  The middle one or
+    two entries are averaged by `np.mean`, as `np.median` averages them,
+    so every dtype keeps its bits.
+    """
+    s = np.sort(values)
+    if s.size and np.isnan(s[-1]):
+        return float(s[-1])
+    return float(s[(s.size - 1) // 2:s.size // 2 + 1].mean())
+
+
 def contraction_profile(trace: RunTrace, floor: float):
     """Per-iteration squared-error ratios restricted to iterations above a floor.
 
@@ -164,7 +181,7 @@ def contraction_profile(trace: RunTrace, floor: float):
     above = (before >= floor) & (before > 0.0)
     ratios = err[1:][above] / before[above]
     if ratios.size:
-        summary = {"max": float(ratios.max()), "median": float(np.median(ratios))}
+        summary = {"max": float(ratios.max()), "median": median(ratios)}
     else:
         summary = {"max": float("nan"), "median": float("nan")}
     return ratios, summary
@@ -176,7 +193,7 @@ def plateau_level(error_sq: np.ndarray) -> float:
     if error_sq.size == 0:
         raise ValueError("empty error record")
     k = max(1, int(np.ceil(0.1 * error_sq.size)))
-    return float(np.median(error_sq[-k:]))
+    return median(error_sq[-k:])
 
 
 def iters_to_plateau(error_sq: np.ndarray, level: float) -> int:
@@ -196,7 +213,7 @@ def active_median_step(step_size: np.ndarray, plateau_iter: int) -> float:
     """Median step size over the pre-plateau (progress-making) phase."""
     step_size = np.asarray(step_size, dtype=float)
     active = step_size[: max(1, plateau_iter)]
-    return float(np.median(active))
+    return median(active)
 
 
 def decomposition_margins(config: RunConfig, trace: RunTrace, theta_hat: np.ndarray,
@@ -319,11 +336,11 @@ def summarize_comparison(detail, s_grid: list[int]) -> dict[str, ComparisonRow]:
         floors.setdefault((kind, s), []).append(itf)
     rows = {}
     for kind in (HT, RT):
-        medians = {s: float(np.median(finals[(kind, s)])) for s in s_grid}
+        medians = {s: median(finals[(kind, s)]) for s in s_grid}
         best_s = min(s_grid, key=lambda s: medians[s])
         rows[kind] = ComparisonRow(
             best_s=best_s,
             final_error_sq=medians[best_s],
-            iters_to_floor=int(np.median(floors[(kind, best_s)])),
+            iters_to_floor=int(median(floors[(kind, best_s)])),
         )
     return rows

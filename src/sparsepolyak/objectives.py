@@ -197,8 +197,10 @@ class GramRows:
     slots never restart.  `computed` counts the slots filled.  A call
     given the same ``cols`` array object as the previous call (the loop
     passes an unchanged union unchanged) skips the slot lookup, and with
-    it the rebuild of the columns the loss's dot reads (the union with the
-    anchor's support).
+    it the rebuild of the columns the loss's dot reads: ``cols`` marked in
+    a copy of the anchor's d-long support mask, read back ascending by
+    `np.flatnonzero`, which gives `np.union1d`'s indices without its sort
+    (and without the `numpy.ma` import of its first call).
 
     The block is valid for one model, whose X and y it reads, and is not
     freed until the object is: create one per run (`optimizer.run_batch`
@@ -219,8 +221,10 @@ class GramRows:
         if linear:
             a = _as_params(model, anchor)
             self.anchor = a
-            self._anchor_cols = support_union(a)
-            self.anchor_value, r = _loss_and_residual(model, _forward_product(model, a, self._anchor_cols))
+            anchor_cols = support_union(a)
+            self._anchor_mask = np.zeros(model.d, dtype=bool)
+            self._anchor_mask[anchor_cols] = True
+            self.anchor_value, r = _loss_and_residual(model, _forward_product(model, a, anchor_cols))
             self.xty, self.anchor_grad = np.stack((model.y, r)) @ model.X / model.n
         self._cols = None  # the previous call's cols, whose columns all hold slots
         self._idx = None  # the previous call's cols with the anchor's support, ascending; a and grad f(a) there
@@ -237,7 +241,9 @@ class GramRows:
             self._fill(cols)
             self._cols = cols
             if self.model.family == LINEAR:
-                idx = np.union1d(cols, self._anchor_cols)
+                mask = self._anchor_mask.copy()
+                mask[cols] = True
+                idx = np.flatnonzero(mask)
                 self._idx = idx, self.anchor[idx], self.anchor_grad[idx]
         return v.take(self.order[:self.used], axis=-1) @ self.block[:self.used]
 

@@ -692,6 +692,23 @@ class TestPackageLayout:
     def test_each_module_imports_alone(self, module, fresh_python):
         fresh_python(f"import sparsepolyak.{module}")
 
+    def test_no_command_imports_numpy_ma(self, tmp_path, fresh_python):
+        # numpy.ma costs a fresh process about 13 ms and 1 MB; np.median and np.union1d import it
+        text = BASE_CONFIG.replace("concavity.trials = 2000", "concavity.trials = 100")
+        linear = write_config(tmp_path, text.replace("check.pairs = 2000", "check.pairs = 200"))
+        logistic = tmp_path / "logistic.cfg"
+        logistic.write_text("design.d = 40\ntruth.s_star = 3\nnoise.family = logistic\nrun.max_iters = 30\n")
+        runs = [[command, "--config", linear] for command in ("run", "grid", "sweep", "check", "concavity")]
+        runs.append(["run", "--config", str(logistic)])
+        out = fresh_python(
+            "import sys\n"
+            "from sparsepolyak.cli import main\n"
+            f"for args in {runs!r}:\n"
+            f"    assert main([*args, '--out', {str(tmp_path / 'out')!r}]) == 0, args\n"
+            "print('numpy.ma' in sys.modules)\n",
+            env={"OPENBLAS_NUM_THREADS": "1"})
+        assert out.splitlines()[-1] == "False"
+
     def test_package_binds_only_its_version(self, fresh_python):
         out = fresh_python("import sparsepolyak\n"
                            "print(sparsepolyak.__version__)\n"

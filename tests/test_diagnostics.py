@@ -17,6 +17,7 @@ from sparsepolyak.diagnostics import (
     decomposition_margins,
     iters_to_plateau,
     make_instance,
+    median,
     plateau_level,
     run_instance_cells,
     step_target,
@@ -316,6 +317,36 @@ class TestContractionProfile:
         ratios, summary = contraction_profile(trace_from_errors([1.0]), floor=0.0)
         assert ratios.size == 0
         assert np.isnan(summary["max"])
+
+
+class TestMedian:
+    """`median` gives `np.median`'s value: equal by ==, or NaN where `np.median` gives NaN.
+
+    The inputs hold no -0.0 (every median of the package is over squared
+    errors, step sizes, ratios or counts, all >= +0.0), so the sign of a
+    zero median is not pinned.
+    """
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 10, 11, 150, 151])
+    def test_matches_np_median(self, size):
+        rng = np.random.default_rng(size)
+        samples = [rng.exponential(size=size),  # finite floats
+                   rng.integers(0, 4, size=size).astype(float),  # ties
+                   rng.integers(0, 1500, size=size),  # ints, as iteration counts
+                   rng.integers(0, 4, size=size).tolist()]  # a list of ints with ties
+        nan = rng.exponential(size=size)
+        nan[rng.choice(size, max(1, size // 5), replace=False)] = np.nan
+        samples.append(nan)
+        for values in samples:
+            expected = np.median(values)
+            got = median(values)
+            assert type(got) is float
+            assert got == expected or (np.isnan(expected) and np.isnan(got))
+
+    def test_does_not_reorder_its_input(self):
+        values = np.array([3.0, 1.0, 2.0])
+        assert median(values) == 2.0
+        assert values.tolist() == [3.0, 1.0, 2.0]
 
 
 class TestPlateauDetection:

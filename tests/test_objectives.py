@@ -572,6 +572,25 @@ class TestAnchoredLoss:
         f, _ = value_and_gradient(model, np.array([a, a]), gram)
         assert f.tolist() == [target_value(model, a)] * 2
 
+    @pytest.mark.parametrize("anchor_size", [0, 3, 30, 60])
+    def test_loss_columns_are_the_sorted_union(self, anchor_size):
+        # the columns the loss's dot reads: cols with the anchor's support, as np.union1d gives them
+        rng = np.random.default_rng(109 + anchor_size)
+        a = np.zeros(self.d)
+        a[rng.choice(self.d, anchor_size, replace=False)] = rng.standard_normal(anchor_size)
+        model = self.model(a)
+        gram = GramRows(model, a)
+        for _ in range(20):
+            theta = np.zeros(self.d)
+            theta[rng.choice(self.d, rng.integers(0, 13), replace=False)] = 1.0
+            cols = support_union(theta)
+            gram.product(theta, cols)
+            idx, a_idx, grad_a_idx = gram._idx
+            expected = np.union1d(cols, np.flatnonzero(a))
+            assert idx.dtype == expected.dtype and idx.tolist() == expected.tolist()
+            assert a_idx.tolist() == a[expected].tolist()
+            assert grad_a_idx.tolist() == gram.anchor_grad[expected].tolist()
+
 
 class TestDomainTypes:
     def test_dataset_validation(self):

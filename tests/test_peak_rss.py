@@ -29,10 +29,12 @@ def test_one_line_per_fresh_run(tool, tmp_path, capsys):
     cfg.write_text(CONFIG)
     out = tmp_path / "out"
     assert tool.main(["-n", "2", "--", "run", "--config", str(cfg), "--out", str(out)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["peak_rss_mb"] * 2
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [(line[0], line[2]) for line in lines] == [("peak_rss_mb", "wall_s")] * 2
     # a Python process with numpy loaded holds more than 10 MB, and no tiny run 1 GB
-    assert all(10.0 < float(line.split()[1]) < 1024.0 for line in lines)
+    assert all(10.0 < float(line[1]) < 1024.0 for line in lines)
+    # importing numpy alone takes milliseconds, and a tiny run takes well under a minute
+    assert all(0.01 < float(line[3]) < 60.0 for line in lines)
     assert len(list(out.glob("run_*/summary.json"))) == 1
 
 
